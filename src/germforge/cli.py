@@ -111,12 +111,12 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _finish(report: Report, cfg: RunConfig, t0: float):
+def _finish(report: Report, cfg: RunConfig, wall_time: float):
     report.provenance = {
         "seed": cfg.seed,
         "tol": cfg.tol,
         "version": __version__,
-        "wall_time": time.time() - t0,
+        "wall_time": wall_time,
     }
     return report
 
@@ -157,7 +157,7 @@ def cmd_solve_germ(cfg: RunConfig) -> list:
         ver = verify_contraction(germ, 0, SamplingPlan(seed=cfg.seed))
         rep.add_metric("contraction_ratio", ver.max_ratio)
         rep.add_invariant("contraction_certified", ver.passed)
-        reports.append(_finish(rep, cfg, t0))
+        reports.append(_finish(rep, cfg, time.time() - t0))
     return reports
 
 
@@ -238,7 +238,7 @@ def cmd_parametrize(cfg: RunConfig) -> list:
             _parametrize_boundary(rep, cfg, model)
         else:
             raise ConfigError(f"model {model!r} has no parametrize harness")
-        reports.append(_finish(rep, cfg, t0))
+        reports.append(_finish(rep, cfg, time.time() - t0))
     return reports
 
 
@@ -287,7 +287,7 @@ def cmd_cones(cfg: RunConfig) -> list:
             rep.add_invariant("krein_milman", km <= 1e-8)
         except cones.NotPointed:
             rep.add_metric("ray_count", "not-pointed")
-        reports.append(_finish(rep, cfg, t0))
+        reports.append(_finish(rep, cfg, time.time() - t0))
     return reports
 
 
@@ -310,12 +310,11 @@ def cmd_degree(cfg: RunConfig) -> list:
         rep.add_invariant("degree_invariant", all(d == deg for d in suite.trial_degrees))
         if shift is not None:
             rep.add_invariant("homotopy_invariant", all(d == deg for _, d in suite.homotopy_degrees))
-        reports.append(_finish(rep, cfg, t0))
+        reports.append(_finish(rep, cfg, time.time() - t0))
     return reports
 
 
 def cmd_selftest(cfg: RunConfig) -> list:
-    t0 = time.time()
     results = selftest.run_all(echo=print)
     reports = []
     for res in results:
@@ -323,7 +322,7 @@ def cmd_selftest(cfg: RunConfig) -> list:
         for k, v in sorted(res.metrics.items()):
             rep.add_metric(k, v)
         rep.add_invariant(res.name, res.passed)
-        reports.append(_finish(rep, cfg, t0))
+        reports.append(_finish(rep, cfg, res.wall_time))
     return reports
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._linalg import fd_jacobian, is_surjective, svd_split
 from .errors import (
@@ -203,6 +202,8 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     d = pp.window.dim
     starts = [np.asarray(p, dtype=float) for p in pp.seeds]
     if pp.grid_starts:
+        from scipy.stats import qmc     # imported here: scipy.stats costs ~0.5 s of import time
+
         sampler = qmc.Halton(d=d, scramble=True, seed=pp.rng_seed)
         pts = qmc.scale(sampler.random(pp.grid_starts), pp.window.lo, pp.window.hi)
         starts.extend(np.asarray(p) for p in pts)
@@ -490,10 +491,8 @@ class DifferentialForm:
 
 def _chart_orientation_sign(chart, t) -> int:
     """Co-orientation sign: det of [Df(Gamma(t)); tangent^T] (square)."""
-    x = chart.gamma(t)
-    J = chart.jacobian(x)
-    Tg = fd_jacobian(chart.gamma, np.asarray(t, dtype=float))
-    M = np.vstack([J, Tg.T])
+    J = chart.jacobian(chart.gamma(t))
+    M = np.vstack([J, chart.kernel_transport(t).T])
     if M.shape[0] != M.shape[1]:
         raise IndexMismatch(f"chart/section dimensions {M.shape} do not stack square")
     d = np.linalg.det(M)
@@ -553,12 +552,12 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
                 t = np.array([tval])
                 if not chart.domain_contains(t):
                     continue
-                wgt = _chart_weight(chart, chart.gamma(t), support_scale)
+                x = chart.gamma(t)
+                wgt = _chart_weight(chart, x, support_scale)
                 if wgt == 0.0:
                     continue
-                norm = sum(_chart_weight(c2, chart.gamma(t), support_scale) for c2 in atlas.charts)
-                Tg = fd_jacobian(chart.gamma, t)
-                total += sign * w * (wgt / norm) * omega.pullback(chart.gamma(t), Tg)
+                norm = sum(_chart_weight(c2, x, support_scale) for c2 in atlas.charts)
+                total += sign * w * (wgt / norm) * omega.pullback(x, chart.kernel_transport(t))
         else:
             for t1, w1 in zip(scaled_nodes, scaled_w):
                 for t2, w2 in zip(scaled_nodes, scaled_w):
@@ -570,8 +569,7 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
                     if wgt == 0.0:
                         continue
                     norm = sum(_chart_weight(c2, x, support_scale) for c2 in atlas.charts)
-                    Tg = fd_jacobian(chart.gamma, t)
-                    total += sign * w1 * w2 * (wgt / norm) * omega.pullback(x, Tg)
+                    total += sign * w1 * w2 * (wgt / norm) * omega.pullback(x, chart.kernel_transport(t))
     return total
 
 

@@ -131,3 +131,17 @@ def test_events_jsonl_structure(tmp_path):
     assert {"run", "metric", "invariant"} <= kinds
     runs = [e for e in events if e["event"] == "run"]
     assert all("wall_time" in e and "version" in e for e in runs)
+
+
+def test_selftest_reports_each_criterion_wall_time(tmp_path, monkeypatch):
+    import json
+
+    from germforge import selftest
+
+    fake = [selftest.CriterionResult("a", True, {"x": 1}, wall_time=0.25),
+            selftest.CriterionResult("b", True, {"y": 2}, wall_time=1.5)]
+    monkeypatch.setattr(selftest, "run_all", lambda echo=None: fake)
+    assert main(["selftest", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "events.jsonl").read_text().strip().splitlines()
+    runs = [e for e in map(json.loads, lines) if e["event"] == "run"]
+    assert {e["model"]: e["wall_time"] for e in runs} == {"a": 0.25, "b": 1.5}

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from germforge import registry
+from germforge._linalg import fd_jacobian, orthonormal_columns, subspace_intersection, svd_split
 from germforge.errors import NoOverlap, NotSurjective, PositionNotCertified
 from germforge.fredholm import BasicGerm
+from germforge.germs import ContractionGerm, SolutionGerm, germ_derivative
 from germforge.solution import (
     BundleIso,
     SolutionAtlas,
+    _newton,
     build_boundary_parametrization,
     build_parametrization,
     recentre,
@@ -328,3 +331,123 @@ def test_atlas_transition_consistency():
     shared = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
     atlas = SolutionAtlas(charts=(c1, c2), overlaps=((0, 1, shared),))
     assert atlas.verify_transitions(tol=1e-8)
+
+
+# Reference: the paper's staged construction of the graph map A (fiber fixed
+# point delta, Newton on the remainder G(v) = f(v, delta(v))_N, then
+# reparametrization over the kernel), which the bordered solve replaced.  By
+# local uniqueness of A in the chart complement both must agree.
+
+def _staged_pieces(bg, q):
+    def shifted(x):
+        return bg.evaluate(q + x)
+
+    inner = None
+    if bg.W.dim:
+        inner = ContractionGerm(
+            parameter_space=bg.parameter_space, solution_space=bg.W,
+            B=lambda v, w: w - bg.project_W(shifted(np.concatenate([v, w]))),
+            contraction_schedule=dict(bg.contraction_schedule),
+        )
+    delta = SolutionGerm(inner) if inner else (lambda v: np.zeros(0))
+
+    def G(v):
+        return shifted(np.concatenate([v, delta(v)]))[: bg.N]
+
+    return shifted, inner, delta, G
+
+
+def staged_interior_a_map(bg, q, kernel):
+    n = bg.n
+    _, _, delta, G = _staged_pieces(bg, q)
+    DG0 = fd_jacobian(G, np.zeros(n)) if bg.N else np.zeros((0, n))
+    _, Kc, _, _ = svd_split(DG0) if bg.N else (0, np.eye(n), None, None)
+    Cp = orthonormal_columns(np.eye(n) - Kc @ Kc.T) if Kc.shape[1] < n else np.zeros((n, 0))
+
+    def c_of_r(r):
+        if Cp.shape[1] == 0:
+            return np.zeros(0)
+        return _newton(lambda z: G(Kc @ r + Cp @ z), np.zeros(Cp.shape[1]))
+
+    def beta(r):
+        v = Kc @ r + (Cp @ c_of_r(r) if Cp.shape[1] else 0.0)
+        return np.concatenate([v, delta(v)])
+
+    Dbeta0_pinv = np.linalg.pinv(fd_jacobian(beta, np.zeros(Kc.shape[1])))
+
+    def alpha(t):
+        return beta(Dbeta0_pinv @ (kernel @ t))
+
+    def a_map(t_target):
+        t = _newton(lambda t: kernel.T @ alpha(t) - t_target, t_target)
+        pt = alpha(t)
+        return pt - kernel @ (kernel.T @ pt)
+
+    return a_map
+
+
+def staged_corner_a_map(bg, q, kernel, complement):
+    n, wdim = bg.n, bg.W.dim
+    _, inner, delta, G = _staged_pieces(bg, q)
+    DG0 = fd_jacobian(G, np.zeros(n)) if bg.N else np.zeros((0, n))
+    _, Nprime, _, _ = svd_split(DG0) if bg.N else (0, np.eye(n), None, None)
+    T_inv = np.eye(bg.domain_dim)
+    if wdim:
+        T_inv[n:, :n] = -germ_derivative(inner, np.zeros(n))
+    param_block = np.zeros((bg.domain_dim, n))
+    param_block[:n, :n] = np.eye(n)
+    M = orthonormal_columns(subspace_intersection(T_inv @ complement, param_block)[: n, :])
+    if M.shape[1] != n - Nprime.shape[1]:
+        M = orthonormal_columns(np.eye(n) - Nprime @ Nprime.T)
+
+    def a_map(t):
+        nvec = kernel @ t
+        r = (T_inv @ nvec)[:n]
+        z = _newton(lambda z: G(r + M @ z), np.zeros(M.shape[1])) if M.shape[1] else np.zeros(0)
+        v = r + M @ z
+        return np.concatenate([v, delta(v)]) - nvec
+
+    return a_map
+
+
+def _fibred_corner_germ():
+    W = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
+
+    def g(x):
+        v1, v2, w = x
+        return np.array([v2 - v1 + w**2, w - 0.2 * np.sin(v1 + w)])
+
+    return BasicGerm(n=2, k=1, N=1, W=W, g=g,
+                     contraction_schedule={m: (0.25, 1.0) for m in range(4)})
+
+
+def _rotating_line_zero():
+    v0 = 0.2
+    mag = 1.0 + 0.3 * np.sin(v0)
+    return np.array([v0, mag * np.cos(v0), mag * np.sin(v0)])
+
+
+ORACLE_CASES = {
+    "circle": (registry.circle_basic_germ, np.array([1.0, 0.0]), 0.75, False),
+    "linear": (linear_germ, np.zeros(2), 0.5, False),
+    "rotating-line": (registry.rotating_line_basic_germ, _rotating_line_zero(), 0.3, False),
+    "fibred-corner": (_fibred_corner_germ, np.zeros(3), 0.3, True),
+    "parabola-corner": (registry.parabola_corner_germ, np.zeros(2), 0.4, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_bordered_solve_matches_staged_construction(case):
+    make, q, radius, corner = ORACLE_CASES[case]
+    bg = make()
+    if corner:
+        chart = build_boundary_parametrization(bg, q, radius=radius)
+        oracle = staged_corner_a_map(bg, q, chart.kernel_basis, chart.complement_basis)
+    else:
+        chart = build_parametrization(bg, q, radius=radius)
+        oracle = staged_interior_a_map(bg, q, chart.kernel_basis)
+    samples = chart.domain_samples(12, seed=31)
+    assert len(samples) == 12
+    for t in samples:
+        assert np.max(np.abs(chart.a_vector(t) - oracle(t))) <= 1e-10
+        assert np.max(np.abs(chart.kernel_transport(t) - fd_jacobian(chart.gamma, t))) <= 1e-6
