@@ -1,4 +1,6 @@
-"""Small dense linear-algebra helpers: SVD rank splits and FD Jacobians."""
+"""Small dense linear-algebra helpers: SVD rank splits, FD Jacobians and
+`newton`, the one damped Gauss-Newton solver behind chart values, polished
+degree zeros and chart inversions."""
 
 from __future__ import annotations
 
@@ -40,15 +42,6 @@ def guard_rank_band(sigma, cutoff: float, band_factor: float = 10.0):
         )
 
 
-def smallest_sv_ratio(T) -> float:
-    """sigma_min / sigma_max of a matrix over its smaller dimension (0 if empty)."""
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    if min(T.shape) == 0:
-        return 0.0
-    s = np.linalg.svd(T, compute_uv=False)
-    return float(s[min(T.shape) - 1] / s[0]) if s[0] > 0 else 0.0
-
-
 def is_surjective(T, rel_tol: float = SV_RELATIVE_CUTOFF) -> bool:
     """Full row rank test: smallest of the first m singular values > rel_tol * largest."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
@@ -62,19 +55,57 @@ def is_surjective(T, rel_tol: float = SV_RELATIVE_CUTOFF) -> bool:
 
 
 def fd_jacobian(f, x, h: float | None = None):
-    """Central finite-difference Jacobian of f at x, shape (len(f(x)), len(x))."""
+    """Central finite-difference Jacobian of f at x, shape (len(f(x)), len(x)),
+    from 2 len(x) evaluations of f (one, to size the result, for an empty x)."""
     x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.zeros((np.atleast_1d(np.asarray(f(x), dtype=float)).size, 0))
     if h is None:
         h = 1e-6 * (1.0 + float(np.sum(np.abs(x))))
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    J = np.zeros((f0.size, x.size))
+    columns = []
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h
         fp = np.atleast_1d(np.asarray(f(x + e), dtype=float))
         fm = np.atleast_1d(np.asarray(f(x - e), dtype=float))
-        J[:, j] = (fp - fm) / (2.0 * h)
-    return J
+        columns.append((fp - fm) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
+    """Damped Gauss-Newton for func(x) = 0; returns (x, max|func(x)|, converged).
+
+    Steps are lstsq solutions with the FD Jacobian (square or not), halved
+    down to 1e-8 until the residual 2-norm beats the best so far.  A stall or
+    a failed solve returns converged = False; it never raises.  An empty x
+    returns at once.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    if x.size == 0:
+        return x, 0.0, True
+    fx = np.atleast_1d(func(x))
+    best = float(np.linalg.norm(fx))
+    for _ in range(max_iter):
+        res = float(np.max(np.abs(fx)))
+        if res <= tol:
+            return x, res, True
+        J = fd_jacobian(func, x)
+        try:
+            step = np.linalg.lstsq(J, -fx, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return x, res, False
+        lam = 1.0
+        while lam > 1e-8:
+            trial = x + lam * step
+            ft = np.atleast_1d(func(trial))
+            if float(np.linalg.norm(ft)) < best:
+                x, fx, best = trial, ft, float(np.linalg.norm(ft))
+                break
+            lam *= 0.5
+        else:
+            return x, res, False
+    res = float(np.max(np.abs(fx)))
+    return x, res, res <= tol
 
 
 def orthonormal_columns(A, tol: float = 1e-12):

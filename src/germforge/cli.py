@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cones, registry, selftest
-from .degree import DifferentialForm, compute_degree, enumerate_zeros, integrate_form, invariance_suite
+from .degree import DifferentialForm, enumerate_zeros, integrate_form, invariance_suite
 from .errors import ConfigError, GermforgeError
 from .germs import SamplingPlan, SolutionGerm, germ_derivative, solve_germ, tangent_germ, verify_contraction
 from .solution import SolutionAtlas, build_boundary_parametrization, build_parametrization, recentre, transition_map
@@ -302,10 +302,10 @@ def cmd_degree(cfg: RunConfig) -> list:
         for i, z in enumerate(zeros):
             rep.add_metric(f"zero_{i}", ";".join(repr(float(c)) for c in z.point))
             rep.add_invariant(f"zero_{i}_residual", z.residual <= 1e-10)
-        deg = compute_degree(pp)
-        rep.add_metric("degree", deg)
         shift = (lambda t, x: np.array([0.05 * t])) if model == "cubic" else None
         suite = invariance_suite(pp, trials=cfg.trials, homotopy_shift=shift)
+        deg = suite.degree
+        rep.add_metric("degree", deg)
         rep.add_metric("invariance_trials", len(suite.trial_degrees))
         rep.add_invariant("degree_invariant", all(d == deg for d in suite.trial_degrees))
         if shift is not None:

@@ -291,14 +291,9 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
     raise Inconclusive("no (complement, c) candidate certified good position; search is not a proof")
 
 
-def _ray_cone_data(N: SubspaceInQuadrant):
-    """Constraint rows G for the coefficient cone {y : G y >= 0} of C ∩ N."""
-    return N.constraint_matrix()
-
-
 def cone_lineality(N: SubspaceInQuadrant):
     """Basis of the lineality space of C ∩ N inside the coefficient space."""
-    G = _ray_cone_data(N)
+    G = N.constraint_matrix()
     if N.n == 0:
         return np.eye(N.dim)
     _, ker, _, _ = svd_split(G)
@@ -327,7 +322,7 @@ def extreme_rays(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> list:
     lin = cone_lineality(N)
     if lin.shape[1] > 0:
         raise NotPointed("cone contains a line", lineality_basis=N.basis @ lin)
-    G = _ray_cone_data(N)
+    G = N.constraint_matrix()
     n = G.shape[0]
     candidates = []
     if d == 1:

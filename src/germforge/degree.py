@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._linalg import fd_jacobian, is_surjective, svd_split
+from ._linalg import fd_jacobian, is_surjective, newton, svd_split
 from .errors import (
     AtlasIncomplete,
     BudgetExceeded,
@@ -96,11 +96,6 @@ class PerturbationProblem:
             val = val + extra(x)
         return val
 
-    def rho_at(self, x):
-        if self.fiber_projection is None:
-            return None
-        return np.atleast_2d(np.asarray(self.fiber_projection(np.asarray(x, dtype=float)), dtype=float))
-
 
 def smooth_plateau(u: float) -> float:
     """1 on u <= 1/2, 0 on u >= 1, septic smoothstep ramp in between."""
@@ -156,41 +151,13 @@ class ZeroReport:
     kernel_basis: np.ndarray
 
 
-def _gauss_newton(func, x0, tol=1e-13, max_iter=80):
-    x = np.asarray(x0, dtype=float).copy()
-    fx = np.atleast_1d(func(x))
-    best = float(np.linalg.norm(fx))
-    for _ in range(max_iter):
-        if float(np.max(np.abs(fx))) <= tol:
-            return x, float(np.max(np.abs(fx))), True
-        J = fd_jacobian(func, x)
-        try:
-            step = np.linalg.lstsq(J, -fx, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return x, float(np.max(np.abs(fx))), False
-        lam = 1.0
-        moved = False
-        while lam > 1e-8:
-            trial = x + lam * step
-            ft = np.atleast_1d(func(trial))
-            if float(np.linalg.norm(ft)) < best:
-                x, fx = trial, ft
-                best = float(np.linalg.norm(ft))
-                moved = True
-                break
-            lam *= 0.5
-        if not moved:
-            return x, float(np.max(np.abs(fx))), float(np.max(np.abs(fx))) <= tol
-    return x, float(np.max(np.abs(fx))), float(np.max(np.abs(fx))) <= tol
-
-
 def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> list:
     """Polished zeros of f + s inside the window, with linearization reports.
 
-    Multi-start damped Gauss-Newton from the user seeds plus a Halton grid;
-    converged points are deduplicated at the separation tolerance and must
-    carry residual <= 1e-10.  A converged zero outside the window raises
-    WindowEscape; runs that wander off without converging are discarded.
+    Multi-start `newton` (damped Gauss-Newton) from the user seeds plus a
+    Halton grid; converged points are deduplicated at the separation
+    tolerance and must carry residual <= 1e-10.  A converged zero outside
+    the window raises WindowEscape; runs that do not converge are discarded.
     Zeros violating the quadrant constraints by more than the margin are
     discarded (the model is not defined there).
     """
@@ -209,7 +176,7 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
         starts.extend(np.asarray(p) for p in pts)
     zeros = []
     for x0 in starts:
-        x, res, ok = _gauss_newton(func, x0)
+        x, res, ok = newton(func, x0)
         if not ok or res > ZERO_RESIDUAL:
             continue
         nq = pp.quadrant_rank
@@ -400,9 +367,13 @@ def compute_degree(pp: PerturbationProblem,
         outcome = generic_perturbation(pp, mode)
     total = 0
     extra = outcome.perturbation
+    # the zero reports hold their Jacobians; a base-zero reference adds one
+    held = {z.point.tobytes(): z.jacobian for z in outcome.zeros}
 
     def jac_at(x):
-        return fd_jacobian(lambda y: pp.evaluate(y, extra), x)
+        if x.tobytes() not in held:
+            held[x.tobytes()] = fd_jacobian(lambda y: pp.evaluate(y, extra), x)
+        return held[x.tobytes()]
 
     for z in outcome.zeros:
         J = z.jacobian

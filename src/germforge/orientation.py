@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fd_jacobian, orthonormal_columns, svd_split
+from ._linalg import orthonormal_columns, svd_split
 from .errors import (
     GridTooCoarse,
     NotSurjectiveAfterProjection,
@@ -187,39 +187,41 @@ def common_projection(operators, cutoff_rel: float = SV_CUTOFF_REL,
     """
     ops = [np.atleast_2d(np.asarray(T, dtype=float)) for T in operators]
     F_dim = ops[0].shape[0]
+    svds = [np.linalg.svd(T) for T in ops]
 
     def admissible(P):
+        """(smallest singular value of the PT onto range(P), None when one
+        PT is not onto; the singular values of each PT)"""
         rank_P = int(np.round(np.trace(P)))
+        pt_svs = [np.linalg.svd(P @ T, compute_uv=False) for T in ops]
         worst = np.inf
-        for T in ops:
-            PT = P @ T
-            s = np.linalg.svd(PT, compute_uv=False)
+        for s in pt_svs:
             if s.size < rank_P or (rank_P and s[rank_P - 1] <= cutoff_rel * max(s[0], 1.0)):
-                return None
+                return None, pt_svs
             if rank_P:
                 worst = min(worst, s[rank_P - 1])
-        return worst if np.isfinite(worst) else 1.0
+        return (worst if np.isfinite(worst) else 1.0), pt_svs
 
-    _, _, cok0, _ = svd_split(ops[0], cutoff_rel)
-    P0 = np.eye(F_dim) - cok0 @ cok0.T
-    worst = admissible(P0)
+    U0, s0, _ = svds[0]
+    rank0 = int(np.sum(s0 > cutoff_rel * max(s0[0] if s0.size else 0.0, 1.0)))
+    P0 = np.eye(F_dim) - U0[:, rank0:] @ U0[:, rank0:].T
+    rank_P0 = int(np.round(np.trace(P0)))
+    worst, pt_svs = admissible(P0)
     if worst is not None and all(
-        np.linalg.svd(P0 @ T, compute_uv=False)[int(np.round(np.trace(P0))) - 1]
-        > suspect_rel * max(np.linalg.svd(T, compute_uv=False)[0], 1.0)
-        for T in ops if int(np.round(np.trace(P0)))
+        s[rank_P0 - 1] > suspect_rel * max(sv[0], 1.0)
+        for s, (_, sv, _) in zip(pt_svs, svds) if rank_P0
     ):
         return P0, worst
-    scale = max(max(np.linalg.svd(T, compute_uv=False)[0] for T in ops), 1.0)
+    scale = max(max(sv[0] for _, sv, _ in svds), 1.0)
     pieces = []
-    for T in ops:
-        U, s, _ = np.linalg.svd(T)
+    for T, (U, s, _) in zip(ops, svds):
         low = U[:, [i for i in range(min(T.shape)) if s[i] <= suspect_rel * scale]]
         tail = U[:, min(T.shape):]
         if low.size or tail.size:
             pieces.append(np.hstack([low, tail]) if tail.size else low)
     C = orthonormal_columns(np.hstack(pieces)) if pieces else np.zeros((F_dim, 0))
     P = np.eye(F_dim) - C @ C.T
-    worst = admissible(P)
+    worst, _ = admissible(P)
     if worst is None:
         raise NotSurjectiveAfterProjection(
             "no common projection found: accumulated cokernel span still blocks surjectivity"
@@ -312,7 +314,6 @@ class OrientationReference:
 
     kind: str = "ambient"
     base_point: np.ndarray | None = None
-    samples: int = 33
 
 
 AMBIENT_REFERENCE = OrientationReference(kind="ambient")
@@ -349,10 +350,3 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
         raise Singular("linearization at the reference zero is not invertible")
     return (1 if det > 0 else -1) * (1 if det_b > 0 else -1)
 
-
-def linearization_path(f, a, b, samples: int = 33):
-    """Jacobians of f along the straight segment from a to b (FD)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ts = np.linspace(0.0, 1.0, samples)
-    return [fd_jacobian(f, (1 - t) * a + t * b) for t in ts]

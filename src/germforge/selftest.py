@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones, registry
+from ._linalg import newton
 from .degree import (
     DifferentialForm,
     compute_degree,
     enumerate_zeros,
-    generic_perturbation,
     integrate_form,
     invariance_suite,
 )
@@ -122,7 +122,6 @@ def criterion_3_filler_equivalence() -> CriterionResult:
         v = rng.uniform(-1.0, 1.0, size=1)
         c = mag(v[0]) * np.array([np.cos(v[0]), np.sin(v[0])])
         worst_forward = max(worst_forward, float(np.max(np.abs(fs.evaluate(v, c)))))
-    from .degree import _gauss_newton
     from .errors import GermforgeError
 
     def guarded(x):
@@ -134,7 +133,7 @@ def criterion_3_filler_equivalence() -> CriterionResult:
     for _ in range(200):
         x0 = np.concatenate([rng.uniform(-0.9, 0.9, size=1), rng.normal(size=2)])
         try:
-            x, res, ok = _gauss_newton(guarded, x0)
+            x, res, ok = newton(guarded, x0)
         except GermforgeError:
             continue
         if not ok or res > 1e-11 or abs(x[0]) > 1.1:

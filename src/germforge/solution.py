@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cones
-from ._linalg import fd_jacobian, is_surjective, orthonormal_columns, subspace_intersection, svd_split
+from ._linalg import fd_jacobian, is_surjective, newton, orthonormal_columns, subspace_intersection, svd_split
 from .errors import (
     GermforgeError,
     NoOverlap,
@@ -41,36 +41,12 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 
 
-def _newton(func, x0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, damping=True):
-    """Damped Newton iteration for square systems, FD Jacobian."""
-    x = np.asarray(x0, dtype=float).copy()
-    if x.size == 0:
-        return x
-    fx = np.atleast_1d(func(x))
-    for _ in range(max_iter):
-        nrm = float(np.max(np.abs(fx))) if fx.size else 0.0
-        if nrm <= tol:
-            return x
-        J = fd_jacobian(func, x)
-        try:
-            step = np.linalg.lstsq(J, -fx, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"Newton linear solve failed: {exc}", residual=nrm) from exc
-        lam = 1.0
-        while damping and lam > 1e-6:
-            trial = x + lam * step
-            ft = np.atleast_1d(func(trial))
-            if float(np.max(np.abs(ft))) < nrm:
-                x, fx = trial, ft
-                break
-            lam *= 0.5
-        else:
-            x = x + step
-            fx = np.atleast_1d(func(x))
-    nrm = float(np.max(np.abs(fx))) if fx.size else 0.0
-    if nrm <= tol * 100:
-        return x
-    raise NonConvergence(f"Newton stalled at residual {nrm:.3e}", residual=nrm)
+def _solve(func, x0):
+    """`newton` at the chart tolerances; NonConvergence when it does not converge."""
+    x, res, converged = newton(func, x0, NEWTON_TOL, NEWTON_MAX_ITER)
+    if not converged:
+        raise NonConvergence(f"Newton stalled at residual {res:.3e}", residual=res)
+    return x
 
 
 @dataclass(frozen=True)
@@ -186,7 +162,7 @@ def _graph_map(section, q, kernel, complement):
 
     def a_map(t):
         base = q + kernel @ np.asarray(t, dtype=float)
-        return complement @ _newton(lambda s: section(base + complement @ s), s0)
+        return complement @ _solve(lambda s: section(base + complement @ s), s0)
 
     return a_map
 
@@ -334,7 +310,7 @@ def transform(gp: GoodParametrization, phi: BundleIso) -> GoodParametrization:
 
     def a_map(tp):
         tp = np.asarray(tp, dtype=float)
-        t_inv = _newton(lambda z: tau(z) - tp, tp)
+        t_inv = _solve(lambda z: tau(z) - tp, tp)
         offset = curve(t_inv) - qp
         return offset - new_kernel @ (new_kernel.T @ offset)
 

@@ -142,16 +142,11 @@ class SplicingCore:
 
 @dataclass(frozen=True)
 class StrongBundleSplicing:
-    """Fiber family (v, e) -> rho_{(v,e)}, linear idempotents on F over the core.
-
-    level_shift_ok is bookkeeping for the (m, m+1) bi-filtration; it has no
-    finite-dimensional content beyond declared-level accounting.
-    """
+    """Fiber family (v, e) -> rho_{(v,e)}, linear idempotents on F over the core."""
 
     base: SplicingCore
     F: GradedSpace
     rho: object
-    level_shift_ok: bool = True
 
     def fiber_projection(self, v, e):
         R = np.atleast_2d(np.asarray(self.rho(np.asarray(v, float), np.asarray(e, float)), dtype=float))
@@ -362,17 +357,14 @@ class LocalFaces:
         return len(self.faces)
 
 
-def local_faces(x, space: GradedSpace | None = None, radius: float = 1.0,
-                tol: float = DEFAULT_TOL) -> LocalFaces:
+def local_faces(x, space: GradedSpace | None = None, tol: float = DEFAULT_TOL) -> LocalFaces:
     """The d(x) local faces through x and their common tangent intersection.
 
     Each face j is the constraint hyperplane {x_j = 0} for an active index j;
     its tangent is the coordinate hyperplane {dx_j = 0}, and the boundary
     tangent is the intersection over all active faces.  Interior points give
-    no faces and the full tangent space.  `radius` is carried for API
-    symmetry with chart-local statements; the computation is pointwise.
+    no faces and the full tangent space.
     """
-    del radius
     coords = np.asarray(getattr(x, "coords", x), dtype=float)
     sp = space if space is not None else x.space
     dim = sp.dim

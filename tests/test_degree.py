@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -343,3 +345,39 @@ def test_mismatched_degree_contributes_zero():
     atlas = circle_atlas()  # 1-dimensional charts
     zero_form = DifferentialForm(degree=0, coeff=lambda x: 1.0)
     assert integrate_form(atlas, zero_form) == 0.0
+
+
+def _counted_cubic():
+    base = registry.cubic_problem()
+    calls = [0]
+
+    def section(x):
+        calls[0] += 1
+        return base.section(x)
+
+    return replace(base, section=section), calls
+
+
+def test_compute_degree_signs_zeros_from_held_jacobians():
+    pp, calls = _counted_cubic()
+    outcome = generic_perturbation(pp)
+    assert len(outcome.zeros) == 3
+    calls[0] = 0
+    assert compute_degree(pp, outcome=outcome) == 1
+    assert calls[0] == 0
+
+
+def test_compute_degree_evaluates_base_zero_jacobian_at_most_once():
+    pp, calls = _counted_cubic()
+    outcome = generic_perturbation(pp)
+    ambient = compute_degree(pp, outcome=outcome)
+    # a reference at a held zero reuses that zero's linearization
+    calls[0] = 0
+    at_zero = OrientationReference(kind="base_zero", base_point=np.array([-1.0]))
+    assert compute_degree(pp, reference=at_zero, outcome=outcome) == ambient
+    assert calls[0] == 0
+    # any other reference point costs one central-difference Jacobian (1-D)
+    calls[0] = 0
+    elsewhere = OrientationReference(kind="base_zero", base_point=np.array([1.5]))
+    assert compute_degree(pp, reference=elsewhere, outcome=outcome) == ambient
+    assert calls[0] == 2

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from germforge import registry
-from germforge._linalg import fd_jacobian, orthonormal_columns, subspace_intersection, svd_split
-from germforge.errors import NoOverlap, NotSurjective, PositionNotCertified
+from germforge._linalg import fd_jacobian, newton, orthonormal_columns, subspace_intersection, svd_split
+from germforge.errors import NonConvergence, NoOverlap, NotSurjective, PositionNotCertified
 from germforge.fredholm import BasicGerm
 from germforge.germs import ContractionGerm, SolutionGerm, germ_derivative
 from germforge.solution import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     BundleIso,
     SolutionAtlas,
-    _newton,
     build_boundary_parametrization,
     build_parametrization,
     recentre,
@@ -333,10 +334,25 @@ def test_atlas_transition_consistency():
     assert atlas.verify_transitions(tol=1e-8)
 
 
+def test_chart_solve_without_zero_raises_nonconvergence_with_residual():
+    chart = circle_chart()
+    # the line x = 1 + s, y = 1.5 misses the unit circle: |f| >= 1.25 on it
+    with pytest.raises(NonConvergence) as info:
+        chart.a_map(np.array([1.5]))
+    assert info.value.residual is not None
+    assert info.value.residual >= 1.25 - 1e-9
+
+
 # Reference: the paper's staged construction of the graph map A (fiber fixed
 # point delta, Newton on the remainder G(v) = f(v, delta(v))_N, then
 # reparametrization over the kernel), which the bordered solve replaced.  By
 # local uniqueness of A in the chart complement both must agree.
+
+def _solve(func, x0):
+    x, res, converged = newton(func, x0, NEWTON_TOL, NEWTON_MAX_ITER)
+    assert converged, f"oracle solve stalled at residual {res:.3e}"
+    return x
+
 
 def _staged_pieces(bg, q):
     def shifted(x):
@@ -367,7 +383,7 @@ def staged_interior_a_map(bg, q, kernel):
     def c_of_r(r):
         if Cp.shape[1] == 0:
             return np.zeros(0)
-        return _newton(lambda z: G(Kc @ r + Cp @ z), np.zeros(Cp.shape[1]))
+        return _solve(lambda z: G(Kc @ r + Cp @ z), np.zeros(Cp.shape[1]))
 
     def beta(r):
         v = Kc @ r + (Cp @ c_of_r(r) if Cp.shape[1] else 0.0)
@@ -379,7 +395,7 @@ def staged_interior_a_map(bg, q, kernel):
         return beta(Dbeta0_pinv @ (kernel @ t))
 
     def a_map(t_target):
-        t = _newton(lambda t: kernel.T @ alpha(t) - t_target, t_target)
+        t = _solve(lambda t: kernel.T @ alpha(t) - t_target, t_target)
         pt = alpha(t)
         return pt - kernel @ (kernel.T @ pt)
 
@@ -403,7 +419,7 @@ def staged_corner_a_map(bg, q, kernel, complement):
     def a_map(t):
         nvec = kernel @ t
         r = (T_inv @ nvec)[:n]
-        z = _newton(lambda z: G(r + M @ z), np.zeros(M.shape[1])) if M.shape[1] else np.zeros(0)
+        z = _solve(lambda z: G(r + M @ z), np.zeros(M.shape[1])) if M.shape[1] else np.zeros(0)
         v = r + M @ z
         return np.concatenate([v, delta(v)]) - nvec
 

@@ -172,7 +172,7 @@ def test_rotating_line_zero_set_equivalence():
         c = rotating_zero(v[0])
         assert np.max(np.abs(fs.evaluate(v, c))) < 1e-9
     # backward: filled zeros land on the core with vanishing section
-    from germforge.degree import _gauss_newton
+    from germforge._linalg import newton
 
     def guarded(x):
         if abs(x[0]) >= 1.15:
@@ -182,7 +182,7 @@ def test_rotating_line_zero_set_equivalence():
     found = 0
     for _ in range(200):
         x0 = np.concatenate([rng.uniform(-0.9, 0.9, size=1), rng.normal(size=2)])
-        x, res, ok = _gauss_newton(guarded, x0)
+        x, res, ok = newton(guarded, x0)
         if not ok or res > 1e-11 or abs(x[0]) > 1.1:
             continue
         found += 1
