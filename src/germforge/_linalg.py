@@ -17,12 +17,13 @@ def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
     Returns (rank, kernel, coker, sigma) where kernel is (n, n-rank) from the
     right singular vectors, coker is (m, m-rank) spanning the orthogonal
     complement of the range, and sigma the singular values.  The cutoff is
-    cutoff_rel * max(sigma_max, 1).
+    cutoff_rel * max(sigma_max, 1).  A map with no rows or no columns has
+    rank 0, so its kernel is all of R^n and its cokernel all of R^m.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     m, n = T.shape
     if n == 0 or m == 0:
-        return 0, np.zeros((n, n)), np.zeros((m, m)), np.zeros(0)
+        return 0, np.eye(n), np.eye(m), np.zeros(0)
     U, s, Vt = np.linalg.svd(T)
     cut = cutoff_rel * max(s[0] if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cut))

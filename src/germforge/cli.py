@@ -104,8 +104,10 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
         for m in cfg.models:
             if m not in known:
                 raise ConfigError(f"field [run].models: unknown model {m!r}; known: {sorted(known)}")
-    if cfg.tol <= 0:
-        raise ConfigError("field [run].tol: must be positive")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError("field [run].seed: must be an integer in [0, 2**64)")
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError("field [run].tol: must be finite and positive")
     if cfg.trials < 1:
         raise ConfigError("field [run].trials: must be at least 1")
     return cfg

@@ -9,7 +9,10 @@ quadrant; `quadrant_structure` produces the explicit isomorphism.
 
 Feasibility questions (membership in a ray cone, extremality) are resolved
 by nonnegative least squares; interior questions by one LP.  Both solvers
-are deterministic.
+are deterministic.  Good position itself is only sampled: test pairs are
+drawn and checked in chunks of SAMPLE_CHUNK trials from a seeded Philox
+stream, one trial's generator calls after another's, so a seed fixes every
+pair whatever the chunking (`_PairSampler`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .spaces import DEFAULT_TOL, GradedSpace
 
 FEAS_TOL = 1e-8
 LP_TOL = 1e-10
+# good-position trials drawn between two array passes; a failing (complement,
+# c) pair meets its first counterexample after a few to a few hundred
+# trials, and sampling stops at the end of the chunk that holds it
+SAMPLE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -164,64 +171,168 @@ def _coordinate_complements(N: SubspaceInQuadrant, limit: int = 40):
     return out
 
 
-def _good_position_samples(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float,
-                           interior=None):
-    """Yield (n, m) test pairs concentrated where a bad complement fails.
+# A trial's data-dependent decisions, in the order its draws meet them: its
+# n vanishes (it stops), it draws a band target (its band facet's constraint
+# row is nonzero), its band-shifted n vanishes (it stops), its m is rescaled
+# (m does not vanish; one last draw).
+_N_VANISHES, _BAND_TARGET, _SHIFTED_N_VANISHES, _M_RESCALED = range(4)
 
-    Half the n samples start near the cone (along the LP interior direction
-    when one exists) and then have one constrained coordinate pushed into
-    the band (-2c||n||, 2c||n||) -- membership of n + m can only disagree
-    with membership of n there.  The band facet is chosen among those the
-    complement can reach, and m is aimed at it.
+
+class _PairSampler:
+    """Good-position test pairs (n, m) for one complement and constant c.
+
+    Pairs are concentrated where a bad complement fails.  Half the n samples
+    start near the cone (along the LP interior direction when one exists)
+    and then have one constrained coordinate pushed into the band
+    (-2c||n||, 2c||n||) -- membership of n + m can only disagree with
+    membership of n there.  The band facet is chosen among those the
+    complement can reach, and m is aimed at it; ||m|| <= c ||n|| always.
+
+    Stream contract: each trial makes the same Generator calls in the same
+    order as a one-pair-at-a-time sampler would, so the pairs do not depend
+    on the chunking, and a batch of g trials is a prefix of a batch of 2g.
+    Which calls a trial makes depends on its data (the decisions above), so
+    a short loop makes a chunk's calls as its trials are predicted to decide
+    -- as the last trial that met each decision did -- and array passes
+    build the pairs and the decisions actually taken.  At the first
+    mispredicted decision the chunk is cut after that trial and redrawn from
+    its start with the decision corrected.
     """
-    n_rank = N.n
-    G = N.constraint_matrix()
-    y_int = None
-    if interior is not None:
-        nrm = float(np.linalg.norm(interior))
-        if nrm > 1e-12:
-            y_int = interior / nrm
-    # facets whose coordinate the complement can move at all
-    if comp.shape[1]:
-        reach = [i for i in range(n_rank) if float(comp[i] @ comp[i]) > 1e-20]
-    else:
-        reach = []
-    for trial in range(grid):
-        biased = y_int is not None and trial % 2 == 0
-        if biased:
-            yn = rng.exponential() * y_int + 0.25 * rng.normal(size=N.dim)
-        else:
-            yn = rng.normal(size=N.dim)
-        nvec = N.basis @ yn
-        norm_n = N.ambient.level_norm(nvec, 0)
-        if norm_n < 1e-12:
-            continue
-        i_band = None
-        if n_rank and trial % 2 == 0:
-            pool = reach if reach else range(n_rank)
-            i = min(pool, key=lambda j: abs(nvec[j]))
-            row = G[i]
-            nr = float(row @ row)
-            if nr > 1e-14:
-                target = rng.uniform(-2.0, 2.0) * c * norm_n
-                yn = yn + row * ((target - nvec[i]) / nr)
-                nvec = N.basis @ yn
-                norm_n = N.ambient.level_norm(nvec, 0)
-                if norm_n < 1e-12:
+
+    def __init__(self, N: SubspaceInQuadrant, comp, c: float, tol: float, interior=None):
+        self.N, self.comp, self.c, self.tol = N, comp, c, tol
+        self.y_int = None
+        if interior is not None:
+            nrm = float(np.linalg.norm(interior))
+            if nrm > 1e-12:
+                self.y_int = interior / nrm
+        n_rank = N.n
+        # facets whose coordinate the complement can move at all
+        reach = [i for i in range(n_rank) if float(comp[i] @ comp[i]) > 1e-20] if comp.shape[1] else []
+        self.aimed = bool(reach)
+        self.pool = np.array(reach or range(n_rank), dtype=int)
+        G = N.constraint_matrix()
+        self.row_norms = np.array([float(G[i] @ G[i]) for i in range(n_rank)])
+
+    def chunks(self, grid: int, rng):
+        """Yield the pairs of `grid` trials as two (k, dim) arrays, a chunk
+        of at most SAMPLE_CHUNK trials at a time."""
+        # at first the nondegenerate decisions: no vanishing n, a band
+        # target on every even trial, m rescaled
+        predicted = np.array([False, True, False, True])
+        start = 0
+        while start < grid:
+            trials = np.arange(start, min(start + SAMPLE_CHUNK, grid))
+            plan = np.tile(predicted, (trials.size, 1))
+            plan[:, _BAND_TARGET] &= self._bandable(trials)
+            state = rng.bit_generator.state
+            while True:
+                nvecs, mvecs, actual, reached = self._build(trials, plan, self._draw(rng, trials, plan))
+                wrong = reached & (plan != actual)
+                if not wrong.any():
+                    break
+                # every draw up to trial j's first wrong decision was right
+                j = int(np.argmax(wrong.any(axis=1)))
+                trials, plan = trials[: j + 1], plan[: j + 1]
+                col = int(np.argmax(wrong[j]))
+                plan[j, col] = actual[j, col]
+                rng.bit_generator.state = state
+            for col in range(4):
+                if reached[:, col].any():
+                    predicted[col] = plan[reached[:, col], col][-1]
+            yield nvecs, mvecs
+            start = int(trials[-1]) + 1
+
+    def _bandable(self, trials):
+        return (trials % 2 == 0) & (self.N.n > 0)
+
+    def _draw(self, rng, trials, plan):
+        """Make the trials' Generator calls as `plan` decides them; a call a
+        trial does not make leaves a zero in its array."""
+        m, d, k = trials.size, self.N.dim, self.comp.shape[1]
+        biased = self.y_int is not None
+        expo, band_u, sign, scale_u = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int), np.zeros(m)
+        zn, zm = np.zeros((m, d)), np.zeros((m, k))
+        for j, (trial, decided) in enumerate(zip(trials.tolist(), plan.tolist())):
+            n_vanishes, band, shifted_vanishes, rescaled = decided
+            if biased and trial % 2 == 0:
+                expo[j] = rng.exponential()
+            zn[j] = rng.normal(size=d)
+            if n_vanishes:
+                continue
+            if band:
+                band_u[j] = rng.random()
+                if shifted_vanishes:
                     continue
-                i_band = i
-        ym = rng.normal(size=comp.shape[1]) if comp.shape[1] else np.zeros(0)
-        if i_band is not None and i_band in reach:
-            # aim the complement perturbation at the band facet
-            ym = rng.choice([-1.0, 1.0]) * comp[i_band] + 0.2 * ym
-        mvec = comp @ ym if comp.shape[1] else np.zeros(N.ambient.dim)
-        norm_m = N.ambient.level_norm(mvec, 0)
-        if norm_m > 1e-12:
-            mvec = mvec * ((c * norm_n / norm_m) * rng.uniform(0.0, 1.0))
-        head = nvec[:n_rank]
-        if n_rank and np.min(np.abs(head)) <= 10 * tol * max(1.0, norm_n):
-            continue
-        yield nvec, mvec
+            if k:
+                zm[j] = rng.normal(size=k)
+            if band and self.aimed:
+                sign[j] = rng.integers(0, 2)
+            if rescaled:
+                scale_u[j] = rng.random()
+        return expo, zn, band_u, zm, sign, scale_u
+
+    def _build(self, trials, plan, draws):
+        """The trials' pairs from their draws, the decisions each trial took
+        and the mask of decisions its draws reached under `plan`.
+
+        Returns (n, m, actual, reached); the pairs are those of the trials
+        that run to the end, less those with n on a constraint hyperplane.
+        A trial whose plan disagrees with `actual` is redrawn, so it is
+        built only up to the disagreement.
+        """
+        expo, zn, band_u, zm, sign, scale_u = draws
+        N, comp, c, n_rank = self.N, self.comp, self.c, self.N.n
+        level0 = N.ambient.level_norm
+        actual = np.zeros_like(plan)
+        yn = zn.copy()
+        if self.y_int is not None:
+            biased = trials % 2 == 0
+            yn[biased] = expo[biased, None] * self.y_int + 0.25 * zn[biased]
+        nvecs = yn @ N.basis.T
+        norms_n = level0(nvecs, 0)
+        actual[:, _N_VANISHES] = norms_n < 1e-12
+        bandable = self._bandable(trials)
+        facet = np.zeros(trials.size, dtype=int)
+        if n_rank:
+            facet = self.pool[np.argmin(np.abs(nvecs[:, self.pool]), axis=1)]
+            actual[:, _BAND_TARGET] = bandable & (self.row_norms[facet] > 1e-14)
+        band_drawn = plan[:, _BAND_TARGET] & ~plan[:, _N_VANISHES]
+        shifted = band_drawn & actual[:, _BAND_TARGET]
+        f = facet[shifted]
+        target = (-2.0 + 4.0 * band_u[shifted]) * c * norms_n[shifted]
+        yn[shifted] += N.constraint_matrix()[f] * ((target - nvecs[shifted, f]) / self.row_norms[f])[:, None]
+        nvecs[shifted] = yn[shifted] @ N.basis.T
+        norms_n[shifted] = level0(nvecs[shifted], 0)
+        actual[:, _SHIFTED_N_VANISHES] = norms_n < 1e-12
+        live = ~plan[:, _N_VANISHES] & ~(band_drawn & plan[:, _SHIFTED_N_VANISHES])
+        # aim the complement perturbation at the band facet
+        aim = live & band_drawn & self.aimed
+        ym = zm.copy()
+        ym[aim] = np.array([-1.0, 1.0])[sign[aim], None] * comp[facet[aim]] + 0.2 * zm[aim]
+        mvecs = ym @ comp.T
+        norms_m = level0(mvecs, 0)
+        actual[:, _M_RESCALED] = norms_m > 1e-12
+        reached = np.column_stack([np.ones(trials.size, dtype=bool), ~plan[:, _N_VANISHES] & bandable,
+                                   band_drawn, live])
+        rescaled = live & plan[:, _M_RESCALED] & actual[:, _M_RESCALED]
+        mvecs[rescaled] *= ((c * norms_n[rescaled] / norms_m[rescaled]) * scale_u[rescaled])[:, None]
+        keep = live
+        if n_rank:
+            keep = keep & (np.min(np.abs(nvecs[:, :n_rank]), axis=1) > 10 * self.tol * np.maximum(1.0, norms_n))
+        return nvecs[keep], mvecs[keep], actual, reached
+
+
+def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float,
+                          interior=None):
+    """The first sampled (n, m) pair whose memberships of n and n + m in C
+    differ, or None; no chunk after the one that holds it is drawn."""
+    for nvecs, mvecs in _PairSampler(N, comp, c, tol, interior).chunks(grid, rng):
+        bad = N.ambient.contains_quadrant_point(nvecs, tol) != N.ambient.contains_quadrant_point(nvecs + mvecs, tol)
+        if bad.any():
+            j = int(np.argmax(bad))
+            return nvecs[j], mvecs[j]
+    return None
 
 
 def check_position_pair(N: SubspaceInQuadrant, complement, c: float, grid: int = 2000,
@@ -235,11 +346,7 @@ def check_position_pair(N: SubspaceInQuadrant, complement, c: float, grid: int =
     if comp.shape[0] != N.ambient.dim:
         comp = comp.T
     rng = np.random.Generator(np.random.Philox(key=seed))
-    interior = _interior_point(N)
-    for nvec, mvec in _good_position_samples(N, comp, c, grid, rng, tol, interior=interior):
-        if N.ambient.contains_quadrant_point(nvec, tol) != N.ambient.contains_quadrant_point(nvec + mvec, tol):
-            return nvec, mvec
-    return None
+    return _first_counterexample(N, comp, c, grid, rng, tol, interior=_interior_point(N))
 
 
 def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int = 2000,
@@ -251,7 +358,9 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
         ||m||_E <= c ||n||_E must satisfy: n + m in C  <=>  n in C.  Half of
         the samples are biased into the band where the smallest constrained
         coordinate of n is on the scale of c ||n||, which is where bad
-        complements fail.
+        complements fail.  Pairs are drawn and tested in chunks of
+        SAMPLE_CHUNK (see `_PairSampler`); a batch stops at the
+        first chunk that holds a counterexample.
 
     Neat subspaces short-circuit to c = 1 with the neat complement.  The
     search is bounded: candidates are the orthogonal complement, coordinate
@@ -270,12 +379,7 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
     candidates.append(_orthogonal_complement(N))
     def has_counterexample(comp, c, batch_grid, key):
         batch_rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(key)))
-        for nvec, mvec in _good_position_samples(N, comp, c, batch_grid, batch_rng, tol, interior=y0):
-            in_n = N.ambient.contains_quadrant_point(nvec, tol)
-            in_sum = N.ambient.contains_quadrant_point(nvec + mvec, tol)
-            if in_n != in_sum:
-                return True
-        return False
+        return _first_counterexample(N, comp, c, batch_grid, batch_rng, tol, interior=y0) is not None
 
     for ci, comp in enumerate(candidates):
         if comp.shape[1] + N.dim != N.ambient.dim:

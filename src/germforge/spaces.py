@@ -61,15 +61,18 @@ class GradedSpace:
         if not 0 <= m <= self.levels:
             raise ValueError(f"level {m} out of range [0, {self.levels}]")
 
-    def level_norm(self, coords, m: int) -> float:
-        """Weighted l1 norm sum_i weights_i**m * |x_i| at level m."""
+    def level_norm(self, coords, m: int):
+        """Weighted l1 norm sum_i weights_i**m * |x_i| at level m.
+
+        A (k, dim) stack of rows gives the k row norms as an array; each
+        equals the norm of its row bit for bit.
+        """
         self.check_level(m)
         x = np.asarray(coords, dtype=float)
-        if x.shape != (self.dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got shape {x.shape}")
-        if self.dim == 0:
-            return 0.0
-        return float(np.sum(self.weights**m * np.abs(x)))
+        norms = np.sum(self.weights**m * np.abs(x), axis=-1)
+        return float(norms) if x.ndim == 1 else norms
 
     def vector(self, coords, declared_level: int | None = None) -> GradedVector:
         return GradedVector(np.asarray(coords, dtype=float), self, declared_level)
@@ -77,10 +80,12 @@ class GradedSpace:
     def zero(self) -> GradedVector:
         return self.vector(np.zeros(self.dim))
 
-    def contains_quadrant_point(self, coords, tol: float = DEFAULT_TOL) -> bool:
+    def contains_quadrant_point(self, coords, tol: float = DEFAULT_TOL):
+        """x_i >= -tol for every i < quadrant_rank; a (k, dim) stack of rows
+        gives one bool per row."""
         x = np.asarray(coords, dtype=float)
-        n = self.quadrant_rank
-        return bool(n == 0 or np.all(x[:n] >= -tol))
+        inside = np.all(x[..., : self.quadrant_rank] >= -tol, axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
 
 @dataclass(frozen=True)

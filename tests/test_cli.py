@@ -145,3 +145,27 @@ def test_selftest_reports_each_criterion_wall_time(tmp_path, monkeypatch):
     lines = (tmp_path / "events.jsonl").read_text().strip().splitlines()
     runs = [e for e in map(json.loads, lines) if e["event"] == "run"]
     assert {e["model"]: e["wall_time"] for e in runs} == {"a": 0.25, "b": 1.5}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_0_to_2_pow_64_is_exit_2(tmp_path, seed, capsys):
+    # Philox keys and SeedSequence entropy must be nonnegative
+    assert main(["cones", "--seed", str(seed), "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, tol, capsys):
+    assert main(["degree", f"--tol={tol}", "--out", str(tmp_path)]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_config_file_seed_and_tolerance_are_checked(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\nseed = -3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path, "cones", {"seed": None, "out": None, "tol": None, "trials": None})
+    path.write_text("[run]\ntol = nan\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="tol"):
+        load_config(path, "cones", {"seed": None, "out": None, "tol": None, "trials": None})

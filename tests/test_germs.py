@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from germforge import registry
 from germforge.errors import NonConvergence
 from germforge.germs import (
     ContractionGerm,
+    ContractionReport,
     SamplingPlan,
     SolutionGerm,
     germ_derivative,
@@ -215,3 +218,94 @@ def test_solution_germ_caches():
     a = sol(np.array([0.1]))
     b = sol(np.array([0.1]))
     assert a is b
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the one-pair-at-a-time contraction sampler that the
+# batched `verify_contraction` replaced.  Both must give the same report
+# bit for bit and call B for the same pairs.
+
+
+def reference_verify_contraction(germ, m=0, grid=None):
+    germ.solution_space.check_level(m)
+    if grid is None:
+        grid = SamplingPlan()
+    rng = np.random.Generator(np.random.Philox(key=grid.seed))
+    r = germ.radius(m)
+    if not np.isfinite(r):
+        r = 1.0
+    r *= grid.radius_scale
+    pdim, sdim = germ.parameter_space.dim, germ.solution_space.dim
+    max_ratio = 0.0
+    count = 0
+    for _ in range(grid.parameter_samples):
+        v = rng.uniform(-r, r, size=pdim)
+        nq = germ.parameter_space.quadrant_rank
+        if nq:
+            v[:nq] = np.abs(v[:nq])
+        for _ in range(grid.pair_samples):
+            u = rng.uniform(-r, r, size=sdim)
+            u2 = rng.uniform(-r, r, size=sdim)
+            den = germ.solution_space.level_norm(u - u2, m)
+            if den < 1e-14:
+                continue
+            num = germ.solution_space.level_norm(germ.evaluate(v, u) - germ.evaluate(v, u2), m)
+            max_ratio = max(max_ratio, num / den)
+            count += 1
+    return ContractionReport(level=m, max_ratio=max_ratio, samples=count, radius=r, passed=max_ratio < 1.0)
+
+
+def with_call_log(germ):
+    """The germ with B wrapped to record every (v, u) it is called with."""
+    calls = []
+
+    def B(v, u):
+        calls.append((v.tolist(), u.tolist()))
+        return germ.B(v, u)
+
+    return replace(germ, B=B), calls
+
+
+def random_linear_germ(rng):
+    pdim, sdim, levels = int(rng.integers(0, 4)), int(rng.integers(0, 4)), 3
+    A = rng.normal(size=(sdim, sdim)) * rng.uniform(0.1, 1.5)
+    C = rng.normal(size=(sdim, pdim))
+    return ContractionGerm(
+        parameter_space=GradedSpace(dim=pdim, levels=levels, quadrant_rank=int(rng.integers(0, pdim + 1))),
+        solution_space=GradedSpace(dim=sdim, levels=levels, weights=1.0 + rng.uniform(0.0, 0.5, size=sdim)),
+        B=lambda v, u: A @ u + C @ v,
+        contraction_schedule={m: (0.5, float(rng.uniform(0.1, 2.0))) for m in range(levels + 1)})
+
+
+def assert_same_contraction_report(germ, m, plan):
+    got_germ, got_calls = with_call_log(germ)
+    want_germ, want_calls = with_call_log(germ)
+    got = verify_contraction(got_germ, m, plan)
+    want = reference_verify_contraction(want_germ, m, plan)
+    assert got == want
+    assert got_calls == want_calls
+
+
+def test_verify_contraction_matches_the_reference_on_registry_germs():
+    for germ in (registry.cos_germ(), registry.linear_germ(), registry.linear_germ(alpha=-0.9),
+                 registry.rotating_line_basic_germ().inner):
+        for m in range(germ.solution_space.levels + 1):
+            assert_same_contraction_report(germ, m, SamplingPlan(parameter_samples=4, pair_samples=16, seed=m))
+
+
+def test_verify_contraction_matches_the_reference_on_random_linear_germs():
+    rng = np.random.default_rng(12)
+    for k in range(40):
+        germ = random_linear_germ(rng)
+        # a radius scale near 1e-14 makes some pairs too close to count
+        scale = float(rng.choice([1.0, 3.0, 1e-14]))
+        plan = SamplingPlan(parameter_samples=int(rng.integers(0, 5)), pair_samples=int(rng.integers(0, 20)),
+                            radius_scale=scale, seed=k)
+        assert_same_contraction_report(germ, int(rng.integers(0, 4)), plan)
+
+
+def test_verify_contraction_skips_pairs_closer_than_the_cutoff():
+    germ = registry.linear_germ()
+    rep = verify_contraction(germ, 0, SamplingPlan(radius_scale=1e-14))
+    full = SamplingPlan().parameter_samples * SamplingPlan().pair_samples
+    assert 0 < rep.samples < full

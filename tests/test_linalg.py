@@ -1,7 +1,7 @@
 import numpy as np
 
 from germforge import registry
-from germforge._linalg import fd_jacobian, newton
+from germforge._linalg import fd_jacobian, newton, svd_split
 
 
 class Counted:
@@ -91,3 +91,22 @@ def test_newton_returns_empty_point_at_once():
     assert x.shape == (0,)
     assert (res, converged) == (0.0, True)
     assert f.calls == 0
+
+
+def test_svd_split_of_an_empty_operator_returns_orthonormal_bases():
+    # a map from R^0 to R^2: no kernel, the whole target as cokernel
+    rank, kernel, coker, sigma = svd_split(np.zeros((2, 0)))
+    assert rank == 0 and kernel.shape == (0, 0) and sigma.size == 0
+    assert np.array_equal(coker, np.eye(2))
+    # a map from R^3 to R^0: the whole source as kernel, no cokernel
+    rank, kernel, coker, sigma = svd_split(np.zeros((0, 3)))
+    assert rank == 0 and coker.shape == (0, 0)
+    assert np.array_equal(kernel, np.eye(3))
+
+
+def test_determinant_line_of_a_map_from_r0_has_an_orthonormal_cokernel():
+    from germforge.orientation import determinant_line
+
+    dl = determinant_line(np.zeros((2, 0)))
+    assert dl.kernel_dim == 0 and dl.cokernel_dim == 2
+    assert np.allclose(dl.cokernel_basis.T @ dl.cokernel_basis, np.eye(2))

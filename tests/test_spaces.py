@@ -96,3 +96,20 @@ def test_declared_level_bookkeeping():
     assert top.raised().declared_level == 3
     with pytest.raises(ValueError):
         sp.vector([1.0, 1.0], declared_level=9)
+
+
+def test_level_norm_and_membership_of_a_row_stack_equal_their_rows():
+    rng = np.random.default_rng(4)
+    for dim in (0, 1, 3, 9):
+        sp = GradedSpace(dim=dim, levels=3, weights=1.0 + rng.uniform(0.0, 1.0, size=dim),
+                         quadrant_rank=dim // 2)
+        X = rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-6, 6, size=(40, dim))
+        for m in range(4):
+            assert np.array_equal(sp.level_norm(X, m), [sp.level_norm(x, m) for x in X])
+        inside = sp.contains_quadrant_point(X, 1e-3)
+        assert inside.tolist() == [sp.contains_quadrant_point(x, 1e-3) for x in X]
+        assert sp.level_norm(X[:0], 1).shape == (0,)
+    sp = GradedSpace(dim=2, levels=1)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            sp.level_norm(bad, 0)
