@@ -10,9 +10,9 @@ quadrant; `quadrant_structure` produces the explicit isomorphism.
 Feasibility questions (membership in a ray cone, extremality) are resolved
 by nonnegative least squares; interior questions by one LP.  Both solvers
 are deterministic.  Good position itself is only sampled: test pairs are
-drawn and checked in chunks of SAMPLE_CHUNK trials from a seeded Philox
-stream, one trial's generator calls after another's, so a seed fixes every
-pair whatever the chunking (`_PairSampler`).
+drawn one trial after another from a seeded Philox stream and tested in
+chunks of SAMPLE_CHUNK trials, so a seed fixes every pair whatever the
+chunking (`_PairSampler`).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .spaces import DEFAULT_TOL, GradedSpace
 
 FEAS_TOL = 1e-8
 LP_TOL = 1e-10
-# good-position trials drawn between two array passes; a failing (complement,
-# c) pair meets its first counterexample after a few to a few hundred
-# trials, and sampling stops at the end of the chunk that holds it
+# good-position trials whose pairs are tested together; a failing
+# (complement, c) pair meets its first counterexample after a few to a few
+# hundred trials, and sampling stops at the end of the chunk that holds it
 SAMPLE_CHUNK = 64
 
 
@@ -171,13 +171,6 @@ def _coordinate_complements(N: SubspaceInQuadrant, limit: int = 40):
     return out
 
 
-# A trial's data-dependent decisions, in the order its draws meet them: its
-# n vanishes (it stops), it draws a band target (its band facet's constraint
-# row is nonzero), its band-shifted n vanishes (it stops), its m is rescaled
-# (m does not vanish; one last draw).
-_N_VANISHES, _BAND_TARGET, _SHIFTED_N_VANISHES, _M_RESCALED = range(4)
-
-
 class _PairSampler:
     """Good-position test pairs (n, m) for one complement and constant c.
 
@@ -189,14 +182,15 @@ class _PairSampler:
     complement can reach, and m is aimed at it; ||m|| <= c ||n|| always.
 
     Stream contract: each trial makes the same Generator calls in the same
-    order as a one-pair-at-a-time sampler would, so the pairs do not depend
-    on the chunking, and a batch of g trials is a prefix of a batch of 2g.
-    Which calls a trial makes depends on its data (the decisions above), so
-    a short loop makes a chunk's calls as its trials are predicted to decide
-    -- as the last trial that met each decision did -- and array passes
-    build the pairs and the decisions actually taken.  At the first
-    mispredicted decision the chunk is cut after that trial and redrawn from
-    its start with the decision corrected.
+    order as a one-pair-at-a-time sampler, with the same arithmetic on its
+    own vectors.  Its data decide which calls it makes (a vanishing n or
+    band-shifted n ends it, a zero constraint row on its band facet skips
+    the band target, a vanishing m skips the scaling draw), so that
+    arithmetic runs in the draw loop, trial by trial.  Only what no draw
+    depends on -- the scaling of m, the rejection of n on a constraint
+    hyperplane and the membership tests -- runs on a chunk's arrays.  The
+    pairs are therefore the same bit for bit whatever the chunking, and a
+    batch of g trials is a prefix of a batch of 2g.
     """
 
     def __init__(self, N: SubspaceInQuadrant, comp, c: float, tol: float, interior=None):
@@ -210,117 +204,61 @@ class _PairSampler:
         # facets whose coordinate the complement can move at all
         reach = [i for i in range(n_rank) if float(comp[i] @ comp[i]) > 1e-20] if comp.shape[1] else []
         self.aimed = bool(reach)
-        self.pool = np.array(reach or range(n_rank), dtype=int)
-        G = N.constraint_matrix()
-        self.row_norms = np.array([float(G[i] @ G[i]) for i in range(n_rank)])
+        self.pool = reach or list(range(n_rank))
+        self.G = N.constraint_matrix()
+        self.row_norms = [float(self.G[i] @ self.G[i]) for i in range(n_rank)]
+        self.level0 = N.ambient.level_norm
 
     def chunks(self, grid: int, rng):
         """Yield the pairs of `grid` trials as two (k, dim) arrays, a chunk
         of at most SAMPLE_CHUNK trials at a time."""
-        # at first the nondegenerate decisions: no vanishing n, a band
-        # target on every even trial, m rescaled
-        predicted = np.array([False, True, False, True])
-        start = 0
-        while start < grid:
-            trials = np.arange(start, min(start + SAMPLE_CHUNK, grid))
-            plan = np.tile(predicted, (trials.size, 1))
-            plan[:, _BAND_TARGET] &= self._bandable(trials)
-            state = rng.bit_generator.state
-            while True:
-                nvecs, mvecs, actual, reached = self._build(trials, plan, self._draw(rng, trials, plan))
-                wrong = reached & (plan != actual)
-                if not wrong.any():
-                    break
-                # every draw up to trial j's first wrong decision was right
-                j = int(np.argmax(wrong.any(axis=1)))
-                trials, plan = trials[: j + 1], plan[: j + 1]
-                col = int(np.argmax(wrong[j]))
-                plan[j, col] = actual[j, col]
-                rng.bit_generator.state = state
-            for col in range(4):
-                if reached[:, col].any():
-                    predicted[col] = plan[reached[:, col], col][-1]
-            yield nvecs, mvecs
-            start = int(trials[-1]) + 1
+        n_rank, dim = self.N.n, self.N.ambient.dim
+        for start in range(0, grid, SAMPLE_CHUNK):
+            size = min(SAMPLE_CHUNK, grid - start)
+            nvecs, mvecs = np.zeros((size, dim)), np.zeros((size, dim))
+            norms_n, scales, live = np.zeros(size), np.ones(size), np.zeros(size, dtype=bool)
+            for j in range(size):
+                drawn = self._trial(start + j, rng)
+                if drawn is not None:
+                    nvecs[j], norms_n[j], mvecs[j], scales[j] = drawn
+                    live[j] = True
+            mvecs *= scales[:, None]
+            keep = live
+            if n_rank:
+                keep = keep & (np.min(np.abs(nvecs[:, :n_rank]), axis=1) > 10 * self.tol * np.maximum(1.0, norms_n))
+            yield nvecs[keep], mvecs[keep]
 
-    def _bandable(self, trials):
-        return (trials % 2 == 0) & (self.N.n > 0)
-
-    def _draw(self, rng, trials, plan):
-        """Make the trials' Generator calls as `plan` decides them; a call a
-        trial does not make leaves a zero in its array."""
-        m, d, k = trials.size, self.N.dim, self.comp.shape[1]
-        biased = self.y_int is not None
-        expo, band_u, sign, scale_u = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int), np.zeros(m)
-        zn, zm = np.zeros((m, d)), np.zeros((m, k))
-        for j, (trial, decided) in enumerate(zip(trials.tolist(), plan.tolist())):
-            n_vanishes, band, shifted_vanishes, rescaled = decided
-            if biased and trial % 2 == 0:
-                expo[j] = rng.exponential()
-            zn[j] = rng.normal(size=d)
-            if n_vanishes:
-                continue
-            if band:
-                band_u[j] = rng.random()
-                if shifted_vanishes:
-                    continue
-            if k:
-                zm[j] = rng.normal(size=k)
-            if band and self.aimed:
-                sign[j] = rng.integers(0, 2)
-            if rescaled:
-                scale_u[j] = rng.random()
-        return expo, zn, band_u, zm, sign, scale_u
-
-    def _build(self, trials, plan, draws):
-        """The trials' pairs from their draws, the decisions each trial took
-        and the mask of decisions its draws reached under `plan`.
-
-        Returns (n, m, actual, reached); the pairs are those of the trials
-        that run to the end, less those with n on a constraint hyperplane.
-        A trial whose plan disagrees with `actual` is redrawn, so it is
-        built only up to the disagreement.
-        """
-        expo, zn, band_u, zm, sign, scale_u = draws
-        N, comp, c, n_rank = self.N, self.comp, self.c, self.N.n
-        level0 = N.ambient.level_norm
-        actual = np.zeros_like(plan)
-        yn = zn.copy()
-        if self.y_int is not None:
-            biased = trials % 2 == 0
-            yn[biased] = expo[biased, None] * self.y_int + 0.25 * zn[biased]
-        nvecs = yn @ N.basis.T
-        norms_n = level0(nvecs, 0)
-        actual[:, _N_VANISHES] = norms_n < 1e-12
-        bandable = self._bandable(trials)
-        facet = np.zeros(trials.size, dtype=int)
-        if n_rank:
-            facet = self.pool[np.argmin(np.abs(nvecs[:, self.pool]), axis=1)]
-            actual[:, _BAND_TARGET] = bandable & (self.row_norms[facet] > 1e-14)
-        band_drawn = plan[:, _BAND_TARGET] & ~plan[:, _N_VANISHES]
-        shifted = band_drawn & actual[:, _BAND_TARGET]
-        f = facet[shifted]
-        target = (-2.0 + 4.0 * band_u[shifted]) * c * norms_n[shifted]
-        yn[shifted] += N.constraint_matrix()[f] * ((target - nvecs[shifted, f]) / self.row_norms[f])[:, None]
-        nvecs[shifted] = yn[shifted] @ N.basis.T
-        norms_n[shifted] = level0(nvecs[shifted], 0)
-        actual[:, _SHIFTED_N_VANISHES] = norms_n < 1e-12
-        live = ~plan[:, _N_VANISHES] & ~(band_drawn & plan[:, _SHIFTED_N_VANISHES])
-        # aim the complement perturbation at the band facet
-        aim = live & band_drawn & self.aimed
-        ym = zm.copy()
-        ym[aim] = np.array([-1.0, 1.0])[sign[aim], None] * comp[facet[aim]] + 0.2 * zm[aim]
-        mvecs = ym @ comp.T
-        norms_m = level0(mvecs, 0)
-        actual[:, _M_RESCALED] = norms_m > 1e-12
-        reached = np.column_stack([np.ones(trials.size, dtype=bool), ~plan[:, _N_VANISHES] & bandable,
-                                   band_drawn, live])
-        rescaled = live & plan[:, _M_RESCALED] & actual[:, _M_RESCALED]
-        mvecs[rescaled] *= ((c * norms_n[rescaled] / norms_m[rescaled]) * scale_u[rescaled])[:, None]
-        keep = live
-        if n_rank:
-            keep = keep & (np.min(np.abs(nvecs[:, :n_rank]), axis=1) > 10 * self.tol * np.maximum(1.0, norms_n))
-        return nvecs[keep], mvecs[keep], actual, reached
+    def _trial(self, trial: int, rng):
+        """One trial's Generator calls and the arithmetic that decides them:
+        (n, ||n||_0, unscaled m, scale of m), or None when n vanishes."""
+        basis, comp, c, level0 = self.N.basis, self.comp, self.c, self.level0
+        if self.y_int is not None and trial % 2 == 0:
+            yn = rng.exponential() * self.y_int + 0.25 * rng.normal(size=basis.shape[1])
+        else:
+            yn = rng.normal(size=basis.shape[1])
+        nvec = basis @ yn
+        norm_n = level0(nvec, 0)
+        if norm_n < 1e-12:
+            return None
+        i_band = None
+        if self.pool and trial % 2 == 0:
+            i = min(self.pool, key=lambda j: abs(nvec[j]))
+            if self.row_norms[i] > 1e-14:
+                target = (-2.0 + 4.0 * rng.random()) * c * norm_n
+                yn = yn + self.G[i] * ((target - nvec[i]) / self.row_norms[i])
+                nvec = basis @ yn
+                norm_n = level0(nvec, 0)
+                if norm_n < 1e-12:
+                    return None
+                i_band = i
+        ym = rng.normal(size=comp.shape[1])
+        if i_band is not None and self.aimed:
+            # aim the complement perturbation at the band facet
+            ym = (-1.0, 1.0)[rng.integers(0, 2)] * comp[i_band] + 0.2 * ym
+        mvec = comp @ ym
+        norm_m = level0(mvec, 0)
+        scale = (c * norm_n / norm_m) * rng.random() if norm_m > 1e-12 else 1.0
+        return nvec, norm_n, mvec, scale
 
 
 def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float,

@@ -54,6 +54,8 @@ class GradedSpace:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        # weights**m for every level, computed once: norms are taken often
+        object.__setattr__(self, "_level_weights", tuple(w**m for m in range(self.levels + 1)))
         if not 0 <= self.quadrant_rank <= self.dim:
             raise ValueError(f"quadrant_rank must lie in [0, {self.dim}]")
 
@@ -71,7 +73,11 @@ class GradedSpace:
         x = np.asarray(coords, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got shape {x.shape}")
-        norms = np.sum(self.weights**m * np.abs(x), axis=-1)
+        terms = np.abs(x)
+        if m:
+            # weights**0 is all ones, and 1.0 * t == t
+            terms = self._level_weights[m] * terms
+        norms = np.add.reduce(terms, -1)
         return float(norms) if x.ndim == 1 else norms
 
     def vector(self, coords, declared_level: int | None = None) -> GradedVector:
