@@ -4,7 +4,10 @@ Configuration is flat key-value text with section headers and # comments;
 arrays are comma-separated.  Every run writes one CSV of metric and
 invariant rows per (command, model) plus a single events.jsonl; metric
 values are formatted with repr so identical seeds give byte-identical
-tables.  Exit codes: 0 all invariants pass, 1 invariant failure, 2 config
+tables.  Each command accepts the models listed in MODEL_CHECKS and runs
+the checks it shares with the selftest criteria on each of them.  Exit
+codes: 0 all invariants pass, 1 invariant failure (a library error in one
+model fails that model's report and the other models still run), 2 config
 error.
 """
 
@@ -23,12 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cones, registry, selftest
-from .degree import DifferentialForm, enumerate_zeros, integrate_form, invariance_suite
+from .degree import enumerate_zeros, invariance_suite
 from .errors import ConfigError, GermforgeError
-from .germs import SamplingPlan, SolutionGerm, germ_derivative, solve_germ, tangent_germ, verify_contraction
-from .solution import SolutionAtlas, build_boundary_parametrization, build_parametrization, recentre, transition_map
-from .spaces import GradedSpace
-from .splicing import degeneracy_index
+from .germs import SamplingPlan, verify_contraction
+from .solution import SolutionAtlas, build_boundary_parametrization, build_parametrization
 
 DEFAULT_MODELS = {
     "solve-germ": ["cos-germ", "linear-germ"],
@@ -56,7 +57,8 @@ class Report:
     model: str
     metrics: list = field(default_factory=list)      # (name, value)
     passes: list = field(default_factory=list)       # (invariant, bool)
-    provenance: dict = field(default_factory=dict)
+    wall_time: float = 0.0
+    error: dict | None = None                        # the error event of a failed check
 
     def add_metric(self, name, value):
         self.metrics.append((name, value))
@@ -83,27 +85,27 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
             run = parser["run"]
             if "models" in run:
                 cfg.models = [m.strip() for m in run["models"].split(",") if m.strip()]
-            for key, cast in (("seed", int), ("trials", int), ("tol", float)):
+            getters = {"seed": run.getint, "trials": run.getint, "tol": run.getfloat,
+                       "integrate_forms": run.getboolean}
+            for key, get in getters.items():
                 if key in run:
                     try:
-                        setattr(cfg, key, cast(run[key]))
+                        setattr(cfg, key, get(key))
                     except ValueError as exc:
                         raise ConfigError(f"field [run].{key}: {exc}") from exc
             if "out" in run:
                 cfg.out = Path(run["out"])
-            if "integrate_forms" in run:
-                cfg.integrate_forms = run.getboolean("integrate_forms")
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
     env_out = os.environ.get("GERMFORGE_OUT")
     if env_out:
         cfg.out = Path(env_out)
-    if cfg.command != "selftest":
-        known = set(registry.MODEL_BUILDERS)
-        for m in cfg.models:
-            if m not in known:
-                raise ConfigError(f"field [run].models: unknown model {m!r}; known: {sorted(known)}")
+    accepted = MODEL_CHECKS.get(cfg.command, {})
+    for m in cfg.models:
+        if cfg.command != "selftest" and m not in accepted:
+            raise ConfigError(f"field [run].models: {cfg.command} does not accept model {m!r}; "
+                              f"accepted: {sorted(accepted)}")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("field [run].seed: must be an integer in [0, 2**64)")
     if not (np.isfinite(cfg.tol) and cfg.tol > 0):
@@ -113,228 +115,154 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _finish(report: Report, cfg: RunConfig, wall_time: float):
-    report.provenance = {
-        "seed": cfg.seed,
-        "tol": cfg.tol,
-        "version": __version__,
-        "wall_time": wall_time,
-    }
-    return report
+def check_solve_germ(rep: Report, model: str, cfg: RunConfig):
+    germ = registry.build(model)
+    for m, res in enumerate(selftest.level_residuals(germ)):
+        rep.add_metric(f"residual_level_{m}", res)
+        rep.add_invariant(f"residual_level_{m}_le_tol", res <= cfg.tol)
+    d, fd_err = selftest.derivative_fd_check(germ)
+    rep.add_metric("derivative", float(d[0, 0]))
+    rep.add_metric("derivative_fd_rel_error", fd_err)
+    rep.add_invariant("derivative_matches_fd", fd_err <= 1e-6)
+    worst = selftest.tangent_coherence_error(germ, np.random.Generator(np.random.Philox(key=cfg.seed)), 20)
+    rep.add_metric("tangent_coherence_error", worst)
+    rep.add_invariant("tangent_coherent", worst <= 1e-8)
+    ver = verify_contraction(germ, 0, SamplingPlan(seed=cfg.seed))
+    rep.add_metric("contraction_ratio", ver.max_ratio)
+    rep.add_invariant("contraction_certified", ver.passed)
 
 
-def cmd_solve_germ(cfg: RunConfig) -> list:
-    reports = []
-    for model in cfg.models:
-        t0 = time.time()
-        rep = Report(command="solve-germ", model=model)
-        germ = registry.build(model)
-        v0 = np.zeros(germ.parameter_space.dim)
-        for m in range(germ.solution_space.levels + 1):
-            u = solve_germ(germ, v0, m=m, tol=1e-12)
-            res = germ.solution_space.level_norm(u - germ.evaluate(v0, u), m)
-            rep.add_metric(f"residual_level_{m}", res)
-            rep.add_invariant(f"residual_level_{m}_le_tol", res <= cfg.tol)
-        d = germ_derivative(germ, v0)
-        rep.add_metric("derivative", float(d[0, 0]))
-        h = 1e-6
-        e0 = np.zeros_like(v0)
-        e0[0] = h
-        fd = (solve_germ(germ, e0, tol=1e-13) - solve_germ(germ, -e0, tol=1e-13)) / (2 * h)
-        fd_err = float(np.max(np.abs(d[:, 0] - fd)) / max(np.max(np.abs(fd)), 1e-30))
-        rep.add_metric("derivative_fd_rel_error", fd_err)
-        rep.add_invariant("derivative_matches_fd", fd_err <= 1e-6)
-        sol = SolutionGerm(germ, tol=1e-13)
-        lifted = tangent_germ(germ, sol)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        worst = 0.0
-        for _ in range(20):
-            v = rng.uniform(-0.2, 0.2, size=germ.parameter_space.dim)
-            b = rng.uniform(-1.0, 1.0, size=germ.parameter_space.dim)
-            got = solve_germ(lifted, np.concatenate([v, b]), tol=1e-13)
-            want = np.concatenate([sol(v), sol.derivative(v) @ b])
-            worst = max(worst, float(np.max(np.abs(got - want))))
-        rep.add_metric("tangent_coherence_error", worst)
-        rep.add_invariant("tangent_coherent", worst <= 1e-8)
-        ver = verify_contraction(germ, 0, SamplingPlan(seed=cfg.seed))
-        rep.add_metric("contraction_ratio", ver.max_ratio)
-        rep.add_invariant("contraction_certified", ver.passed)
-        reports.append(_finish(rep, cfg, time.time() - t0))
-    return reports
-
-
-def _parametrize_circle(rep: Report, cfg: RunConfig):
-    bg = registry.build("circle")
-    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-             np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-    charts = [build_parametrization(bg, q, radius=0.75) for q in bases]
-    a_err = float(np.max(np.abs(charts[0].a_vector(np.array([0.6])) - np.array([-0.2, 0.0]))))
-    rep.add_metric("a_at_0.6_error", a_err)
-    rep.add_invariant("a_at_0.6", a_err <= 1e-9)
+def _add_residuals(rep: Report, sampled_charts):
+    """One residual row per (row prefix, chart, samples t), then their maximum."""
     worst = 0.0
-    for i, c in enumerate(charts):
-        for t in c.domain_samples(10, seed=cfg.seed):
-            r = c.residual(t)
+    for prefix, chart, samples in sampled_charts:
+        for t in samples:
+            r = chart.residual(t)
             worst = max(worst, r)
-            rep.add_metric(f"sample_chart{i}_t_{t[0]:+.6f}", r)
+            rep.add_metric(f"{prefix}t_{t[0]:+.6f}", r)
     rep.add_metric("max_residual", worst)
     rep.add_invariant("residuals", worst <= 1e-8)
-    recentred = recentre(charts[0], np.array([0.4]))
-    tm = transition_map(charts[0], recentred, recentred.base_point)
-    t_worst = max(tm.mismatch(np.array([t])) for t in np.linspace(-0.05, 0.05, 9))
+
+
+def check_circle(rep: Report, model: str, cfg: RunConfig):
+    charts = selftest.circle_charts()
+    a_err = selftest.a_error(charts[0])
+    rep.add_metric("a_at_0.6_error", a_err)
+    rep.add_invariant("a_at_0.6", a_err <= 1e-9)
+    _add_residuals(rep, [(f"sample_chart{i}_", c, c.domain_samples(10, seed=cfg.seed))
+                         for i, c in enumerate(charts)])
+    t_worst = selftest.transition_mismatch(charts[0])
     rep.add_metric("transition_mismatch", t_worst)
     rep.add_invariant("transition", t_worst <= 1e-8)
-    atlas = SolutionAtlas(charts=tuple(charts))
     if cfg.integrate_forms:
-        omega = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]]))
-        val = integrate_form(atlas, omega)
+        val = selftest.circumference(SolutionAtlas(charts=tuple(charts)))
         rep.add_metric("circumference_integral", val)
         rep.add_invariant("circumference", abs(val - 2 * np.pi) <= 1e-6)
 
 
-def _parametrize_boundary(rep: Report, cfg: RunConfig, model: str):
+def check_corner_chart(rep: Report, model: str, cfg: RunConfig):
     bg = registry.build(model)
     chart = build_boundary_parametrization(bg, np.zeros(bg.domain_dim), radius=0.4)
-    amb = GradedSpace(dim=bg.domain_dim, levels=bg.W.levels, quadrant_rank=bg.k)
-    worst = 0.0
-    corner_ok = True
-    for t in chart.domain_samples(20, seed=cfg.seed):
-        worst = max(worst, chart.residual(t))
-        g = chart.gamma(t)
-        rep.add_metric(f"sample_t_{t[0]:+.6f}", chart.residual(t))
-        n = chart.kernel_basis @ t
-        s = chart.structure.to_standard @ n
-        active = int(np.sum(np.abs(s[: chart.structure.quadrant_count]) <= 1e-9))
-        if degeneracy_index(g, amb) != active:
-            corner_ok = False
-    rep.add_metric("max_residual", worst)
-    rep.add_invariant("residuals", worst <= 1e-8)
-    rep.add_invariant("corner_accounting", corner_ok)
+    samples = chart.domain_samples(20, seed=cfg.seed)
+    _add_residuals(rep, [("sample_", chart, samples)])
+    rep.add_invariant("corner_accounting", selftest.corner_accounting(chart, samples))
 
 
-def _parametrize_rotating_line(rep: Report, cfg: RunConfig):
-    bg = registry.rotating_line_basic_germ()
+def check_rotating_line(rep: Report, model: str, cfg: RunConfig):
     v0 = 0.2
     mag = 1.0 + 0.3 * np.sin(v0)
     q = np.array([v0, mag * np.cos(v0), mag * np.sin(v0)])
-    chart = build_parametrization(bg, q, radius=0.3)
-    worst = 0.0
-    for t in chart.domain_samples(20, seed=cfg.seed):
-        r = chart.residual(t)
-        worst = max(worst, r)
-        rep.add_metric(f"sample_t_{t[0]:+.6f}", r)
-    rep.add_metric("max_residual", worst)
-    rep.add_invariant("residuals", worst <= 1e-8)
+    chart = build_parametrization(registry.rotating_line_basic_germ(), q, radius=0.3)
+    _add_residuals(rep, [("sample_", chart, chart.domain_samples(20, seed=cfg.seed))])
 
 
-def cmd_parametrize(cfg: RunConfig) -> list:
+def check_cones(rep: Report, model: str, cfg: RunConfig):
+    sub = registry.build(model)
+    neat = cones.is_neat(sub)
+    rep.add_metric("neat", neat.neat)
+    try:
+        gp = cones.is_good_position(sub, seed=cfg.seed)
+        rep.add_metric("good_position", gp.ok)
+        rep.add_metric("constant_c", gp.c if gp.c is not None else float("nan"))
+        good = gp.ok
+    except cones.Inconclusive:
+        rep.add_metric("good_position", "inconclusive")
+        good = False
+    try:
+        rays = cones.extreme_rays(sub)
+        rep.add_metric("ray_count", len(rays))
+        rep.add_metric("is_quadrant", cones.is_quadrant(sub).is_quadrant)
+        if good:
+            rep.add_invariant("sigma_counts", selftest.sigma_counts_ok(sub, rays))
+            rt = selftest.round_trip_error(sub, np.random.Generator(np.random.Philox(key=cfg.seed)), 100)
+            rep.add_metric("round_trip_error", rt)
+            rep.add_invariant("round_trip", rt <= 1e-10)
+        km = selftest.krein_milman_residual(rays, np.random.Generator(np.random.Philox(key=cfg.seed + 1)), 200)
+        rep.add_metric("krein_milman_residual", km)
+        rep.add_invariant("krein_milman", km <= 1e-8)
+    except cones.NotPointed:
+        rep.add_metric("ray_count", "not-pointed")
+
+
+def check_degree(rep: Report, model: str, cfg: RunConfig):
+    pp = registry.build(model, seed=cfg.seed)
+    zeros = enumerate_zeros(pp)
+    rep.add_metric("zero_count", len(zeros))
+    for i, z in enumerate(zeros):
+        rep.add_metric(f"zero_{i}", ";".join(repr(float(c)) for c in z.point))
+        rep.add_invariant(f"zero_{i}_residual", z.residual <= 1e-10)
+    shift = selftest.cubic_homotopy_shift if model == "cubic" else None
+    suite = invariance_suite(pp, trials=cfg.trials, homotopy_shift=shift)
+    deg = suite.degree
+    rep.add_metric("degree", deg)
+    rep.add_metric("invariance_trials", len(suite.trial_degrees))
+    rep.add_invariant("degree_invariant", all(d == deg for d in suite.trial_degrees))
+    if shift is not None:
+        rep.add_invariant("homotopy_invariant", all(d == deg for _, d in suite.homotopy_degrees))
+
+
+# the models each command accepts, with the check it runs on each
+MODEL_CHECKS = {
+    "solve-germ": dict.fromkeys(("cos-germ", "linear-germ"), check_solve_germ),
+    "parametrize": {"circle": check_circle, "rotating-line": check_rotating_line,
+                    **dict.fromkeys(("parabola-at-corner", "diagonal-line", "quadrant-plane"),
+                                    check_corner_chart)},
+    "cones": dict.fromkeys(("diag-plane", "diagonal-in-square", "ice-cream"), check_cones),
+    "degree": dict.fromkeys(("cubic", "square-minus-one", "identity", "boundary-parabola"), check_degree),
+}
+
+
+def run_models(cfg: RunConfig) -> list:
+    """One report per model.  A library error inside a model's check fails
+    that report (invariant `completed`, plus an error event) and the other
+    models still run."""
     reports = []
     for model in cfg.models:
         t0 = time.time()
-        rep = Report(command="parametrize", model=model)
-        if model == "circle":
-            _parametrize_circle(rep, cfg)
-        elif model == "rotating-line":
-            _parametrize_rotating_line(rep, cfg)
-        elif model in ("parabola-at-corner", "diagonal-line", "quadrant-plane"):
-            _parametrize_boundary(rep, cfg, model)
-        else:
-            raise ConfigError(f"model {model!r} has no parametrize harness")
-        reports.append(_finish(rep, cfg, time.time() - t0))
-    return reports
-
-
-def cmd_cones(cfg: RunConfig) -> list:
-    reports = []
-    for model in cfg.models:
-        t0 = time.time()
-        rep = Report(command="cones", model=model)
-        sub = registry.build(model)
-        neat = cones.is_neat(sub)
-        rep.add_metric("neat", neat.neat)
+        rep = Report(command=cfg.command, model=model)
         try:
-            gp = cones.is_good_position(sub, seed=cfg.seed)
-            rep.add_metric("good_position", gp.ok)
-            rep.add_metric("constant_c", gp.c if gp.c is not None else float("nan"))
-            good = gp.ok
-        except cones.Inconclusive:
-            rep.add_metric("good_position", "inconclusive")
-            good = False
-        try:
-            rays = cones.extreme_rays(sub)
-            rep.add_metric("ray_count", len(rays))
-            qres = cones.is_quadrant(sub)
-            rep.add_metric("is_quadrant", qres.is_quadrant)
-            if good:
-                sigma_ok = all(
-                    len(cones.sigma_set(r, sub.n, tol=1e-8)) == sub.dim - 1 for r in rays
-                )
-                rep.add_invariant("sigma_counts", sigma_ok)
-                qs = cones.quadrant_structure(sub, certified=True)
-                rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-                rt = 0.0
-                for _ in range(100):
-                    lam = np.abs(rng.normal(size=len(qs.rays)))
-                    x = sum(l * r for l, r in zip(lam, qs.rays))
-                    rt = max(rt, float(np.max(np.abs(qs.from_standard @ (qs.to_standard @ x) - x))))
-                rep.add_metric("round_trip_error", rt)
-                rep.add_invariant("round_trip", rt <= 1e-10)
-            km = 0.0
-            rng = np.random.Generator(np.random.Philox(key=cfg.seed + 1))
-            for _ in range(200):
-                lam = np.abs(rng.normal(size=len(rays)))
-                p = sum(l * r for l, r in zip(lam, rays))
-                km = max(km, cones.cone_membership_residual(p, rays))
-            rep.add_metric("krein_milman_residual", km)
-            rep.add_invariant("krein_milman", km <= 1e-8)
-        except cones.NotPointed:
-            rep.add_metric("ray_count", "not-pointed")
-        reports.append(_finish(rep, cfg, time.time() - t0))
+            MODEL_CHECKS[cfg.command][model](rep, model, cfg)
+        except GermforgeError as exc:
+            print(f"error in {cfg.command}/{model}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            rep.add_invariant("completed", False)
+            rep.error = {"error": type(exc).__name__, "message": str(exc)}
+            if getattr(exc, "residual", None) is not None:
+                rep.error["residual"] = float(exc.residual)
+        rep.wall_time = time.time() - t0
+        reports.append(rep)
     return reports
 
 
-def cmd_degree(cfg: RunConfig) -> list:
-    reports = []
-    for model in cfg.models:
-        t0 = time.time()
-        rep = Report(command="degree", model=model)
-        pp = registry.build(model, seed=cfg.seed)
-        zeros = enumerate_zeros(pp)
-        rep.add_metric("zero_count", len(zeros))
-        for i, z in enumerate(zeros):
-            rep.add_metric(f"zero_{i}", ";".join(repr(float(c)) for c in z.point))
-            rep.add_invariant(f"zero_{i}_residual", z.residual <= 1e-10)
-        shift = (lambda t, x: np.array([0.05 * t])) if model == "cubic" else None
-        suite = invariance_suite(pp, trials=cfg.trials, homotopy_shift=shift)
-        deg = suite.degree
-        rep.add_metric("degree", deg)
-        rep.add_metric("invariance_trials", len(suite.trial_degrees))
-        rep.add_invariant("degree_invariant", all(d == deg for d in suite.trial_degrees))
-        if shift is not None:
-            rep.add_invariant("homotopy_invariant", all(d == deg for _, d in suite.homotopy_degrees))
-        reports.append(_finish(rep, cfg, time.time() - t0))
-    return reports
-
-
-def cmd_selftest(cfg: RunConfig) -> list:
+def run_selftest(cfg: RunConfig) -> list:
     results = selftest.run_all(echo=print)
     reports = []
     for res in results:
-        rep = Report(command="selftest", model=res.name)
+        rep = Report(command="selftest", model=res.name, wall_time=res.wall_time)
         for k, v in sorted(res.metrics.items()):
             rep.add_metric(k, v)
         rep.add_invariant(res.name, res.passed)
-        reports.append(_finish(rep, cfg, res.wall_time))
+        reports.append(rep)
     return reports
-
-
-COMMANDS = {
-    "solve-germ": cmd_solve_germ,
-    "parametrize": cmd_parametrize,
-    "cones": cmd_cones,
-    "degree": cmd_degree,
-    "selftest": cmd_selftest,
-}
 
 
 def _format_value(v) -> str:
@@ -347,21 +275,23 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_reports(reports: list, out_dir: Path) -> None:
+def write_reports(reports: list, cfg: RunConfig) -> None:
     """All file writes happen here, once, after every command finished."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    events_path = out_dir / "events.jsonl"
-    with events_path.open("w", encoding="utf-8") as ev:
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    provenance = {"seed": cfg.seed, "tol": cfg.tol, "version": __version__}
+    with (cfg.out / "events.jsonl").open("w", encoding="utf-8") as ev:
         for rep in reports:
             ev.write(json.dumps({"event": "run", "command": rep.command, "model": rep.model,
-                                 **rep.provenance}) + "\n")
-            csv_path = out_dir / f"{rep.command}-{rep.model}.csv"
+                                 **provenance, "wall_time": rep.wall_time}) + "\n")
+            if rep.error is not None:
+                ev.write(json.dumps({"event": "error", "command": rep.command, "model": rep.model,
+                                     **rep.error}) + "\n")
+            csv_path = cfg.out / f"{rep.command}-{rep.model}.csv"
             with csv_path.open("w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
                 writer.writerow(["kind", "name", "value"])
-                writer.writerow(["provenance", "seed", _format_value(rep.provenance.get("seed", 0))])
-                writer.writerow(["provenance", "tol", _format_value(rep.provenance.get("tol", 0.0))])
-                writer.writerow(["provenance", "version", rep.provenance.get("version", "")])
+                for key, value in provenance.items():
+                    writer.writerow(["provenance", key, _format_value(value)])
                 for name, value in rep.metrics:
                     writer.writerow(["metric", name, _format_value(value)])
                     ev.write(json.dumps({"event": "metric", "command": rep.command,
@@ -379,7 +309,7 @@ def main(argv=None) -> int:
         description="Batch harness for germ solving, parametrization, cone analysis, and degrees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in DEFAULT_MODELS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -395,14 +325,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports = COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        reports = run_selftest(cfg) if cfg.command == "selftest" else run_models(cfg)
     except GermforgeError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
-    write_reports(reports, cfg.out)
+    write_reports(reports, cfg)
     failed = [f"{r.command}/{r.model}:{name}" for r in reports for name, ok in r.passes if not ok]
     for r in reports:
         status = "PASS" if r.all_passed else "FAIL"

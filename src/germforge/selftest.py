@@ -2,7 +2,10 @@
 selftest command and the pytest acceptance module.
 
 Every function returns a CriterionResult with named metrics; thresholds are
-pinned here, not in the callers.
+pinned here, not in the callers.  The checks a criterion shares with the
+CLI's solve-germ, parametrize, cones and degree commands are defined once
+below; they take the model and, where they sample, an rng and a sample
+count, so each caller keeps its own seed and count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .splicing import degeneracy_index, linearize_filled
 
 # frozen Picard oracle for u = 0.25 cos(u), iterated far past 1e-12
 COS_GERM_DELTA0 = 0.2426746806408902
-COS_GERM_DDELTA0 = 0.9433295276879645
 
 
 @dataclass
@@ -46,40 +48,123 @@ class CriterionResult:
         return f"{status} {self.name}: {parts}"
 
 
-def _traced_solve(germ, v, m, tol=1e-12, max_iter=10_000):
-    """Picard iteration that also reports the max step ratio."""
-    u = np.zeros(germ.solution_space.dim)
-    prev = None
-    max_ratio = 0.0
-    for _ in range(max_iter):
-        nxt = germ.evaluate(v, u)
-        step = germ.solution_space.level_norm(u - nxt, m)
-        if prev is not None and prev > 10 * tol:
-            max_ratio = max(max_ratio, step / prev)
-        if step <= tol:
-            return nxt, max_ratio
-        prev = step
-        u = nxt
-    raise AssertionError("traced solve did not converge")
+def level_residuals(germ) -> list:
+    """level_norm(u - B(0, u), m) of the Picard solution u at each level m."""
+    v0 = np.zeros(germ.parameter_space.dim)
+    residuals = []
+    for m in range(germ.solution_space.levels + 1):
+        u = solve_germ(germ, v0, m=m, tol=1e-12)
+        residuals.append(germ.solution_space.level_norm(u - germ.evaluate(v0, u), m))
+    return residuals
+
+
+def derivative_fd_check(germ):
+    """delta'(0), and the relative error of its first column against a
+    central difference of delta in the first parameter."""
+    v0 = np.zeros(germ.parameter_space.dim)
+    d = germ_derivative(germ, v0, tol=1e-13)
+    h = 1e-6
+    e0 = np.zeros_like(v0)
+    e0[0] = h
+    fd = (solve_germ(germ, e0, tol=1e-13) - solve_germ(germ, -e0, tol=1e-13)) / (2 * h)
+    return d, float(np.max(np.abs(d[:, 0] - fd)) / max(np.max(np.abs(fd)), 1e-30))
+
+
+def tangent_coherence_error(germ, rng, samples: int) -> float:
+    """Worst gap between the tangent germ's solution and (delta(v),
+    delta'(v) b) over samples v in [-0.2, 0.2], b in [-1, 1]."""
+    sol = SolutionGerm(germ, tol=1e-13)
+    lifted = tangent_germ(germ, sol)
+    pdim = germ.parameter_space.dim
+    worst = 0.0
+    for _ in range(samples):
+        v = rng.uniform(-0.2, 0.2, size=pdim)
+        b = rng.uniform(-1.0, 1.0, size=pdim)
+        got = solve_germ(lifted, np.concatenate([v, b]), tol=1e-13)
+        want = np.concatenate([sol(v), sol.derivative(v) @ b])
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
+
+
+def circle_charts() -> list:
+    """Charts of the unit circle at (1, 0), (0, 1), (-1, 0), (0, -1)."""
+    bg = registry.circle_basic_germ()
+    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+             np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
+    return [build_parametrization(bg, q, radius=0.75) for q in bases]
+
+
+def a_error(chart) -> float:
+    """|A(0.6) - (-0.2, 0)| on the circle chart at (1, 0): Gamma(0.6) = (0.8, 0.6)."""
+    return float(np.max(np.abs(chart.a_vector(np.array([0.6])) - np.array([-0.2, 0.0]))))
+
+
+def transition_mismatch(chart) -> float:
+    """Worst mismatch of the transition from a chart to its recentring at 0.4."""
+    rec = recentre(chart, np.array([0.4]))
+    tm = transition_map(chart, rec, rec.base_point)
+    return max(tm.mismatch(np.array([t])) for t in np.linspace(-0.05, 0.05, 9))
+
+
+def circumference(atlas) -> float:
+    """Integral of -y dx + x dy over the atlas: 2 pi on the unit circle."""
+    return integrate_form(atlas, DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]])))
+
+
+def corner_accounting(chart, samples) -> bool:
+    """At every sample t of a corner chart, Gamma(t) has as many vanishing
+    constrained coordinates as n = K t has active quadrant constraints."""
+    amb = GradedSpace(dim=chart.base_point.size, quadrant_rank=chart.ambient_rank)
+    for t in samples:
+        s = chart.structure.to_standard @ (chart.kernel_basis @ t)
+        active = int(np.sum(np.abs(s[: chart.structure.quadrant_count]) <= 1e-9))
+        if degeneracy_index(chart.gamma(t), amb) != active:
+            return False
+    return True
+
+
+def krein_milman_residual(rays, rng, samples: int) -> float:
+    """Worst cone-membership residual of random nonnegative ray combinations."""
+    worst = 0.0
+    for _ in range(samples):
+        lam = np.abs(rng.normal(size=len(rays)))
+        p = sum(l * r for l, r in zip(lam, rays))
+        worst = max(worst, cones.cone_membership_residual(p, rays))
+    return worst
+
+
+def round_trip_error(sub, rng, samples: int) -> float:
+    """Worst from_standard(to_standard(x)) - x over random cone points x."""
+    qs = cones.quadrant_structure(sub, certified=True)
+    worst = 0.0
+    for _ in range(samples):
+        lam = np.abs(rng.normal(size=len(qs.rays)))
+        x = sum(l * r for l, r in zip(lam, qs.rays))
+        worst = max(worst, float(np.max(np.abs(qs.from_standard @ (qs.to_standard @ x) - x))))
+    return worst
+
+
+def sigma_counts_ok(sub, rays) -> bool:
+    """Each extreme ray of a good-position cone has dim - 1 vanishing
+    constraints."""
+    return all(len(cones.sigma_set(r, sub.n, tol=1e-8)) == sub.dim - 1 for r in rays)
+
+
+def cubic_homotopy_shift(t, x):
+    """The shift 0.05 t along which the degree of x^3 - x must not change."""
+    return np.array([0.05 * t])
 
 
 def criterion_1_germ_solver() -> CriterionResult:
-    """Residuals at every level, convergence ratio, oracle values."""
+    """Residuals at every level, sampled contraction ratio, oracle values."""
     t0 = time.time()
     germ = registry.cos_germ()
-    v0 = np.array([0.0])
-    worst_res = 0.0
-    worst_ratio = 0.0
-    for m in range(germ.solution_space.levels + 1):
-        u, ratio = _traced_solve(germ, v0, m, tol=1e-12)
-        res = germ.solution_space.level_norm(u - germ.evaluate(v0, u), m)
-        worst_res = max(worst_res, res)
-        worst_ratio = max(worst_ratio, ratio)
-    delta0 = solve_germ(germ, v0, m=0, tol=1e-13)[0]
-    dd = germ_derivative(germ, v0, tol=1e-13)[0, 0]
-    h = 1e-6
-    fd = (solve_germ(germ, np.array([h]), tol=1e-13)[0] - solve_germ(germ, np.array([-h]), tol=1e-13)[0]) / (2 * h)
-    rel_err = abs(dd - fd) / abs(fd)
+    worst_res = max(level_residuals(germ))
+    # the sampled certificate solve-germ reports as contraction_ratio
+    worst_ratio = max(verify_contraction(germ, m).max_ratio
+                      for m in range(germ.solution_space.levels + 1))
+    delta0 = solve_germ(germ, np.array([0.0]), m=0, tol=1e-13)[0]
+    _, rel_err = derivative_fd_check(germ)
     metrics = {
         "max_residual": worst_res,
         "max_ratio": worst_ratio,
@@ -94,17 +179,8 @@ def criterion_1_germ_solver() -> CriterionResult:
 def criterion_2_tangent_coherence() -> CriterionResult:
     """Lifted germ solution equals (delta(v), delta'(v) b) at 100 samples."""
     t0 = time.time()
-    germ = registry.cos_germ()
-    sol = SolutionGerm(germ, tol=1e-13)
-    lifted = tangent_germ(germ, sol)
     rng = np.random.Generator(np.random.Philox(key=21))
-    worst = 0.0
-    for _ in range(100):
-        v = rng.uniform(-0.2, 0.2, size=1)
-        b = rng.uniform(-1.0, 1.0, size=1)
-        got = solve_germ(lifted, np.concatenate([v, b]), tol=1e-13)
-        want = np.concatenate([sol(v), sol.derivative(v) @ b])
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    worst = tangent_coherence_error(registry.cos_germ(), rng, 100)
     passed = worst <= 1e-8
     return CriterionResult("2-tangent-coherence", passed, {"max_error": worst}, time.time() - t0)
 
@@ -221,14 +297,9 @@ def criterion_5_cones() -> CriterionResult:
         if bad is not None:
             neat_ok = False
     # Krein-Milman reconstruction on registry pointed cones
-    km_worst = 0.0
-    for sub in (registry.diag_plane_subspace(), registry.diagonal_in_square(),
-                registry.circular_cone_subspace()):
-        rays = cones.extreme_rays(sub)
-        for _ in range(1000):
-            lam = np.abs(rng.normal(size=len(rays)))
-            p = sum(l * r for l, r in zip(lam, rays))
-            km_worst = max(km_worst, cones.cone_membership_residual(p, rays))
+    km_worst = max(krein_milman_residual(cones.extreme_rays(sub), rng, 1000)
+                   for sub in (registry.diag_plane_subspace(), registry.diagonal_in_square(),
+                               registry.circular_cone_subspace()))
     # quadrant recognition
     quad_ok = True
     for t in range(20):
@@ -241,20 +312,10 @@ def criterion_5_cones() -> CriterionResult:
             quad_ok = False
     ice_ok = not cones.is_quadrant(registry.circular_cone_subspace()).is_quadrant
     # sigma invariant on good-position instances
-    sigma_ok = True
-    for sub in (registry.diag_plane_subspace(), registry.diagonal_in_square()):
-        for ray in cones.extreme_rays(sub):
-            if len(cones.sigma_set(ray, sub.n, tol=1e-8)) != sub.dim - 1:
-                sigma_ok = False
+    good = (registry.diag_plane_subspace(), registry.diagonal_in_square())
+    sigma_ok = all(sigma_counts_ok(sub, cones.extreme_rays(sub)) for sub in good)
     # round trips
-    rt_worst = 0.0
-    for sub in (registry.diag_plane_subspace(), registry.diagonal_in_square()):
-        qs = cones.quadrant_structure(sub, certified=True)
-        for _ in range(200):
-            lam = np.abs(rng.normal(size=len(qs.rays)))
-            x = sum(l * r for l, r in zip(lam, qs.rays))
-            back = qs.from_standard @ (qs.to_standard @ x)
-            rt_worst = max(rt_worst, float(np.max(np.abs(back - x))))
+    rt_worst = max(round_trip_error(sub, rng, 200) for sub in good)
     metrics = {
         "neat_ok": neat_ok, "km_worst": km_worst, "quad_ok": quad_ok,
         "ice_ok": ice_ok, "sigma_ok": sigma_ok, "round_trip": rt_worst,
@@ -265,15 +326,8 @@ def criterion_5_cones() -> CriterionResult:
 
 def criterion_6_parametrization() -> CriterionResult:
     t0 = time.time()
-    bg = registry.circle_basic_germ()
-    chart = build_parametrization(bg, np.array([1.0, 0.0]), radius=0.75)
-    a = chart.a_vector(np.array([0.6]))
-    a_err = float(np.max(np.abs(a - np.array([-0.2, 0.0]))))
-
-    charts = [chart,
-              build_parametrization(bg, np.array([0.0, 1.0]), radius=0.75),
-              build_parametrization(bg, np.array([-1.0, 0.0]), radius=0.75),
-              build_parametrization(bg, np.array([0.0, -1.0]), radius=0.75)]
+    charts = circle_charts()
+    a_err = a_error(charts[0])
     worst_res = 0.0
     worst_da0 = 0.0
     for c in charts:
@@ -284,31 +338,15 @@ def criterion_6_parametrization() -> CriterionResult:
             e[j] = 1e-5
             da = (c.a_vector(e) - c.a_vector(-e)) / 2e-5
             worst_da0 = max(worst_da0, float(np.max(np.abs(da))))
-    # transitions: chart vs its recentring
-    rec = recentre(chart, np.array([0.4]))
-    tm = transition_map(chart, rec, rec.base_point)
-    trans_worst = 0.0
-    for tval in np.linspace(-0.05, 0.05, 9):
-        trans_worst = max(trans_worst, tm.mismatch(np.array([tval])))
+    trans_worst = transition_mismatch(charts[0])
 
     # boundary chart on y - x^2 at the corner
-    pb = registry.parabola_corner_germ()
-    bchart = build_boundary_parametrization(pb, np.zeros(2), radius=0.4)
-    parab_worst = 0.0
-    corner_ok = True
-    amb = GradedSpace(dim=2, levels=3, quadrant_rank=1)
-    for t in bchart.domain_samples(40, seed=13):
-        g = bchart.gamma(t)
-        parab_worst = max(parab_worst, abs(g[1] - g[0] ** 2))
-        n = bchart.kernel_basis @ t
-        s = bchart.structure.to_standard @ n
-        active = int(np.sum(np.abs(s[: bchart.structure.quadrant_count]) <= 1e-9))
-        if degeneracy_index(g, amb) != active:
-            corner_ok = False
-    # the corner itself
-    g0 = bchart.gamma(np.zeros(1))
-    if degeneracy_index(g0, amb) != 1:
-        corner_ok = False
+    bchart = build_boundary_parametrization(registry.parabola_corner_germ(), np.zeros(2), radius=0.4)
+    samples = bchart.domain_samples(40, seed=13)
+    parab_worst = max(abs(g[1] - g[0] ** 2) for g in map(bchart.gamma, samples))
+    # the corner itself has one vanishing constrained coordinate
+    corner_ok = (corner_accounting(bchart, samples)
+                 and degeneracy_index(bchart.gamma(np.zeros(1)), GradedSpace(dim=2, quadrant_rank=1)) == 1)
     metrics = {
         "circle_a_error": a_err, "max_residual": worst_res, "max_da0": worst_da0,
         "transition_worst": trans_worst, "parabola_error": parab_worst, "corner_ok": corner_ok,
@@ -378,8 +416,7 @@ def criterion_8_degree() -> CriterionResult:
     deg_sq = compute_degree(sq)
     violations = 0
     try:
-        rep = invariance_suite(cubic, trials=50,
-                               homotopy_shift=lambda t, x: np.array([0.05 * t]))
+        rep = invariance_suite(cubic, trials=50, homotopy_shift=cubic_homotopy_shift)
         trials_deg = rep.degree
     except Exception:
         violations = 1
@@ -390,18 +427,10 @@ def criterion_8_degree() -> CriterionResult:
     return CriterionResult("8-degree", passed, metrics, time.time() - t0)
 
 
-def _circle_atlas():
-    bg = registry.circle_basic_germ()
-    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-             np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.75) for q in bases))
-
-
 def criterion_9_form_integration() -> CriterionResult:
     t0 = time.time()
-    atlas = _circle_atlas()
-    omega = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]]))
-    circ = integrate_form(atlas, omega)
+    atlas = SolutionAtlas(charts=tuple(circle_charts()))
+    circ = circumference(atlas)
     exact = DifferentialForm(degree=1, coeff=lambda x: np.array([x[1], x[0]]))
     zero = integrate_form(atlas, exact)
     metrics = {"circumference_error": abs(circ - 2 * np.pi), "exact_form": abs(zero)}

@@ -59,6 +59,18 @@ class GradedSpace:
         if not 0 <= self.quadrant_rank <= self.dim:
             raise ValueError(f"quadrant_rank must lie in [0, {self.dim}]")
 
+    def _key(self):
+        return (self.dim, self.levels, self.quadrant_rank, self.weights.tobytes())
+
+    # by value: the generated methods would compare and hash the weights array
+    def __eq__(self, other):
+        if not isinstance(other, GradedSpace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def check_level(self, m: int) -> None:
         if not 0 <= m <= self.levels:
             raise ValueError(f"level {m} out of range [0, {self.levels}]")

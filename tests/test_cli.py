@@ -169,3 +169,55 @@ def test_config_file_seed_and_tolerance_are_checked(tmp_path):
     path.write_text("[run]\ntol = nan\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="tol"):
         load_config(path, "cones", {"seed": None, "out": None, "tol": None, "trials": None})
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\n" + text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command,models", [
+    ("degree", "circle"),                  # was a TypeError traceback
+    ("cones", "cubic"),                    # was an AttributeError traceback
+    ("solve-germ", "circle"),              # was an AttributeError traceback
+    ("parametrize", "circle, cubic"),      # was exit 2 only after circle had run
+])
+def test_model_of_the_wrong_kind_is_exit_2_before_any_model_runs(tmp_path, command, models, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", _config(tmp_path, f"models = {models}\n"), "--out", str(out)]) == 2
+    assert "models" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_model_is_isolated_and_reports_are_written(tmp_path, capsys):
+    import json
+
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    cfg = _config(tmp_path, "models = cubic, boundary-parabola\n")
+    assert main(["degree", "--config", cfg, "--trials", "2", "--out", str(both)]) == 1
+    assert "IndexMismatch" in capsys.readouterr().err
+    assert main(["degree", "--trials", "2", "--out", str(alone)]) == 0
+    assert (both / "degree-cubic.csv").read_bytes() == (alone / "degree-cubic.csv").read_bytes()
+    assert "invariant,completed,fail" in (both / "degree-boundary-parabola.csv").read_text()
+    events = [json.loads(line) for line in (both / "events.jsonl").read_text().splitlines()]
+    errors = [e for e in events if e["event"] == "error"]
+    assert [(e["model"], e["error"]) for e in errors] == [("boundary-parabola", "IndexMismatch")]
+    assert errors[0]["message"]
+    assert {e["model"] for e in events if e["event"] == "run"} == {"cubic", "boundary-parabola"}
+
+
+def test_integrate_forms_must_be_a_boolean(tmp_path, capsys):
+    cfg = _config(tmp_path, "integrate_forms = maybe\n")
+    assert main(["parametrize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "integrate_forms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["rotating-line", "diagonal-line", "quadrant-plane"])
+def test_parametrize_other_models(tmp_path, model):
+    cfg = _config(tmp_path, f"models = {model}\n")
+    assert main(["parametrize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"parametrize-{model}.csv").read_text()
+    assert "invariant,residuals,pass" in text
+    if model != "rotating-line":
+        assert "invariant,corner_accounting,pass" in text

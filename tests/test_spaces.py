@@ -113,3 +113,24 @@ def test_level_norm_and_membership_of_a_row_stack_equal_their_rows():
     for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
             sp.level_norm(bad, 0)
+
+
+def test_spaces_with_equal_fields_are_equal():
+    # dim >= 2 used to raise: the generated __eq__ compared weights arrays
+    assert GradedSpace(dim=2) == GradedSpace(dim=2)
+    assert GradedSpace(dim=3, levels=2, quadrant_rank=1) == GradedSpace(
+        dim=3, levels=2, weights=GradedSpace(dim=3).weights, quadrant_rank=1)
+    assert GradedSpace(dim=2) != GradedSpace(dim=2, levels=4)
+    assert GradedSpace(dim=2) != GradedSpace(dim=2, quadrant_rank=1)
+
+
+def test_spaces_differing_only_in_weights_are_unequal():
+    assert GradedSpace(dim=2) != GradedSpace(dim=2, weights=np.ones(2))
+    assert GradedSpace(dim=1, weights=np.array([1.0])) != GradedSpace(dim=1, weights=np.array([2.0]))
+
+
+def test_space_works_as_a_dict_key():
+    table = {GradedSpace(dim=1): "line", GradedSpace(dim=2, quadrant_rank=2): "quadrant"}
+    assert table[GradedSpace(dim=1)] == "line"
+    assert table[GradedSpace(dim=2, quadrant_rank=2)] == "quadrant"
+    assert GradedSpace(dim=2) not in table
