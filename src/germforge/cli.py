@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,19 +234,22 @@ MODEL_CHECKS = {
 
 
 def run_models(cfg: RunConfig) -> list:
-    """One report per model.  A library error inside a model's check fails
-    that report (invariant `completed`, plus an error event) and the other
-    models still run."""
+    """One report per model.  An exception inside a model's check, from the
+    library or from numpy/scipy, fails that report (invariant `completed`,
+    plus an error event; an exception from outside the library also carries
+    its traceback there) and the other models still run."""
     reports = []
     for model in cfg.models:
         t0 = time.time()
         rep = Report(command=cfg.command, model=model)
         try:
             MODEL_CHECKS[cfg.command][model](rep, model, cfg)
-        except GermforgeError as exc:
+        except Exception as exc:        # library errors and numerical ones (LinAlgError, ...) alike
             print(f"error in {cfg.command}/{model}: {type(exc).__name__}: {exc}", file=sys.stderr)
             rep.add_invariant("completed", False)
             rep.error = {"error": type(exc).__name__, "message": str(exc)}
+            if not isinstance(exc, GermforgeError):
+                rep.error["traceback"] = traceback.format_exc()
             if getattr(exc, "residual", None) is not None:
                 rep.error["residual"] = float(exc.residual)
         rep.wall_time = time.time() - t0

@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from ._linalg import orthonormal_columns, svd_split
 from .errors import Inconclusive, NotPointed
@@ -33,6 +32,19 @@ LP_TOL = 1e-10
 # (complement, c) pair meets its first counterexample after a few to a few
 # hundred trials, and sampling stops at the end of the chunk that holds it
 SAMPLE_CHUNK = 64
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: importing
+    scipy.optimize is most of `import germforge`'s time."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
+def nnls(A, b):
+    """scipy.optimize.nnls, imported on first use (see linprog)."""
+    from scipy.optimize import nnls as solve
+    return solve(A, b)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ counter-based RNG makes every experiment bit-reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
-from .solution import SolutionAtlas
+from .solution import NEWTON_TOL, SolutionAtlas
 from .spaces import GradedSpace
 
 ZERO_RESIDUAL = 1e-10
@@ -470,29 +471,313 @@ def _chart_orientation_sign(chart, t) -> int:
     return 1 if d > 0 else -1
 
 
-def _chart_weight(chart, x, support_scale: float) -> float:
-    """Unnormalized plateau weight of a chart at a manifold point."""
-    t = chart.kernel_basis.T @ (np.asarray(x, dtype=float) - chart.base_point)
-    if not chart.domain_contains(t):
-        return 0.0
-    if np.max(np.abs(chart.gamma(t) - x)) > 1e-7:
-        return 0.0
-    return smooth_plateau(float(np.linalg.norm(t)) / (support_scale * chart.radius))
+# a chart covers x when its graph passes within this distance of x
+COVER_TOL = 1e-7
+
+
+def _covering_u(chart, x) -> float:
+    """u = |t| / radius of x in the chart, t = K^T (x - q), when the chart
+    covers x (t lies in its domain and Gamma(t) = x); inf otherwise."""
+    x = np.asarray(x, dtype=float)
+    t = chart.kernel_basis.T @ (x - chart.base_point)
+    if not chart.domain_contains(t) or np.max(np.abs(chart.gamma(t) - x)) > COVER_TOL:
+        return np.inf
+    return float(np.linalg.norm(t)) / chart.radius
+
+
+def _direction(theta: float) -> np.ndarray:
+    return np.array([np.cos(theta), np.sin(theta)])
+
+
+@lru_cache(maxsize=64)
+def _legendre(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only since they are
+    cached: leggauss(32) takes 0.7 ms, more than a chart point."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_legendre(a: float, b: float, count: int):
+    """Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = _legendre(count)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def _spread(count: int, widths) -> list:
+    """`count` nodes over pieces in proportion to their widths, at least one each."""
+    widths = np.asarray(widths, dtype=float)
+    if not widths.size:
+        return []
+    share = widths / widths.sum() * max(count - widths.size, 0)
+    counts = 1 + np.floor(share).astype(int)
+    for j in np.argsort(np.floor(share) - share, kind="stable")[: max(count - int(counts.sum()), 0)]:
+        counts[j] += 1
+    return [int(c) for c in counts]
+
+
+def _shrink_bracket(f, neg: float, pos: float, f_neg: float, f_pos: float, tol: float):
+    """Shrink a bracket f(neg) < 0 < f(pos) to |pos - neg| <= tol by the
+    Anderson-Bjorck variant of regula falsi.  Returns (root, pos): the
+    secant root of the final bracket, and its end where f >= 0."""
+    a, b, fa, fb = neg, pos, f_neg, f_pos      # fa, fb get scaled by the Anderson-Bjorck rule
+    side = 0
+    while abs(pos - neg) > tol:
+        # the secant point, kept tol/2 inside the bracket: once it hugs the
+        # end nearest the root, this step crosses the root and ends the solve
+        x = min(max((a * fb - b * fa) / (fb - fa), min(neg, pos) + 0.5 * tol), max(neg, pos) - 0.5 * tol)
+        fx = f(x)
+        if fx == 0:
+            return x, x
+        if fx < 0:
+            if side < 0:                # pos stayed put twice: scale its value down
+                r = fx / fa
+                fb *= 1.0 - r if r < 1 else 0.5
+            a, fa, neg, f_neg = x, fx, x, fx
+            side = -1
+        else:
+            if side > 0:
+                r = fx / fb
+                fa *= 1.0 - r if r < 1 else 0.5
+            b, fb, pos, f_pos = x, fx, x, fx
+            side = 1
+    return neg + (pos - neg) * f_neg / (f_neg - f_pos), pos
+
+
+class _Cell:
+    """The cell of one chart among the charts of its dimension: the points it
+    covers where u = |t| / radius is smallest among the covering charts,
+    clipped to |t| <= rho_max.
+
+    In polar chart coordinates t = rho e the cell is {rho <= rho(e)}.  Along
+    each ray it ends where u = u_j for a neighbour j that covers the point
+    there, or at rho_max.  The u_j along the ray come from the linear
+    projections t_j = K_j^T (x - q_j).  Coverage is checked only where a
+    neighbour claims the ray: at rho_max, and at the crossing.  Crossings are
+    bracketed scalar root solves down to a bracket of sqrt(NEWTON_TOL) rho_max,
+    whose secant root is then good to about NEWTON_TOL rho_max: the chart
+    points they are computed from are no more accurate than that.
+    """
+
+    def __init__(self, chart, neighbours, rho_max: float):
+        self.chart = chart
+        self.neighbours = neighbours
+        self.rho_max = rho_max
+        self.tol = np.sqrt(NEWTON_TOL) * rho_max
+
+    def excess(self, t):
+        """(Gamma(t), u - u_j for every neighbour j, u_j by linear projection)."""
+        x = self.chart.gamma(t)
+        u = float(np.linalg.norm(t)) / self.chart.radius
+        return x, np.array([u - np.linalg.norm(c.kernel_basis.T @ (x - c.base_point)) / c.radius
+                            for c in self.neighbours])
+
+    def _crossing(self, e, claims, lo: float = 0.0, guess=None):
+        """(root, pos): where the largest u - u_j, j in claims, changes sign
+        along t = rho e between lo and rho_max, and the end of the final
+        bracket past it.  None when the sign does not change.  A `guess`
+        inside the bracket splits it first."""
+        def worst(rho):
+            return float(np.max(self.excess(rho * e)[1][claims]))
+
+        f_lo = worst(lo)
+        if not f_lo < 0:
+            return None
+        hi, f_hi = self.rho_max, None
+        if guess is not None and lo < guess < hi:
+            f_guess = worst(guess)
+            if f_guess >= 0:
+                hi, f_hi = guess, f_guess
+            else:
+                lo, f_lo = guess, f_guess
+        if f_hi is None:
+            f_hi = worst(hi)
+            if not f_hi > 0:
+                return None
+        if f_hi == 0:
+            return hi, hi
+        return _shrink_bracket(worst, lo, hi, f_lo, f_hi, self.tol)
+
+    def limit(self, e):
+        """(rho(e), the neighbour that ends the cell along e, or None when it
+        reaches rho_max)."""
+        x, g = self.excess(self.rho_max * e)
+        claims = [j for j in np.flatnonzero(g > 0) if np.isfinite(_covering_u(self.neighbours[j], x))]
+        lo = 0.0
+        while claims:
+            hit = self._crossing(e, claims, lo)
+            if hit is None:         # a neighbour claims the ray from its start
+                return lo, claims[0]
+            rho, pos = hit
+            x, g = self.excess(pos * e)
+            crossed = [j for j in claims if g[j] >= 0]
+            for j in crossed:
+                if np.isfinite(_covering_u(self.neighbours[j], x)):
+                    return rho, j
+            claims = [j for j in claims if j not in crossed]
+            lo = pos
+        return self.rho_max, None
+
+    def _sector(self):
+        """Angle intervals of the directions in the chart's domain (k = 2):
+        the quadrant constraints of a boundary chart cut out a sector."""
+        chart = self.chart
+        edges = []
+        if chart.structure is not None:
+            rows = (chart.structure.to_standard @ chart.kernel_basis)[: chart.structure.quadrant_count]
+            edges = sorted({(float(np.arctan2(a0, -a1)) + turn) % (2 * np.pi)
+                            for a0, a1 in rows for turn in (0.0, np.pi)})
+        if not edges:
+            return [(0.0, 2 * np.pi)]
+        return [(a, b) for a, b in zip(edges, edges[1:] + [edges[0] + 2 * np.pi])
+                if chart.domain_contains(0.5 * chart.radius * _direction(0.5 * (a + b)))]
+
+    def _reach(self, e, label, guess):
+        """(rho, stray): rho where the cell's boundary against `label` meets
+        the ray e, by linear projection alone (rho_max for None, or where it
+        does not meet); `guess` narrows the starting bracket.  A covering
+        neighbour that is further past its own boundary there than `label`
+        (or past it at all, for None) claims the ray earlier: the ray lies
+        in a piece the scan missed.  Then rho = limit(e), and stray is the
+        neighbour that ends the ray if rho falls short by more than the
+        solve's tolerance, else None.  A neighbour whose projection ties
+        with `label`'s, as opposite charts of a symmetric atlas do, is not
+        past it, so the check costs no chart evaluation there."""
+        hit = None if label is None else self._crossing(e, [label], 0.0, guess)
+        rho, pos = (self.rho_max, self.rho_max) if hit is None else hit
+        x, g = self.excess(pos * e)
+        ahead = 0.0 if label is None else max(g[label], 0.0)
+        if not any(g[j] > ahead and np.isfinite(_covering_u(c, x)) for j, c in enumerate(self.neighbours)):
+            return rho, None
+        limit, stray = self.limit(e)
+        return limit, stray if limit < rho - self.tol else None
+
+    def _boundaries(self, t, labels):
+        """u - u_label for each label (u - rho_max / radius for None).  Past
+        rho_max, u_label is taken at t scaled back to |t| = rho_max while u
+        keeps growing, so that a solver stepping out is pulled back."""
+        norm = float(np.linalg.norm(t))
+        past = max(norm - self.rho_max, 0.0)
+        g = self.excess(t * (self.rho_max / norm) if past else t)[1] + past / self.chart.radius
+        return np.array([(norm - self.rho_max) / self.chart.radius if label is None else g[label]
+                         for label in labels])
+
+    def _corner(self, ray1, ray2):
+        """(theta, rho) between two scanned rays (theta, rho, label) with
+        different labels where the cell's boundaries against both labels
+        meet: a Newton solve in chart coordinates from the middle angle at
+        the rays' mean limit.  When that fails, the middle angle, with rho
+        unknown."""
+        (th1, rho1, l1), (th2, rho2, l2) = ray1, ray2
+        mid = 0.5 * (th1 + th2)
+        t, _, converged = newton(lambda t: self._boundaries(t, (l1, l2)),
+                                 0.5 * (rho1 + rho2) * _direction(mid), tol=np.sqrt(NEWTON_TOL))
+        th = mid + (float(np.arctan2(t[1], t[0])) - mid + np.pi) % (2 * np.pi) - np.pi
+        # a corner on a scanned ray may land a rounding error outside
+        slack = np.sqrt(NEWTON_TOL)
+        if converged and th1 - slack <= th <= th2 + slack:
+            return float(np.clip(th, th1, th2)), float(np.linalg.norm(t))
+        return mid, None
+
+    def pieces(self, count: int, extra=()) -> list:
+        """(a, b, label, known): angle intervals on each of which one label
+        ends every ray, i.e. the domain's sector split at the cell's corners,
+        with the (theta, rho) of the cell boundary known on each.  The
+        corners are found between neighbouring rays of an even scan of one
+        ray per four angular nodes, and at least two per neighbour, plus the
+        `extra` rays (theta, rho, label); a piece narrower than the scan's
+        step can be missed.  The scan starts a golden-ratio fraction of a
+        step into the sector, off the symmetric angles where corners of
+        symmetric atlases sit; on the whole circle it wraps around."""
+        out = []
+        sector = self._sector()
+        offset = (np.sqrt(5.0) - 1.0) / 2.0
+        scan = max(count // 4, 2 * len(self.neighbours))
+        for (a, b), m in zip(sector, _spread(scan, [b - a for a, b in sector])):
+            rays = [(th, *self.limit(_direction(th))) for th in a + (b - a) * (np.arange(m) + offset) / m]
+            rays = sorted(rays + [(th + turn, rho, label) for th, rho, label in extra
+                                  for turn in (-2 * np.pi, 0.0, 2 * np.pi) if a <= th + turn < b],
+                          key=lambda ray: ray[0])
+            scanned = list(rays)
+            whole = b - a == 2 * np.pi
+            if whole:
+                th, rho, label = rays[0]
+                rays.append((th + 2 * np.pi, rho, label))
+            cuts = []                       # (theta, rho, label after it)
+            for r1, r2 in zip(rays, rays[1:]):
+                if r1[2] != r2[2]:
+                    cuts.append((*self._corner(r1, r2), r2[2]))
+            if whole and cuts:
+                ends = cuts[1:] + [(cuts[0][0] + 2 * np.pi, *cuts[0][1:])]
+                bounds = list(zip(cuts, ends))
+            else:
+                bounds = list(zip([(a, None, rays[0][2])] + cuts, cuts + [(b, None, None)]))
+            for (c1, rho1, label), (c2, rho2, _) in bounds:
+                known = [(th + turn, rho) for th, rho, _ in scanned for turn in (-2 * np.pi, 0.0, 2 * np.pi)
+                         if c1 <= th + turn <= c2]
+                known = [(c1, rho1)] * (rho1 is not None) + known + [(c2, rho2)] * (rho2 is not None)
+                out.append((c1, c2, label, known))
+        return out
+
+    def _polar(self, count: int, pieces):
+        """(nodes, strays) of the polar rule over `pieces` (k = 2): `count`
+        angles spread over the pieces, each ray integrated by `count` radial
+        nodes with weight rho; a piece's rays follow its label, each from a
+        guess interpolated between the rays known on the piece.  strays are
+        the rays (theta, rho, label) that found a piece the scan missed."""
+        out, strays = [], []
+        for (a, b, label, known), m in zip(pieces, _spread(count, [p[1] - p[0] for p in pieces])):
+            for th, w_th in zip(*_gauss_legendre(a, b, m)):
+                e = _direction(th)
+                xs, ys = zip(*sorted(known)) if known else ((), ())
+                rho, stray = self._reach(e, label, float(np.interp(th, xs, ys)) if known else None)
+                if stray is not None:
+                    strays.append((th, rho, stray))
+                known.append((th, rho))
+                for r, w in zip(*_gauss_legendre(0.0, rho, count)):
+                    out.append((r * e, w_th * w * r))
+        return out, strays
+
+    def nodes(self, count: int) -> list:
+        """(t, weight) of the polar Gauss-Legendre rule on the cell, count**k
+        nodes.  k = 1: the limits of the rays t = +-rho bound one interval
+        (a ray outside the domain has limit 0), integrated by `count` nodes.
+        k = 2: the rule of `_polar` on the cell's pieces.  Should its rays
+        find pieces the scan missed, the pieces are rescanned once with
+        those rays added, so that the rule again splits at every corner."""
+        chart = self.chart
+        if chart.dim == 1:
+            ends = [self.limit(e)[0] if chart.domain_contains(0.5 * chart.radius * e) else 0.0
+                    for e in (-np.ones(1), np.ones(1))]
+            return [(np.array([t]), w) for t, w in zip(*_gauss_legendre(-ends[0], ends[1], count))]
+        out, strays = self._polar(count, self.pieces(count))
+        if strays:
+            out, _ = self._polar(count, self.pieces(count, strays))
+        return out
 
 
 def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
                    reference: OrientationReference = AMBIENT_REFERENCE,
-                   nodes_per_axis: int = 320, support_scale: float = 0.95,
+                   nodes_per_axis: int = 32, support_scale: float = 0.95,
                    jacobian_at=None, cover_points=None) -> float:
     """Chart-wise pullback-and-quadrature of a form over an oriented atlas.
 
-    A smooth partition of unity over the charts (plateau weights normalized
-    on overlaps) multiplies the pulled-back form, which is then integrated
-    by tensor Gauss-Legendre on each chart domain.  Components whose
-    dimension does not match the form degree contribute zero.  Supports
-    k <= 2.  When `cover_points` (samples of the solution set, e.g. from
-    zero enumeration) are supplied, the atlas must give every one of them
-    positive partition weight, else AtlasIncomplete is raised.
+    The charts of the form's dimension split the solution set into cells:
+    chart i integrates only over the points it covers where
+    u_i = |t_i| / radius_i is smallest among the covering charts, clipped to
+    u_i <= support_scale.  Each cell is integrated by one polar
+    Gauss-Legendre rule in its chart coordinates, nodes_per_axis**k nodes
+    per chart, radially on [0, rho(e)] with weight rho**(k-1).  For k = 1 the
+    two rays e = +-1 join into one interval [-rho(-1), rho(1)] (rho = 0 on
+    a ray outside a boundary chart's half-line); for k = 2 the angles are
+    split at the cell's corners and at the sector edges of a boundary chart.
+    The integrand is smooth on each piece, so the rule converges
+    spectrally.  Components whose dimension does not match the
+    form degree contribute zero.  Supports k <= 2.  When `cover_points`
+    (samples of the solution set, e.g. from zero enumeration) are supplied,
+    `atlas_covers_points` must hold for them, else AtlasIncomplete is raised.
     """
     if omega.degree > 2:
         raise DimensionUnsupported(f"form degree {omega.degree} > 2")
@@ -502,10 +787,9 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
         raise AtlasIncomplete("charts do not cover the supplied solution samples")
 
     total = 0.0
-    for chart in atlas.charts:
+    charts = [c for c in atlas.charts if c.dim == omega.degree]
+    for i, chart in enumerate(charts):
         k = chart.dim
-        if k != omega.degree:
-            continue
         if k == 0:
             x = chart.gamma(np.zeros(0))
             jac = jacobian_at if jacobian_at is not None else (lambda p, _c=chart: _c.jacobian(p))
@@ -514,39 +798,12 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
         if reference.kind != "ambient":
             raise ValueError("positive-dimensional integration uses the ambient reference orientation")
         sign = _chart_orientation_sign(chart, np.zeros(k))
-        half = support_scale * chart.radius
-        glx, glw = np.polynomial.legendre.leggauss(nodes_per_axis)
-        scaled_nodes = half * glx      # maps [-1,1] -> [-half, half]
-        scaled_w = half * glw
-        if k == 1:
-            for tval, w in zip(scaled_nodes, scaled_w):
-                t = np.array([tval])
-                if not chart.domain_contains(t):
-                    continue
-                x = chart.gamma(t)
-                wgt = _chart_weight(chart, x, support_scale)
-                if wgt == 0.0:
-                    continue
-                norm = sum(_chart_weight(c2, x, support_scale) for c2 in atlas.charts)
-                total += sign * w * (wgt / norm) * omega.pullback(x, chart.kernel_transport(t))
-        else:
-            for t1, w1 in zip(scaled_nodes, scaled_w):
-                for t2, w2 in zip(scaled_nodes, scaled_w):
-                    t = np.array([t1, t2])
-                    if not chart.domain_contains(t):
-                        continue
-                    x = chart.gamma(t)
-                    wgt = _chart_weight(chart, x, support_scale)
-                    if wgt == 0.0:
-                        continue
-                    norm = sum(_chart_weight(c2, x, support_scale) for c2 in atlas.charts)
-                    total += sign * w1 * w2 * (wgt / norm) * omega.pullback(x, chart.kernel_transport(t))
+        cell = _Cell(chart, charts[:i] + charts[i + 1:], support_scale * chart.radius)
+        for t, w in cell.nodes(nodes_per_axis):
+            total += sign * w * omega.pullback(chart.gamma(t), chart.kernel_transport(t))
     return total
 
 
 def atlas_covers_points(atlas: SolutionAtlas, points, support_scale: float = 0.95) -> bool:
-    """Every point must receive positive partition weight from some chart."""
-    for p in points:
-        if not any(_chart_weight(c, np.asarray(p, dtype=float), support_scale) > 0 for c in atlas.charts):
-            return False
-    return True
+    """Every point must be covered by some chart with u = |t| / radius < support_scale."""
+    return all(any(_covering_u(c, p) < support_scale for c in atlas.charts) for p in points)

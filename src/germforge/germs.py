@@ -313,20 +313,47 @@ def shrink_to_contraction(germ: ContractionGerm, m: int = 0, target_ratio: float
     """Bisect the sampling radius until the empirical ratio is below target.
 
     Returns (certified ContractionGerm with the schedule entry set, report).
+    Raises NonConvergence, with the last ratio as residual, after
+    max_bisections, or as soon as the ratios stall above target: the sizes
+    of their changes decay geometrically, too fast to take them below it.
     """
     base = grid or SamplingPlan()
     radius = start_radius
-    last = None
+    ratios = []
     for _ in range(max_bisections):
         trial = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (min(target_ratio, 0.999), radius)})
         report = verify_contraction(trial, m=m, grid=base)
-        last = report
         if report.max_ratio < target_ratio:
             certified_rho = max(min(report.max_ratio, 0.999), 1e-12)
             out = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (certified_rho, radius)})
             return out, report
+        ratios.append(report.max_ratio)
+        floor = _ratio_floor(ratios)
+        if floor is not None and floor >= target_ratio:
+            raise NonConvergence(
+                f"contraction ratio stalled at {ratios[-1]:.6g} after {len(ratios)} bisections: "
+                f"its decaying changes keep it above {floor:.6g} >= {target_ratio}",
+                residual=ratios[-1],
+            )
         radius /= 2.0
     raise NonConvergence(
         f"no radius with contraction ratio < {target_ratio} found after {max_bisections} bisections",
-        residual=None if last is None else last.max_ratio,
+        residual=ratios[-1] if ratios else None,
     )
+
+
+def _ratio_floor(ratios):
+    """The lowest value the sampled ratios can reach if the sizes of their
+    changes go on decaying geometrically by a factor q per bisection:
+    last - |d| q / (1 - q), d the last change.  q is the slower of the last
+    two measured decay factors, and no faster than 1/2: halving the radius
+    halves a change linear in it, and a faster-decaying term (r**2, r**3)
+    that still drives the changes would give a too fast q.  With q >= 1/2
+    the floor is at most last - |d|, below the limit of any ratio
+    L + sum c_a r**a, a >= 1, with coefficients of one sign.  None while
+    fewer than three changes are known or they do not decay (q >= 1)."""
+    if len(ratios) < 4:
+        return None
+    d = np.abs(np.diff(ratios[-4:]))
+    q = max([0.5] + [later / earlier if earlier else np.inf for earlier, later in zip(d, d[1:]) if later])
+    return ratios[-1] - d[-1] * q / (1 - q) if q < 1 else None

@@ -130,6 +130,18 @@ class GradedVector:
             raise ValueError(f"declared_level {lvl} out of range [0, {self.space.levels}]")
         object.__setattr__(self, "declared_level", lvl)
 
+    def _key(self):
+        return (self.space, self.declared_level, self.coords.tobytes())
+
+    # by value, as GradedSpace: the generated methods would compare and hash the coords array
+    def __eq__(self, other):
+        if not isinstance(other, GradedVector):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def norm(self, m: int) -> float:
         return self.space.level_norm(self.coords, m)
 

@@ -207,6 +207,28 @@ def test_failing_model_is_isolated_and_reports_are_written(tmp_path, capsys):
     assert {e["model"] for e in events if e["event"] == "run"} == {"cubic", "boundary-parabola"}
 
 
+def test_numerical_error_in_a_model_is_isolated(tmp_path, capsys, monkeypatch):
+    import json
+
+    import numpy as np
+
+    from germforge import cli
+
+    def singular(rep, model, cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli.MODEL_CHECKS["solve-germ"], "linear-germ", singular)
+    assert main(["solve-germ", "--out", str(tmp_path)]) == 1
+    assert "LinAlgError" in capsys.readouterr().err
+    assert "invariant,contraction_certified,pass" in (tmp_path / "solve-germ-cos-germ.csv").read_text()
+    assert "invariant,completed,fail" in (tmp_path / "solve-germ-linear-germ.csv").read_text()
+    events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    errors = [e for e in events if e["event"] == "error"]
+    assert [(e["model"], e["error"], e["message"]) for e in errors] == [
+        ("linear-germ", "LinAlgError", "Singular matrix")]
+    assert "singular" in errors[0]["traceback"]
+
+
 def test_integrate_forms_must_be_a_boolean(tmp_path, capsys):
     cfg = _config(tmp_path, "integrate_forms = maybe\n")
     assert main(["parametrize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

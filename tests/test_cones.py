@@ -435,3 +435,17 @@ def test_is_good_position_matches_the_reference(monkeypatch):
     monkeypatch.setattr(cones, "_first_counterexample", reference_first_counterexample)
     want = [good_position_outcome(N, grid) for N, grid in cases]
     assert got == want
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # cones imports scipy.optimize on its first LP or NNLS solve, not at import
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import germforge
+
+    env = dict(os.environ, PYTHONPATH=str(Path(germforge.__file__).resolve().parents[1]))
+    code = "import sys, germforge; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -18,9 +18,10 @@ from germforge.degree import (
     make_bump_section,
     smooth_plateau,
 )
+from germforge.degree import _Cell, _covering_u
 from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, WindowEscape
 from germforge.orientation import OrientationReference
-from germforge.solution import SolutionAtlas, build_parametrization
+from germforge.solution import SolutionAtlas, build_boundary_parametrization, build_parametrization
 from germforge.spaces import GradedSpace
 
 FIBER = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
@@ -243,17 +244,20 @@ def test_atlas_covers_circle():
     assert atlas_covers_points(atlas, pts)
 
 
-def test_partition_of_unity_normalizes():
-    from germforge.degree import _chart_weight
-
-    atlas = circle_atlas()
+def test_circle_cells_partition_the_circle():
+    # every sample point lies in exactly one chart's cell: the chart covers it
+    # and it sits inside that cell's ray limit
+    charts = circle_atlas().charts
+    cells = [_Cell(c, charts[:i] + charts[i + 1:], 0.95 * c.radius) for i, c in enumerate(charts)]
     for a in np.linspace(0, 2 * np.pi, 37):
         x = np.array([np.cos(a), np.sin(a)])
-        weights = [_chart_weight(c, x, 0.95) for c in atlas.charts]
-        total = sum(weights)
-        assert total > 0
-        normalized = [w / total for w in weights]
-        assert abs(sum(normalized) - 1.0) < 1e-12
+        owners = 0
+        for cell in cells:
+            t = cell.chart.kernel_basis.T @ (x - cell.chart.base_point)
+            e = np.where(t >= 0, 1.0, -1.0)
+            if np.isfinite(_covering_u(cell.chart, x)) and abs(t[0]) < cell.limit(e)[0]:
+                owners += 1
+        assert owners == 1
 
 
 def test_zero_form_counts_signed_points():
@@ -288,6 +292,53 @@ def test_exact_form_integrates_to_zero():
     assert abs(integrate_form(atlas, d_xy)) <= 1e-8
 
 
+def test_circle_cells_converge_spectrally():
+    # Gauss-Legendre on each smooth cell: 16 nodes per chart reach 1e-10
+    omega = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]]))
+    assert abs(integrate_form(circle_atlas(), omega, nodes_per_axis=16) - 2 * np.pi) <= 1e-10
+
+
+def test_sphere_cell_is_a_cube_face():
+    # the six axis charts of the unit sphere cut it like the faces of a cube,
+    # so the cell of the chart at (0, 0, 1) has area 4 pi / 6; its corners
+    # split the circle of rays into four pieces
+    from germforge.fredholm import BasicGerm
+
+    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=lambda x: np.array([x @ x - 1.0]))
+    bases = [np.array(b, dtype=float) for b in
+             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
+    charts = [build_parametrization(bg, q, radius=0.9) for q in bases]
+    cell = _Cell(charts[4], charts[:4] + charts[5:], 0.95 * 0.9)
+    pieces = cell.pieces(32)
+    assert len(pieces) == 4 and {label for _, _, label, _ in pieces} == {0, 1, 2, 3}   # the +-x, +-y charts
+    area = DifferentialForm(degree=2, coeff=lambda p: np.array(
+        [[0.0, p[2], -p[1]], [-p[2], 0.0, p[0]], [p[1], -p[0], 0.0]]))
+    val = sum(w * area.pullback(cell.chart.gamma(t), cell.chart.kernel_transport(t)) for t, w in cell.nodes(32))
+    assert abs(abs(val) - 4 * np.pi / 6) <= 1e-8
+
+
+def test_cell_with_a_corner_piece_the_scan_misses():
+    # on the plane z = 0 the charts are flat and equal radii make the cells
+    # Voronoi cells: a pentagon of neighbours at 1.2 from the centre, and a
+    # sixth at 1.44 towards a pentagon vertex cuts a corner off it.  The cut
+    # spans 4.7 degrees, less than the scan's 30 degree step, so the scan
+    # misses it; the rays that land in it find it, and the rule splits there
+    from germforge.fredholm import BasicGerm
+
+    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=lambda x: np.array([x[2]]))
+    centre = build_parametrization(bg, np.zeros(3), radius=1.0)
+    spots = [d * np.array([np.cos(a), np.sin(a)]) for a, d in
+             [(np.deg2rad(a), 1.2) for a in (0, 72, 144, 216, 288)] + [(np.deg2rad(36), 1.44)]]
+    cell = _Cell(centre, [build_parametrization(bg, centre.kernel_basis @ p, radius=1.0) for p in spots], 0.95)
+    assert 5 not in {label for _, _, label, _ in cell.pieces(48)}
+    # the cell is the polygon {t : p . t <= |p|^2 / 2}, all its vertices well inside rho_max
+    ring = sorted(spots, key=lambda p: np.arctan2(p[1], p[0]))
+    corners = np.array([np.linalg.solve(np.array([p, q]), [p @ p / 2, q @ q / 2])
+                        for p, q in zip(ring, ring[1:] + ring[:1])])
+    area = 0.5 * abs(np.sum(corners[:, 0] * np.roll(corners[:, 1], -1) - corners[:, 1] * np.roll(corners[:, 0], -1)))
+    assert abs(sum(w for _, w in cell.nodes(48)) - area) <= 1e-8
+
+
 def test_quadrature_refinement_stable():
     atlas = circle_atlas()
     omega = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]]))
@@ -319,6 +370,32 @@ def test_sphere_area_two_form():
     omega = DifferentialForm(degree=2, coeff=area_coeff)
     val = integrate_form(atlas, omega, nodes_per_axis=32)
     assert abs(val - 4 * np.pi) < 2e-2
+
+
+def test_exact_form_on_the_parabola_corner_chart():
+    # the corner chart of y = x^2 on x >= 0 has the x-axis as kernel and the
+    # y-axis as complement, so its cell is the arc from the corner to
+    # (rho, rho^2), rho = 0.95 r; the co-orientation runs the arc towards the
+    # corner, so d(phi) integrates to phi(0, 0) - phi(rho, rho^2)
+    chart = build_boundary_parametrization(registry.parabola_corner_germ(), np.zeros(2), radius=0.4)
+    rho = 0.95 * chart.radius
+    d_phi = DifferentialForm(degree=1, coeff=lambda x: np.array([x[1] + np.cos(x[0]), x[0] + 2 * x[1]]))
+    val = integrate_form(SolutionAtlas(charts=(chart,)), d_phi)
+    assert abs(val + (rho**3 + rho**4 + np.sin(rho))) <= 1e-12
+
+
+def test_area_of_the_quadrant_plane_corner_chart():
+    # the corner chart of z = x + y on x, y >= 0 has isometric coordinates on
+    # the plane, and its domain is the sector between the edges (1, 0, 1) and
+    # (0, 1, 1), of angle pi / 3: the cell is that sector out to rho = 0.95 r,
+    # and the area form about the normal (-1, -1, 1) / sqrt(3) integrates to
+    # pi rho^2 / 6
+    chart = build_boundary_parametrization(registry.quadrant_plane_germ(), np.zeros(3), radius=0.4)
+    rho = 0.95 * chart.radius
+    n = np.array([-1.0, -1.0, 1.0]) / np.sqrt(3.0)
+    area = np.array([[0.0, n[2], -n[1]], [-n[2], 0.0, n[0]], [n[1], -n[0], 0.0]])
+    val = integrate_form(SolutionAtlas(charts=(chart,)), DifferentialForm(degree=2, coeff=lambda x: area))
+    assert abs(val - np.pi * rho**2 / 6) <= 1e-12
 
 
 def test_form_degree_guard():

@@ -12,6 +12,7 @@ from germforge.germs import (
     SolutionGerm,
     germ_derivative,
     iterate_tangent,
+    shrink_to_contraction,
     solve_germ,
     tangent_germ,
     verify_contraction,
@@ -309,3 +310,32 @@ def test_verify_contraction_skips_pairs_closer_than_the_cutoff():
     rep = verify_contraction(germ, 0, SamplingPlan(radius_scale=1e-14))
     full = SamplingPlan().parameter_samples * SamplingPlan().pair_samples
     assert 0 < rep.samples < full
+
+
+@pytest.mark.parametrize("B", [lambda v, u: 1.2 * u + 0.5 * u**2, lambda v, u: 1.2 * u])
+def test_shrink_stops_once_the_ratio_stalls_above_target(B, monkeypatch):
+    # the ratios head to 1.2 as the radius halves (exactly 1.2 for the linear
+    # map), so shrinking stops after a few bisections, not all 40
+    from germforge import germs
+
+    p, s = scalar_spaces()
+    ratios = []
+
+    def recorded(*args, **kwargs):
+        ratios.append(verify_contraction(*args, **kwargs).max_ratio)
+        return germs.ContractionReport(0, ratios[-1], 1, 1.0, False)
+
+    monkeypatch.setattr(germs, "verify_contraction", recorded)
+    with pytest.raises(NonConvergence) as info:
+        shrink_to_contraction(ContractionGerm(p, s, B=B), max_bisections=40)
+    assert len(ratios) <= 6
+    assert info.value.residual == ratios[-1] > 1.1
+
+
+def test_shrink_keeps_going_while_a_fast_term_drives_the_ratio():
+    # the ratios of 0.89 u + 0.4 u^2 + (8/3) u^3 fall like 0.89 + b r + c r^2
+    # with the r^2 term ahead at first (8.1, 2.9, 1.48, 1.08: decay factors
+    # near 1/4), yet the limit 0.89 is below target and r = 1/128 reaches it
+    p, s = scalar_spaces()
+    germ, rep = shrink_to_contraction(ContractionGerm(p, s, B=lambda v, u: 0.89 * u + 0.4 * u**2 + (8 / 3) * u**3))
+    assert rep.max_ratio < 0.9 and rep.radius == 1 / 128

@@ -134,3 +134,14 @@ def test_space_works_as_a_dict_key():
     assert table[GradedSpace(dim=1)] == "line"
     assert table[GradedSpace(dim=2, quadrant_rank=2)] == "quadrant"
     assert GradedSpace(dim=2) not in table
+
+
+def test_vectors_compare_and_hash_by_value():
+    # used to raise: the generated __eq__ and __hash__ used the coords array
+    sp = GradedSpace(dim=2)
+    assert sp.vector([1, 2]) == sp.vector([1.0, 2.0])
+    assert hash(sp.vector([1, 2])) == hash(sp.vector([1, 2]))
+    assert sp.vector([1, 2]) != sp.vector([2, 1])
+    assert sp.vector([1, 2]) != sp.vector([1, 2], declared_level=1)
+    assert sp.vector([1, 2]) != GradedSpace(dim=2, levels=4).vector([1, 2])
+    assert {sp.vector([1, 2]): "a"}[sp.vector([1, 2])] == "a"
