@@ -8,6 +8,7 @@ For the tree (default: this checkout) one invocation records
 - the minimum cold `import germforge` time over IMPORT_RUNS fresh interpreters,
 - each CLI command at `--seed 0`: wall time, exit code, and the wall time of
   each model from its events.jsonl,
+- one run of the tier-1 suite: wall time, exit code and passed/failed counts,
 - the tree's git revision (and whether it had uncommitted changes), the
   Python, numpy and scipy versions and nproc.
 
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,7 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("degree-search", "atlas-integrate", "certify")
 COMMANDS = ("solve-germ", "parametrize", "cones", "degree", "selftest")
-PARTS = ("workloads", "import", "cli")
+PARTS = ("workloads", "import", "cli", "tier1")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 IMPORT_RUNS = 5
 # perfbench pins BLAS the same way; the other measurements get the same setting
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -88,6 +91,18 @@ def cli(tree: Path) -> dict:
     return out
 
 
+def tier1(tree: Path) -> dict:
+    """Wall time and outcome counts of one run of the tree's tier-1 suite."""
+    t0 = time.perf_counter()
+    proc = _run([sys.executable, *TIER1], tree)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    return {"seconds": wall, "exit_code": proc.returncode, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0), "summary": summary}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -114,6 +129,8 @@ def main(argv=None) -> int:
         record["import"] = cold_import(tree)
     if "cli" in parts:
         record["cli"] = cli(tree)
+    if "tier1" in parts:
+        record["tier1"] = tier1(tree)
 
     path = ROOT / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text()) if path.is_file() else {"pr": args.pr, "entries": {}}

@@ -77,8 +77,9 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
     """Damped Gauss-Newton for func(x) = 0; returns (x, max|func(x)|, converged).
 
     Steps are lstsq solutions with the FD Jacobian (square or not), halved
-    down to 1e-8 until the residual 2-norm beats the best so far.  A stall or
-    a failed solve returns converged = False; it never raises.  An empty x
+    down to 1e-8 until the residual 2-norm beats the best so far.  A stall, a
+    non-finite Jacobian or residual, or a failed solve returns converged =
+    False; it never raises.  An empty x
     returns at once.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -91,6 +92,8 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
         if res <= tol:
             return x, res, True
         J = fd_jacobian(func, x)
+        if not (np.isfinite(J).all() and np.isfinite(fx).all()):
+            return x, res, False
         try:
             step = np.linalg.lstsq(J, -fx, rcond=None)[0]
         except np.linalg.LinAlgError:

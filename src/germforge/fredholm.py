@@ -9,7 +9,7 @@ an explicit change of coordinates built from the splitting of 1 + P D2s(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,8 +161,10 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, rank_cutoff_rel: float 
 
         B_hat((a, c), x) = L^{-1} P2 (B - S)(a, c + x),
 
-    and its contraction is re-certified by shrinking the sampling radius
-    until the empirical ratio is < 0.9.
+    and its contraction is re-certified at every level by shrinking the
+    sampling radius until the empirical ratio is < 0.9.  The levels draw the
+    same samples, so every level is certified from one set of B_hat
+    evaluations, one per distinct sample, held only for this call.
 
     Returns (BasicGerm for g + s, NormalFormReport).  Raises
     DegenerateSplitting when the rank of 1 + A is numerically ambiguous.
@@ -221,13 +223,23 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, rank_cutoff_rel: float 
     )
     out = BasicGerm(n=n + d, k=k, N=N + d, W=X_space, g=new_g)
 
-    # certify the contraction of B_hat level by level
+    # certify B_hat level by level; the levels draw the same (v, w) samples
+    inner = out.inner
+    seen = {}
+
+    def B_once(v, w):
+        key = (v.tobytes(), w.tobytes())
+        if key not in seen:
+            seen[key] = inner.B(v, w)
+        return seen[key]
+
+    shared = replace(inner, B=B_once)
     start = max(r for _, r in bg.contraction_schedule.values()) if bg.contraction_schedule else 1.0
     schedule = {}
     worst_ratio = 0.0
     worst_radius = start
     for m in range(X_space.levels + 1):
-        certified, report = shrink_to_contraction(out.inner, m=m, start_radius=start, grid=grid)
+        certified, report = shrink_to_contraction(shared, m=m, start_radius=start, grid=grid)
         schedule[m] = certified.contraction_schedule[m]
         worst_ratio = max(worst_ratio, report.max_ratio)
         worst_radius = min(worst_radius, report.radius)

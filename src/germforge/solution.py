@@ -86,6 +86,8 @@ class GoodParametrization:
         the underlying solvers are deterministic.
         """
         t = np.asarray(t, dtype=float)
+        if not np.isfinite(t).all():  # no key for it; a_map rejects it uncached
+            return np.asarray(self.a_map(t), dtype=float)
         key = tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
         hit = self._cache.get(key)
         if hit is None:

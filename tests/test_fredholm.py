@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from germforge.errors import DegenerateSplitting, MismatchAtPoint
+from germforge import fredholm
+from germforge.errors import DegenerateSplitting, MismatchAtPoint, NonConvergence
 from germforge.fredholm import (
     BasicGerm,
     ScPlusSection,
@@ -10,7 +13,7 @@ from germforge.fredholm import (
     linearize_relative,
     perturb_normal_form,
 )
-from germforge.germs import SamplingPlan, verify_contraction
+from germforge.germs import ContractionReport, SamplingPlan, shrink_to_contraction, verify_contraction
 from germforge.spaces import GradedSpace
 
 
@@ -188,3 +191,103 @@ def test_normal_form_kernel_dim_matches_direct_svd():
         _, ker_nf, cok_nf, _ = svd_split(out.jacobian_at_zero())
         assert ker_nf.shape[1] == ker_direct.shape[1]
         assert cok_nf.shape[1] == cok_direct.shape[1]
+
+
+# Reference: the per-level certification loop without shared samples.  Each
+# level certifies a fresh `inner` of the normal form, so B_hat is evaluated
+# anew at every level although all levels draw the same samples.
+
+def certify_levels_oracle(bg, nf, grid=None):
+    """(schedule, worst ratio, worst radius) of nf certified level by level."""
+    bare = BasicGerm(n=nf.n, k=nf.k, N=nf.N, W=nf.W, g=nf.g)
+    start = max(r for _, r in bg.contraction_schedule.values()) if bg.contraction_schedule else 1.0
+    schedule, worst_ratio, worst_radius = {}, 0.0, start
+    for m in range(nf.W.levels + 1):
+        certified, report = shrink_to_contraction(bare.inner, m=m, start_radius=start, grid=grid)
+        schedule[m] = certified.contraction_schedule[m]
+        worst_ratio = max(worst_ratio, report.max_ratio)
+        worst_radius = min(worst_radius, report.radius)
+    return schedule, worst_ratio, worst_radius
+
+
+def uncertified_normal_form(bg, s, monkeypatch):
+    """The normal form of g + s before its contraction is certified."""
+    def accept(germ, m=0, start_radius=1.0, **_):
+        report = ContractionReport(level=m, max_ratio=0.0, samples=0, radius=start_radius, passed=True)
+        return replace(germ, contraction_schedule={m: (0.5, start_radius)}), report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fredholm, "shrink_to_contraction", accept)
+        nf, _ = perturb_normal_form(bg, s)
+    return nf
+
+
+def assert_certified_like_oracle(bg, s, monkeypatch, grid=None):
+    out, rep = perturb_normal_form(bg, s, grid=grid)
+    schedule, ratio, radius = certify_levels_oracle(bg, uncertified_normal_form(bg, s, monkeypatch), grid)
+    assert out.contraction_schedule == schedule
+    assert (rep.contraction_ratio, rep.certified_radius) == (ratio, radius)
+    return out, rep
+
+
+def test_shared_certificate_matches_per_level_oracle_on_random_pairs(monkeypatch):
+    rng = np.random.default_rng(21)
+    for _ in range(8):
+        bg = make_linear_basic_germ(rng, n=2, N=1, wdim=2, scale=0.08)
+        A = rng.normal(size=(bg.target_dim, bg.domain_dim)) * 0.2
+        Q = rng.normal(size=(bg.target_dim, bg.domain_dim)) * 0.05
+        s = ScPlusSection(section=lambda x, A=A, Q=Q: A @ x + Q @ (x * x), levels=bg.W.levels)
+        assert_certified_like_oracle(bg, s, monkeypatch)
+    assert_certified_like_oracle(bg, s, monkeypatch, grid=SamplingPlan(seed=5, pair_samples=8))
+
+
+def weighted_germ_and_section():
+    """W weights 1 and 4 with a cross-coupled quadratic section: the level
+    norms grow with m, so the levels need different numbers of bisections."""
+    W = GradedSpace(dim=2, levels=2, weights=np.array([1.0, 4.0]))
+    bg = BasicGerm(n=1, k=0, N=0, W=W, g=lambda x: x[1:].copy(),
+                   contraction_schedule={m: (0.5, 1.0) for m in range(3)})
+    s = ScPlusSection(section=lambda x: np.array([x[0] * x[1] + 0.5 * x[2] ** 2, 3.0 * x[1] ** 2]), levels=2)
+    return bg, s
+
+
+def test_shared_certificate_matches_oracle_when_levels_shrink_differently(monkeypatch):
+    bg, s = weighted_germ_and_section()
+    out, rep = assert_certified_like_oracle(bg, s, monkeypatch)
+    radii = [r for _, r in out.contraction_schedule.values()]
+    assert len(set(radii)) > 1
+    assert rep.certified_radius == min(radii)
+
+
+def test_shared_certificate_raises_like_oracle(monkeypatch):
+    # g's W block is 0.05: B = 0.95 w, and s leaves it alone, so B_hat = 0.95 w
+    # at every radius and no level certifies
+    W = GradedSpace(dim=1, levels=2, weights=np.array([1.0]))
+    bg = BasicGerm(n=1, k=0, N=0, W=W, g=lambda x: np.array([0.05 * x[1]]))
+    s = ScPlusSection(section=lambda x: np.array([x[0] ** 2]), levels=2)
+    with pytest.raises(NonConvergence) as got:
+        perturb_normal_form(bg, s)
+    with pytest.raises(NonConvergence) as want:
+        certify_levels_oracle(bg, uncertified_normal_form(bg, s, monkeypatch))
+    assert got.value.residual == want.value.residual
+    assert str(got.value) == str(want.value)
+
+
+def test_normal_form_evaluates_g_once_per_distinct_sample(monkeypatch):
+    base, s = weighted_germ_and_section()
+    points = []
+
+    def g(x):
+        points.append(x.tobytes())
+        return base.g(x)
+
+    bg = replace(base, g=g)
+    perturb_normal_form(bg, s)
+    # g(0) is taken twice, once for g + s and once for the normal form's B_hat
+    sampled = [p for p in points if p != np.zeros(bg.domain_dim).tobytes()]
+    assert len(sampled) == len(set(sampled))
+    points.clear()
+    certify_levels_oracle(bg, uncertified_normal_form(bg, s, monkeypatch))
+    oracle = [p for p in points if p != np.zeros(bg.domain_dim).tobytes()]
+    assert set(sampled) == set(oracle)
+    assert len(oracle) > len(sampled)

@@ -71,6 +71,17 @@ def test_newton_reports_a_failed_linear_solve_without_raising():
     assert np.array_equal(x, [0.5])
 
 
+def test_newton_stops_before_solving_with_a_non_finite_jacobian(capfd):
+    # the section is inf just past a domain edge at x = 1, inside the FD stencil
+    f = lambda x: np.where(x < 1.0, x - 2.0, np.inf)
+    x, res, converged = newton(f, np.array([1.0 - 1e-6]))
+    assert not converged
+    assert np.array_equal(x, [1.0 - 1e-6])
+    assert res == float(np.max(np.abs(f(x))))
+    # LAPACK reports the illegal value by printing, not by raising
+    assert capfd.readouterr() == ("", "")
+
+
 def test_newton_takes_least_squares_steps_on_non_square_systems():
     # underdetermined and linear: one minimum-norm step lands on the zero
     x, res, converged = newton(lambda x: np.array([x[0] + x[1] + x[2] - 1.0, x[0] - x[1]]), np.zeros(3))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,22 @@ def test_chart_solve_without_zero_raises_nonconvergence_with_residual():
         chart.a_map(np.array([1.5]))
     assert info.value.residual is not None
     assert info.value.residual >= 1.25 - 1e-9
+
+
+def test_a_vector_of_a_non_finite_point_skips_the_memo():
+    chart = circle_chart()
+    before = dict(chart._cache)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            chart.a_vector(np.array([np.nan]))
+    with warnings.catch_warnings():
+        # a_map itself forms inf * 0 in `kernel @ t`; only the memo key is at issue
+        warnings.filterwarnings("error", message="invalid value encountered in cast")
+        warnings.filterwarnings("ignore", message="invalid value encountered in matmul")
+        with pytest.raises(NonConvergence):
+            chart.a_vector(np.array([np.inf]))
+    assert chart._cache.keys() == before.keys()
 
 
 # Reference: the paper's staged construction of the graph map A (fiber fixed
