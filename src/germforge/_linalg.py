@@ -92,7 +92,7 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
         if res <= tol:
             return x, res, True
         J = fd_jacobian(func, x)
-        if not (np.isfinite(J).all() and np.isfinite(fx).all()):
+        if not (res < np.inf and np.isfinite(J).all()):  # lstsq would print and step NaN
             return x, res, False
         try:
             step = np.linalg.lstsq(J, -fx, rcond=None)[0]

@@ -63,7 +63,7 @@ def test_newton_reports_a_stall_without_raising():
 
 
 def test_newton_reports_a_failed_linear_solve_without_raising():
-    # NaN Jacobian entries make the least-squares solve fail
+    # NaN Jacobian entries: the step is never solved for
     f = lambda x: np.array([1.0 if x[0] == 0.5 else np.nan])
     x, res, converged = newton(f, np.array([0.5]))
     assert not converged
