@@ -79,8 +79,7 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
     Steps are lstsq solutions with the FD Jacobian (square or not), halved
     down to 1e-8 until the residual 2-norm beats the best so far.  A stall, a
     non-finite Jacobian or residual, or a failed solve returns converged =
-    False; it never raises.  An empty x
-    returns at once.
+    False; it never raises.  An empty x returns at once.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
