@@ -6,8 +6,9 @@
 For the tree (default: this checkout) one invocation records
 - the final JSON line of `perfbench/run.py --trace 0` for each workload,
 - the minimum cold `import germforge` time over IMPORT_RUNS fresh interpreters,
-- each CLI command at `--seed 0`: wall time, exit code, and the wall time of
-  each model from its events.jsonl,
+- each CLI command at `--seed 0`, run CLI_RUNS times: the minimum and every
+  wall time, the exit codes, and the wall time of each model from the
+  events.jsonl of the fastest run,
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
 - the tree's git revision (and whether it had uncommitted changes), the
   Python, numpy and scipy versions and nproc.
@@ -38,6 +39,7 @@ COMMANDS = ("solve-germ", "parametrize", "cones", "degree", "selftest")
 PARTS = ("workloads", "import", "cli", "tier1")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 IMPORT_RUNS = 5
+CLI_RUNS = 3
 # perfbench pins BLAS the same way; the other measurements get the same setting
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -55,7 +57,7 @@ def revision(tree: Path) -> dict:
 
 def environment() -> dict:
     return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy"), "nproc": os.cpu_count()}
+            "scipy": metadata.version("scipy"), "nproc": len(os.sched_getaffinity(0))}
 
 
 def workload(tree: Path, name: str, seed: int, seconds: float) -> dict:
@@ -73,21 +75,32 @@ def cold_import(tree: Path) -> dict:
     return {"min_s": min(runs), "runs_s": runs}
 
 
+def cli_run(tree: Path, command: str) -> dict:
+    """Wall time, exit code and per-model wall times of one CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        proc = _run([sys.executable, "-m", "germforge.cli", command, "--seed", "0", "--out", tmp], tree)
+        wall = time.perf_counter() - t0
+        events = Path(tmp, "events.jsonl")
+        models = {}
+        if events.is_file():
+            for line in events.read_text().splitlines():
+                event = json.loads(line)
+                if event["event"] == "run":
+                    models[event["model"]] = event["wall_time"]
+    return {"seconds": wall, "exit_code": proc.returncode, "model_seconds": models}
+
+
 def cli(tree: Path) -> dict:
+    """Each command CLI_RUNS times: the fastest run's wall time, exit code and
+    model times, plus the wall time of every run."""
     out = {}
     for command in COMMANDS:
-        with tempfile.TemporaryDirectory() as tmp:
-            t0 = time.perf_counter()
-            proc = _run([sys.executable, "-m", "germforge.cli", command, "--seed", "0", "--out", tmp], tree)
-            wall = time.perf_counter() - t0
-            events = Path(tmp, "events.jsonl")
-            models = {}
-            if events.is_file():
-                for line in events.read_text().splitlines():
-                    event = json.loads(line)
-                    if event["event"] == "run":
-                        models[event["model"]] = event["wall_time"]
-        out[command] = {"seconds": wall, "exit_code": proc.returncode, "model_seconds": models}
+        runs = [cli_run(tree, command) for _ in range(CLI_RUNS)]
+        fastest = min(runs, key=lambda r: r["seconds"])
+        out[command] = {"min_s": fastest["seconds"], "runs_s": [r["seconds"] for r in runs],
+                        "exit_codes": [r["exit_code"] for r in runs],
+                        "model_seconds": fastest["model_seconds"]}
     return out
 
 

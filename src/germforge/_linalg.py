@@ -73,13 +73,14 @@ def fd_jacobian(f, x, h: float | None = None):
     return np.column_stack(columns)
 
 
-def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
+def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     """Damped Gauss-Newton for func(x) = 0; returns (x, max|func(x)|, converged).
 
     Steps are lstsq solutions with the FD Jacobian (square or not), halved
     down to 1e-8 until the residual 2-norm beats the best so far.  A stall, a
-    non-finite Jacobian or residual, or a failed solve returns converged =
-    False; it never raises.  An empty x returns at once.
+    non-finite Jacobian or residual, a failed solve, or an accepted iterate
+    on which the predicate `stop` holds returns converged = False; it never
+    raises.  An empty x returns at once.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
@@ -107,6 +108,8 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80):
             lam *= 0.5
         else:
             return x, res, False
+        if stop is not None and stop(x):
+            return x, float(np.max(np.abs(fx))), False
     res = float(np.max(np.abs(fx)))
     return x, res, res <= tol
 

@@ -8,6 +8,7 @@ counter-based RNG makes every experiment bit-reproducible from its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -33,6 +34,7 @@ ZERO_RESIDUAL = 1e-10
 DEDUPE_SEPARATION = 1e-6
 WINDOW_MARGIN = 1e-6
 RETRY_LIMIT = 100
+BASIN_GATE = 1e-4      # sigma_min / sigma_max below which a zero gets no basin
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,28 @@ class ZeroReport:
     singular_values: np.ndarray
     surjective: bool
     kernel_basis: np.ndarray
+    basin_radius: float
+
+
+def _basin_radius(func, x, J, sv, r: float) -> float:
+    """Sampled radius 2/(3 beta L) of Newton's basin around the zero x.
+
+    beta = 1/sigma_min, and L = 2 max |f(x+u) - f(x) - J u| / r^2 over the
+    2n points u = +-r e_j of the ball of radius r; r shrinks to 2/(3 beta L)
+    and is sampled once more.  Non-square or nearly singular J (sigma_min /
+    sigma_max < BASIN_GATE), a non-finite sample and an underflow give 0.
+    """
+    if J.shape[0] != J.shape[1] or not (sv.size and sv[-1] > BASIN_GATE * sv[0] and r > 0):
+        return 0.0
+    beta, f0, axes = 1.0 / float(sv[-1]), func(x), np.vstack([np.eye(x.size), -np.eye(x.size)])
+    for _ in range(2):
+        rem = float(np.max([np.linalg.norm(func(x + r * e) - f0 - r * (J @ e)) for e in axes]))
+        if not rem < np.inf:     # np.max keeps a NaN
+            return 0.0
+        if 3.0 * beta * rem <= r:
+            break
+        r = r * r / (3.0 * beta * rem)
+    return r
 
 
 def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> list:
@@ -161,6 +185,13 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     the window raises WindowEscape; runs that do not converge are discarded.
     Zeros violating the quadrant constraints by more than the margin are
     discarded (the model is not defined there).
+
+    Each new well-conditioned square zero gets a sampled Newton basin
+    (`_basin_radius`: Traub-Wozniakowski's 2/(3 beta L), with L estimated
+    from 2n samples on a ball inside the window, not bounded rigorously).  A
+    later start that lies in a basin, or whose accepted iterate enters one,
+    is stopped: it would only polish that zero again, so the reports are
+    those the full runs give.
     """
     extra = (lambda x: s(x)) if s is not None else None
 
@@ -175,9 +206,16 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
         sampler = qmc.Halton(d=d, scramble=True, seed=pp.rng_seed)
         pts = qmc.scale(sampler.random(pp.grid_starts), pp.window.lo, pp.window.hi)
         starts.extend(np.asarray(p) for p in pts)
-    zeros = []
+    zeros, basins = [], []      # basins: (centre, radius) of the zeros that have one
+
+    def in_basin(x):            # checked at every Newton iterate, so kept cheap
+        x = x.tolist()
+        return any(math.dist(x, c) < r for c, r in basins)
+
     for x0 in starts:
-        x, res, ok = newton(func, x0)
+        if in_basin(x0):
+            continue
+        x, res, ok = newton(func, x0, stop=in_basin)
         if not ok or res > ZERO_RESIDUAL:
             continue
         nq = pp.quadrant_rank
@@ -199,7 +237,10 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
         zeros.append(ZeroReport(
             point=x, residual=res, jacobian=J, singular_values=sv,
             surjective=bool(coker.shape[1] == 0), kernel_basis=kernel,
+            basin_radius=_basin_radius(func, x, J, sv, pp.window.margin_at(x)),
         ))
+        if zeros[-1].basin_radius:
+            basins.append((x.tolist(), zeros[-1].basin_radius))
     zeros.sort(key=lambda z: tuple(np.round(z.point, 9)))
     return zeros
 

@@ -18,7 +18,6 @@ from .spaces import GradedSpace
 from .splicing import (
     Filler,
     FilledSection,
-    SmoothnessGrade,
     SplicingCore,
     SplicingModel,
     StrongBundleSplicing,
@@ -64,25 +63,6 @@ def rotating_line_model(levels: int = 3, radius: float = 1.2) -> SplicingModel:
         return np.outer(u, u)
 
     return SplicingModel(param_space=param, E=E, pi=pi, radius=radius)
-
-
-def trivial_splicing_model(dim: int = 2, levels: int = 3, radius: float = 2.0) -> SplicingModel:
-    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
-    E = GradedSpace(dim=dim, levels=levels)
-    return SplicingModel(param_space=param, E=E, pi=lambda v: np.eye(dim), radius=radius)
-
-
-def rank_jump_model(levels: int = 3, radius: float = 1.0) -> SplicingModel:
-    """Projection rank drops from 1 to 0 at v = 0; admitted as a flagged
-    truncation approximation only."""
-    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
-    E = GradedSpace(dim=1, levels=levels)
-
-    def pi(v):
-        return np.array([[1.0 if v[0] > 0 else 0.0]])
-
-    return SplicingModel(param_space=param, E=E, pi=pi, radius=radius,
-                         smoothness_grade=SmoothnessGrade.TRUNCATION_APPROXIMATE)
 
 
 def rotating_line_filled_section(target_angle_gain: float = 1.0,
@@ -219,12 +199,6 @@ def diagonal_in_square(levels: int = 3) -> cones.SubspaceInQuadrant:
     """span{(1,1)} inside [0,inf)^2: good position, single extreme ray."""
     ambient = GradedSpace(dim=2, levels=levels, weights=np.ones(2), quadrant_rank=2)
     return cones.SubspaceInQuadrant(ambient=ambient, basis=np.array([[1.0], [1.0]]))
-
-
-def antidiagonal_in_square(levels: int = 3) -> cones.SubspaceInQuadrant:
-    """span{(1,-1)} inside [0,inf)^2: meets the quadrant only at 0."""
-    ambient = GradedSpace(dim=2, levels=levels, weights=np.ones(2), quadrant_rank=2)
-    return cones.SubspaceInQuadrant(ambient=ambient, basis=np.array([[1.0], [-1.0]]))
 
 
 def circular_cone_subspace(n_facets: int = 8, levels: int = 3) -> cones.SubspaceInQuadrant:

@@ -25,6 +25,11 @@ def ambient(dim, rank, levels=2):
     return GradedSpace(dim=dim, levels=levels, weights=np.ones(dim), quadrant_rank=rank)
 
 
+def antidiagonal_in_square(levels: int = 3) -> SubspaceInQuadrant:
+    """span{(1,-1)} inside [0,inf)^2: meets the quadrant only at 0."""
+    return SubspaceInQuadrant(ambient=ambient(2, 2, levels), basis=np.array([[1.0], [-1.0]]))
+
+
 def test_neat_full_parameter_block():
     # N = R^n + {0}: complement is the fiber block
     amb = ambient(4, 2)
@@ -64,7 +69,7 @@ def test_diagonal_good_position_with_supplied_complement():
 
 
 def test_empty_interior_is_not_good_position():
-    res = is_good_position(registry.antidiagonal_in_square())
+    res = is_good_position(antidiagonal_in_square())
     assert not res.ok
 
 

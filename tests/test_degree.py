@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import registry
 from germforge.degree import (
@@ -458,3 +460,174 @@ def test_compute_degree_evaluates_base_zero_jacobian_at_most_once():
     elsewhere = OrientationReference(kind="base_zero", base_point=np.array([1.5]))
     assert compute_degree(pp, reference=elsewhere, outcome=outcome) == ambient
     assert calls[0] == 2
+
+
+# ------------------------------------------------------------ Newton basins
+
+def enumerate_zeros_oracle(pp, s=None):
+    """The multi-start loop without Newton basins: every start runs `newton`
+    to the end and duplicates are dropped at the separation tolerance."""
+    from scipy.stats import qmc
+
+    from germforge._linalg import fd_jacobian, newton, svd_split
+    from germforge.degree import DEDUPE_SEPARATION, WINDOW_MARGIN, ZERO_RESIDUAL
+
+    extra = (lambda x: s(x)) if s is not None else None
+
+    def func(x):
+        return pp.evaluate(x, extra)
+
+    starts = [np.asarray(p, dtype=float) for p in pp.seeds]
+    if pp.grid_starts:
+        sampler = qmc.Halton(d=pp.window.dim, scramble=True, seed=pp.rng_seed)
+        starts.extend(qmc.scale(sampler.random(pp.grid_starts), pp.window.lo, pp.window.hi))
+    zeros = []
+    for x0 in starts:
+        x, res, ok = newton(func, x0)
+        if not ok or res > ZERO_RESIDUAL:
+            continue
+        nq = pp.quadrant_rank
+        if nq:
+            if np.any(x[:nq] < -WINDOW_MARGIN):
+                continue
+            x = x.copy()
+            x[:nq] = np.where(np.abs(x[:nq]) <= 1e-12, 0.0, x[:nq])
+        if not pp.window.contains(x, margin=WINDOW_MARGIN):
+            raise WindowEscape("escaped", point=x)
+        if any(np.linalg.norm(x - z[0]) < DEDUPE_SEPARATION for z in zeros):
+            continue
+        J = fd_jacobian(func, x)
+        _, kernel, coker, sv = svd_split(J)
+        zeros.append((x, res, J, sv, coker.shape[1] == 0, kernel))
+    zeros.sort(key=lambda z: tuple(np.round(z[0], 9)))
+    return [(x.tobytes(), res, J.tobytes(), sv.tobytes(), surj, kernel.tobytes())
+            for x, res, J, sv, surj, kernel in zeros]
+
+
+def report_bytes(zeros):
+    return [(z.point.tobytes(), z.residual, z.jacobian.tobytes(), z.singular_values.tobytes(),
+             z.surjective, z.kernel_basis.tobytes()) for z in zeros]
+
+
+@pytest.mark.parametrize("model", ["cubic", "square-minus-one", "identity", "boundary-parabola"])
+def test_basins_keep_the_zero_reports_of_the_degree_models(model):
+    pp = registry.build(model)
+    zs = enumerate_zeros(pp)
+    assert report_bytes(zs) == enumerate_zeros_oracle(pp)
+    square = zs[0].jacobian.shape[0] == zs[0].jacobian.shape[1]
+    assert all((z.basin_radius > 0) == square for z in zs)
+
+
+def test_basins_keep_the_zero_reports_of_a_perturbed_section():
+    pp = problem(lambda x: np.array([x[0] ** 2]), [-1], [1], seeds=([0.0],), budget=0.1, seed=5)
+    s = generic_perturbation(pp).perturbation
+    assert report_bytes(enumerate_zeros(pp, s)) == enumerate_zeros_oracle(pp, s)
+
+
+def test_basins_cut_the_section_evaluations_of_the_cubic():
+    # without basins every one of the 67 starts is polished to 1e-13
+    # (1,096 evaluations); each zero's basin costs 1 + 2 or 4 evaluations
+    pp, calls = _counted_cubic()
+    zs = enumerate_zeros(pp)
+    assert calls[0] == 337
+    assert [z.basin_radius for z in zs] == pytest.approx([1 / 6] * 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_basin_radius_of_a_degenerate_zero_is_zero_without_warnings():
+    pp = problem(lambda x: np.array([x[0] ** 2]), [-1], [1], seeds=([0.0],), budget=0.1, seed=5)
+    assert [z.basin_radius for z in enumerate_zeros(pp)] == [0.0]
+    out = generic_perturbation(pp)
+    assert all(np.isfinite(z.basin_radius) for z in out.zeros)
+    assert compute_degree(pp) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("outside", [np.inf, np.nan])
+def test_basin_radius_is_zero_when_a_ball_sample_leaves_the_domain(outside):
+    # defined on x > 0.25 only; the ball of radius margin 1.5 around the zero
+    # 0.5 reaches x = -1, its second sample (a NaN must not be lost in the
+    # max).  One seed and no grid: Newton from 0.6 stays inside the domain
+    def f(x):
+        return np.array([x[0] ** 2 - 0.25]) if x[0] > 0.25 else np.array([outside])
+
+    pp = replace(problem(f, [-2], [2], seeds=([0.6],)), grid_starts=0)
+    zs = enumerate_zeros(pp)
+    assert [z.point[0] for z in zs] == pytest.approx([0.5])
+    assert zs[0].basin_radius == 0.0
+    assert report_bytes(zs) == enumerate_zeros_oracle(pp)
+
+
+def polynomial_problem(coeff, simple, double=(), seed=0):
+    roots, dbl = np.array(simple), np.array(double)
+
+    def section(x):
+        return np.array([coeff * np.prod(x[0] - roots) * np.prod((x[0] - dbl) ** 2)])
+
+    return replace(problem(section, [-2], [2], seed=seed), grid_starts=32)
+
+
+def complex_problem(phase, holo, anti, seed=0):
+    h_arr, a_arr = np.array(holo, dtype=complex), np.array(anti, dtype=complex)
+
+    def section(x):
+        w = phase * np.prod(complex(x[0], x[1]) - h_arr) * np.prod(np.conj(complex(x[0], x[1]) - a_arr))
+        return np.array([w.real, w.imag])
+
+    return PerturbationProblem(section=section, window=Window(lo=np.full(2, -2.0), hi=np.full(2, 2.0)),
+                               aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=2, levels=3)),
+                               budget=0.1, rng_seed=seed, grid_starts=32)
+
+
+@st.composite
+def polynomials(draw, doubles=True):
+    """(coefficient, simple roots, double roots) of a 1-D polynomial on [-2, 2]."""
+    roots = draw(st.lists(st.floats(-1.6, 1.6), min_size=1, max_size=4))
+    roots = [r for i, r in enumerate(roots) if all(abs(r - q) >= 0.2 for q in roots[:i])]
+    n_double = draw(st.integers(0, min(1, len(roots) - 1))) if doubles else 0
+    coeff = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.5))
+    return coeff, roots[n_double:], roots[:n_double]
+
+
+@st.composite
+def complex_maps(draw):
+    """(phase, holomorphic roots, antiholomorphic roots) in the disc of radius 1.5."""
+    pts = draw(st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=3))
+    pts = [r * np.exp(1j * a) for r, a in pts]
+    pts = [p for i, p in enumerate(pts) if all(abs(p - q) >= 0.3 for q in pts[:i])]
+    n_holo = draw(st.integers(0, len(pts)))
+    phase = np.exp(1j * draw(st.floats(0.0, 2 * np.pi))) * draw(st.floats(0.5, 1.5))
+    return complex(phase), pts[:n_holo], pts[n_holo:]
+
+
+BASIN_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@BASIN_SETTINGS
+@given(polynomials(), st.integers(0, 2**31 - 1))
+def test_basins_keep_the_zero_reports_of_polynomials(poly, seed):
+    pp = polynomial_problem(*poly, seed=seed)
+    assert report_bytes(enumerate_zeros(pp)) == enumerate_zeros_oracle(pp)
+
+
+@BASIN_SETTINGS
+@given(complex_maps(), st.integers(0, 2**31 - 1))
+def test_basins_keep_the_zero_reports_of_complex_maps(cmap, seed):
+    pp = complex_problem(*cmap, seed=seed)
+    assert report_bytes(enumerate_zeros(pp)) == enumerate_zeros_oracle(pp)
+
+
+@BASIN_SETTINGS
+@given(st.one_of(polynomials(doubles=False).map(lambda p: polynomial_problem(*p)),
+                 complex_maps().map(lambda c: complex_problem(*c))),
+       st.data())
+def test_degree_is_invariant_under_orientation_preserving_affine_maps(pp, data):
+    # A(y) = D y + t with D > 0 diagonal maps the window A^-1(W) onto W, so
+    # f o A has the zeros A^-1(z) with Jacobians J D: beta scales by 1/min D,
+    # L by D^2, and the signs of det stay
+    d = pp.window.dim
+    scale = np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d)))
+    shift = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    pulled = replace(pp, section=lambda y: pp.section(scale * y + shift),
+                     window=Window(lo=(pp.window.lo - shift) / scale, hi=(pp.window.hi - shift) / scale))
+    assert compute_degree(pulled) == compute_degree(pp)

@@ -19,13 +19,32 @@ from germforge.splicing import (
 from germforge.spaces import GradedSpace
 
 
+def trivial_splicing_model(dim: int = 2, levels: int = 3, radius: float = 2.0) -> SplicingModel:
+    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
+    E = GradedSpace(dim=dim, levels=levels)
+    return SplicingModel(param_space=param, E=E, pi=lambda v: np.eye(dim), radius=radius)
+
+
+def rank_jump_model(levels: int = 3, radius: float = 1.0) -> SplicingModel:
+    """Projection rank drops from 1 to 0 at v = 0; admitted as a flagged
+    truncation approximation only."""
+    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
+    E = GradedSpace(dim=1, levels=levels)
+
+    def pi(v):
+        return np.array([[1.0 if v[0] > 0 else 0.0]])
+
+    return SplicingModel(param_space=param, E=E, pi=pi, radius=radius,
+                         smoothness_grade=SmoothnessGrade.TRUNCATION_APPROXIMATE)
+
+
 def rotating_zero(v):
     mag = 1.0 + 0.3 * np.sin(v)
     return mag * np.array([np.cos(v), np.sin(v)])
 
 
 def test_retraction_identity_splicing():
-    model = registry.trivial_splicing_model(dim=3)
+    model = trivial_splicing_model(dim=3)
     v = np.array([0.2])
     e = np.array([1.0, -2.0, 0.5])
     rv, re = core_retraction(model, v, e)
@@ -68,7 +87,7 @@ def test_core_membership():
 
 
 def test_rank_jump_model_is_flagged():
-    model = registry.rank_jump_model()
+    model = rank_jump_model()
     assert model.smoothness_grade is SmoothnessGrade.TRUNCATION_APPROXIMATE
     # discontinuity magnitude at the jump is reported by direct comparison
     lo = model.projection(np.array([-1e-9]))
@@ -88,7 +107,7 @@ def test_validate_splicing_exact_model():
 def test_validate_splicing_rank_jump_exempt_but_reported():
     from germforge.splicing import validate_splicing
 
-    rep = validate_splicing(registry.rank_jump_model(), samples=500, seed=2)
+    rep = validate_splicing(rank_jump_model(), samples=500, seed=2)
     assert not rep.continuity_checked
     assert rep.passes()  # exemption: the jump does not fail the validation
     # the discontinuity magnitude is surfaced by the zero-locus straddle probe
@@ -112,7 +131,7 @@ def test_filler_fiberwise_linear():
 
 def test_trivial_filler_gives_back_the_section():
     # pi = id means ker pi_v = 0 and the filler contributes nothing
-    model = registry.trivial_splicing_model(dim=2)
+    model = trivial_splicing_model(dim=2)
     core = SplicingCore(model=model)
     F = GradedSpace(dim=2, levels=3)
     bundle = StrongBundleSplicing(base=core, F=F, rho=lambda v, e: np.eye(2))
@@ -193,7 +212,7 @@ def test_rotating_line_zero_set_equivalence():
 
 
 def test_linearize_filled_trivial_splicing():
-    model = registry.trivial_splicing_model(dim=2)
+    model = trivial_splicing_model(dim=2)
     core = SplicingCore(model=model)
     F = GradedSpace(dim=2, levels=3)
     bundle = StrongBundleSplicing(base=core, F=F, rho=lambda v, e: np.eye(2))
