@@ -543,6 +543,13 @@ def test_basin_radius_of_a_degenerate_zero_is_zero_without_warnings():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_basin_of_a_linear_map_is_the_window_ball_without_warnings():
+    # the samples give L = 0: the radius stays at the window margin, with no
+    # division by L
+    assert [z.basin_radius for z in enumerate_zeros(registry.identity_problem())] == [2.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("outside", [np.inf, np.nan])
 def test_basin_radius_is_zero_when_a_ball_sample_leaves_the_domain(outside):
     # defined on x > 0.25 only; the ball of radius margin 1.5 around the zero
