@@ -156,23 +156,23 @@ class ZeroReport:
 
 
 def _basin_radius(func, x, J, sv, r: float) -> float:
-    """Sampled radius 2/(3 beta L) of Newton's basin around the zero x.
-
-    beta = 1/sigma_min, and L = 2 max |f(x+u) - f(x) - J u| / r^2 over the
-    2n points u = +-r e_j of the ball of radius r; r shrinks to 2/(3 beta L)
-    and is sampled once more.  Non-square or nearly singular J (sigma_min /
-    sigma_max < BASIN_GATE), a non-finite sample and an underflow give 0.
-    """
+    """Sampled radius 2/(3 beta L) of Newton's basin around the zero x: beta =
+    1/sigma_min and L = |(D_1, ..., D_n)| / r, D_j = max |J(x +- r e_j) - J|_F.
+    D_j sees the mixed second derivatives too, and L bounds the Lipschitz
+    constant of an affine J (quadratic f).  r shrinks to 2/(3 beta L) and is
+    sampled once more.  A non-square or gated J (sigma_min / sigma_max <
+    BASIN_GATE), a non-finite sample and an underflow give 0."""
     if J.shape[0] != J.shape[1] or not (sv.size and sv[-1] > BASIN_GATE * sv[0] and r > 0):
         return 0.0
-    beta, f0, axes = 1.0 / float(sv[-1]), func(x), np.vstack([np.eye(x.size), -np.eye(x.size)])
+    beta, n = 1.0 / float(sv[-1]), x.size
     for _ in range(2):
-        rem = float(np.max([np.linalg.norm(func(x + r * e) - f0 - r * (J @ e)) for e in axes]))
-        if not rem < np.inf:     # np.max keeps a NaN
+        d = [np.linalg.norm(fd_jacobian(func, x + r * e) - J) for e in np.vstack([np.eye(n), -np.eye(n)])]
+        rl = float(np.hypot.reduce(np.maximum(d[:n], d[n:])))     # r L; np.maximum keeps a NaN
+        if not rl < np.inf:
             return 0.0
-        if 3.0 * beta * rem <= r:
+        if 3.0 * beta * rl <= 2.0:
             break
-        r = r * r / (3.0 * beta * rem)
+        r = 2.0 * r / (3.0 * beta * rl)
     return r
 
 
@@ -187,11 +187,12 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     discarded (the model is not defined there).
 
     Each new well-conditioned square zero gets a sampled Newton basin
-    (`_basin_radius`: Traub-Wozniakowski's 2/(3 beta L), with L estimated
-    from 2n samples on a ball inside the window, not bounded rigorously).  A
-    later start that lies in a basin, or whose accepted iterate enters one,
-    is stopped: it would only polish that zero again, so the reports are
-    those the full runs give.
+    (`_basin_radius`, Traub-Wozniakowski's 2/(3 beta L)); a later start that
+    lies in a basin, or whose accepted iterate enters one, is stopped, as it
+    would only polish that zero again.  The reports are those of the full
+    runs when the sampled L is a Lipschitz constant of J on the ball, as for
+    quadratic maps; a Jacobian that varies far more between the samples than
+    at them can give a basin that swallows another zero or a window escape.
     """
     extra = (lambda x: s(x)) if s is not None else None
 

@@ -526,11 +526,12 @@ def test_basins_keep_the_zero_reports_of_a_perturbed_section():
 
 def test_basins_cut_the_section_evaluations_of_the_cubic():
     # without basins every one of the 67 starts is polished to 1e-13
-    # (1,096 evaluations); each zero's basin costs 1 + 2 or 4 evaluations
+    # (1,096 evaluations); each zero's basin costs 2 or 4 FD Jacobians of 2
+    # evaluations.  The radii are 2/(3 beta L) with L = |J(z +- r) - J(z)| / r
     pp, calls = _counted_cubic()
     zs = enumerate_zeros(pp)
-    assert calls[0] == 337
-    assert [z.basin_radius for z in zs] == pytest.approx([1 / 6] * 3)
+    assert calls[0] == 377
+    assert [z.basin_radius for z in zs] == pytest.approx([4 / 27, 1 / 9, 4 / 27])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -574,16 +575,24 @@ def polynomial_problem(coeff, simple, double=(), seed=0):
     return replace(problem(section, [-2], [2], seed=seed), grid_starts=32)
 
 
-def complex_problem(phase, holo, anti, seed=0):
+def plane_problem(section, seed=0):
+    return PerturbationProblem(section=section, window=Window(lo=np.full(2, -2.0), hi=np.full(2, 2.0)),
+                               aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=2, levels=3)),
+                               budget=0.1, rng_seed=seed, grid_starts=32)
+
+
+def complex_section(phase, holo, anti):
     h_arr, a_arr = np.array(holo, dtype=complex), np.array(anti, dtype=complex)
 
     def section(x):
         w = phase * np.prod(complex(x[0], x[1]) - h_arr) * np.prod(np.conj(complex(x[0], x[1]) - a_arr))
         return np.array([w.real, w.imag])
 
-    return PerturbationProblem(section=section, window=Window(lo=np.full(2, -2.0), hi=np.full(2, 2.0)),
-                               aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=2, levels=3)),
-                               budget=0.1, rng_seed=seed, grid_starts=32)
+    return section
+
+
+def complex_problem(phase, holo, anti, seed=0):
+    return plane_problem(complex_section(phase, holo, anti), seed)
 
 
 @st.composite
@@ -622,6 +631,69 @@ def test_basins_keep_the_zero_reports_of_polynomials(poly, seed):
 def test_basins_keep_the_zero_reports_of_complex_maps(cmap, seed):
     pp = complex_problem(*cmap, seed=seed)
     assert report_bytes(enumerate_zeros(pp)) == enumerate_zeros_oracle(pp)
+
+
+def zeros_or_escape(pp):
+    """(reports, oracle reports), either one the point of its WindowEscape."""
+    out = []
+    for run in (lambda: report_bytes(enumerate_zeros(pp)), lambda: enumerate_zeros_oracle(pp)):
+        try:
+            out.append(run())
+        except WindowEscape as exc:
+            out.append(("escape", exc.point.tobytes()))
+    return out
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+@st.composite
+def bilinear_sections(draw):
+    """u -> M u + c + u_0 u_1 w: the only curvature is in the mixed term."""
+    def entries(n, bound):
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n)))
+
+    M, c, w = entries(4, 1.5).reshape(2, 2), entries(2, 0.5), entries(2, 3.0)
+    return lambda x: M @ x + c + x[0] * x[1] * w
+
+
+@st.composite
+def linear_changes(draw):
+    """(A, B): a rotation times a shear of the domain, a rotation times an
+    unequal scale of the values, so that no curvature stays on the axes."""
+    angles = st.floats(0.0, 2 * np.pi)
+    A = rotation(draw(angles)) @ np.array([[1.0, draw(st.floats(-0.5, 0.5))], [0.0, 1.0]])
+    B = rotation(draw(angles)) @ np.diag([draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))])
+    return A, B
+
+
+def test_basins_keep_both_zeros_of_a_map_curved_only_in_its_mixed_term():
+    # (x + 2xy, y + 2xy) has the zeros (0, 0), det +1, and (-1/2, -1/2),
+    # det -1, 0.71 apart.  Its second differences along the axes vanish, but
+    # its Jacobian moves along them: L = 4 and both radii are 1/6
+    pp = plane_problem(lambda x: np.array([x[0] + 2 * x[0] * x[1], x[1] + 2 * x[0] * x[1]]))
+    zs = enumerate_zeros(pp)
+    assert report_bytes(zs) == enumerate_zeros_oracle(pp)
+    np.testing.assert_allclose([z.point for z in zs], [[-0.5, -0.5], [0.0, 0.0]], atol=1e-12)
+    assert [z.basin_radius for z in zs] == pytest.approx([1 / 6] * 2)
+    assert compute_degree(pp) == 0
+
+
+@BASIN_SETTINGS
+@given(bilinear_sections(), st.integers(0, 2**31 - 1))
+def test_basins_keep_the_zero_reports_of_bilinear_maps(section, seed):
+    reports, oracle = zeros_or_escape(plane_problem(section, seed))
+    assert reports == oracle
+
+
+@BASIN_SETTINGS
+@given(complex_maps(), linear_changes(), st.integers(0, 2**31 - 1))
+def test_basins_keep_the_zero_reports_of_complex_maps_in_linear_coordinates(cmap, change, seed):
+    # y -> B f(A y): the zeros A^-1 z stay inside the window, |A^-1| < 1.3
+    f, (A, B) = complex_section(*cmap), change
+    reports, oracle = zeros_or_escape(plane_problem(lambda y: B @ f(A @ y), seed))
+    assert reports == oracle
 
 
 @BASIN_SETTINGS
