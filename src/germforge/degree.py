@@ -166,7 +166,8 @@ def _basin_radius(func, x, J, sv, r: float) -> float:
         return 0.0
     beta, n = 1.0 / float(sv[-1]), x.size
     for _ in range(2):
-        d = [np.linalg.norm(fd_jacobian(func, x + r * e) - J) for e in np.vstack([np.eye(n), -np.eye(n)])]
+        with np.errstate(invalid="ignore"):     # inf - inf off a domain: a NaN, no warning
+            d = [np.linalg.norm(fd_jacobian(func, x + r * e) - J) for e in np.vstack([np.eye(n), -np.eye(n)])]
         rl = float(np.hypot.reduce(np.maximum(d[:n], d[n:])))     # r L; np.maximum keeps a NaN
         if not rl < np.inf:
             return 0.0
