@@ -10,8 +10,9 @@ For the tree (default: this checkout) one invocation records
   wall time, the exit codes, and the wall time of each model from the
   events.jsonl of the fastest run,
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
-- the tree's git revision (and whether it had uncommitted changes), the
-  Python, numpy and scipy versions and nproc.
+- the tree's git revision (and whether it had uncommitted changes outside
+  the BENCH_*.json records), the Python, numpy and scipy versions and nproc,
+- the size of the tree's src/: its lines and its settable values.
 
 The record is appended to the label's list in BENCH_<pr>.json at the root of
 this checkout, so one file holds the runs of the parent and of the change,
@@ -22,6 +23,7 @@ to one workload for alternating pairs.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -50,9 +52,38 @@ def _run(args, tree: Path, **kwargs):
 
 
 def revision(tree: Path) -> dict:
+    """HEAD, and whether a tracked file other than a BENCH_*.json record differs from it."""
     head = _run(["git", "rev-parse", "HEAD"], tree).stdout.strip()
-    dirty = bool(_run(["git", "status", "--porcelain", "--untracked-files=no"], tree).stdout.strip())
-    return {"revision": head, "uncommitted_changes": dirty}
+    status = _run(["git", "status", "--porcelain", "--untracked-files=no", "--", ".",
+                   ":(exclude)BENCH_*.json"], tree)
+    return {"revision": head, "uncommitted_changes": bool(status.stdout.strip())}
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters of the module-level functions and of the methods
+    of module-level classes, plus the class fields with a default.  Nested
+    functions and classes are not counted."""
+    def defaults(fn):
+        return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+    count = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += defaults(node)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    count += defaults(item)
+                elif isinstance(item, ast.AnnAssign) and item.value is not None:
+                    count += 1
+    return count
+
+
+def source_size(tree: Path) -> dict:
+    """Lines and settable values of the Python files under the tree's src/."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted((tree / "src").rglob("*.py"))]
+    return {"src_lines": sum(len(t.splitlines()) for t in texts),
+            "settable_values": sum(settable_values(t) for t in texts)}
 
 
 def environment() -> dict:
@@ -135,7 +166,7 @@ def main(argv=None) -> int:
         parser.error(f"{tree} is not a germforge source tree")
 
     record = {**revision(tree), **environment(), "seed": args.seed, "seconds": args.seconds,
-              "started": time.strftime("%Y-%m-%dT%H:%M:%S")}
+              "started": time.strftime("%Y-%m-%dT%H:%M:%S"), "source": source_size(tree)}
     if "workloads" in parts:
         record["workloads"] = {name: workload(tree, name, args.seed, args.seconds) for name in names}
     if "import" in parts:

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import DegenerateSplitting
 
 SV_RELATIVE_CUTOFF = 1e-8
+RANK_BAND_FACTOR = 10.0
 
 
 def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
@@ -32,19 +33,19 @@ def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
     return rank, kernel, coker, s
 
 
-def guard_rank_band(sigma, cutoff: float, band_factor: float = 10.0):
-    """Raise DegenerateSplitting when singular values fall in [cutoff, band*cutoff]."""
+def guard_rank_band(sigma, cutoff: float):
+    """Raise DegenerateSplitting when singular values fall in [cutoff, RANK_BAND_FACTOR * cutoff]."""
     sigma = np.asarray(sigma)
-    bad = sigma[(sigma >= cutoff) & (sigma <= band_factor * cutoff)]
+    bad = sigma[(sigma >= cutoff) & (sigma <= RANK_BAND_FACTOR * cutoff)]
     if bad.size:
         raise DegenerateSplitting(
-            f"singular values {bad} inside ambiguity band [{cutoff:.3e}, {band_factor * cutoff:.3e}]",
+            f"singular values {bad} inside ambiguity band [{cutoff:.3e}, {RANK_BAND_FACTOR * cutoff:.3e}]",
             singular_values=sigma,
         )
 
 
-def is_surjective(T, rel_tol: float = SV_RELATIVE_CUTOFF) -> bool:
-    """Full row rank test: smallest of the first m singular values > rel_tol * largest."""
+def is_surjective(T) -> bool:
+    """Full row rank test: smallest of the first m singular values > SV_RELATIVE_CUTOFF * largest."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
     m, n = T.shape
     if m == 0:
@@ -52,17 +53,17 @@ def is_surjective(T, rel_tol: float = SV_RELATIVE_CUTOFF) -> bool:
     if n < m:
         return False
     s = np.linalg.svd(T, compute_uv=False)
-    return bool(s[m - 1] > rel_tol * max(s[0], 1e-300))
+    return bool(s[m - 1] > SV_RELATIVE_CUTOFF * max(s[0], 1e-300))
 
 
-def fd_jacobian(f, x, h: float | None = None):
+def fd_jacobian(f, x):
     """Central finite-difference Jacobian of f at x, shape (len(f(x)), len(x)),
-    from 2 len(x) evaluations of f (one, to size the result, for an empty x)."""
+    from 2 len(x) evaluations of f (one, to size the result, for an empty x),
+    with step h = 1e-6 (1 + |x|_1)."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return np.zeros((np.atleast_1d(np.asarray(f(x), dtype=float)).size, 0))
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.sum(np.abs(x))))
+    h = 1e-6 * (1.0 + float(np.sum(np.abs(x))))
     columns = []
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -114,25 +115,25 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     return x, res, res <= tol
 
 
-def orthonormal_columns(A, tol: float = 1e-12):
-    """Orthonormal basis of the column span of A (possibly empty)."""
+def orthonormal_columns(A):
+    """Orthonormal basis of the column span of A (possibly empty), relative cutoff 1e-12."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[1] == 0:
         return A.copy()
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
+    rank = int(np.sum(s > 1e-12 * max(s[0] if s.size else 0.0, 1.0)))
     return U[:, :rank]
 
 
-def subspace_intersection(A, B, tol: float = 1e-10):
-    """Orthonormal basis of span(A) ∩ span(B) for column-basis matrices A, B."""
+def subspace_intersection(A, B):
+    """Orthonormal basis of span(A) ∩ span(B) for column bases A, B, relative cutoff 1e-10."""
     A = orthonormal_columns(A)
     B = orthonormal_columns(B)
     if A.shape[1] == 0 or B.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
     # x in both spans: x = A u = B v; solve [A, -B] [u; v] = 0.
     M = np.hstack([A, -B])
-    _, kernel, _, _ = svd_split(M, cutoff_rel=tol)
+    _, kernel, _, _ = svd_split(M, cutoff_rel=1e-10)
     if kernel.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
     return orthonormal_columns(A @ kernel[: A.shape[1], :])

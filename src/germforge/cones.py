@@ -161,7 +161,6 @@ class GoodPositionResult:
     c: float | None = None
     complement: np.ndarray | None = None
     neat: bool = False
-    counterexample: tuple | None = None
 
 
 def _orthogonal_complement(N: SubspaceInQuadrant) -> np.ndarray:
@@ -170,15 +169,15 @@ def _orthogonal_complement(N: SubspaceInQuadrant) -> np.ndarray:
     return orthonormal_columns(proj)
 
 
-def _coordinate_complements(N: SubspaceInQuadrant, limit: int = 40):
-    """Complements spanned by coordinate vectors, when they exist."""
+def _coordinate_complements(N: SubspaceInQuadrant):
+    """Up to 40 complements spanned by coordinate vectors, when they exist."""
     dim, d = N.ambient.dim, N.dim
     out = []
     for subset in itertools.islice(itertools.combinations(range(dim), dim - d), 200):
         E = np.eye(dim)[:, list(subset)]
         if np.linalg.matrix_rank(np.hstack([N.basis, E]), tol=1e-10) == dim:
             out.append(E)
-            if len(out) >= limit:
+            if len(out) >= 40:
                 break
     return out
 

@@ -29,26 +29,26 @@ from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
 from .solution import NEWTON_TOL, SolutionAtlas
 from .spaces import GradedSpace
+from .splicing import local_faces
 
 ZERO_RESIDUAL = 1e-10
 DEDUPE_SEPARATION = 1e-6
 WINDOW_MARGIN = 1e-6
 RETRY_LIMIT = 100
 BASIN_GATE = 1e-4      # sigma_min / sigma_max below which a zero gets no basin
+HOMOTOPY_GRID = 11     # homotopy parameters t sampled by invariance_suite
 
 
 @dataclass(frozen=True)
 class AuxiliaryNorm:
     """Fiberwise budget norm: the level-1 weighted norm of the fiber part,
-    optionally modulated by a positive weight over the base."""
+    the same over every base point x."""
 
     fiber_space: GradedSpace
-    base_weight: object = None
 
     def __call__(self, x, h) -> float:
         h = np.asarray(h, dtype=float)
-        w = 1.0 if self.base_weight is None else float(self.base_weight(np.asarray(x, dtype=float)))
-        return w * self.fiber_space.level_norm(h, min(1, self.fiber_space.levels))
+        return self.fiber_space.level_norm(h, min(1, self.fiber_space.levels))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ class PerturbationProblem:
     rng_seed: int = 0
     quadrant_rank: int = 0
     grid_starts: int = 64
-    fiber_projection: object = None     # rho(x) -> matrix; identity when None
 
     def evaluate(self, x, extra=None):
         val = np.atleast_1d(np.asarray(self.section(np.asarray(x, dtype=float)), dtype=float))
@@ -140,8 +139,7 @@ def make_bump_section(x0, h0, region_radius: float, eps: float,
     def support(y):
         return float(np.linalg.norm(np.asarray(y, dtype=float) - x0)) < region_radius
 
-    return ScPlusSection(section=section, levels=levels, support=support,
-                         marked_values={tuple(x0): h0})
+    return ScPlusSection(section=section, levels=levels, support=support)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,8 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     quadratic maps; a Jacobian that varies far more between the samples than
     at them can give a basin that swallows another zero or a window escape.
     """
-    extra = (lambda x: s(x)) if s is not None else None
-
     def func(x):
-        return pp.evaluate(x, extra)
+        return pp.evaluate(x, s)
 
     d = pp.window.dim
     starts = [np.asarray(p, dtype=float) for p in pp.seeds]
@@ -247,23 +243,16 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     return zeros
 
 
-def _boundary_tangent(pp: PerturbationProblem, x, tol=1e-9):
-    """Basis of the intersection of the active face tangents at x."""
-    d = pp.window.dim
-    active = [i for i in range(pp.quadrant_rank) if abs(x[i]) <= tol]
-    keep = [i for i in range(d) if i not in active]
-    return np.eye(d)[:, keep], active
-
-
 def _transversality_ok(pp: PerturbationProblem, zero: ZeroReport, mode: str) -> tuple[bool, float]:
-    """Rank checks at one zero; returns (ok, worst margin)."""
+    """Rank checks at one zero; returns (ok, rank gap), the gap 1.0 when ok."""
     if not zero.surjective:
         sv = zero.singular_values
         gap = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
         return False, gap
-    worst = 1.0
     if mode == "full_boundary" and pp.quadrant_rank:
-        tangent, active = _boundary_tangent(pp, zero.point)
+        faces = local_faces(zero.point, GradedSpace(dim=pp.window.dim, quadrant_rank=pp.quadrant_rank))
+        tangent = faces.boundary_tangent_basis
+        active = [face.constraint_index for face in faces.faces]
         if active:
             d = pp.window.dim
             stacked = np.hstack([zero.kernel_basis, tangent])
@@ -285,7 +274,7 @@ def _transversality_ok(pp: PerturbationProblem, zero: ZeroReport, mode: str) -> 
                     stacked_face = np.hstack([ker_face, boundary_cols])
                     if np.linalg.matrix_rank(stacked_face, tol=1e-8) < len(keep):
                         return False, 0.0
-    return True, worst
+    return True, 1.0
 
 
 @dataclass(frozen=True)
@@ -359,8 +348,7 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
             h = rng.normal(size=out_dim)
             h /= max(pp.aux_norm(anchor, h), 1e-12)
             h *= 0.45 * pp.budget
-            bumps.append(make_bump_section(anchor, h, radius, pp.budget, pp.aux_norm,
-                                           levels, pp.fiber_projection))
+            bumps.append(make_bump_section(anchor, h, radius, pp.budget, pp.aux_norm, levels))
     if not bumps:
         raise RetryExhausted(
             "no admissible bump anchors: every degenerate zero sits on the boundary, "
@@ -437,24 +425,23 @@ class InvarianceReport:
     seed: int
 
 
-def invariance_suite(pp: PerturbationProblem, trials: int = 10,
-                     homotopy_shift=None, homotopy_grid: int = 11,
-                     mode: str = "interior_only") -> InvarianceReport:
-    """Degree stability across independent perturbations and a homotopy.
+def invariance_suite(pp: PerturbationProblem, trials: int = 10, homotopy_shift=None) -> InvarianceReport:
+    """Degree stability across independent interior-only perturbations and a
+    homotopy.
 
     Each trial owns the derived RNG stream (seed, trial).  When
     `homotopy_shift` is supplied (a callable t, x -> fiber vector), the
-    degree is also computed along f + shift_t on a t-grid, skipping
+    degree is also computed along f + shift_t on HOMOTOPY_GRID evenly spaced
+    t in [0, 1], skipping
     non-transversal grid points after retries.  Any disagreement raises
     InvarianceViolation with full diagnostics.
     """
-    base_outcome = generic_perturbation(pp, mode)
-    base_degree = compute_degree(pp, mode=mode, outcome=base_outcome)
+    base_degree = compute_degree(pp)
     trial_degrees = []
     for trial in range(trials):
         derived = int(np.random.SeedSequence((pp.rng_seed, trial)).generate_state(1)[0])
         pp_t = replace(pp, rng_seed=derived)
-        deg = compute_degree(pp_t, mode=mode)
+        deg = compute_degree(pp_t)
         trial_degrees.append(deg)
         if deg != base_degree:
             raise InvarianceViolation(
@@ -463,11 +450,11 @@ def invariance_suite(pp: PerturbationProblem, trials: int = 10,
             )
     homotopy_degrees = []
     if homotopy_shift is not None:
-        for i, t in enumerate(np.linspace(0.0, 1.0, homotopy_grid)):
+        for i, t in enumerate(np.linspace(0.0, 1.0, HOMOTOPY_GRID)):
             shifted = replace(pp, section=(lambda x, _t=t: pp.evaluate(x) + np.atleast_1d(homotopy_shift(_t, x))),
                               rng_seed=pp.rng_seed + 1000 + i)
             try:
-                deg = compute_degree(shifted, mode=mode)
+                deg = compute_degree(shifted)
             except RetryExhausted:
                 continue
             homotopy_degrees.append((float(t), deg))
@@ -516,6 +503,8 @@ def _chart_orientation_sign(chart, t) -> int:
 
 # a chart covers x when its graph passes within this distance of x
 COVER_TOL = 1e-7
+# cells are clipped at this share of their chart's radius
+SUPPORT_SCALE = 0.95
 
 
 def _covering_u(chart, x) -> float:
@@ -801,24 +790,24 @@ class _Cell:
         return out
 
 
-def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
-                   reference: OrientationReference = AMBIENT_REFERENCE,
-                   nodes_per_axis: int = 32, support_scale: float = 0.95,
-                   jacobian_at=None, cover_points=None) -> float:
+def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis: int = 32,
+                   cover_points=None) -> float:
     """Chart-wise pullback-and-quadrature of a form over an oriented atlas.
 
     The charts of the form's dimension split the solution set into cells:
     chart i integrates only over the points it covers where
     u_i = |t_i| / radius_i is smallest among the covering charts, clipped to
-    u_i <= support_scale.  Each cell is integrated by one polar
+    u_i <= SUPPORT_SCALE.  Each cell is integrated by one polar
     Gauss-Legendre rule in its chart coordinates, nodes_per_axis**k nodes
     per chart, radially on [0, rho(e)] with weight rho**(k-1).  For k = 1 the
     two rays e = +-1 join into one interval [-rho(-1), rho(1)] (rho = 0 on
     a ray outside a boundary chart's half-line); for k = 2 the angles are
     split at the cell's corners and at the sector edges of a boundary chart.
     The integrand is smooth on each piece, so the rule converges
-    spectrally.  Components whose dimension does not match the
-    form degree contribute zero.  Supports k <= 2.  When `cover_points`
+    spectrally.  A 0-dimensional chart contributes its point's sign in the
+    ambient orientation times the form's value there.  Components whose
+    dimension does not match the form degree contribute zero.  Supports
+    k <= 2.  When `cover_points`
     (samples of the solution set, e.g. from zero enumeration) are supplied,
     `atlas_covers_points` must hold for them, else AtlasIncomplete is raised.
     """
@@ -826,7 +815,7 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
         raise DimensionUnsupported(f"form degree {omega.degree} > 2")
     if not atlas.charts:
         raise AtlasIncomplete("empty atlas")
-    if cover_points is not None and not atlas_covers_points(atlas, cover_points, support_scale):
+    if cover_points is not None and not atlas_covers_points(atlas, cover_points):
         raise AtlasIncomplete("charts do not cover the supplied solution samples")
 
     total = 0.0
@@ -835,18 +824,15 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm,
         k = chart.dim
         if k == 0:
             x = chart.gamma(np.zeros(0))
-            jac = jacobian_at if jacobian_at is not None else (lambda p, _c=chart: _c.jacobian(p))
-            total += sign_of_zero(jac, x, reference) * float(omega.coeff(x))
+            total += sign_of_zero(chart.jacobian, x) * float(omega.coeff(x))
             continue
-        if reference.kind != "ambient":
-            raise ValueError("positive-dimensional integration uses the ambient reference orientation")
         sign = _chart_orientation_sign(chart, np.zeros(k))
-        cell = _Cell(chart, charts[:i] + charts[i + 1:], support_scale * chart.radius)
+        cell = _Cell(chart, charts[:i] + charts[i + 1:], SUPPORT_SCALE * chart.radius)
         for t, w in cell.nodes(nodes_per_axis):
             total += sign * w * omega.pullback(chart.gamma(t), chart.kernel_transport(t))
     return total
 
 
-def atlas_covers_points(atlas: SolutionAtlas, points, support_scale: float = 0.95) -> bool:
-    """Every point must be covered by some chart with u = |t| / radius < support_scale."""
-    return all(any(_covering_u(c, p) < support_scale for c in atlas.charts) for p in points)
+def atlas_covers_points(atlas: SolutionAtlas, points) -> bool:
+    """Every point must be covered by some chart with u = |t| / radius < SUPPORT_SCALE."""
+    return all(any(_covering_u(c, p) < SUPPORT_SCALE for c in atlas.charts) for p in points)

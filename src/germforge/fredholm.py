@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import fd_jacobian, guard_rank_band, svd_split
+from ._linalg import SV_RELATIVE_CUTOFF, fd_jacobian, guard_rank_band, svd_split
 from .errors import MismatchAtPoint
 from .germs import ContractionGerm, SamplingPlan, shrink_to_contraction
 from .spaces import GradedSpace
@@ -92,26 +92,24 @@ def fredholm_index(bg: BasicGerm) -> int:
     return bg.n - bg.N
 
 
-def index_from_linearization(J, cutoff_rel: float = 1e-8) -> int:
+def index_from_linearization(J) -> int:
     """dim ker - dim coker of a dense matrix, for cross-checks."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    rank, kernel, coker, _ = svd_split(J, cutoff_rel)
+    rank, kernel, coker, _ = svd_split(J)
     return kernel.shape[1] - coker.shape[1]
 
 
 @dataclass(frozen=True)
 class ScPlusSection:
-    """A level-raising section with bounded support and pinned smooth values.
+    """A level-raising section with bounded support.
 
     Outputs are one level more regular than inputs (capped at the top level):
-    output_level(m) = min(m + 1, M).  `marked_values` pins exact values at
-    distinguished points, e.g. the bump construction's s(x0) = h0.
+    output_level(m) = min(m + 1, M).
     """
 
     section: object
     levels: int
     support: object = None
-    marked_values: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return np.atleast_1d(np.asarray(self.section(np.asarray(x, dtype=float)), dtype=float))
@@ -149,8 +147,7 @@ class NormalFormReport:
     splitting_singular_values: np.ndarray
 
 
-def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, rank_cutoff_rel: float = 1e-8,
-                        grid: SamplingPlan | None = None):
+def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | None = None):
     """Recast g + s as a basic germ of the same index.
 
     Construction: A = P D2s(0) on W; split 1 + A as C ⊕ X -> R ⊕ Z with
@@ -172,16 +169,13 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, rank_cutoff_rel: float 
     wdim = bg.W.dim
     n, k, N = bg.n, bg.k, bg.N
 
-    def s_eval(x):
-        return s(x)
-
-    Ds0 = fd_jacobian(s_eval, np.zeros(bg.domain_dim))
+    Ds0 = fd_jacobian(s, np.zeros(bg.domain_dim))
     A = Ds0[bg.N:, n:]                      # P D2 s(0): W -> W
     one_plus_A = np.eye(wdim) + A
 
     U, sv, Vt = np.linalg.svd(one_plus_A) if wdim else (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
     smax = sv[0] if sv.size else 1.0
-    cutoff = rank_cutoff_rel * max(smax, 1.0)
+    cutoff = SV_RELATIVE_CUTOFF * max(smax, 1.0)
     guard_rank_band(sv, cutoff)
     rank = int(np.sum(sv > cutoff))
     X_basis = Vt[:rank].T                   # complement of the kernel in W

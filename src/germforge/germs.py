@@ -28,6 +28,8 @@ DEFAULT_MAX_ITER = 10_000
 DEFAULT_TOL = 1e-12
 # slack over exact monotone decay to tolerate roundoff near the floating floor
 RATIO_SLACK = 1e-12
+# the sampled ratio below which shrink_to_contraction certifies a radius
+TARGET_RATIO = 0.9
 
 
 @dataclass(frozen=True)
@@ -36,16 +38,14 @@ class ContractionGerm:
 
     B takes (v, u) as 1-d float arrays and returns a solution_space vector.
     contraction_schedule maps level m -> (rho_m, r_m) with 0 < rho_m < 1 and
-    neighborhood radius r_m > 0.  d1 and d2 are optional Jacobian callables
-    (v, u) -> matrix; central finite differences are used when absent.
+    neighborhood radius r_m > 0.  The Jacobians d1B and d2B are central
+    finite differences.
     """
 
     parameter_space: GradedSpace
     solution_space: GradedSpace
     B: object
     contraction_schedule: dict = field(default_factory=dict)
-    d1: object = None
-    d2: object = None
 
     def __post_init__(self):
         for m, (rho, r) in self.contraction_schedule.items():
@@ -63,20 +63,12 @@ class ContractionGerm:
 
     def d1B(self, v, u):
         """Jacobian of B in the parameter slot, shape (solution_dim, parameter_dim)."""
-        if self.d1 is not None:
-            return np.atleast_2d(np.asarray(self.d1(v, u), dtype=float)).reshape(
-                self.solution_space.dim, self.parameter_space.dim
-            )
         return fd_jacobian(lambda vv: self.evaluate(vv, u), np.asarray(v, float)).reshape(
             self.solution_space.dim, self.parameter_space.dim
         )
 
     def d2B(self, v, u):
         """Jacobian of B in the solution slot, shape (solution_dim, solution_dim)."""
-        if self.d2 is not None:
-            return np.atleast_2d(np.asarray(self.d2(v, u), dtype=float)).reshape(
-                self.solution_space.dim, self.solution_space.dim
-            )
         return fd_jacobian(lambda uu: self.evaluate(v, uu), np.asarray(u, float)).reshape(
             self.solution_space.dim, self.solution_space.dim
         )
@@ -157,12 +149,10 @@ def germ_derivative(germ: ContractionGerm, v, tol: float = DEFAULT_TOL, m: int =
 
 @dataclass(frozen=True)
 class SolutionGerm:
-    """Cached evaluators v -> delta(v) and v -> delta'(v) for a germ."""
+    """Cached evaluators v -> delta(v) and v -> delta'(v) for a germ, at level 0."""
 
     germ: ContractionGerm
-    level: int = 0
     tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     _cache: dict = field(default_factory=dict, repr=False)
 
     def _key(self, v):
@@ -172,7 +162,7 @@ class SolutionGerm:
         key = self._key(v)
         hit = self._cache.get(key)
         if hit is None:
-            hit = solve_germ(self.germ, v, m=self.level, tol=self.tol, max_iter=self.max_iter)
+            hit = solve_germ(self.germ, v, tol=self.tol)
             self._cache[key] = hit
         return hit
 
@@ -180,7 +170,7 @@ class SolutionGerm:
         key = ("d", self._key(v))
         hit = self._cache.get(key)
         if hit is None:
-            hit = germ_derivative(self.germ, v, tol=self.tol, m=self.level)
+            hit = germ_derivative(self.germ, v, tol=self.tol)
             self._cache[key] = hit
         return hit
 
@@ -233,8 +223,8 @@ def tangent_germ(germ: ContractionGerm, solution: SolutionGerm | None = None) ->
 def iterate_tangent(germ: ContractionGerm, solution: SolutionGerm | None = None, j: int = 1) -> ContractionGerm:
     """j-fold tangent lift; j = 0 returns the input germ unchanged.
 
-    Jacobians beyond the user-supplied order fall back to finite differences,
-    so accuracy degrades with j (j <= 2 is supported at full tolerance).
+    Each lift's Jacobians are finite differences of the one below, so
+    accuracy degrades with j (j <= 2 is supported at full tolerance).
     """
     if j < 0:
         raise ValueError("order j must be nonnegative")
@@ -307,37 +297,36 @@ def verify_contraction(germ: ContractionGerm, m: int = 0, grid: SamplingPlan | N
     return ContractionReport(level=m, max_ratio=max_ratio, samples=count, radius=r, passed=max_ratio < 1.0)
 
 
-def shrink_to_contraction(germ: ContractionGerm, m: int = 0, target_ratio: float = 0.9,
-                          start_radius: float = 1.0, max_bisections: int = 40,
-                          grid: SamplingPlan | None = None):
-    """Bisect the sampling radius until the empirical ratio is below target.
+def shrink_to_contraction(germ: ContractionGerm, m: int = 0, start_radius: float = 1.0,
+                          max_bisections: int = 40, grid: SamplingPlan | None = None):
+    """Bisect the sampling radius until the empirical ratio is below TARGET_RATIO.
 
     Returns (certified ContractionGerm with the schedule entry set, report).
     Raises NonConvergence, with the last ratio as residual, after
-    max_bisections, or as soon as the ratios stall above target: the sizes
+    max_bisections, or as soon as the ratios stall above it: the sizes
     of their changes decay geometrically, too fast to take them below it.
     """
     base = grid or SamplingPlan()
     radius = start_radius
     ratios = []
     for _ in range(max_bisections):
-        trial = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (min(target_ratio, 0.999), radius)})
+        trial = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (TARGET_RATIO, radius)})
         report = verify_contraction(trial, m=m, grid=base)
-        if report.max_ratio < target_ratio:
+        if report.max_ratio < TARGET_RATIO:
             certified_rho = max(min(report.max_ratio, 0.999), 1e-12)
             out = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (certified_rho, radius)})
             return out, report
         ratios.append(report.max_ratio)
         floor = _ratio_floor(ratios)
-        if floor is not None and floor >= target_ratio:
+        if floor is not None and floor >= TARGET_RATIO:
             raise NonConvergence(
                 f"contraction ratio stalled at {ratios[-1]:.6g} after {len(ratios)} bisections: "
-                f"its decaying changes keep it above {floor:.6g} >= {target_ratio}",
+                f"its decaying changes keep it above {floor:.6g} >= {TARGET_RATIO}",
                 residual=ratios[-1],
             )
         radius /= 2.0
     raise NonConvergence(
-        f"no radius with contraction ratio < {target_ratio} found after {max_bisections} bisections",
+        f"no radius with contraction ratio < {TARGET_RATIO} found after {max_bisections} bisections",
         residual=ratios[-1] if ratios else None,
     )
 

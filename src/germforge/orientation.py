@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import orthonormal_columns, svd_split
+from ._linalg import SV_RELATIVE_CUTOFF, orthonormal_columns, svd_split
 from .errors import (
     GridTooCoarse,
     NotSurjectiveAfterProjection,
     Singular,
 )
 
-SV_CUTOFF_REL = 1e-8
 FRAME_JUMP_BOUND = 0.5
 
 
@@ -37,7 +36,6 @@ class DeterminantLine:
     kernel_basis: np.ndarray
     cokernel_basis: np.ndarray
     sign: int = 1
-    sv_cutoff: float = SV_CUTOFF_REL
 
     @property
     def kernel_dim(self) -> int:
@@ -48,12 +46,11 @@ class DeterminantLine:
         return self.cokernel_basis.shape[1]
 
 
-def determinant_line(T, sign: int = 1, cutoff_rel: float = SV_CUTOFF_REL) -> DeterminantLine:
+def determinant_line(T, sign: int = 1) -> DeterminantLine:
     """SVD kernel and cokernel bases of T packaged with an orientation sign."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
-    _, kernel, coker, _ = svd_split(T, cutoff_rel)
-    return DeterminantLine(operator=T, kernel_basis=kernel, cokernel_basis=coker,
-                           sign=int(np.sign(sign)), sv_cutoff=cutoff_rel)
+    _, kernel, coker, _ = svd_split(T)
+    return DeterminantLine(operator=T, kernel_basis=kernel, cokernel_basis=coker, sign=int(np.sign(sign)))
 
 
 def natural_orientation(T) -> DeterminantLine:
@@ -105,7 +102,7 @@ def stabilize(dl: DeterminantLine, P) -> StabilizationResult:
     F_dim = T.shape[0]
     PT = P @ T
     rank_P = int(np.round(np.trace(P)))
-    rank_PT, ker_PT, _, sv = svd_split(PT, dl.sv_cutoff)
+    rank_PT, ker_PT, _, sv = svd_split(PT)
     if rank_PT != rank_P:
         raise NotSurjectiveAfterProjection(
             f"PT has rank {rank_PT}, expected the projection rank {rank_P}"
@@ -173,14 +170,13 @@ class OrientationTransport:
 SUSPECT_SV_REL = 0.05
 
 
-def common_projection(operators, cutoff_rel: float = SV_CUTOFF_REL,
-                      suspect_rel: float = SUSPECT_SV_REL):
+def common_projection(operators):
     """A projection P with PT_t surjective onto range(P) for all samples.
 
     First tries the complement of coker(T_0); on failure accumulates
     near-cokernel directions over the grid and projects along their joint
     span.  Accumulation is deliberately generous (any singular direction
-    below suspect_rel of the path's largest singular value contributes):
+    below SUSPECT_SV_REL of the path's largest singular value contributes):
     over-projecting is harmless because the stabilized sign is independent
     of the admissible projection, while under-projecting near an
     between-samples crossing would silently flip it.
@@ -196,26 +192,26 @@ def common_projection(operators, cutoff_rel: float = SV_CUTOFF_REL,
         pt_svs = [np.linalg.svd(P @ T, compute_uv=False) for T in ops]
         worst = np.inf
         for s in pt_svs:
-            if s.size < rank_P or (rank_P and s[rank_P - 1] <= cutoff_rel * max(s[0], 1.0)):
+            if s.size < rank_P or (rank_P and s[rank_P - 1] <= SV_RELATIVE_CUTOFF * max(s[0], 1.0)):
                 return None, pt_svs
             if rank_P:
                 worst = min(worst, s[rank_P - 1])
         return (worst if np.isfinite(worst) else 1.0), pt_svs
 
     U0, s0, _ = svds[0]
-    rank0 = int(np.sum(s0 > cutoff_rel * max(s0[0] if s0.size else 0.0, 1.0)))
+    rank0 = int(np.sum(s0 > SV_RELATIVE_CUTOFF * max(s0[0] if s0.size else 0.0, 1.0)))
     P0 = np.eye(F_dim) - U0[:, rank0:] @ U0[:, rank0:].T
     rank_P0 = int(np.round(np.trace(P0)))
     worst, pt_svs = admissible(P0)
     if worst is not None and all(
-        s[rank_P0 - 1] > suspect_rel * max(sv[0], 1.0)
+        s[rank_P0 - 1] > SUSPECT_SV_REL * max(sv[0], 1.0)
         for s, (_, sv, _) in zip(pt_svs, svds) if rank_P0
     ):
         return P0, worst
     scale = max(max(sv[0] for _, sv, _ in svds), 1.0)
     pieces = []
     for T, (U, s, _) in zip(ops, svds):
-        low = U[:, [i for i in range(min(T.shape)) if s[i] <= suspect_rel * scale]]
+        low = U[:, [i for i in range(min(T.shape)) if s[i] <= SUSPECT_SV_REL * scale]]
         tail = U[:, min(T.shape):]
         if low.size or tail.size:
             pieces.append(np.hstack([low, tail]) if tail.size else low)
@@ -229,9 +225,9 @@ def common_projection(operators, cutoff_rel: float = SV_CUTOFF_REL,
     return P, worst
 
 
-def build_transport(operators, grid=None, cutoff_rel: float = SV_CUTOFF_REL) -> OrientationTransport:
+def build_transport(operators, grid=None) -> OrientationTransport:
     ops = tuple(np.atleast_2d(np.asarray(T, dtype=float)) for T in operators)
-    P, worst = common_projection(ops, cutoff_rel)
+    P, worst = common_projection(ops)
     if grid is None:
         grid = tuple(np.linspace(0.0, 1.0, len(ops)))
     return OrientationTransport(operators=ops, projection=P, min_sv=worst, grid=tuple(grid))
@@ -240,17 +236,16 @@ def build_transport(operators, grid=None, cutoff_rel: float = SV_CUTOFF_REL) -> 
 def _transport_frames(transport: OrientationTransport):
     """Parallel-transport an orthonormal kernel frame along the path.
 
-    Returns (start SVD basis, final frame).  Each step projects the previous
+    Returns the final frame; the first is the SVD basis of ker(P T_0) that
+    the stabilization at 0 uses.  Each step projects the previous
     frame onto the next kernel and re-orthonormalizes with a positive-diagonal
     QR, so the frame itself carries the transported orientation.
     """
     P = transport.projection
     frames = None
-    start_basis = None
     for T in transport.operators:
         _, ker, _, _ = svd_split(P @ T)
         if frames is None:
-            start_basis = ker
             frames = ker
             continue
         if ker.shape[1] != frames.shape[1]:
@@ -272,7 +267,7 @@ def _transport_frames(transport: OrientationTransport):
             frames = new_frame
         else:
             frames = ker
-    return start_basis, frames
+    return frames
 
 
 def continue_orientation(transport: OrientationTransport, start_sign: int = 1) -> int:
@@ -289,8 +284,7 @@ def continue_orientation(transport: OrientationTransport, start_sign: int = 1) -
     stab0 = stabilize(dl0, P)
     stab1 = stabilize(dl1, P)
 
-    start_basis, final_frame = _transport_frames(transport)
-    del start_basis  # the initial frame is the SVD basis used by stab0
+    final_frame = _transport_frames(transport)
     if final_frame.shape[1]:
         M = stab1.kernel_basis.T @ final_frame
         transport_sign = _sign_det(M)
@@ -336,7 +330,7 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
     Jx = np.atleast_2d(np.asarray(jacobian_at(x), dtype=float))
     det = np.linalg.det(Jx)
     s = np.linalg.svd(Jx, compute_uv=False)
-    if s[-1] <= SV_CUTOFF_REL * max(s[0], 1.0):
+    if s[-1] <= SV_RELATIVE_CUTOFF * max(s[0], 1.0):
         raise Singular("linearization at the zero is not invertible")
     if reference.kind == "ambient":
         return 1 if det > 0 else -1
@@ -346,7 +340,7 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
     Jb = np.atleast_2d(np.asarray(jacobian_at(base), dtype=float))
     det_b = np.linalg.det(Jb)
     sb = np.linalg.svd(Jb, compute_uv=False)
-    if sb[-1] <= SV_CUTOFF_REL * max(sb[0], 1.0):
+    if sb[-1] <= SV_RELATIVE_CUTOFF * max(sb[0], 1.0):
         raise Singular("linearization at the reference zero is not invertible")
     return (1 if det > 0 else -1) * (1 if det_b > 0 else -1)
 

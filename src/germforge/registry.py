@@ -23,27 +23,30 @@ from .splicing import (
     StrongBundleSplicing,
 )
 
+# the top level of every registry model's graded spaces
+LEVELS = 3
 
-def cos_germ(amplitude: float = 0.25, levels: int = 3) -> ContractionGerm:
-    """B(v, u) = amplitude*cos(u) + v, the workhorse scalar contraction germ."""
-    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
-    sol = GradedSpace(dim=1, levels=levels, weights=np.array([2.0]))
-    schedule = {m: (amplitude, 1.0) for m in range(levels + 1)}
+
+def cos_germ() -> ContractionGerm:
+    """B(v, u) = cos(u)/4 + v, the workhorse scalar contraction germ."""
+    param = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
+    sol = GradedSpace(dim=1, levels=LEVELS, weights=np.array([2.0]))
+    schedule = {m: (0.25, 1.0) for m in range(LEVELS + 1)}
     return ContractionGerm(
         parameter_space=param,
         solution_space=sol,
-        B=lambda v, u: amplitude * np.cos(u) + v,
+        B=lambda v, u: 0.25 * np.cos(u) + v,
         contraction_schedule=schedule,
     )
 
 
-def linear_germ(alpha: float = 0.5, beta: float = 1.0, levels: int = 3) -> ContractionGerm:
+def linear_germ(alpha: float = 0.5, beta: float = 1.0) -> ContractionGerm:
     """B(v, u) = alpha*u + beta*v with |alpha| < 1; delta(v) = beta v/(1-alpha)."""
     if not abs(alpha) < 1:
         raise ValueError("alpha must have modulus < 1")
-    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
-    sol = GradedSpace(dim=1, levels=levels, weights=np.array([1.5]))
-    schedule = {m: (max(abs(alpha), 1e-6), 2.0) for m in range(levels + 1)}
+    param = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
+    sol = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.5]))
+    schedule = {m: (max(abs(alpha), 1e-6), 2.0) for m in range(LEVELS + 1)}
     return ContractionGerm(
         parameter_space=param,
         solution_space=sol,
@@ -52,10 +55,10 @@ def linear_germ(alpha: float = 0.5, beta: float = 1.0, levels: int = 3) -> Contr
     )
 
 
-def rotating_line_model(levels: int = 3, radius: float = 1.2) -> SplicingModel:
+def rotating_line_model(radius: float = 1.2) -> SplicingModel:
     """pi_v = orthogonal projection onto span(cos v, sin v) in the plane."""
-    param = GradedSpace(dim=1, levels=levels, weights=np.array([1.0]))
-    E = GradedSpace(dim=2, levels=levels)
+    param = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
+    E = GradedSpace(dim=2, levels=LEVELS)
 
     def pi(v):
         c, s = np.cos(v[0]), np.sin(v[0])
@@ -65,27 +68,21 @@ def rotating_line_model(levels: int = 3, radius: float = 1.2) -> SplicingModel:
     return SplicingModel(param_space=param, E=E, pi=pi, radius=radius)
 
 
-def rotating_line_filled_section(target_angle_gain: float = 1.0,
-                                 magnitude: object = None,
-                                 levels: int = 3) -> FilledSection:
+def rotating_line_filled_section() -> FilledSection:
     """Section pi_v e - c(v) over the rotating-line core, filled by the
     complementary projection.
 
-    c(v) = g(v) * (cos v, sin v) with a strictly positive profile g, so the
-    zero set is the curve (v, g(v) u(v)) and the filled map is e - c(v).
+    c(v) = g(v) * (cos v, sin v) with the strictly positive profile
+    g(v) = 1 + 0.3 sin v, so the zero set is the curve (v, g(v) u(v)) and the
+    filled map is e - c(v).
     """
-    model = rotating_line_model(levels=levels)
+    model = rotating_line_model()
     core = SplicingCore(model=model)
-    F = GradedSpace(dim=2, levels=levels)
+    F = GradedSpace(dim=2, levels=LEVELS)
     bundle = StrongBundleSplicing(base=core, F=F, rho=lambda v, e: model.projection(v))
-    mag = magnitude if magnitude is not None else (lambda v: 1.0 + 0.3 * np.sin(v))
-
-    def direction(v):
-        ang = target_angle_gain * v[0]
-        return np.array([np.cos(ang), np.sin(ang)])
 
     def c_of_v(v):
-        return mag(v[0]) * direction(v)
+        return (1.0 + 0.3 * np.sin(v[0])) * np.array([np.cos(v[0]), np.sin(v[0])])
 
     def section(v, e):
         return model.projection(v) @ e - c_of_v(v)
@@ -97,51 +94,49 @@ def rotating_line_filled_section(target_angle_gain: float = 1.0,
     return FilledSection(section=section, filler=filler)
 
 
-def rotating_line_basic_germ(levels: int = 3, **kwargs) -> BasicGerm:
+def rotating_line_basic_germ() -> BasicGerm:
     """The rotating-line filled map e - c(v) as a basic germ: n=1, N=0, W=R^2."""
-    fs = rotating_line_filled_section(levels=levels, **kwargs)
+    fs = rotating_line_filled_section()
 
     def g(x):
         return fs.evaluate(x[:1], x[1:])
 
-    W = GradedSpace(dim=2, levels=levels)
-    schedule = {m: (1e-6, 1.0) for m in range(levels + 1)}
+    W = GradedSpace(dim=2, levels=LEVELS)
+    schedule = {m: (1e-6, 1.0) for m in range(LEVELS + 1)}
     return BasicGerm(n=1, k=0, N=0, W=W, g=g, contraction_schedule=schedule)
 
 
-def circle_section(radius: float = 1.0):
-    """f(x, y) = x^2 + y^2 - radius^2, zeros on the circle."""
-    def f(x):
-        return np.array([x[0] ** 2 + x[1] ** 2 - radius**2])
-    return f
+def circle_section(x):
+    """f(x, y) = x^2 + y^2 - 1, zeros on the unit circle."""
+    return np.array([x[0] ** 2 + x[1] ** 2 - 1.0])
 
 
-def circle_basic_germ(levels: int = 3) -> BasicGerm:
-    W = GradedSpace(dim=0, levels=levels)
-    return BasicGerm(n=2, k=0, N=1, W=W, g=circle_section())
+def circle_basic_germ() -> BasicGerm:
+    W = GradedSpace(dim=0, levels=LEVELS)
+    return BasicGerm(n=2, k=0, N=1, W=W, g=circle_section)
 
 
-def parabola_corner_germ(levels: int = 3) -> BasicGerm:
+def parabola_corner_germ() -> BasicGerm:
     """f(x, y) = y - x^2 on [0,inf) ⊕ R, corner zero at the origin."""
-    W = GradedSpace(dim=0, levels=levels)
+    W = GradedSpace(dim=0, levels=LEVELS)
     return BasicGerm(n=2, k=1, N=1, W=W, g=lambda x: np.array([x[1] - x[0] ** 2]))
 
 
-def diagonal_line_germ(levels: int = 3) -> BasicGerm:
+def diagonal_line_germ() -> BasicGerm:
     """f(x, y) = y - x on [0,inf) ⊕ R with a neat kernel at the origin."""
-    W = GradedSpace(dim=0, levels=levels)
+    W = GradedSpace(dim=0, levels=LEVELS)
     return BasicGerm(n=2, k=1, N=1, W=W, g=lambda x: np.array([x[1] - x[0]]))
 
 
-def quadrant_plane_germ(levels: int = 3) -> BasicGerm:
+def quadrant_plane_germ() -> BasicGerm:
     """f(x, y, z) = z - x - y on [0,inf)^2 ⊕ R, order-2 corner at the origin."""
-    W = GradedSpace(dim=0, levels=levels)
+    W = GradedSpace(dim=0, levels=LEVELS)
     return BasicGerm(n=3, k=2, N=1, W=W, g=lambda x: np.array([x[2] - x[0] - x[1]]))
 
 
 def cubic_problem(seed: int = 0, budget: float = 0.1) -> PerturbationProblem:
     """x^3 - x on [-2, 2]: zeros -1, 0, 1 with signs +, -, +."""
-    fiber = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
+    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
     return PerturbationProblem(
         section=lambda x: np.array([x[0] ** 3 - x[0]]),
         window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
@@ -154,7 +149,7 @@ def cubic_problem(seed: int = 0, budget: float = 0.1) -> PerturbationProblem:
 
 def square_minus_one_problem(seed: int = 0, budget: float = 0.1) -> PerturbationProblem:
     """x^2 - 1 on [-2, 2]: zeros -1, 1 with signs -, +; degree 0."""
-    fiber = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
+    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
     return PerturbationProblem(
         section=lambda x: np.array([x[0] ** 2 - 1.0]),
         window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
@@ -166,7 +161,7 @@ def square_minus_one_problem(seed: int = 0, budget: float = 0.1) -> Perturbation
 
 
 def identity_problem(seed: int = 0) -> PerturbationProblem:
-    fiber = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
+    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
     return PerturbationProblem(
         section=lambda x: np.array([x[0]]),
         window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
@@ -178,7 +173,7 @@ def identity_problem(seed: int = 0) -> PerturbationProblem:
 
 def boundary_parabola_problem(seed: int = 0) -> PerturbationProblem:
     """y - x^2 on [0,inf) ⊕ R inside the unit window; index 1 with a corner."""
-    fiber = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
+    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
     return PerturbationProblem(
         section=lambda x: np.array([x[1] - x[0] ** 2]),
         window=Window(lo=np.array([0.0, -1.0]), hi=np.array([1.0, 1.0])),
@@ -189,37 +184,36 @@ def boundary_parabola_problem(seed: int = 0) -> PerturbationProblem:
     )
 
 
-def diag_plane_subspace(levels: int = 3) -> cones.SubspaceInQuadrant:
+def diag_plane_subspace() -> cones.SubspaceInQuadrant:
     """span{(1,0,1), (0,1,1)} inside [0,inf)^3: a full quadrant with 2 rays."""
-    ambient = GradedSpace(dim=3, levels=levels, weights=np.ones(3), quadrant_rank=3)
+    ambient = GradedSpace(dim=3, levels=LEVELS, weights=np.ones(3), quadrant_rank=3)
     return cones.SubspaceInQuadrant(ambient=ambient, basis=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 
 
-def diagonal_in_square(levels: int = 3) -> cones.SubspaceInQuadrant:
+def diagonal_in_square() -> cones.SubspaceInQuadrant:
     """span{(1,1)} inside [0,inf)^2: good position, single extreme ray."""
-    ambient = GradedSpace(dim=2, levels=levels, weights=np.ones(2), quadrant_rank=2)
+    ambient = GradedSpace(dim=2, levels=LEVELS, weights=np.ones(2), quadrant_rank=2)
     return cones.SubspaceInQuadrant(ambient=ambient, basis=np.array([[1.0], [1.0]]))
 
 
-def circular_cone_subspace(n_facets: int = 8, levels: int = 3) -> cones.SubspaceInQuadrant:
-    """Polyhedral ice-cream cone in R^3 embedded as C ∩ N in [0,inf)^n_facets.
+def circular_cone_subspace() -> cones.SubspaceInQuadrant:
+    """Polyhedral ice-cream cone in R^3 embedded as C ∩ N in [0,inf)^8.
 
     N = column span of the facet-normal matrix G, so C ∩ N is isomorphic to
-    {y : G y >= 0}, a cone with n_facets extreme rays: not a quadrant.
+    {y : G y >= 0}, a cone with 8 extreme rays: not a quadrant.
     """
-    angles = 2 * np.pi * np.arange(n_facets) / n_facets
+    angles = 2 * np.pi * np.arange(8) / 8
     # facet normals of {y3 >= sqrt(y1^2+y2^2)} sampled polyhedrally
-    G = np.column_stack([-np.cos(angles), -np.sin(angles), np.ones(n_facets)])
-    ambient = GradedSpace(dim=n_facets, levels=levels, weights=np.ones(n_facets),
-                          quadrant_rank=n_facets)
+    G = np.column_stack([-np.cos(angles), -np.sin(angles), np.ones(8)])
+    ambient = GradedSpace(dim=8, levels=LEVELS, weights=np.ones(8), quadrant_rank=8)
     return cones.SubspaceInQuadrant(ambient=ambient, basis=G)
 
 
-def neat_instances(levels: int = 3) -> list:
+def neat_instances() -> list:
     """Registry subspaces that are neat in their quadrants."""
-    amb3 = GradedSpace(dim=3, levels=levels, weights=np.ones(3), quadrant_rank=2)
-    amb4 = GradedSpace(dim=4, levels=levels, weights=np.ones(4), quadrant_rank=2)
-    amb2 = GradedSpace(dim=2, levels=levels, weights=np.ones(2), quadrant_rank=1)
+    amb3 = GradedSpace(dim=3, levels=LEVELS, weights=np.ones(3), quadrant_rank=2)
+    amb4 = GradedSpace(dim=4, levels=LEVELS, weights=np.ones(4), quadrant_rank=2)
+    amb2 = GradedSpace(dim=2, levels=LEVELS, weights=np.ones(2), quadrant_rank=1)
     return [
         cones.SubspaceInQuadrant(ambient=amb3, basis=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
         cones.SubspaceInQuadrant(ambient=amb4, basis=np.array(

@@ -235,8 +235,8 @@ def criterion_3_filler_equivalence() -> CriterionResult:
     return CriterionResult("3-filler-equivalence", passed, metrics, time.time() - t0)
 
 
-def _random_linear_basic_germ(rng, n=3, N=1, wdim=2, levels=2, scale=0.2) -> BasicGerm:
-    W = GradedSpace(dim=wdim, levels=levels, weights=np.ones(wdim))
+def _random_linear_basic_germ(rng, n=3, N=1, wdim=2, scale=0.2) -> BasicGerm:
+    W = GradedSpace(dim=wdim, levels=2, weights=np.ones(wdim))
     M = rng.normal(size=(N + wdim, n + wdim)) * scale
     M[N:, n:] += np.eye(wdim)
 
@@ -244,7 +244,7 @@ def _random_linear_basic_germ(rng, n=3, N=1, wdim=2, levels=2, scale=0.2) -> Bas
         return M @ x
 
     return BasicGerm(n=n, k=min(1, n), N=N, W=W, g=g,
-                     contraction_schedule={m: (0.6, 1.0) for m in range(levels + 1)})
+                     contraction_schedule={m: (0.6, 1.0) for m in range(3)})
 
 
 def criterion_4_index_stability() -> CriterionResult:

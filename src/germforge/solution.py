@@ -37,6 +37,7 @@ from .spaces import DEFAULT_TOL, GradedSpace
 
 CACHE_QUANTUM = 1e-12
 RESIDUAL_TOL = 1e-9
+MAX_SHRINKS = 20
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 
@@ -117,15 +118,16 @@ class GoodParametrization:
         s = self.structure.to_standard @ (self.kernel_basis @ t)
         return bool(np.all(s[: self.structure.quadrant_count] >= -tol))
 
-    def domain_samples(self, count: int, seed: int = 0, scale: float = 0.8):
-        """Deterministic coefficient samples inside the domain."""
+    def domain_samples(self, count: int, seed: int = 0):
+        """Deterministic coefficient samples inside the domain, drawn from the
+        box of half-width 0.8 radius."""
         rng = np.random.Generator(np.random.Philox(key=seed))
         out = []
         d = self.dim
         guard = 0
         while len(out) < count and guard < 100 * count + 100:
             guard += 1
-            t = rng.uniform(-1.0, 1.0, size=d) * self.radius * scale
+            t = rng.uniform(-1.0, 1.0, size=d) * self.radius * 0.8
             if self.structure is not None:
                 s = self.structure.to_standard @ (self.kernel_basis @ t)
                 s[: self.structure.quadrant_count] = np.abs(s[: self.structure.quadrant_count])
@@ -169,20 +171,17 @@ def _graph_map(section, q, kernel, complement):
     return a_map
 
 
-def _shrunk_until_valid(chart: GoodParametrization, residual_tol: float,
-                        max_shrinks: int) -> GoodParametrization:
-    """The chart at the first radius, halving from chart.radius, whose
-    invariants hold on samples."""
-    for _ in range(max_shrinks):
-        if _chart_invariants_hold(chart, residual_tol):
+def _shrunk_until_valid(chart: GoodParametrization) -> GoodParametrization:
+    """The chart at the first radius, halving from chart.radius at most
+    MAX_SHRINKS times, whose invariants hold on samples."""
+    for _ in range(MAX_SHRINKS):
+        if _chart_invariants_hold(chart):
             return chart
         chart = replace(chart, radius=chart.radius / 2.0, _cache={})
     raise NonConvergence(f"no radius down to {chart.radius:.2e} satisfied the chart invariants")
 
 
-def build_parametrization(bg: BasicGerm, q, radius: float = 0.5,
-                          residual_tol: float = RESIDUAL_TOL,
-                          max_shrinks: int = 20) -> GoodParametrization:
+def build_parametrization(bg: BasicGerm, q, radius: float = 0.5) -> GoodParametrization:
     """Good parametrization of {f = 0} near an interior zero q.
 
     The kernel N of f'(q) gets an orthonormal basis K and the complement C
@@ -208,18 +207,17 @@ def build_parametrization(bg: BasicGerm, q, radius: float = 0.5,
         base_point=q, kernel_basis=kernel, complement_basis=complement, radius=radius,
         section=bg.evaluate, a_map=_graph_map(bg.evaluate, q, kernel, complement),
     )
-    return _shrunk_until_valid(chart, residual_tol, max_shrinks)
+    return _shrunk_until_valid(chart)
 
 
-def _chart_invariants_hold(chart: GoodParametrization, residual_tol: float,
-                           samples: int = 12, seed: int = 11) -> bool:
-    """A(0) = 0, and at domain samples Gamma(t) is a zero at which the
-    complement stays transverse to the kernel (so f' stays onto)."""
+def _chart_invariants_hold(chart: GoodParametrization) -> bool:
+    """A(0) = 0, and at 12 domain samples Gamma(t) is a zero, to RESIDUAL_TOL,
+    at which the complement stays transverse to the kernel (so f' stays onto)."""
     try:
         if np.linalg.norm(chart.a_vector(np.zeros(chart.dim))) > 1e-8:
             return False
-        for t in chart.domain_samples(samples, seed=seed):
-            if chart.residual(t) > residual_tol:
+        for t in chart.domain_samples(12, seed=11):
+            if chart.residual(t) > RESIDUAL_TOL:
                 return False
             chart.kernel_transport(t)
     except (NonConvergence, GermforgeError):
@@ -267,19 +265,15 @@ def recentre(gp: GoodParametrization, n0) -> GoodParametrization:
 
 @dataclass(frozen=True)
 class BundleIso:
-    """Base diffeomorphism with inverse plus a linear fiber map per point."""
+    """Base diffeomorphism with inverse; the fiber map is the identity."""
 
     base: object
     base_inv: object
-    fiber: object = None   # fiber(x) -> matrix; identity when None
 
     def push_section(self, section):
         def pushed(y):
             x = np.asarray(self.base_inv(np.asarray(y, dtype=float)), dtype=float)
-            val = np.atleast_1d(np.asarray(section(x), dtype=float))
-            if self.fiber is None:
-                return val
-            return np.atleast_2d(np.asarray(self.fiber(x), dtype=float)) @ val
+            return np.atleast_1d(np.asarray(section(x), dtype=float))
         return pushed
 
 
@@ -364,9 +358,7 @@ def transition_map(gp1: GoodParametrization, gp2: GoodParametrization, shared_ze
 
 
 def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
-                                   radius: float = 0.4,
-                                   residual_tol: float = RESIDUAL_TOL,
-                                   max_shrinks: int = 20) -> GoodParametrization:
+                                   radius: float = 0.4) -> GoodParametrization:
     """Good parametrization near a corner zero q over the quadrant N ∩ C_q.
 
     Requires the kernel N of f'(q) to be in good position to the tangent
@@ -387,7 +379,7 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
     # active constraints at q determine the local tangent quadrant
     active = [i for i in range(k) if abs(q[i]) <= DEFAULT_TOL]
     if not active:
-        return build_parametrization(bg, q, radius=radius, residual_tol=residual_tol)
+        return build_parametrization(bg, q, radius=radius)
     if active != list(range(len(active))):
         raise GermforgeError(
             "boundary construction expects the active constraints to be the leading coordinates"
@@ -458,7 +450,7 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
         section=bg.evaluate, a_map=_graph_map(bg.evaluate, q, kernel, chart_comp),
         structure=structure, ambient_rank=local_rank,
     )
-    return _shrunk_until_valid(chart, residual_tol, max_shrinks)
+    return _shrunk_until_valid(chart)
 
 
 @dataclass(frozen=True)
@@ -472,12 +464,13 @@ class SolutionAtlas:
     def dim(self) -> int:
         return self.charts[0].dim if self.charts else 0
 
-    def verify_transitions(self, samples: int = 8, tol: float = 1e-8, seed: int = 5) -> bool:
+    def verify_transitions(self, tol: float = 1e-8) -> bool:
+        """Transition mismatch <= tol at 8 samples near each overlap's zero."""
         for i, j, zero in self.overlaps:
             tm = transition_map(self.charts[i], self.charts[j], zero)
             t0 = self.charts[j].kernel_basis.T @ (np.asarray(zero) - self.charts[j].base_point)
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            for _ in range(samples):
+            rng = np.random.Generator(np.random.Philox(key=5))
+            for _ in range(8):
                 t = t0 + rng.uniform(-0.05, 0.05, size=self.charts[j].dim)
                 if not (self.charts[j].domain_contains(t)):
                     continue

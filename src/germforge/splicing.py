@@ -18,6 +18,9 @@ from ._linalg import fd_jacobian, orthonormal_columns, svd_split
 from .errors import GermforgeError, NotAZero
 from .spaces import DEFAULT_TOL, GradedSpace
 
+# parameter step of the sampled continuity check of validate_splicing
+CONTINUITY_STEP = 1e-6
+
 
 class SmoothnessGrade(Enum):
     EXACT = "exact"
@@ -73,15 +76,16 @@ class SplicingValidation:
     continuity_jump: float
     continuity_checked: bool
 
-    def passes(self, tol: float = 1e-8, jump_bound: float = 1e-3) -> bool:
-        if self.idempotency_defect > tol:
+    def passes(self) -> bool:
+        """Idempotency defect <= 1e-8 and, when checked, continuity jump <= 1e-3."""
+        if self.idempotency_defect > 1e-8:
             return False
-        return (not self.continuity_checked) or self.continuity_jump <= jump_bound
+        return (not self.continuity_checked) or self.continuity_jump <= 1e-3
 
 
-def validate_splicing(model: SplicingModel, samples: int = 200, seed: int = 0,
-                      step: float = 1e-6) -> SplicingValidation:
-    """Sample the projection family for idempotency and v-continuity."""
+def validate_splicing(model: SplicingModel, samples: int = 200, seed: int = 0) -> SplicingValidation:
+    """Sample the projection family for idempotency and v-continuity across
+    parameter steps of CONTINUITY_STEP."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     r = model.radius if np.isfinite(model.radius) else 1.0
     worst_idem = 0.0
@@ -102,15 +106,15 @@ def validate_splicing(model: SplicingModel, samples: int = 200, seed: int = 0,
         worst_idem = max(worst_idem, model.idempotency_defect(v, e))
         dv = np.zeros_like(v)
         if dv.size:
-            dv[int(rng.integers(0, dv.size))] = step
+            dv[int(rng.integers(0, dv.size))] = CONTINUITY_STEP
         worst_jump = max(worst_jump, jump_at(v, dv, e))
     # straddle the coordinate-zero locus, where rank jumps typically sit
     e = rng.normal(size=model.E.dim)
     for j in range(model.param_space.dim):
         v = np.zeros(model.param_space.dim)
-        v[j] = -step / 2
+        v[j] = -CONTINUITY_STEP / 2
         dv = np.zeros_like(v)
-        dv[j] = step
+        dv[j] = CONTINUITY_STEP
         if model.contains_param(v) and model.contains_param(v + dv):
             worst_jump = max(worst_jump, jump_at(v, dv, e))
     return SplicingValidation(idempotency_defect=worst_idem, continuity_jump=worst_jump,
