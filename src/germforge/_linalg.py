@@ -92,8 +92,10 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
         res = float(np.max(np.abs(fx)))
         if res <= tol:
             return x, res, True
+        if not res < np.inf:    # no Jacobian off the domain: fd_jacobian would take inf - inf
+            return x, res, False
         J = fd_jacobian(func, x)
-        if not (res < np.inf and np.isfinite(J).all()):  # lstsq would print and step NaN
+        if not np.isfinite(J).all():    # lstsq would print and step NaN
             return x, res, False
         try:
             step = np.linalg.lstsq(J, -fx, rcond=None)[0]

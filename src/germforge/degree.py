@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
-from .solution import NEWTON_TOL, SolutionAtlas
+from .solution import NEWTON_TOL, SolutionAtlas, _tangent
 from .spaces import GradedSpace
 from .splicing import local_faces
 
@@ -492,9 +492,10 @@ class DifferentialForm:
 
 
 def _chart_orientation_sign(chart, t) -> int:
-    """Co-orientation sign: det of [Df(Gamma(t)); tangent^T] (square)."""
+    """Co-orientation sign: det of [Df(Gamma(t)); tangent^T] (square), the
+    tangent taken from the same Jacobian."""
     J = chart.jacobian(chart.gamma(t))
-    M = np.vstack([J, chart.kernel_transport(t).T])
+    M = np.vstack([J, _tangent(chart, J).T])
     if M.shape[0] != M.shape[1]:
         raise IndexMismatch(f"chart/section dimensions {M.shape} do not stack square")
     d = np.linalg.det(M)
@@ -790,6 +791,31 @@ class _Cell:
         return out
 
 
+def _quadrature_rule(atlas: SolutionAtlas, degree: int, nodes_per_axis: int) -> list:
+    """(signed weight, Gamma(t), DGamma(t)) at every node of the atlas's
+    charts of dimension `degree`, chart by chart in atlas order, the weight
+    times the chart's orientation sign.  A 0-dimensional chart is one node of
+    weight sign_of_zero at its point.  Built once per (degree, nodes_per_axis)
+    and kept in the atlas's `_rules`."""
+    key = (degree, nodes_per_axis)
+    if key in atlas._rules:
+        return atlas._rules[key]
+    rule = []
+    charts = [c for c in atlas.charts if c.dim == degree]
+    for i, chart in enumerate(charts):
+        if degree == 0:
+            x = chart.gamma(np.zeros(0))
+            rule.append((sign_of_zero(chart.jacobian, x), x, chart.kernel_basis))
+            continue
+        sign = _chart_orientation_sign(chart, np.zeros(degree))
+        cell = _Cell(chart, charts[:i] + charts[i + 1:], SUPPORT_SCALE * chart.radius)
+        for t, w in cell.nodes(nodes_per_axis):
+            x = chart.gamma(t)
+            rule.append((sign * w, x, _tangent(chart, chart.jacobian(x))))
+    atlas._rules[key] = rule
+    return rule
+
+
 def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis: int = 32,
                    cover_points=None) -> float:
     """Chart-wise pullback-and-quadrature of a form over an oriented atlas.
@@ -807,9 +833,12 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis
     spectrally.  A 0-dimensional chart contributes its point's sign in the
     ambient orientation times the form's value there.  Components whose
     dimension does not match the form degree contribute zero.  Supports
-    k <= 2.  When `cover_points`
-    (samples of the solution set, e.g. from zero enumeration) are supplied,
-    `atlas_covers_points` must hold for them, else AtlasIncomplete is raised.
+    k <= 2.  The rule (cells, chart points Gamma(t) and tangents DGamma(t))
+    does not depend on the form: it is built once per atlas, degree and
+    nodes_per_axis, and a later integral only evaluates pullbacks.  When
+    `cover_points` (samples of the solution set, e.g. from zero enumeration)
+    are supplied, `atlas_covers_points` must hold for them, else
+    AtlasIncomplete is raised; that check runs on every call.
     """
     if omega.degree > 2:
         raise DimensionUnsupported(f"form degree {omega.degree} > 2")
@@ -819,17 +848,8 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis
         raise AtlasIncomplete("charts do not cover the supplied solution samples")
 
     total = 0.0
-    charts = [c for c in atlas.charts if c.dim == omega.degree]
-    for i, chart in enumerate(charts):
-        k = chart.dim
-        if k == 0:
-            x = chart.gamma(np.zeros(0))
-            total += sign_of_zero(chart.jacobian, x) * float(omega.coeff(x))
-            continue
-        sign = _chart_orientation_sign(chart, np.zeros(k))
-        cell = _Cell(chart, charts[:i] + charts[i + 1:], SUPPORT_SCALE * chart.radius)
-        for t, w in cell.nodes(nodes_per_axis):
-            total += sign * w * omega.pullback(chart.gamma(t), chart.kernel_transport(t))
+    for w, x, tangent in _quadrature_rule(atlas, omega.degree, nodes_per_axis):
+        total += w * omega.pullback(x, tangent)
     return total
 
 

@@ -144,12 +144,16 @@ class GoodParametrization:
         the columns span ker f'(Gamma(t)).  Raises NotSurjective when J C is
         singular, i.e. the complement is not transverse to that kernel.
         """
-        J = self.jacobian(self.gamma(t))
-        K, C = self.kernel_basis, self.complement_basis
-        JC = J @ C
-        if not is_surjective(JC):
-            raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
-        return K - C @ np.linalg.solve(JC, J @ K)
+        return _tangent(self, self.jacobian(self.gamma(t)))
+
+
+def _tangent(chart: GoodParametrization, J):
+    """K - C (J C)^-1 J K for the Jacobian J = f'(Gamma(t)) at a chart point."""
+    K, C = chart.kernel_basis, chart.complement_basis
+    JC = J @ C
+    if not is_surjective(JC):
+        raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
+    return K - C @ np.linalg.solve(JC, J @ K)
 
 
 def _shifted_at_zero(bg: BasicGerm, q):
@@ -455,10 +459,15 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
 
 @dataclass(frozen=True)
 class SolutionAtlas:
-    """Charts covering a solution set together with their overlap records."""
+    """Charts covering a solution set together with their overlap records.
+
+    `_rules` memoizes `degree.integrate_form`'s quadrature rule per (form
+    degree, nodes per axis); a copy made by `dataclasses.replace` starts
+    without rules."""
 
     charts: tuple
     overlaps: tuple = ()
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:

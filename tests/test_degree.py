@@ -20,7 +20,7 @@ from germforge.degree import (
     make_bump_section,
     smooth_plateau,
 )
-from germforge.degree import _Cell, _covering_u
+from germforge.degree import _Cell, _chart_orientation_sign, _covering_u
 from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, WindowEscape
 from germforge.orientation import OrientationReference
 from germforge.solution import SolutionAtlas, build_boundary_parametrization, build_parametrization
@@ -134,6 +134,15 @@ def test_window_escape_detected():
     pp = problem(lambda x: np.array([x[0] - 3.0]), [-2], [2], seeds=([1.9],))
     with pytest.raises(WindowEscape):
         enumerate_zeros(pp)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_enumerate_zeros_skips_starts_off_the_domain_without_warnings():
+    # inf on x <= 0.25: a grid start there stops at its residual, before an
+    # FD Jacobian would take inf - inf
+    pp = replace(problem(lambda x: np.array([x[0] - 1.0 if x[0] > 0.25 else np.inf]), [-2], [2]),
+                 grid_starts=16)
+    assert [z.point for z in enumerate_zeros(pp)] == [np.array([1.0])]
 
 
 def test_generic_perturbation_accepts_transversal_sections():
@@ -424,6 +433,95 @@ def test_mismatched_degree_contributes_zero():
     atlas = circle_atlas()  # 1-dimensional charts
     zero_form = DifferentialForm(degree=0, coeff=lambda x: 1.0)
     assert integrate_form(atlas, zero_form) == 0.0
+
+
+class _CountedSection:
+    """A basic germ's section that counts its evaluations."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.g(x)
+
+
+ROTATION = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]]))
+D_XY = DifferentialForm(degree=1, coeff=lambda x: np.array([x[1], x[0]]))
+PLANE_AREA = DifferentialForm(degree=2, coeff=lambda x: np.array(
+    [[0.0, 1.0, 1.0], [-1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) / np.sqrt(3.0))
+PLANE_TWIST = DifferentialForm(degree=2, coeff=lambda x: np.array(
+    [[0.0, x[0], x[1]], [-x[0], 0.0, x[2]], [-x[1], -x[2], 0.0]]))
+
+
+def counted_circle_atlas():
+    section = _CountedSection(registry.circle_section)
+    bg = replace(registry.circle_basic_germ(), g=section)
+    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
+    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.75) for q in bases)), section
+
+
+def quadrant_plane_atlas():
+    return SolutionAtlas(charts=(build_boundary_parametrization(registry.quadrant_plane_germ(), np.zeros(3),
+                                                                radius=0.4),))
+
+
+def cubic_point_atlas():
+    pp = registry.cubic_problem(seed=1)
+    from germforge.solution import GoodParametrization
+
+    return SolutionAtlas(charts=tuple(GoodParametrization(
+        base_point=z.point, kernel_basis=np.zeros((1, 0)), complement_basis=np.eye(1), radius=0.1,
+        section=pp.section, a_map=lambda t: np.zeros(1)) for z in enumerate_zeros(pp)))
+
+
+def test_second_integral_over_an_atlas_makes_no_section_evaluation():
+    atlas, section = counted_circle_atlas()
+    integrate_form(atlas, ROTATION)
+    before = section.calls
+    integrate_form(atlas, D_XY)
+    assert section.calls == before
+
+
+def test_orientation_sign_takes_one_jacobian():
+    atlas, section = counted_circle_atlas()
+    chart = atlas.charts[0]
+    chart.gamma(np.zeros(1))            # Gamma(0) is memoized since the chart's invariant check
+    before = section.calls
+    _chart_orientation_sign(chart, np.zeros(1))
+    assert section.calls - before == 2 * chart.base_point.size
+
+
+@pytest.mark.parametrize("build, first, second", [
+    (lambda: counted_circle_atlas()[0], ROTATION, D_XY),
+    (quadrant_plane_atlas, PLANE_AREA, PLANE_TWIST),
+    (cubic_point_atlas, DifferentialForm(degree=0, coeff=lambda x: 1.0),
+     DifferentialForm(degree=0, coeff=lambda x: float(x[0] ** 2 + 0.5))),
+])
+def test_integral_over_a_reused_rule_equals_the_fresh_integral(build, first, second):
+    atlas = build()
+    integrate_form(atlas, first)
+    assert integrate_form(atlas, second) == integrate_form(build(), second)
+
+
+def test_each_node_count_and_degree_builds_its_own_rule():
+    atlas, section = counted_circle_atlas()
+    integrate_form(atlas, ROTATION)
+    before = section.calls
+    coarse = integrate_form(atlas, ROTATION, nodes_per_axis=16)
+    assert section.calls > before
+    assert coarse == integrate_form(counted_circle_atlas()[0], ROTATION, nodes_per_axis=16)
+    assert integrate_form(atlas, DifferentialForm(degree=0, coeff=lambda x: 1.0)) == 0.0
+    assert set(atlas._rules) == {(1, 32), (1, 16), (0, 32)}
+
+
+def test_replaced_atlas_starts_without_rules():
+    atlas, _ = counted_circle_atlas()
+    full = integrate_form(atlas, ROTATION)
+    holed = replace(atlas, charts=atlas.charts[:3])
+    assert holed._rules == {} and set(atlas._rules) == {(1, 32)}
+    assert integrate_form(holed, ROTATION) != full
 
 
 def _counted_cubic():

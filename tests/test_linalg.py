@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from germforge import registry
 from germforge._linalg import fd_jacobian, newton, svd_split
@@ -80,6 +81,15 @@ def test_newton_stops_before_solving_with_a_non_finite_jacobian(capfd):
     assert res == float(np.max(np.abs(f(x))))
     # LAPACK reports the illegal value by printing, not by raising
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_stops_at_a_non_finite_residual_before_the_jacobian():
+    # off the domain on both sides of the start: a Jacobian would take inf - inf
+    f = Counted(lambda x: np.array([np.inf]))
+    x, res, converged = newton(f, np.array([0.0]))
+    assert (x.tolist(), res, converged) == ([0.0], np.inf, False)
+    assert f.calls == 1
 
 
 def test_newton_takes_least_squares_steps_on_non_square_systems():
