@@ -242,11 +242,28 @@ def test_invariance_suite_cubic_with_homotopy():
     assert rep.homotopy_degrees and all(d == 1 for _, d in rep.homotopy_degrees)
 
 
+class _CountedSection:
+    """A basic germ's section that counts its evaluations."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.g(x)
+
+
+def counted_circle_atlas():
+    """The four axis charts of the unit circle, and their counted section."""
+    section = _CountedSection(registry.circle_section)
+    bg = replace(registry.circle_basic_germ(), g=section)
+    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
+    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.75) for q in bases)), section
+
+
 def circle_atlas():
-    bg = registry.circle_basic_germ()
-    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-             np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.75) for q in bases))
+    return counted_circle_atlas()[0]
 
 
 def test_atlas_covers_circle():
@@ -271,23 +288,21 @@ def test_circle_cells_partition_the_circle():
         assert owners == 1
 
 
-def test_zero_form_counts_signed_points():
-    # 0-dimensional atlas from the cubic's zeros: Phi([1]) = degree
+def cubic_point_atlas():
+    """The 0-dimensional atlas of the zeros of the cubic x^3 - x."""
     pp = registry.cubic_problem(seed=1)
-    zs = enumerate_zeros(pp)
     from germforge.solution import GoodParametrization
 
-    charts = []
-    for z in zs:
-        charts.append(GoodParametrization(
-            base_point=z.point, kernel_basis=np.zeros((1, 0)),
-            complement_basis=np.eye(1), radius=0.1,
-            section=pp.section, a_map=lambda t: np.zeros(1),
-        ))
-    atlas = SolutionAtlas(charts=tuple(charts))
+    return SolutionAtlas(charts=tuple(GoodParametrization(
+        base_point=z.point, kernel_basis=np.zeros((1, 0)), complement_basis=np.eye(1), radius=0.1,
+        section=pp.section, a_map=lambda t: np.zeros(1)) for z in enumerate_zeros(pp)))
+
+
+def test_zero_form_counts_signed_points():
+    # 0-dimensional atlas from the cubic's zeros: Phi([1]) = degree
     one = DifferentialForm(degree=0, coeff=lambda x: 1.0)
-    val = integrate_form(atlas, one)
-    assert val == pytest.approx(compute_degree(pp))
+    val = integrate_form(cubic_point_atlas(), one)
+    assert val == pytest.approx(compute_degree(registry.cubic_problem(seed=1)))
 
 
 def test_circumference_integral():
@@ -435,18 +450,6 @@ def test_mismatched_degree_contributes_zero():
     assert integrate_form(atlas, zero_form) == 0.0
 
 
-class _CountedSection:
-    """A basic germ's section that counts its evaluations."""
-
-    def __init__(self, g):
-        self.g = g
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.g(x)
-
-
 ROTATION = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]]))
 D_XY = DifferentialForm(degree=1, coeff=lambda x: np.array([x[1], x[0]]))
 PLANE_AREA = DifferentialForm(degree=2, coeff=lambda x: np.array(
@@ -455,25 +458,9 @@ PLANE_TWIST = DifferentialForm(degree=2, coeff=lambda x: np.array(
     [[0.0, x[0], x[1]], [-x[0], 0.0, x[2]], [-x[1], -x[2], 0.0]]))
 
 
-def counted_circle_atlas():
-    section = _CountedSection(registry.circle_section)
-    bg = replace(registry.circle_basic_germ(), g=section)
-    bases = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.75) for q in bases)), section
-
-
 def quadrant_plane_atlas():
     return SolutionAtlas(charts=(build_boundary_parametrization(registry.quadrant_plane_germ(), np.zeros(3),
                                                                 radius=0.4),))
-
-
-def cubic_point_atlas():
-    pp = registry.cubic_problem(seed=1)
-    from germforge.solution import GoodParametrization
-
-    return SolutionAtlas(charts=tuple(GoodParametrization(
-        base_point=z.point, kernel_basis=np.zeros((1, 0)), complement_basis=np.eye(1), radius=0.1,
-        section=pp.section, a_map=lambda t: np.zeros(1)) for z in enumerate_zeros(pp)))
 
 
 def test_second_integral_over_an_atlas_makes_no_section_evaluation():
@@ -494,7 +481,7 @@ def test_orientation_sign_takes_one_jacobian():
 
 
 @pytest.mark.parametrize("build, first, second", [
-    (lambda: counted_circle_atlas()[0], ROTATION, D_XY),
+    (circle_atlas, ROTATION, D_XY),
     (quadrant_plane_atlas, PLANE_AREA, PLANE_TWIST),
     (cubic_point_atlas, DifferentialForm(degree=0, coeff=lambda x: 1.0),
      DifferentialForm(degree=0, coeff=lambda x: float(x[0] ** 2 + 0.5))),
@@ -511,7 +498,7 @@ def test_each_node_count_and_degree_builds_its_own_rule():
     before = section.calls
     coarse = integrate_form(atlas, ROTATION, nodes_per_axis=16)
     assert section.calls > before
-    assert coarse == integrate_form(counted_circle_atlas()[0], ROTATION, nodes_per_axis=16)
+    assert coarse == integrate_form(circle_atlas(), ROTATION, nodes_per_axis=16)
     assert integrate_form(atlas, DifferentialForm(degree=0, coeff=lambda x: 1.0)) == 0.0
     assert set(atlas._rules) == {(1, 32), (1, 16), (0, 32)}
 
