@@ -10,9 +10,9 @@ quadrant; `quadrant_structure` produces the explicit isomorphism.
 Feasibility questions (membership in a ray cone, extremality) are resolved
 by nonnegative least squares; interior questions by one LP.  Both solvers
 are deterministic.  Good position itself is only sampled: test pairs are
-drawn one trial after another from a seeded Philox stream and tested in
-chunks of SAMPLE_CHUNK trials, so a seed fixes every pair whatever the
-chunking (`_PairSampler`).
+drawn from a seeded Philox stream in chunks of SAMPLE_CHUNK trials, each
+trial making the same draws whatever its data, so a seed and SAMPLE_CHUNK
+fix every pair (`_pair_chunks`).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _interior_point(N: SubspaceInQuadrant):
     if not res.success or res.x is None or res.x[-1] <= LP_TOL:
         return None
     y = res.x[:d]
-    margin = np.min(G @ y) if n else 1.0
+    margin = np.min(G @ y)
     return y / margin if margin > 0 else None
 
 
@@ -182,106 +182,88 @@ def _coordinate_complements(N: SubspaceInQuadrant):
     return out
 
 
-class _PairSampler:
-    """Good-position test pairs (n, m) for one complement and constant c.
+def _pair_chunks(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float, interior):
+    """Yield the test pairs (n, m) of `grid` trials as two (k, dim) arrays,
+    one chunk of SAMPLE_CHUNK trials at a time.
 
-    Pairs are concentrated where a bad complement fails.  Half the n samples
-    start near the cone (along the LP interior direction when one exists)
-    and then have one constrained coordinate pushed into the band
-    (-2c||n||, 2c||n||) -- membership of n + m can only disagree with
-    membership of n there.  The band facet is chosen among those the
+    Pairs are concentrated where a bad complement fails.  Every other trial
+    starts near the cone (along the LP interior direction when one exists)
+    and then has the constrained coordinate nearest its facet pushed into
+    the band (-2c||n||, 2c||n||) -- membership of n + m can only disagree
+    with membership of n there.  The facet is chosen among those the
     complement can reach, and m is aimed at it; ||m|| <= c ||n|| always.
+    Trials whose n vanishes or lies on a constraint hyperplane are dropped.
 
-    Stream contract: each trial makes the same Generator calls in the same
-    order as a one-pair-at-a-time sampler, with the same arithmetic on its
-    own vectors.  Its data decide which calls it makes (a vanishing n or
-    band-shifted n ends it, a zero constraint row on its band facet skips
-    the band target, a vanishing m skips the scaling draw), so that
-    arithmetic runs in the draw loop, trial by trial.  Only what no draw
-    depends on -- the scaling of m, the rejection of n on a constraint
-    hyperplane and the membership tests -- runs on a chunk's arrays.  The
-    pairs are therefore the same bit for bit whatever the chunking, and a
-    batch of g trials is a prefix of a batch of 2g.
+    Draw plan: every trial of a chunk draws an exponential, d normals, a
+    band uniform, mc normals, a sign and a scale uniform, whatever its data,
+    each kind as one array per chunk.  The last chunk is drawn in full and
+    cut to `grid`, so a seed and SAMPLE_CHUNK fix every pair and a batch of
+    g trials is a prefix of a batch of 2g.
     """
-
-    def __init__(self, N: SubspaceInQuadrant, comp, c: float, tol: float, interior=None):
-        self.N, self.comp, self.c, self.tol = N, comp, c, tol
-        self.y_int = None
-        if interior is not None:
-            nrm = float(np.linalg.norm(interior))
-            if nrm > 1e-12:
-                self.y_int = interior / nrm
-        n_rank = N.n
-        # facets whose coordinate the complement can move at all
-        reach = [i for i in range(n_rank) if float(comp[i] @ comp[i]) > 1e-20] if comp.shape[1] else []
-        self.aimed = bool(reach)
-        self.pool = reach or list(range(n_rank))
-        self.G = N.constraint_matrix()
-        self.row_norms = [float(self.G[i] @ self.G[i]) for i in range(n_rank)]
-        self.level0 = N.ambient.level_norm
-
-    def chunks(self, grid: int, rng):
-        """Yield the pairs of `grid` trials as two (k, dim) arrays, a chunk
-        of at most SAMPLE_CHUNK trials at a time."""
-        n_rank, dim = self.N.n, self.N.ambient.dim
-        for start in range(0, grid, SAMPLE_CHUNK):
-            size = min(SAMPLE_CHUNK, grid - start)
-            nvecs, mvecs = np.zeros((size, dim)), np.zeros((size, dim))
-            norms_n, scales, live = np.zeros(size), np.ones(size), np.zeros(size, dtype=bool)
-            for j in range(size):
-                drawn = self._trial(start + j, rng)
-                if drawn is not None:
-                    nvecs[j], norms_n[j], mvecs[j], scales[j] = drawn
-                    live[j] = True
-            mvecs *= scales[:, None]
-            keep = live
-            if n_rank:
-                keep = keep & (np.min(np.abs(nvecs[:, :n_rank]), axis=1) > 10 * self.tol * np.maximum(1.0, norms_n))
-            yield nvecs[keep], mvecs[keep]
-
-    def _trial(self, trial: int, rng):
-        """One trial's Generator calls and the arithmetic that decides them:
-        (n, ||n||_0, unscaled m, scale of m), or None when n vanishes."""
-        basis, comp, c, level0 = self.N.basis, self.comp, self.c, self.level0
-        if self.y_int is not None and trial % 2 == 0:
-            yn = rng.exponential() * self.y_int + 0.25 * rng.normal(size=basis.shape[1])
-        else:
-            yn = rng.normal(size=basis.shape[1])
-        nvec = basis @ yn
-        norm_n = level0(nvec, 0)
-        if norm_n < 1e-12:
-            return None
-        i_band = None
-        if self.pool and trial % 2 == 0:
-            i = min(self.pool, key=lambda j: abs(nvec[j]))
-            if self.row_norms[i] > 1e-14:
-                target = (-2.0 + 4.0 * rng.random()) * c * norm_n
-                yn = yn + self.G[i] * ((target - nvec[i]) / self.row_norms[i])
-                nvec = basis @ yn
-                norm_n = level0(nvec, 0)
-                if norm_n < 1e-12:
-                    return None
-                i_band = i
-        ym = rng.normal(size=comp.shape[1])
-        if i_band is not None and self.aimed:
-            # aim the complement perturbation at the band facet
-            ym = (-1.0, 1.0)[rng.integers(0, 2)] * comp[i_band] + 0.2 * ym
-        mvec = comp @ ym
-        norm_m = level0(mvec, 0)
-        scale = (c * norm_n / norm_m) * rng.random() if norm_m > 1e-12 else 1.0
-        return nvec, norm_n, mvec, scale
+    basis, G, n_rank, level0 = N.basis, N.constraint_matrix(), N.n, N.ambient.level_norm
+    norm_int = 0.0 if interior is None else float(np.linalg.norm(interior))
+    y_int = interior / norm_int if norm_int > 1e-12 else np.zeros(N.dim)
+    rows = np.arange(SAMPLE_CHUNK)
+    band_trial = rows % 2 == 0
+    biased = band_trial & (norm_int > 1e-12)
+    # facets whose coordinate the complement can move at all
+    reach = np.flatnonzero(np.sum(comp[:n_rank] ** 2, axis=1) > 1e-20)
+    pool = reach if reach.size else np.arange(n_rank)
+    row_norms = np.sum(G**2, axis=1)
+    for start in range(0, grid, SAMPLE_CHUNK):
+        e = rng.exponential(size=SAMPLE_CHUNK)
+        zn = rng.normal(size=(SAMPLE_CHUNK, N.dim))
+        u_band = rng.random(SAMPLE_CHUNK)
+        zm = rng.normal(size=(SAMPLE_CHUNK, comp.shape[1]))
+        sign = 2.0 * rng.integers(0, 2, size=SAMPLE_CHUNK) - 1.0
+        u_scale = rng.random(SAMPLE_CHUNK)
+        yn = np.where(biased[:, None], e[:, None] * y_int + 0.25 * zn, zn)
+        nvecs = yn @ basis.T
+        norm0 = level0(nvecs, 0)
+        ym = zm
+        if n_rank:
+            i = pool[np.argmin(np.abs(nvecs[:, pool]), axis=1)]
+            band = band_trial & (row_norms[i] > 1e-14)
+            target = (-2.0 + 4.0 * u_band) * c * norm0
+            shift = np.where(band, (target - nvecs[rows, i]) / np.where(band, row_norms[i], 1.0), 0.0)
+            nvecs = (yn + shift[:, None] * G[i]) @ basis.T
+            if reach.size:
+                # aim the complement perturbation at the band facet
+                ym = np.where(band[:, None], sign[:, None] * comp[i] + 0.2 * zm, zm)
+        norm_n = level0(nvecs, 0)
+        mvecs = ym @ comp.T
+        norm_m = level0(mvecs, 0)
+        big = norm_m > 1e-12
+        mvecs *= np.where(big, c * norm_n / np.where(big, norm_m, 1.0) * u_scale, 1.0)[:, None]
+        keep = ((rows < grid - start) & (norm0 >= 1e-12) & (norm_n >= 1e-12)
+                & (np.min(np.abs(nvecs[:, :n_rank]), axis=1, initial=np.inf) > 10 * tol * np.maximum(1.0, norm_n)))
+        yield nvecs[keep], mvecs[keep]
 
 
-def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float,
-                          interior=None):
+def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float, interior):
     """The first sampled (n, m) pair whose memberships of n and n + m in C
     differ, or None; no chunk after the one that holds it is drawn."""
-    for nvecs, mvecs in _PairSampler(N, comp, c, tol, interior).chunks(grid, rng):
+    for nvecs, mvecs in _pair_chunks(N, comp, c, grid, rng, tol, interior):
         bad = N.ambient.contains_quadrant_point(nvecs, tol) != N.ambient.contains_quadrant_point(nvecs + mvecs, tol)
         if bad.any():
             j = int(np.argmax(bad))
             return nvecs[j], mvecs[j]
     return None
+
+
+def _oriented_complement(N: SubspaceInQuadrant, complement) -> np.ndarray:
+    """A caller's complement as (dim, dim - dim N) columns; given the other
+    way round, it is transposed."""
+    comp = np.atleast_2d(np.asarray(complement, dtype=float))
+    if comp.shape[0] != N.ambient.dim:
+        comp = comp.T
+    if comp.shape[0] != N.ambient.dim:
+        raise ValueError(f"complement {comp.shape} does not match ambient dim {N.ambient.dim}")
+    if not np.all(np.isfinite(comp)):
+        raise ValueError("complement vectors must be finite")
+    if comp.shape[1] != N.ambient.dim - N.dim:
+        raise ValueError(f"complement has {comp.shape[1]} columns, not dim - dim N = {N.ambient.dim - N.dim}")
+    return comp
 
 
 def check_position_pair(N: SubspaceInQuadrant, complement, c: float, grid: int = 2000,
@@ -291,11 +273,8 @@ def check_position_pair(N: SubspaceInQuadrant, complement, c: float, grid: int =
     Returns None when no counterexample was found, else the offending
     (n, m) pair.
     """
-    comp = np.atleast_2d(np.asarray(complement, dtype=float))
-    if comp.shape[0] != N.ambient.dim:
-        comp = comp.T
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return _first_counterexample(N, comp, c, grid, rng, tol, interior=_interior_point(N))
+    return _first_counterexample(N, _oriented_complement(N, complement), c, grid, rng, tol, _interior_point(N))
 
 
 def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int = 2000,
@@ -308,8 +287,8 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
         the samples are biased into the band where the smallest constrained
         coordinate of n is on the scale of c ||n||, which is where bad
         complements fail.  Pairs are drawn and tested in chunks of
-        SAMPLE_CHUNK (see `_PairSampler`); a batch stops at the
-        first chunk that holds a counterexample.
+        SAMPLE_CHUNK (see `_pair_chunks`); a batch stops at the first chunk
+        that holds a counterexample.
 
     Neat subspaces short-circuit to c = 1 with the neat complement.  The
     search is bounded: candidates are the orthogonal complement, coordinate
@@ -322,17 +301,14 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
     y0 = _interior_point(N)
     if y0 is None:
         return GoodPositionResult(ok=False)
-    candidates = [np.atleast_2d(np.asarray(cand, dtype=float)) for cand in complement_candidates]
-    candidates = [cand if cand.shape[0] == N.ambient.dim else cand.T for cand in candidates]
+    candidates = [_oriented_complement(N, cand) for cand in complement_candidates]
     candidates.extend(_coordinate_complements(N))
     candidates.append(_orthogonal_complement(N))
     def has_counterexample(comp, c, batch_grid, key):
         batch_rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(key)))
-        return _first_counterexample(N, comp, c, batch_grid, batch_rng, tol, interior=y0) is not None
+        return _first_counterexample(N, comp, c, batch_grid, batch_rng, tol, y0) is not None
 
     for ci, comp in enumerate(candidates):
-        if comp.shape[1] + N.dim != N.ambient.dim:
-            continue
         for cj, c in enumerate([2.0**-j for j in range(0, 11)]):
             # a pair passes only if two independent sample batches find no
             # counterexample; the second batch is twice as large

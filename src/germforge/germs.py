@@ -30,6 +30,9 @@ DEFAULT_TOL = 1e-12
 RATIO_SLACK = 1e-12
 # the sampled ratio below which shrink_to_contraction certifies a radius
 TARGET_RATIO = 0.9
+# entries a SolutionGerm memo keeps; past it the oldest goes.  Selftest
+# misses about 100 times in all, so none of its hits is lost
+SOLUTION_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -158,21 +161,19 @@ class SolutionGerm:
     def _key(self, v):
         return tuple(np.round(np.asarray(v, dtype=float), 12))
 
-    def __call__(self, v):
-        key = self._key(v)
+    def _memo(self, key, compute, v):
         hit = self._cache.get(key)
         if hit is None:
-            hit = solve_germ(self.germ, v, tol=self.tol)
-            self._cache[key] = hit
+            hit = self._cache[key] = compute(self.germ, v, tol=self.tol)
+            if len(self._cache) > SOLUTION_CACHE_SIZE:
+                del self._cache[next(iter(self._cache))]
         return hit
 
+    def __call__(self, v):
+        return self._memo(self._key(v), solve_germ, v)
+
     def derivative(self, v):
-        key = ("d", self._key(v))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = germ_derivative(self.germ, v, tol=self.tol)
-            self._cache[key] = hit
-        return hit
+        return self._memo(("d", self._key(v)), germ_derivative, v)
 
 
 def _doubled_space(space: GradedSpace) -> GradedSpace:

@@ -1,5 +1,5 @@
-"""Property tests of the chunked good-position sampler on random lines and
-polygon cones."""
+"""Property tests of the good-position sampler on random lines and polygon
+cones."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from germforge.cones import (
     SubspaceInQuadrant,
-    _PairSampler,
     _first_counterexample,
     _interior_point,
     _orthogonal_complement,
+    _pair_chunks,
 )
 from germforge.spaces import GradedSpace
 
@@ -67,7 +67,7 @@ def test_pairs_have_m_in_the_complement_and_no_larger_than_c_n(args):
     N, comp, c, grid, seed = args
     proj = comp @ np.linalg.pinv(comp)
     level0 = N.ambient.level_norm
-    for nvecs, mvecs in _PairSampler(N, comp, c, TOL, _interior_point(N)).chunks(grid, philox(seed)):
+    for nvecs, mvecs in _pair_chunks(N, comp, c, grid, philox(seed), TOL, _interior_point(N)):
         assert np.all(level0(mvecs, 0) <= c * level0(nvecs, 0) * (1.0 + 1e-12))
         off = mvecs - mvecs @ proj.T
         assert np.all(np.abs(off) <= 1e-9 * (1.0 + np.abs(mvecs).max(initial=0.0)))
@@ -78,8 +78,8 @@ def test_pairs_have_m_in_the_complement_and_no_larger_than_c_n(args):
 def test_a_batch_of_g_trials_is_a_prefix_of_a_batch_of_2g(args):
     N, comp, c, grid, seed = args
     interior = _interior_point(N)
-    first = _first_counterexample(N, comp, c, grid, philox(seed), TOL, interior=interior)
+    first = _first_counterexample(N, comp, c, grid, philox(seed), TOL, interior)
     if first is not None:
-        again = _first_counterexample(N, comp, c, 2 * grid, philox(seed), TOL, interior=interior)
+        again = _first_counterexample(N, comp, c, 2 * grid, philox(seed), TOL, interior)
         assert again is not None
         assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])

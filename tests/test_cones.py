@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from germforge import cones, registry
+from germforge import registry
 from germforge.cones import (
+    SAMPLE_CHUNK,
     SubspaceInQuadrant,
-    _coordinate_complements,
     _interior_point,
     _orthogonal_complement,
-    _PairSampler,
+    _pair_chunks,
     check_position_pair,
     cone_membership_residual,
     extreme_rays,
@@ -265,67 +265,11 @@ def test_basis_validation():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the one-pair-at-a-time good-position sampler that the
-# chunked `_PairSampler` replaced.  The chunked sampler must make the
-# same Generator calls in the same order, with the same arithmetic on each
-# trial, so it yields the same pairs bit for bit.
+# The good-position sampler's draw plan and what it certifies.
 
 
-def reference_good_position_samples(N, comp, c, grid, rng, tol, interior=None):
-    """Yield (n, m) test pairs one trial at a time."""
-    n_rank = N.n
-    G = N.constraint_matrix()
-    y_int = None
-    if interior is not None:
-        nrm = float(np.linalg.norm(interior))
-        if nrm > 1e-12:
-            y_int = interior / nrm
-    if comp.shape[1]:
-        reach = [i for i in range(n_rank) if float(comp[i] @ comp[i]) > 1e-20]
-    else:
-        reach = []
-    for trial in range(grid):
-        biased = y_int is not None and trial % 2 == 0
-        if biased:
-            yn = rng.exponential() * y_int + 0.25 * rng.normal(size=N.dim)
-        else:
-            yn = rng.normal(size=N.dim)
-        nvec = N.basis @ yn
-        norm_n = N.ambient.level_norm(nvec, 0)
-        if norm_n < 1e-12:
-            continue
-        i_band = None
-        if n_rank and trial % 2 == 0:
-            pool = reach if reach else range(n_rank)
-            i = min(pool, key=lambda j: abs(nvec[j]))
-            row = G[i]
-            nr = float(row @ row)
-            if nr > 1e-14:
-                target = rng.uniform(-2.0, 2.0) * c * norm_n
-                yn = yn + row * ((target - nvec[i]) / nr)
-                nvec = N.basis @ yn
-                norm_n = N.ambient.level_norm(nvec, 0)
-                if norm_n < 1e-12:
-                    continue
-                i_band = i
-        ym = rng.normal(size=comp.shape[1]) if comp.shape[1] else np.zeros(0)
-        if i_band is not None and i_band in reach:
-            ym = rng.choice([-1.0, 1.0]) * comp[i_band] + 0.2 * ym
-        mvec = comp @ ym if comp.shape[1] else np.zeros(N.ambient.dim)
-        norm_m = N.ambient.level_norm(mvec, 0)
-        if norm_m > 1e-12:
-            mvec = mvec * ((c * norm_n / norm_m) * rng.uniform(0.0, 1.0))
-        head = nvec[:n_rank]
-        if n_rank and np.min(np.abs(head)) <= 10 * tol * max(1.0, norm_n):
-            continue
-        yield nvec, mvec
-
-
-def reference_first_counterexample(N, comp, c, grid, rng, tol, interior=None):
-    for nvec, mvec in reference_good_position_samples(N, comp, c, grid, rng, tol, interior):
-        if N.ambient.contains_quadrant_point(nvec, tol) != N.ambient.contains_quadrant_point(nvec + mvec, tol):
-            return nvec, mvec
-    return None
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def certify_lines(seed=0, count=24):
@@ -343,103 +287,56 @@ def certify_lines(seed=0, count=24):
 
 def zero_row_line():
     """span(e1) in R^2 with both coordinates constrained: the second
-    constraint row vanishes, so whether a band draw happens depends on the
-    facet each trial picks."""
+    constraint row vanishes, so a band trial that picks that facet has no
+    band shift to make."""
     return SubspaceInQuadrant(ambient=ambient(2, 2), basis=np.array([[1.0], [0.0]]))
 
 
-def oracle_subspaces():
-    return certify_lines() + [registry.diagonal_in_square(), registry.diag_plane_subspace(),
-                              registry.circular_cone_subspace()]
+def test_one_chunk_makes_the_same_draws_whatever_the_data():
+    # every band trial of zero_row_line picks its zero row and makes no band
+    # shift; every band trial of the generic line makes one
+    generic = SubspaceInQuadrant(ambient=ambient(2, 2), basis=np.array([[0.6], [0.8]]))
+    states = []
+    for N in (zero_row_line(), generic):
+        rng = philox(4)
+        next(_pair_chunks(N, _orthogonal_complement(N), 1.0, SAMPLE_CHUNK, rng, 1e-9, _interior_point(N)))
+        states.append(rng.bit_generator.state)
+    np.testing.assert_equal(states[0], states[1])
+    assert not np.array_equal(states[0]["state"]["counter"], philox(4).bit_generator.state["state"]["counter"])
 
 
-def candidate_complements(N):
-    return _coordinate_complements(N)[:3] + [_orthogonal_complement(N)]
+def test_check_position_pair_separates_a_good_and_a_bad_complement():
+    # span(1, 1) in [0,inf)^2: n + m stays in C for m along (1, -1) with
+    # ||m|| <= ||n||, but m along (1, 0) pushes n out of C
+    sub = registry.diagonal_in_square()
+    for seed in range(4):
+        assert check_position_pair(sub, np.array([[1.0], [-1.0]]), 1.0, seed=seed) is None
+        n, m = check_position_pair(sub, np.array([[1.0], [0.0]]), 1.0, seed=seed)
+        assert sub.ambient.contains_quadrant_point(n) != sub.ambient.contains_quadrant_point(n + m)
+        assert m[1] == 0.0 and np.sum(np.abs(m)) <= np.sum(np.abs(n))
 
 
-def chunked_pairs(N, comp, c, grid, seed, tol=1e-9):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    chunks = list(_PairSampler(N, comp, c, tol, _interior_point(N)).chunks(grid, rng))
-    return np.vstack([n for n, _ in chunks]), np.vstack([m for _, m in chunks])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_benchmark_lines_are_certified_in_good_position(seed):
+    # the benchmark's `certify` workload samples 500 pairs per batch
+    for N in certify_lines(seed):
+        assert is_good_position(N, grid=500).ok
 
 
-def reference_pairs(N, comp, c, grid, seed, tol=1e-9):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pairs = list(reference_good_position_samples(N, comp, c, grid, rng, tol, interior=_interior_point(N)))
-    dim = N.ambient.dim
-    return (np.array([n for n, _ in pairs]).reshape(-1, dim), np.array([m for _, m in pairs]).reshape(-1, dim))
+BAD_COMPLEMENTS = {
+    "wrong-ambient-dim": np.ones((3, 1)),
+    "no-columns": np.zeros((2, 0)),
+    "not-finite": np.array([[1.0], [np.nan]]),
+}
 
 
-def assert_same_pairs(N, comp, c, grid, seed, tol=1e-9):
-    n_new, m_new = chunked_pairs(N, comp, c, grid, seed, tol)
-    n_ref, m_ref = reference_pairs(N, comp, c, grid, seed, tol)
-    assert n_new.shape == n_ref.shape
-    assert np.array_equal(n_new, n_ref) and np.array_equal(m_new, m_ref)
-
-
-def test_chunked_sampler_reproduces_the_reference_pairs():
-    # 100 trials: a full chunk and a partial one
-    for k, N in enumerate(oracle_subspaces()):
-        for comp in candidate_complements(N):
-            for c in (1.0, 2.0**-3):
-                assert_same_pairs(N, comp, c, grid=100, seed=k)
-
-
-def test_chunked_sampler_reproduces_the_reference_on_data_dependent_draws():
-    # span(e1) with a zero second constraint row: every band trial picks
-    # that facet and so draws no band target (and no pair survives, as n
-    # always lies on the hyperplane x2 = 0)
-    for comp in (np.array([[1.0], [1.0]]), np.array([[0.0], [1.0]])):
-        assert_same_pairs(zero_row_line(), comp, 1.0, grid=300, seed=4)
-    # two tiny constraint rows, one below the 1e-7 row-norm cutoff: which
-    # facet a band trial picks decides whether it draws a band target
-    plane = SubspaceInQuadrant(ambient=ambient(3, 2), basis=np.array([[9e-8, 0.0], [0.0, 1.1e-7], [1.0, 1.0]]))
-    assert_same_pairs(plane, np.array([[1.0], [1.0], [1.0]]), 1.0, grid=300, seed=4)
-    # a basis near the independence threshold: some n fall below 1e-12 and
-    # their trials stop early; a complement of size 1e-12 leaves some m
-    # unscaled (no last draw)
-    tiny = SubspaceInQuadrant(ambient=ambient(2, 2), basis=np.array([[1e-10], [0.5e-10]]))
-    for comp in (np.array([[1.0], [-1.0]]), np.array([[1e-12], [-1e-12]])):
-        assert_same_pairs(tiny, comp, 1.0, grid=2000, seed=5, tol=1e-20)
-    # a small c pushes some band-shifted n below 1e-12 (their trials stop)
-    small = SubspaceInQuadrant(ambient=ambient(2, 2), basis=np.array([[1.1e-7], [1.2e-7]]))
-    assert_same_pairs(small, np.array([[1.0], [-1.0]]), 1e-5, grid=300, seed=6, tol=1e-20)
-
-
-def test_check_position_pair_matches_the_reference(monkeypatch):
-    cases = [(zero_row_line(), np.array([[1.0], [1.0]]), 1.0),
-             (zero_row_line(), np.array([[0.0], [1.0]]), 0.5),
-             (registry.diagonal_in_square(), np.array([[1.0], [-1.0]]), 1.0),
-             (registry.diagonal_in_square(), np.array([[1.0], [0.0]]), 1.0)]
-    cases += [(N, candidate_complements(N)[0], 0.5) for N in certify_lines(count=6)]
-    got = [check_position_pair(N, comp, c, grid=400, seed=2) for N, comp, c in cases]
-    monkeypatch.setattr(cones, "_first_counterexample", reference_first_counterexample)
-    want = [check_position_pair(N, comp, c, grid=400, seed=2) for N, comp, c in cases]
-    assert [g is None for g in got] == [w is None for w in want]
-    assert any(g is not None for g in got) and any(g is None for g in got)
-    for g, w in zip(got, want):
-        if g is not None:
-            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
-
-
-def good_position_outcome(N, grid):
-    try:
-        res = is_good_position(N, grid=grid)
-    except Inconclusive:
-        return "inconclusive"
-    return res.ok, res.c, None if res.complement is None else res.complement.tolist()
-
-
-def test_is_good_position_matches_the_reference(monkeypatch):
-    # the certify lines at the benchmark's 500 pairs per batch; the registry
-    # subspaces at 100
-    cases = [(N, 500) for N in certify_lines()] + [
-        (registry.diagonal_in_square(), 100), (registry.diag_plane_subspace(), 100),
-        (registry.circular_cone_subspace(), 100)]
-    got = [good_position_outcome(N, grid) for N, grid in cases]
-    monkeypatch.setattr(cones, "_first_counterexample", reference_first_counterexample)
-    want = [good_position_outcome(N, grid) for N, grid in cases]
-    assert got == want
+@pytest.mark.parametrize("case", sorted(BAD_COMPLEMENTS))
+def test_a_bad_complement_raises(case):
+    sub, comp = registry.diagonal_in_square(), BAD_COMPLEMENTS[case]
+    with pytest.raises(ValueError):
+        check_position_pair(sub, comp, 1.0)
+    with pytest.raises(ValueError):
+        is_good_position(sub, complement_candidates=[comp])
 
 
 def test_import_leaves_scipy_optimize_unloaded():

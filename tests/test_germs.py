@@ -6,6 +6,7 @@ import pytest
 from germforge import registry
 from germforge.errors import NonConvergence
 from germforge.germs import (
+    SOLUTION_CACHE_SIZE,
     ContractionGerm,
     ContractionReport,
     SamplingPlan,
@@ -219,6 +220,16 @@ def test_solution_germ_caches():
     a = sol(np.array([0.1]))
     b = sol(np.array([0.1]))
     assert a is b
+
+
+def test_solution_germ_cache_keeps_at_most_its_limit():
+    sol = SolutionGerm(registry.linear_germ())
+    for k in range(SOLUTION_CACHE_SIZE + 10):
+        sol(np.array([1e-3 * k]))
+        assert len(sol._cache) <= SOLUTION_CACHE_SIZE
+    # the oldest entries went first
+    assert sol._key([0.0]) not in sol._cache
+    assert sol._key([1e-3 * (SOLUTION_CACHE_SIZE + 9)]) in sol._cache
 
 
 # ---------------------------------------------------------------------------
