@@ -263,6 +263,8 @@ def _oriented_complement(N: SubspaceInQuadrant, complement) -> np.ndarray:
         raise ValueError("complement vectors must be finite")
     if comp.shape[1] != N.ambient.dim - N.dim:
         raise ValueError(f"complement has {comp.shape[1]} columns, not dim - dim N = {N.ambient.dim - N.dim}")
+    if np.linalg.matrix_rank(np.hstack([N.basis, comp]), tol=1e-10) != N.ambient.dim:
+        raise ValueError("complement and N do not span the ambient space")
     return comp
 
 

@@ -327,6 +327,7 @@ BAD_COMPLEMENTS = {
     "wrong-ambient-dim": np.ones((3, 1)),
     "no-columns": np.zeros((2, 0)),
     "not-finite": np.array([[1.0], [np.nan]]),
+    "inside-N": np.array([[1.0], [1.0]]),
 }
 
 
