@@ -188,10 +188,10 @@ def _pair_chunks(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: flo
 
     Pairs are concentrated where a bad complement fails.  Every other trial
     starts near the cone (along the LP interior direction when one exists)
-    and then has the constrained coordinate nearest its facet pushed into
-    the band (-2c||n||, 2c||n||) -- membership of n + m can only disagree
-    with membership of n there.  The facet is chosen among those the
-    complement can reach, and m is aimed at it; ||m|| <= c ||n|| always.
+    and then has its smallest constrained coordinate pushed into the band
+    (-2c||n||, 2c||n||) -- membership of n + m can only disagree with
+    membership of n there.  That facet is chosen among those the complement
+    can reach, and m is aimed at it; ||m|| <= c ||n|| always.
     Trials whose n vanishes or lies on a constraint hyperplane are dropped.
 
     Draw plan: every trial of a chunk draws an exponential, d normals, a
@@ -252,8 +252,8 @@ def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng,
 
 
 def _oriented_complement(N: SubspaceInQuadrant, complement) -> np.ndarray:
-    """A caller's complement as (dim, dim - dim N) columns; given the other
-    way round, it is transposed."""
+    """A caller's complement as (dim, dim - dim N) columns, transposed if
+    given as rows; ValueError unless it is finite and completes N's basis."""
     comp = np.atleast_2d(np.asarray(complement, dtype=float))
     if comp.shape[0] != N.ambient.dim:
         comp = comp.T
