@@ -31,7 +31,6 @@ from .splicing import (
     StrongBundleSplicing,
     core_retraction,
     degeneracy_index,
-    fill_section,
     linearize_filled,
     local_faces,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "core_retraction",
     "degeneracy_index",
     "enumerate_zeros",
-    "fill_section",
     "fredholm_index",
     "generic_perturbation",
     "germ_derivative",

@@ -102,6 +102,8 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
     env_out = os.environ.get("GERMFORGE_OUT")
     if env_out:
         cfg.out = Path(env_out)
+    if cfg.out.exists() and not cfg.out.is_dir():
+        raise ConfigError(f"field [run].out: {cfg.out} exists and is not a directory")
     accepted = MODEL_CHECKS.get(cfg.command, {})
     for m in cfg.models:
         if cfg.command != "selftest" and m not in accepted:

@@ -398,7 +398,7 @@ def extreme_rays(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> list:
     return [ambient_rays[i] for i in order]
 
 
-def cone_membership_residual(point, rays, tol: float = FEAS_TOL) -> float:
+def cone_membership_residual(point, rays) -> float:
     """NNLS residual of representing `point` as a nonneg combination of rays."""
     point = np.asarray(point, dtype=float)
     if not len(rays):
@@ -466,21 +466,16 @@ class QuadrantStructure:
     rays: list
 
 
-def quadrant_structure(N: SubspaceInQuadrant, certified: bool = False,
-                       tol: float = DEFAULT_TOL) -> QuadrantStructure:
+def quadrant_structure(N: SubspaceInQuadrant) -> QuadrantStructure:
     """Standard-quadrant coordinates for C ∩ N of a good-position subspace.
 
     Splits N into a complement Ntilde of N ∩ W and the W-part, enumerates
     the extreme rays of the (automatically pointed) cone C ∩ Ntilde, forms
     Sigma as the union of the rays' vanishing-index sets, and builds the
     bijection Ntilde -> R^Sigma (first case) or the single-ray model
-    (second case, Sigma empty).  `certified` asserts good position was
-    checked by the caller; otherwise it is verified here.
+    (second case, Sigma empty).  The caller certifies good position (see
+    `is_good_position`); it is not checked here.
     """
-    if not certified:
-        res = is_good_position(N)
-        if not res.ok:
-            raise Inconclusive("subspace not certified to be in good position")
     n = N.n
     dim = N.ambient.dim
     d = N.dim

@@ -1,19 +1,22 @@
 """Good parametrizations of zero sets near interior and corner points.
 
-Near a zero q of f with surjective linearization, the zero set is the graph
-Gamma(t) = q + K t + A(t) over the kernel N = ker f'(q): K is an orthonormal
-basis of N, A(t) lies in a fixed complement C of N, A(0) = 0 and DA(0) = 0.
-Each A(t) = C s comes from one damped Newton solve of the square system
+Near a zero q of f with surjective linearization J = f'(q), the zero set is
+the graph Gamma(t) = q + K t + A(t) over the kernel N = ker J: K is an
+orthonormal basis of N, A(t) lies in a fixed complement C of N, A(0) = 0 and
+DA(0) = 0.  Both chart builders read J and K from one linearization.  Each
+A(t) = C s comes from one damped Newton solve of the square system
 f(q + K t + C s) = 0 started at s = 0, which A(0) = 0 and DA(0) = 0 make a
 second-order guess.  The paper reaches the same map in stages (fiber fixed
 point, Newton on the finite-dimensional remainder, reparametrization over N).
 Both constructions produce, for each t, a zero of f of the form q + K t + c
 with c in C near 0, and the implicit function theorem makes that c locally
 unique, so they agree to solver tolerance.  Interior charts use the
-orthogonal complement of N; corner charts run over the partial quadrant
-N ∩ C_q supplied by the cone analysis and use the certified good-position
-complement.  Tangents come from the same linearization:
-DGamma(t) = K - C (J C)^-1 J K with J = f'(Gamma(t)).
+orthogonal complement of N.  Corner charts run over the partial quadrant
+N ∩ C_q supplied by the cone analysis; their complement is C = M ⊕ W, where
+M is the parameter part of the certified good-position complement on the
+graph of the fiber slope delta'(0) = -J_ww^-1 J_wv, read off the same J.
+Tangents come from the same linearization: DGamma(t) = K - C (J C)^-1 J K
+with J = f'(Gamma(t)).
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .errors import (
     NonConvergence,
     NotSurjective,
     PositionNotCertified,
+    SingularLinearization,
 )
 from .fredholm import BasicGerm
-from .germs import ContractionGerm, SolutionGerm, germ_derivative
 from .spaces import DEFAULT_TOL, GradedSpace
 
 CACHE_QUANTUM = 1e-12
@@ -156,12 +159,16 @@ def _tangent(chart: GoodParametrization, J):
     return K - C @ np.linalg.solve(JC, J @ K)
 
 
-def _shifted_at_zero(bg: BasicGerm, q):
-    """x -> f(q + x) for a zero q of bg."""
+def _linearization(bg: BasicGerm, q):
+    """(J, K) at a zero q of bg: J = f'(q) by central differences and K an
+    orthonormal basis of ker J.  Raises NotSurjective when J is not onto."""
     fq = bg.evaluate(q)
     if float(np.max(np.abs(fq))) > 1e-8:
         raise GermforgeError(f"base point is not a zero (|f(q)| = {np.max(np.abs(fq)):.3e})")
-    return lambda x: bg.evaluate(q + x)
+    J = fd_jacobian(lambda x: bg.evaluate(q + x), np.zeros(bg.domain_dim))
+    if not is_surjective(J):
+        raise NotSurjective("linearization at the base zero is not onto")
+    return J, svd_split(J)[1]
 
 
 def _graph_map(section, q, kernel, complement):
@@ -175,9 +182,15 @@ def _graph_map(section, q, kernel, complement):
     return a_map
 
 
-def _shrunk_until_valid(chart: GoodParametrization) -> GoodParametrization:
-    """The chart at the first radius, halving from chart.radius at most
-    MAX_SHRINKS times, whose invariants hold on samples."""
+def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank) -> GoodParametrization:
+    """The graph chart of bg at q over `kernel` in `complement`, at the first
+    radius, halving from `radius` at most MAX_SHRINKS times, whose invariants
+    hold on samples."""
+    chart = GoodParametrization(
+        base_point=q, kernel_basis=kernel, complement_basis=complement, radius=radius,
+        section=bg.evaluate, a_map=_graph_map(bg.evaluate, q, kernel, complement),
+        structure=structure, ambient_rank=ambient_rank,
+    )
     for _ in range(MAX_SHRINKS):
         if _chart_invariants_hold(chart):
             return chart
@@ -201,17 +214,9 @@ def build_parametrization(bg: BasicGerm, q, radius: float = 0.5) -> GoodParametr
     when no radius passes.
     """
     q = np.asarray(q, dtype=float)
-    shifted = _shifted_at_zero(bg, q)
-    J = fd_jacobian(shifted, np.zeros(bg.domain_dim))
-    if not is_surjective(J):
-        raise NotSurjective("linearization at the base zero is not onto")
-    _, kernel, _, _ = svd_split(J)
+    _, kernel = _linearization(bg, q)
     complement = orthonormal_columns(np.eye(bg.domain_dim) - kernel @ kernel.T)
-    chart = GoodParametrization(
-        base_point=q, kernel_basis=kernel, complement_basis=complement, radius=radius,
-        section=bg.evaluate, a_map=_graph_map(bg.evaluate, q, kernel, complement),
-    )
-    return _shrunk_until_valid(chart)
+    return _chart(bg, q, kernel, complement, radius, None, 0)
 
 
 def _chart_invariants_hold(chart: GoodParametrization) -> bool:
@@ -365,96 +370,55 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
                                    radius: float = 0.4) -> GoodParametrization:
     """Good parametrization near a corner zero q over the quadrant N ∩ C_q.
 
-    Requires the kernel N of f'(q) to be in good position to the tangent
-    quadrant; the certificate is computed via the cone analysis when not
-    supplied.  The domain is the partial quadrant carried as a
-    quadrant-structure result.  The kernel basis is the transport of the
-    remainder kernel N' through the fiber solution's derivative, and the
-    complement C is the certified good-position complement, carried to the
-    remainder coordinates, plus the fiber directions.  A(t) = C s solves
+    J = f'(q) and the kernel basis K of N = ker J come from the shared
+    linearization.  N must be in good position to the tangent quadrant; the
+    cone analysis computes the certificate when none is supplied, and its
+    complement must complete K to a basis.  The domain is the partial
+    quadrant carried as a quadrant-structure result.  With the fiber slope
+    delta'(0) = -J_ww^-1 J_wv read off the same J, ker J is the graph of
+    delta'(0) over the remainder kernel N'; M, the parameter part of the
+    certified complement's intersection with graph(delta'(0)), complements
+    N', and the chart complement is C = M ⊕ W.  A(t) = C s solves
     f(q + K t + C s) = 0 by one damped Newton from s = 0; the paper's staged
     construction over N' ∩ C' yields a zero of the same form, and the
     implicit function theorem makes it locally unique.
+
+    Raises NotSurjective when J is not onto, SingularLinearization when its
+    fiber block J_ww is singular, PositionNotCertified when the certificate
+    fails or its complement does not complete K, and NonConvergence when no
+    radius passes.
     """
     q = np.asarray(q, dtype=float)
-    n, k, wdim = bg.n, bg.k, bg.W.dim
-    shifted = _shifted_at_zero(bg, q)
-
+    n, wdim = bg.n, bg.W.dim
     # active constraints at q determine the local tangent quadrant
-    active = [i for i in range(k) if abs(q[i]) <= DEFAULT_TOL]
+    active = [i for i in range(bg.k) if abs(q[i]) <= DEFAULT_TOL]
     if not active:
         return build_parametrization(bg, q, radius=radius)
     if active != list(range(len(active))):
         raise GermforgeError(
             "boundary construction expects the active constraints to be the leading coordinates"
         )
-    local_rank = len(active)
 
-    J = fd_jacobian(shifted, np.zeros(bg.domain_dim))
-    if not is_surjective(J):
-        raise NotSurjective("linearization at the corner zero is not onto")
-
-    inner = None
-    if wdim:
-        inner = ContractionGerm(
-            parameter_space=bg.parameter_space, solution_space=bg.W,
-            B=lambda v, w: w - bg.project_W(shifted(np.concatenate([v, w]))),
-            contraction_schedule=dict(bg.contraction_schedule),
-        )
-    delta = SolutionGerm(inner) if inner else (lambda v: np.zeros(0))
-
-    def G(v):
-        return shifted(np.concatenate([v, delta(v)]))[: bg.N]
-
-    DG0 = fd_jacobian(G, np.zeros(n)) if bg.N else np.zeros((0, n))
-    if bg.N and not is_surjective(DG0):
-        raise NotSurjective("remainder linearization is not onto at the corner")
-    _, Nprime, _, _ = svd_split(DG0) if bg.N else (0, np.eye(n), None, None)
-
-    dp0 = germ_derivative(inner, np.zeros(n)) if wdim else None
-    T = np.eye(bg.domain_dim)
-    if wdim:
-        T[n:, :n] = dp0
-    kernel = orthonormal_columns(T[:, :n] @ Nprime)
+    J, kernel = _linearization(bg, q)
+    J_ww = J[bg.N:, n:]
+    if not is_surjective(J_ww):
+        raise SingularLinearization("fiber block J_ww of f'(q) is singular at the corner")
+    slope = -np.linalg.solve(J_ww, J[bg.N:, :n])  # delta'(0)
 
     ambient = GradedSpace(dim=bg.domain_dim, levels=bg.W.levels,
-                          weights=np.ones(bg.domain_dim), quadrant_rank=local_rank)
+                          weights=np.ones(bg.domain_dim), quadrant_rank=len(active))
     sub = cones.SubspaceInQuadrant(ambient=ambient, basis=kernel)
-    cert = position_certificate
-    if cert is None:
-        cert = cones.is_good_position(sub)
+    cert = cones.is_good_position(sub) if position_certificate is None else position_certificate
     if not getattr(cert, "ok", False):
         raise PositionNotCertified("kernel is not certified to be in good position to the corner")
-    structure = cones.quadrant_structure(sub, certified=True)
+    try:
+        comp = cones._oriented_complement(sub, cert.complement)
+    except ValueError as exc:
+        raise PositionNotCertified(f"certified complement does not complete the kernel: {exc}") from exc
 
-    comp = cert.complement if cert.complement is not None else orthonormal_columns(
-        np.eye(bg.domain_dim) - kernel @ kernel.T
-    )
-    # transport the good complement back through (h, w) -> (h, w - delta'(0) h)
-    T_inv = np.eye(bg.domain_dim)
-    if wdim:
-        T_inv[n:, :n] = -dp0
-    nprime_comp = T_inv @ comp
-    param_block = np.zeros((bg.domain_dim, n))
-    param_block[:n, :n] = np.eye(n)
-    M = subspace_intersection(nprime_comp, param_block)[: n, :]
-    M = orthonormal_columns(M)
-    if M.shape[1] != n - Nprime.shape[1]:
-        M = orthonormal_columns(np.eye(n) - Nprime @ Nprime.T)
-
-    # chart complement: transported M plus the fiber directions
-    M_amb = np.zeros((bg.domain_dim, M.shape[1]))
-    M_amb[:n, :] = M
-    w_amb = np.zeros((bg.domain_dim, wdim))
-    w_amb[n:, :] = np.eye(wdim)
-    chart_comp = orthonormal_columns(np.hstack([T @ M_amb, w_amb]))
-
-    chart = GoodParametrization(
-        base_point=q, kernel_basis=kernel, complement_basis=chart_comp, radius=radius,
-        section=bg.evaluate, a_map=_graph_map(bg.evaluate, q, kernel, chart_comp),
-        structure=structure, ambient_rank=local_rank,
-    )
-    return _shrunk_until_valid(chart)
+    M = orthonormal_columns(subspace_intersection(comp, np.vstack([np.eye(n), slope]))[:n])
+    complement = np.block([[M, np.zeros((n, wdim))], [np.zeros((wdim, M.shape[1])), np.eye(wdim)]])
+    return _chart(bg, q, kernel, complement, radius, cones.quadrant_structure(sub), len(active))
 
 
 @dataclass(frozen=True)

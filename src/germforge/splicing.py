@@ -177,7 +177,7 @@ class Filler:
             raise ValueError(f"filler must return {self.bundle.F.dim} components, got {out.shape}")
         return out
 
-    def check_on_sample(self, v, e, tol: float = 1e-8) -> float:
+    def check_on_sample(self, v, e) -> float:
         """rho at the retracted point must annihilate the filler value."""
         model = self.bundle.base.model
         rv, re = core_retraction(model, v, e)
@@ -216,11 +216,6 @@ class FilledSection:
     def evaluate_flat(self, x):
         pdim = self.model.param_space.dim
         return self.evaluate(x[:pdim], x[pdim:])
-
-
-def fill_section(section, filler: Filler) -> FilledSection:
-    """Bundle a core section with a validated filler into its filled map."""
-    return FilledSection(section=section, filler=filler)
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,16 @@ def test_seed_outside_0_to_2_pow_64_is_exit_2(tmp_path, seed, capsys):
     assert not (tmp_path / "events.jsonl").exists()
 
 
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    assert main(["solve-germ", "--out", str(a_file)]) == 2
+    assert "out" in capsys.readouterr().err
+    monkeypatch.setenv("GERMFORGE_OUT", str(a_file))
+    assert main(["solve-germ", "--out", str(tmp_path / "ignored")]) == 2
+    assert not (tmp_path / "ignored").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
 def test_tolerance_must_be_finite_and_positive(tmp_path, tol, capsys):
     assert main(["degree", f"--tol={tol}", "--out", str(tmp_path)]) == 2

@@ -182,7 +182,7 @@ def test_sigma_counts_on_good_position_rays():
 def test_quadrant_structure_full_parameter_block():
     amb = ambient(4, 2)
     N = SubspaceInQuadrant(ambient=amb, basis=np.eye(4)[:, :2])
-    qs = quadrant_structure(N, certified=True)
+    qs = quadrant_structure(N)
     assert qs.quadrant_count == 2
     assert sorted(qs.sigma) == [0, 1]
     x = np.array([0.3, 0.7, 0.0, 0.0])
@@ -191,7 +191,7 @@ def test_quadrant_structure_full_parameter_block():
 
 
 def test_quadrant_structure_second_case_diagonal():
-    qs = quadrant_structure(registry.diagonal_in_square(), certified=True)
+    qs = quadrant_structure(registry.diagonal_in_square())
     assert qs.sigma == frozenset()
     assert qs.quadrant_count == 1
     # (N, C ∩ N) ~ (R, R+): positive multiples of (1,1) map to t >= 0
@@ -205,14 +205,14 @@ def test_quadrant_structure_second_case_diagonal():
 
 def test_quadrant_structure_diag_plane_full_quadrant():
     sub = registry.diag_plane_subspace()
-    qs = quadrant_structure(sub, certified=True)
+    qs = quadrant_structure(sub)
     assert len(qs.sigma) == sub.dim == qs.quadrant_count
 
 
 def test_quadrant_structure_round_trip_and_membership():
     rng = np.random.default_rng(11)
     for sub in (registry.diag_plane_subspace(), registry.diagonal_in_square()):
-        qs = quadrant_structure(sub, certified=True)
+        qs = quadrant_structure(sub)
         for _ in range(500):
             lam = np.abs(rng.normal(size=len(qs.rays)))
             x = sum(l * r for l, r in zip(lam, qs.rays))

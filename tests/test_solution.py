@@ -5,7 +5,7 @@ import pytest
 
 from germforge import registry
 from germforge._linalg import fd_jacobian, newton, orthonormal_columns, subspace_intersection, svd_split
-from germforge.errors import NonConvergence, NoOverlap, NotSurjective, PositionNotCertified
+from germforge.errors import NonConvergence, NoOverlap, NotSurjective, PositionNotCertified, SingularLinearization
 from germforge.fredholm import BasicGerm
 from germforge.germs import ContractionGerm, SolutionGerm, germ_derivative
 from germforge.solution import (
@@ -266,6 +266,39 @@ def test_position_certificate_is_honored():
 
     with pytest.raises(PositionNotCertified):
         build_boundary_parametrization(bg, np.zeros(2), position_certificate=FakeCert())
+
+
+def test_a_certificate_whose_complement_is_the_kernel_is_rejected():
+    # the parabola's kernel at the corner is span{(1, 0)}; a "complement"
+    # equal to it would let every t solve to the corner itself
+    bg = registry.parabola_corner_germ()
+
+    class KernelCert:
+        ok = True
+        complement = np.array([[1.0], [0.0]])
+
+    with pytest.raises(PositionNotCertified):
+        build_boundary_parametrization(bg, np.zeros(2), position_certificate=KernelCert())
+
+
+def test_a_singular_fiber_block_raises_a_library_error():
+    # g = (v2 - v1 + w, v1 + w^2): f'(0) is onto, but J_ww = 0
+    W = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
+    bg = BasicGerm(n=2, k=1, N=1, W=W, g=lambda x: np.array([x[1] - x[0] + x[2], x[0] + x[2] ** 2]),
+                   contraction_schedule={m: (0.25, 1.0) for m in range(4)})
+    with pytest.raises(SingularLinearization):
+        build_boundary_parametrization(bg, np.zeros(3), radius=0.3)
+
+
+def test_fibred_corner_chart_reads_its_kernel_and_complement_from_f_prime():
+    bg = _fibred_corner_germ()
+    chart = build_boundary_parametrization(bg, np.zeros(3), radius=0.3)
+    J = chart.jacobian(np.zeros(3))
+    assert np.max(np.abs(J @ chart.kernel_basis)) < 1e-8
+    C = chart.complement_basis
+    fiber = np.array([0.0, 0.0, 1.0])
+    assert np.max(np.abs(C @ (C.T @ fiber) - fiber)) < 1e-12
+    assert np.linalg.matrix_rank(np.hstack([chart.kernel_basis, C])) == 3
 
 
 def test_boundary_chart_guards():

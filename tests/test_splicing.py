@@ -12,7 +12,6 @@ from germforge.splicing import (
     StrongBundleSplicing,
     core_retraction,
     degeneracy_index,
-    fill_section,
     linearize_filled,
     local_faces,
 )
@@ -137,7 +136,7 @@ def test_trivial_filler_gives_back_the_section():
     bundle = StrongBundleSplicing(base=core, F=F, rho=lambda v, e: np.eye(2))
     filler = Filler(bundle=bundle, fc=lambda v, e: np.zeros(2))
     section = lambda v, e: e - np.array([v[0], 0.0])
-    fs = fill_section(section, filler)
+    fs = FilledSection(section=section, filler=filler)
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = rng.uniform(-1, 1, size=1)
@@ -218,7 +217,7 @@ def test_linearize_filled_trivial_splicing():
     bundle = StrongBundleSplicing(base=core, F=F, rho=lambda v, e: np.eye(2))
     filler = Filler(bundle=bundle, fc=lambda v, e: np.zeros(2))
     section = lambda v, e: e - np.array([v[0], 0.0])
-    fs = fill_section(section, filler)
+    fs = FilledSection(section=section, filler=filler)
     q = np.array([0.3, 0.3, 0.0])
     rep = linearize_filled(fs, q)
     assert rep.filler_block.size == 0
@@ -238,7 +237,7 @@ def test_linearize_filled_scalar_filler_block():
     lam = 2.5
     filler = Filler(bundle=bundle, fc=lambda v, e: np.array([0.0, lam * e[1]]))
     section = lambda v, e: np.array([e[0] - v[0], 0.0])
-    fs = fill_section(section, filler)
+    fs = FilledSection(section=section, filler=filler)
     rep = linearize_filled(fs, np.array([0.2, 0.2, 0.0]))
     assert rep.filler_block.shape == (1, 1)
     assert rep.filler_block[0, 0] == pytest.approx(lam, abs=1e-6)
