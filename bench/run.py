@@ -61,10 +61,16 @@ def revision(tree: Path) -> dict:
 
 def settable_values(source: str) -> int:
     """Defaulted parameters of the module-level functions and of the methods
-    of module-level classes, plus the class fields with a default.  Nested
-    functions and classes are not counted."""
+    of module-level classes, plus the class fields with a default, except a
+    `field(..., init=False)`, which no caller can set.  Nested functions and
+    classes are not counted."""
     def defaults(fn):
         return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+    def settable(value):
+        return not (isinstance(value, ast.Call) and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords))
 
     count = 0
     for node in ast.parse(source).body:
@@ -74,7 +80,7 @@ def settable_values(source: str) -> int:
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     count += defaults(item)
-                elif isinstance(item, ast.AnnAssign) and item.value is not None:
+                elif isinstance(item, ast.AnnAssign) and item.value is not None and settable(item.value):
                     count += 1
     return count
 

@@ -11,13 +11,12 @@ form integration; `registry` and `cli` the batch harness on named models.
 """
 
 from .errors import GermforgeError
-from .spaces import GradedSpace, GradedVector, PartialQuadrantMembership, level_norm, quadrant_membership
+from .spaces import GradedSpace, GradedVector
 from .germs import (
     ContractionGerm,
     SamplingPlan,
     SolutionGerm,
     germ_derivative,
-    iterate_tangent,
     solve_germ,
     tangent_germ,
     verify_contraction,
@@ -38,7 +37,6 @@ from .orientation import (
     DeterminantLine,
     OrientationReference,
     continue_orientation,
-    natural_orientation,
     sign_of_zero,
     stabilize,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "GradedSpace",
     "GradedVector",
     "OrientationReference",
-    "PartialQuadrantMembership",
     "PerturbationProblem",
     "SamplingPlan",
     "ScPlusSection",
@@ -102,15 +99,11 @@ __all__ = [
     "germ_derivative",
     "integrate_form",
     "invariance_suite",
-    "iterate_tangent",
-    "level_norm",
     "linearize_filled",
     "linearize_relative",
     "local_faces",
     "make_bump_section",
-    "natural_orientation",
     "perturb_normal_form",
-    "quadrant_membership",
     "recentre",
     "sign_of_zero",
     "solve_germ",

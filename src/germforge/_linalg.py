@@ -45,7 +45,8 @@ def guard_rank_band(sigma, cutoff: float):
 
 
 def is_surjective(T) -> bool:
-    """Full row rank test: smallest of the first m singular values > SV_RELATIVE_CUTOFF * largest."""
+    """Full row rank at `svd_split`'s cutoff: the m-th singular value exceeds
+    SV_RELATIVE_CUTOFF * max(sigma_max, 1)."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
     m, n = T.shape
     if m == 0:
@@ -53,7 +54,7 @@ def is_surjective(T) -> bool:
     if n < m:
         return False
     s = np.linalg.svd(T, compute_uv=False)
-    return bool(s[m - 1] > SV_RELATIVE_CUTOFF * max(s[0], 1e-300))
+    return bool(s[m - 1] > SV_RELATIVE_CUTOFF * max(s[0], 1.0))
 
 
 def fd_jacobian(f, x):

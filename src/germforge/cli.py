@@ -76,34 +76,37 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
     cfg = RunConfig(command=command, models=list(DEFAULT_MODELS[command]))
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        # a value is interpolated when it is read, so a stray '%' fails there
         try:
-            read = parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"config file {path} not found or unreadable")
+            if parser.has_section("run"):
+                run = parser["run"]
+                if "models" in run:
+                    cfg.models = [m.strip() for m in run["models"].split(",") if m.strip()]
+                getters = {"seed": run.getint, "trials": run.getint, "tol": run.getfloat,
+                           "integrate_forms": run.getboolean}
+                for key, get in getters.items():
+                    if key in run:
+                        try:
+                            setattr(cfg, key, get(key))
+                        except ValueError as exc:
+                            raise ConfigError(f"field [run].{key}: {exc}") from exc
+                if "out" in run:
+                    cfg.out = Path(run["out"])
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
-        if not read:
-            raise ConfigError(f"config file {path} not found or unreadable")
-        if parser.has_section("run"):
-            run = parser["run"]
-            if "models" in run:
-                cfg.models = [m.strip() for m in run["models"].split(",") if m.strip()]
-            getters = {"seed": run.getint, "trials": run.getint, "tol": run.getfloat,
-                       "integrate_forms": run.getboolean}
-            for key, get in getters.items():
-                if key in run:
-                    try:
-                        setattr(cfg, key, get(key))
-                    except ValueError as exc:
-                        raise ConfigError(f"field [run].{key}: {exc}") from exc
-            if "out" in run:
-                cfg.out = Path(run["out"])
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
     env_out = os.environ.get("GERMFORGE_OUT")
     if env_out:
         cfg.out = Path(env_out)
-    if cfg.out.exists() and not cfg.out.is_dir():
-        raise ConfigError(f"field [run].out: {cfg.out} exists and is not a directory")
+    # the nearest existing ancestor (or out itself) must be a directory, or
+    # write_reports' mkdir fails after every model has run
+    existing = next((p for p in (cfg.out, *cfg.out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"field [run].out: {existing} exists and is not a directory")
     accepted = MODEL_CHECKS.get(cfg.command, {})
     for m in cfg.models:
         if cfg.command != "selftest" and m not in accepted:
@@ -136,13 +139,14 @@ def check_solve_germ(rep: Report, model: str, cfg: RunConfig):
 
 
 def _add_residuals(rep: Report, sampled_charts):
-    """One residual row per (row prefix, chart, samples t), then their maximum."""
+    """One residual row per (row prefix, chart, samples t), named by the
+    prefix and the sample's index within its chart, then their maximum."""
     worst = 0.0
     for prefix, chart, samples in sampled_charts:
-        for t in samples:
+        for i, t in enumerate(samples):
             r = chart.residual(t)
             worst = max(worst, r)
-            rep.add_metric(f"{prefix}t_{t[0]:+.6f}", r)
+            rep.add_metric(f"{prefix}{i}", r)
     rep.add_metric("max_residual", worst)
     rep.add_invariant("residuals", worst <= 1e-8)
 

@@ -82,20 +82,6 @@ class SubspaceInQuadrant:
 
 
 @dataclass(frozen=True)
-class PolyhedralCone:
-    """C ∩ N as ray data: carrier subspace, unit generators, pointedness.
-
-    Pointed means no nonzero x has both x and -x representable, i.e. the
-    lineality space is trivial; otherwise a basis of it is carried.
-    """
-
-    carrier: SubspaceInQuadrant
-    rays: tuple
-    pointed: bool
-    lineality_basis: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class NeatnessResult:
     neat: bool
     complement: np.ndarray | None = None
@@ -114,9 +100,7 @@ def is_neat(N: SubspaceInQuadrant) -> NeatnessResult:
     if n and (N.dim < n or np.linalg.matrix_rank(G, tol=1e-10) < n):
         return NeatnessResult(neat=False)
     # kernel of the projection restricted to N, pushed into W coordinates
-    _, ker_coeff, _, _ = svd_split(G) if n else (0, np.eye(N.dim), None, None)
-    K_w = (N.basis @ ker_coeff)[n:, :] if N.dim else np.zeros((dim - n, 0))
-    K_w = orthonormal_columns(K_w)
+    K_w = orthonormal_columns((N.basis @ cone_lineality(N))[n:, :])
     # complement Q of K_w inside W: orthogonal complement
     full = np.eye(dim - n)
     if K_w.shape[1]:
@@ -182,7 +166,7 @@ def _coordinate_complements(N: SubspaceInQuadrant):
     return out
 
 
-def _pair_chunks(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float, interior):
+def _pair_chunks(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, interior):
     """Yield the test pairs (n, m) of `grid` trials as two (k, dim) arrays,
     one chunk of SAMPLE_CHUNK trials at a time.
 
@@ -236,15 +220,15 @@ def _pair_chunks(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: flo
         big = norm_m > 1e-12
         mvecs *= np.where(big, c * norm_n / np.where(big, norm_m, 1.0) * u_scale, 1.0)[:, None]
         keep = ((rows < grid - start) & (norm0 >= 1e-12) & (norm_n >= 1e-12)
-                & (np.min(np.abs(nvecs[:, :n_rank]), axis=1, initial=np.inf) > 10 * tol * np.maximum(1.0, norm_n)))
+                & (np.min(np.abs(nvecs[:, :n_rank]), axis=1, initial=np.inf) > 10 * DEFAULT_TOL * np.maximum(1.0, norm_n)))
         yield nvecs[keep], mvecs[keep]
 
 
-def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, tol: float, interior):
+def _first_counterexample(N: SubspaceInQuadrant, comp, c: float, grid: int, rng, interior):
     """The first sampled (n, m) pair whose memberships of n and n + m in C
     differ, or None; no chunk after the one that holds it is drawn."""
-    for nvecs, mvecs in _pair_chunks(N, comp, c, grid, rng, tol, interior):
-        bad = N.ambient.contains_quadrant_point(nvecs, tol) != N.ambient.contains_quadrant_point(nvecs + mvecs, tol)
+    for nvecs, mvecs in _pair_chunks(N, comp, c, grid, rng, interior):
+        bad = N.ambient.contains_quadrant_point(nvecs) != N.ambient.contains_quadrant_point(nvecs + mvecs)
         if bad.any():
             j = int(np.argmax(bad))
             return nvecs[j], mvecs[j]
@@ -268,19 +252,18 @@ def _oriented_complement(N: SubspaceInQuadrant, complement) -> np.ndarray:
     return comp
 
 
-def check_position_pair(N: SubspaceInQuadrant, complement, c: float, grid: int = 2000,
-                        seed: int = 0, tol: float = DEFAULT_TOL):
+def check_position_pair(N: SubspaceInQuadrant, complement, c: float, grid: int = 2000, seed: int = 0):
     """Sample the good-position equivalence for one (complement, c) pair.
 
     Returns None when no counterexample was found, else the offending
     (n, m) pair.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return _first_counterexample(N, _oriented_complement(N, complement), c, grid, rng, tol, _interior_point(N))
+    return _first_counterexample(N, _oriented_complement(N, complement), c, grid, rng, _interior_point(N))
 
 
 def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int = 2000,
-                     seed: int = 0, tol: float = DEFAULT_TOL) -> GoodPositionResult:
+                     seed: int = 0) -> GoodPositionResult:
     """Search for a complement and constant certifying good position.
 
     (a) N ∩ C must have nonempty interior in N (LP).
@@ -308,7 +291,7 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
     candidates.append(_orthogonal_complement(N))
     def has_counterexample(comp, c, batch_grid, key):
         batch_rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(key)))
-        return _first_counterexample(N, comp, c, batch_grid, batch_rng, tol, y0) is not None
+        return _first_counterexample(N, comp, c, batch_grid, batch_rng, y0) is not None
 
     for ci, comp in enumerate(candidates):
         for cj, c in enumerate([2.0**-j for j in range(0, 11)]):
@@ -338,7 +321,7 @@ def _nnls_residual(A, b):
     return float(res)
 
 
-def extreme_rays(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> list:
+def extreme_rays(N: SubspaceInQuadrant) -> list:
     """Unit generators of the extreme rays of the pointed cone C ∩ N.
 
     Enumerates active-constraint subsets of size dim N - 1, solves the
@@ -359,7 +342,7 @@ def extreme_rays(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> list:
     if d == 1:
         for sgn in (1.0, -1.0):
             y = np.array([sgn])
-            if np.all(G @ y >= -tol):
+            if np.all(G @ y >= -FEAS_TOL):
                 candidates.append(y)
     else:
         for subset in itertools.combinations(range(n), d - 1):
@@ -370,7 +353,7 @@ def extreme_rays(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> list:
             y = ker[:, 0]
             for sgn in (1.0, -1.0):
                 cand = sgn * y
-                if np.all(G @ cand >= -tol * max(1.0, float(np.max(np.abs(G @ cand))))):
+                if np.all(G @ cand >= -FEAS_TOL * max(1.0, float(np.max(np.abs(G @ cand))))):
                     candidates.append(cand)
                     break
     # dedupe by direction
@@ -385,7 +368,7 @@ def extreme_rays(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> list:
         others = [u for j, u in enumerate(uniq) if j != i]
         if others:
             A = np.column_stack(others)
-            if _nnls_residual(A, y) <= tol:
+            if _nnls_residual(A, y) <= FEAS_TOL:
                 continue
         rays.append(y)
     ambient_rays = []
@@ -407,15 +390,6 @@ def cone_membership_residual(point, rays) -> float:
     return _nnls_residual(A, point)
 
 
-def polyhedral_cone(N: SubspaceInQuadrant) -> PolyhedralCone:
-    """C ∩ N packaged as ray data; non-pointed cones carry their lineality."""
-    lin = cone_lineality(N)
-    if lin.shape[1]:
-        return PolyhedralCone(carrier=N, rays=(), pointed=False,
-                              lineality_basis=orthonormal_columns(N.basis @ lin))
-    return PolyhedralCone(carrier=N, rays=tuple(extreme_rays(N)), pointed=True)
-
-
 @dataclass(frozen=True)
 class QuadrantRecognition:
     is_quadrant: bool
@@ -423,14 +397,14 @@ class QuadrantRecognition:
     iso_to_standard: np.ndarray | None = None
 
 
-def is_quadrant(N: SubspaceInQuadrant, tol: float = FEAS_TOL) -> QuadrantRecognition:
+def is_quadrant(N: SubspaceInQuadrant) -> QuadrantRecognition:
     """True iff C ∩ N has exactly dim N independent extreme rays.
 
     When true, also returns the linear map sending the rays to the standard
     basis, i.e. an isomorphism (N, C ∩ N) -> (R^d, [0,inf)^d) in ambient
     coordinates (acting on N).
     """
-    rays = extreme_rays(N, tol)
+    rays = extreme_rays(N)
     d = N.dim
     if len(rays) != d:
         return QuadrantRecognition(is_quadrant=False, rays=rays)
@@ -480,12 +454,7 @@ def quadrant_structure(N: SubspaceInQuadrant) -> QuadrantStructure:
     dim = N.ambient.dim
     d = N.dim
     # split N into (N ∩ W) and a complement Ntilde
-    G = N.constraint_matrix()
-    if n:
-        _, ker_coeff, _, _ = svd_split(G)
-    else:
-        ker_coeff = np.eye(d)
-    NW_coeff = ker_coeff                              # coefficients spanning N ∩ W
+    NW_coeff = cone_lineality(N)                      # coefficients spanning N ∩ W
     if NW_coeff.shape[1]:
         proj = np.eye(d) - NW_coeff @ NW_coeff.T
         Nt_coeff = orthonormal_columns(proj)

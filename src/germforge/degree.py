@@ -283,8 +283,6 @@ class PerturbationOutcome:
     zeros: tuple
     lambdas: np.ndarray
     retries: int
-    seed: int
-    mode: str
 
 
 def _zero_section(levels: int) -> ScPlusSection:
@@ -314,10 +312,12 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
 
     If f is already transversal (and, in full_boundary mode, its kernels are
     transversal to the boundary strata with surjective face restrictions),
-    the zero perturbation is accepted.  Otherwise bump sections are placed at
-    the degenerate zeros and the coefficients lambda are rejection-sampled
-    within the budget until every rank certificate passes; the retry limit
-    makes failures loud.
+    the zero perturbation is accepted.  Otherwise bump sections are anchored
+    at every zero found, transversal or not, or at the window centre when
+    there is none; in interior_only mode an anchor within 1e-6 of a face gets
+    no bump and the others keep their supports clear of the faces.  The
+    coefficients lambda are rejection-sampled within the budget until every
+    rank certificate passes; the retry limit makes failures loud.
     """
     if mode not in ("interior_only", "full_boundary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -326,7 +326,7 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
     if all(_transversality_ok(pp, z, mode)[0] for z in zeros):
         out = _zero_section(levels)
         return PerturbationOutcome(perturbation=out, zeros=tuple(zeros),
-                                   lambdas=np.zeros(0), retries=0, seed=pp.rng_seed, mode=mode)
+                                   lambdas=np.zeros(0), retries=0)
 
     # bump directions: cokernel defects plus generic fiber directions
     bumps = []
@@ -369,13 +369,11 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
             continue
         checks = [_transversality_ok(pp, z, mode) for z in zs]
         if zs and all(ok for ok, _ in checks):
-            return PerturbationOutcome(perturbation=s, zeros=tuple(zs), lambdas=lam,
-                                       retries=attempt, seed=pp.rng_seed, mode=mode)
+            return PerturbationOutcome(perturbation=s, zeros=tuple(zs), lambdas=lam, retries=attempt)
         if not zs:
             # zero set emptied out; acceptable only for problems that had
             # no stable zero to begin with (e.g. a grazing tangency)
-            return PerturbationOutcome(perturbation=s, zeros=(), lambdas=lam,
-                                       retries=attempt, seed=pp.rng_seed, mode=mode)
+            return PerturbationOutcome(perturbation=s, zeros=(), lambdas=lam, retries=attempt)
         bad = [z for (ok, _), z in zip(checks, zs) if not ok]
         gaps = [gap for ok, gap in checks if not ok]
         last_fail = (bad[0].point if bad else None, f"rank gap {min(gaps) if gaps else 'n/a'}")
@@ -388,15 +386,15 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
 
 def compute_degree(pp: PerturbationProblem,
                    reference: OrientationReference = AMBIENT_REFERENCE,
-                   mode: str = "interior_only",
                    outcome: PerturbationOutcome | None = None) -> int:
-    """Signed count of the zeros of a generic perturbation of f.
+    """Signed count of the zeros of a generic perturbation of f, by default
+    an interior-only `generic_perturbation`.
 
     Requires index 0: the linearizations at zeros must be square.  The
     result is deterministic given the problem's RNG seed.
     """
     if outcome is None:
-        outcome = generic_perturbation(pp, mode)
+        outcome = generic_perturbation(pp)
     total = 0
     extra = outcome.perturbation
     # the zero reports hold their Jacobians; a base-zero reference adds one

@@ -18,6 +18,9 @@ from .errors import MismatchAtPoint
 from .germs import ContractionGerm, SamplingPlan, shrink_to_contraction
 from .spaces import GradedSpace
 
+# |s(q) - f(q)| up to which linearize_relative takes s(q) = f(q)
+MATCH_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BasicGerm:
@@ -123,8 +126,8 @@ class ScPlusSection:
         return bool(self.support(np.asarray(x, dtype=float)))
 
 
-def linearize_relative(f, s: ScPlusSection, q, tol: float = 1e-8):
-    """Jacobian of f - s at q, defined when s(q) = f(q) within tolerance.
+def linearize_relative(f, s: ScPlusSection, q):
+    """Jacobian of f - s at q, defined when |s(q) - f(q)| <= MATCH_TOL.
 
     Any two admissible sections give linearizations differing by a
     level-raising operator, so the Fredholm index does not depend on the
@@ -134,8 +137,8 @@ def linearize_relative(f, s: ScPlusSection, q, tol: float = 1e-8):
     fq = np.atleast_1d(np.asarray(f(q), dtype=float))
     sq = s(q)
     gap = float(np.max(np.abs(fq - sq))) if fq.size else 0.0
-    if gap > tol:
-        raise MismatchAtPoint(f"s(q) differs from f(q) by {gap:.3e} > {tol:.1e}")
+    if gap > MATCH_TOL:
+        raise MismatchAtPoint(f"s(q) differs from f(q) by {gap:.3e} > {MATCH_TOL:.1e}")
     return fd_jacobian(lambda x: np.atleast_1d(np.asarray(f(x), dtype=float)) - s(x), q)
 
 

@@ -7,7 +7,7 @@ solution u = delta(v) obtained by Picard iteration, with derivative
     delta'(v) = (I - D2B(v, delta(v)))^(-1) D1B(v, delta(v)).
 
 Tangent lifting doubles parameter and solution spaces and has
-(delta(v), delta'(v) b) as its solution, which iterates to higher order.
+(delta(v), delta'(v) b) as its solution; lifting j times gives order j.
 
 User-supplied maps must be pure functions of their arguments; under that
 contract every operation here is safe for concurrent use (SolutionGerm's
@@ -81,11 +81,6 @@ class ContractionGerm:
             return self.contraction_schedule[m][1]
         return np.inf
 
-    def rho(self, m: int) -> float | None:
-        if m in self.contraction_schedule:
-            return self.contraction_schedule[m][0]
-        return None
-
 
 def solve_germ(germ: ContractionGerm, v, m: int = 0, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER):
@@ -127,14 +122,15 @@ def solve_germ(germ: ContractionGerm, v, m: int = 0, tol: float = DEFAULT_TOL,
     )
 
 
-def germ_derivative(germ: ContractionGerm, v, tol: float = DEFAULT_TOL, m: int = 0):
-    """delta'(v) = (I - D2B(v, delta(v)))^(-1) D1B(v, delta(v)).
+def germ_derivative(germ: ContractionGerm, v, tol: float = DEFAULT_TOL):
+    """delta'(v) = (I - D2B(v, delta(v)))^(-1) D1B(v, delta(v)), with delta(v)
+    solved at level 0.
 
     Returned as a (solution_dim, parameter_dim) matrix, i.e. it acts on
     parameter increments by matrix-vector product.
     """
     v = np.asarray(v, dtype=float)
-    u = solve_germ(germ, v, m=m, tol=tol)
+    u = solve_germ(germ, v, tol=tol)
     D2 = germ.d2B(v, u)
     dim = germ.solution_space.dim
     if dim == 0:
@@ -219,22 +215,6 @@ def tangent_germ(germ: ContractionGerm, solution: SolutionGerm | None = None) ->
         B=lifted,
         contraction_schedule=schedule,
     )
-
-
-def iterate_tangent(germ: ContractionGerm, solution: SolutionGerm | None = None, j: int = 1) -> ContractionGerm:
-    """j-fold tangent lift; j = 0 returns the input germ unchanged.
-
-    Each lift's Jacobians are finite differences of the one below, so
-    accuracy degrades with j (j <= 2 is supported at full tolerance).
-    """
-    if j < 0:
-        raise ValueError("order j must be nonnegative")
-    current = germ
-    current_solution = solution
-    for _ in range(j):
-        current = tangent_germ(current, current_solution)
-        current_solution = None
-    return current
 
 
 @dataclass(frozen=True)

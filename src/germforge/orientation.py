@@ -47,25 +47,14 @@ class DeterminantLine:
 
 
 def determinant_line(T, sign: int = 1) -> DeterminantLine:
-    """SVD kernel and cokernel bases of T packaged with an orientation sign."""
+    """SVD kernel and cokernel bases of T packaged with an orientation sign.
+
+    An isomorphism, of either determinant sign, gets empty bases, and the
+    default sign +1 is its natural orientation e ⊗ e* -> e*(e).
+    """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     _, kernel, coker, _ = svd_split(T)
     return DeterminantLine(operator=T, kernel_basis=kernel, cokernel_basis=coker, sign=int(np.sign(sign)))
-
-
-def natural_orientation(T) -> DeterminantLine:
-    """The +1 orientation of an isomorphism via e ⊗ e* -> e*(e).
-
-    Raises Singular when T has a numerical kernel; every isomorphism, of
-    either determinant sign, carries the natural orientation +1.
-    """
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    if T.shape[0] != T.shape[1]:
-        raise Singular(f"natural orientation needs a square operator, got {T.shape}")
-    dl = determinant_line(T, sign=1)
-    if dl.kernel_dim or dl.cokernel_dim:
-        raise Singular("operator is not an isomorphism at the singular-value cutoff")
-    return dl
 
 
 def _sign_det(M) -> int:

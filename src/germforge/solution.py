@@ -342,9 +342,6 @@ class TransitionMap:
         offset = target - self.gp1.base_point
         return self.gp1.kernel_basis.T @ offset
 
-    def derivative(self, t):
-        return fd_jacobian(self.__call__, np.asarray(t, dtype=float))
-
     def mismatch(self, t) -> float:
         """||Gamma_1(sigma(t)) - Gamma_2(t)|| at an overlap sample."""
         s = self(t)

@@ -9,7 +9,7 @@ are nested: ||x||_m <= ||x||_{m+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,35 +148,3 @@ class GradedVector:
     def raised(self) -> GradedVector:
         """Same point, declared one level more regular (capped at the top level)."""
         return GradedVector(self.coords, self.space, min(self.declared_level + 1, self.space.levels))
-
-
-@dataclass(frozen=True)
-class PartialQuadrantMembership:
-    """Result of testing a point against the space's partial quadrant.
-
-    active_constraints holds the 0-based indices i < quadrant_rank with
-    |x_i| <= tol.
-    """
-
-    inside: bool
-    active_constraints: frozenset = field(default_factory=frozenset)
-
-
-def level_norm(x: GradedVector, m: int) -> float:
-    """Level-m norm of a graded vector; nondecreasing in m."""
-    return x.norm(m)
-
-
-def quadrant_membership(x: GradedVector, tol: float = DEFAULT_TOL) -> PartialQuadrantMembership:
-    """Classify x against the first-n-coordinates-nonnegative quadrant.
-
-    inside  <=>  x_i >= -tol for every i < quadrant_rank;
-    the active set lists the constrained coordinates with |x_i| <= tol.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    n = x.space.quadrant_rank
-    head = x.coords[:n]
-    inside = bool(np.all(head >= -tol)) if n else True
-    active = frozenset(int(i) for i in np.nonzero(np.abs(head) <= tol)[0])
-    return PartialQuadrantMembership(inside=inside, active_constraints=active)

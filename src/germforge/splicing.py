@@ -20,6 +20,8 @@ from .spaces import DEFAULT_TOL, GradedSpace
 
 # parameter step of the sampled continuity check of validate_splicing
 CONTINUITY_STEP = 1e-6
+# |f_bar(q)| above which linearize_filled refuses q as a zero
+ZERO_TOL = 1e-8
 
 
 class SmoothnessGrade(Enum):
@@ -44,11 +46,11 @@ class SplicingModel:
     radius: float = np.inf
     smoothness_grade: SmoothnessGrade = SmoothnessGrade.EXACT
 
-    def contains_param(self, v, tol: float = DEFAULT_TOL) -> bool:
+    def contains_param(self, v) -> bool:
         v = np.asarray(v, dtype=float)
         if self.param_space.level_norm(v, 0) >= self.radius:
             return False
-        return self.param_space.contains_quadrant_point(v, tol)
+        return self.param_space.contains_quadrant_point(v)
 
     def projection(self, v):
         P = np.atleast_2d(np.asarray(self.pi(np.asarray(v, dtype=float)), dtype=float))
@@ -132,16 +134,15 @@ def core_retraction(model: SplicingModel, v, e):
 
 @dataclass(frozen=True)
 class SplicingCore:
-    """Membership test for K = {(v, e) : pi_v e = e} at a tolerance."""
+    """Membership test for K = {(v, e) : pi_v e = e} at DEFAULT_TOL."""
 
     model: SplicingModel
-    tol: float = DEFAULT_TOL
 
     def contains(self, v, e) -> bool:
-        if not self.model.contains_param(v, self.tol):
+        if not self.model.contains_param(v):
             return False
         e = np.asarray(e, dtype=float)
-        return self.model.E.level_norm(self.model.projection(v) @ e - e, 0) <= self.tol
+        return self.model.E.level_norm(self.model.projection(v) @ e - e, 0) <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -240,10 +241,6 @@ class FilledLinearization:
     core_tangent_basis: np.ndarray
     complement_basis: np.ndarray
 
-    @property
-    def surjective(self) -> bool:
-        return self.filled_surjective
-
 
 def _core_tangent_basis(model: SplicingModel, v, e):
     """Columns spanning T_(v,e) of the core inside param ⊕ E.
@@ -273,10 +270,10 @@ def _core_tangent_basis(model: SplicingModel, v, e):
     return np.column_stack(cols) if cols else np.zeros((pdim + model.E.dim, 0))
 
 
-def linearize_filled(fs: FilledSection, q, tol: float = DEFAULT_TOL) -> FilledLinearization:
+def linearize_filled(fs: FilledSection, q) -> FilledLinearization:
     """Verify the block structure of D f_bar at a zero q = (v, e).
 
-    Raises NotAZero when f_bar(q) is not below tolerance.  Reports the
+    Raises NotAZero when |f_bar(q)| exceeds ZERO_TOL.  Reports the
     section block f'(q) on the core tangent, the filler block C on the
     complementary fiber, the off-diagonal norm, the kernel of the full
     Jacobian, and both Fredholm indices.
@@ -286,7 +283,7 @@ def linearize_filled(fs: FilledSection, q, tol: float = DEFAULT_TOL) -> FilledLi
     pdim = model.param_space.dim
     v, e = q[:pdim], q[pdim:]
     residual = np.max(np.abs(fs.evaluate(v, e))) if fs.filler.bundle.F.dim else 0.0
-    if residual > max(tol, 1e-8):
+    if residual > ZERO_TOL:
         raise NotAZero(f"|f_bar(q)| = {residual:.3e} exceeds tolerance")
 
     J = fd_jacobian(fs.evaluate_flat, q)
@@ -329,14 +326,14 @@ def linearize_filled(fs: FilledSection, q, tol: float = DEFAULT_TOL) -> FilledLi
     )
 
 
-def degeneracy_index(x, space: GradedSpace | None = None, tol: float = DEFAULT_TOL) -> int:
-    """d(x) = number of vanishing constrained coordinates at x."""
+def degeneracy_index(x, space: GradedSpace | None = None) -> int:
+    """d(x) = number of constrained coordinates of x with |x_i| <= DEFAULT_TOL."""
     coords = np.asarray(getattr(x, "coords", x), dtype=float)
     sp = space if space is not None else x.space
     n = sp.quadrant_rank
     if n == 0:
         return 0
-    return int(np.sum(np.abs(coords[:n]) <= tol))
+    return int(np.sum(np.abs(coords[:n]) <= DEFAULT_TOL))
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,7 @@ class LocalFaces:
         return len(self.faces)
 
 
-def local_faces(x, space: GradedSpace | None = None, tol: float = DEFAULT_TOL) -> LocalFaces:
+def local_faces(x, space: GradedSpace | None = None) -> LocalFaces:
     """The d(x) local faces through x and their common tangent intersection.
 
     Each face j is the constraint hyperplane {x_j = 0} for an active index j;
@@ -367,7 +364,7 @@ def local_faces(x, space: GradedSpace | None = None, tol: float = DEFAULT_TOL) -
     coords = np.asarray(getattr(x, "coords", x), dtype=float)
     sp = space if space is not None else x.space
     dim = sp.dim
-    active = [j for j in range(sp.quadrant_rank) if abs(coords[j]) <= tol]
+    active = [j for j in range(sp.quadrant_rank) if abs(coords[j]) <= DEFAULT_TOL]
     eye = np.eye(dim)
     faces = tuple(
         FaceDescriptor(constraint_index=j, tangent_basis=np.delete(eye, j, axis=1))

@@ -49,6 +49,18 @@ class C:
     assert bench_run.settable_values(source) == 4
 
 
+def test_settable_values_skips_fields_no_caller_can_set():
+    source = '''
+@dataclass
+class C:
+    a: dict = field(default_factory=dict)
+    b: dict = field(default_factory=dict, init=False, repr=False)
+    c: int = field(default=0, init=True)
+'''
+    # a and c; the init=False memo b is no parameter of C
+    assert bench_run.settable_values(source) == 2
+
+
 def test_source_size_counts_lines_and_values(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "a.py").write_text("def f(x=1):\n    return x\n")

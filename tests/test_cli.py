@@ -1,10 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from germforge.cli import load_config, main
+from germforge.cli import MODEL_CHECKS, load_config, main
 from germforge.errors import ConfigError
 
 
@@ -60,6 +66,13 @@ def test_missing_config_file_is_exit_2(tmp_path):
     res = run_cli(["degree", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"[run]\nmodels = \xff\n")
+    assert main(["solve-germ", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_flag_overrides_and_outputs(tmp_path):
@@ -165,6 +178,19 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_out_below_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # mkdir used to raise NotADirectoryError after every model had run
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    assert main(["solve-germ", "--out", str(a_file / "sub")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error") and "out" in err[0]
+    monkeypatch.setenv("GERMFORGE_OUT", str(a_file / "sub" / "deeper"))
+    assert main(["solve-germ", "--out", str(tmp_path / "ignored")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "ignored").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
 def test_tolerance_must_be_finite_and_positive(tmp_path, tol, capsys):
     assert main(["degree", f"--tol={tol}", "--out", str(tmp_path)]) == 2
@@ -253,3 +279,35 @@ def test_parametrize_other_models(tmp_path, model):
     assert "invariant,residuals,pass" in text
     if model != "rotating-line":
         assert "invariant,corner_accounting,pass" in text
+
+
+# accepted by some command, accepted by none, or not parseable as a name
+FUZZ_MODELS = sorted({m for checks in MODEL_CHECKS.values() for m in checks}) + ["all", "nope", "50%", "%(x)s"]
+FUZZ_FIELDS = {
+    "models": st.lists(st.sampled_from(FUZZ_MODELS), max_size=2).map(", ".join),
+    "seed": st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(-2**70, 2**70)).map(str),
+    "tol": st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1e-9", "1e-9", "x"]),
+                     st.floats(allow_nan=True, allow_infinity=True).map(repr)),
+    "trials": st.integers(-3, 3).map(str),
+    "integrate_forms": st.sampled_from(["true", "false", "maybe", "2", ""]),
+    "out": st.sampled_from(["fresh", "a_file", "a_file/sub"]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["solve-germ", "parametrize"]),
+       fields=st.dictionaries(st.sampled_from(sorted(FUZZ_FIELDS)), st.just(None)).flatmap(
+           lambda keys: st.fixed_dictionaries({k: FUZZ_FIELDS[k] for k in keys})))
+def test_exit_code_is_0_1_or_2_on_any_run_config(command, fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "a_file").write_text("", encoding="utf-8")
+        if fields.get("out") is not None:
+            fields["out"] = str(Path(tmp) / fields["out"])
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -15,7 +15,6 @@ from germforge.cones import (
 from germforge.spaces import GradedSpace
 
 SAMPLER_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
-TOL = 1e-9
 
 
 def quadrant_space(dim):
@@ -67,7 +66,7 @@ def test_pairs_have_m_in_the_complement_and_no_larger_than_c_n(args):
     N, comp, c, grid, seed = args
     proj = comp @ np.linalg.pinv(comp)
     level0 = N.ambient.level_norm
-    for nvecs, mvecs in _pair_chunks(N, comp, c, grid, philox(seed), TOL, _interior_point(N)):
+    for nvecs, mvecs in _pair_chunks(N, comp, c, grid, philox(seed), _interior_point(N)):
         assert np.all(level0(mvecs, 0) <= c * level0(nvecs, 0) * (1.0 + 1e-12))
         off = mvecs - mvecs @ proj.T
         assert np.all(np.abs(off) <= 1e-9 * (1.0 + np.abs(mvecs).max(initial=0.0)))
@@ -78,8 +77,8 @@ def test_pairs_have_m_in_the_complement_and_no_larger_than_c_n(args):
 def test_a_batch_of_g_trials_is_a_prefix_of_a_batch_of_2g(args):
     N, comp, c, grid, seed = args
     interior = _interior_point(N)
-    first = _first_counterexample(N, comp, c, grid, philox(seed), TOL, interior)
+    first = _first_counterexample(N, comp, c, grid, philox(seed), interior)
     if first is not None:
-        again = _first_counterexample(N, comp, c, 2 * grid, philox(seed), TOL, interior)
+        again = _first_counterexample(N, comp, c, 2 * grid, philox(seed), interior)
         assert again is not None
         assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])

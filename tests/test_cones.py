@@ -9,6 +9,7 @@ from germforge.cones import (
     _orthogonal_complement,
     _pair_chunks,
     check_position_pair,
+    cone_lineality,
     cone_membership_residual,
     extreme_rays,
     is_good_position,
@@ -244,16 +245,16 @@ def test_quadrant_with_redundant_facets():
 
 
 def test_polyhedral_cone_packaging():
-    from germforge.cones import polyhedral_cone
-
-    pc = polyhedral_cone(registry.diag_plane_subspace())
-    assert pc.pointed and len(pc.rays) == 2 and pc.lineality_basis is None
+    plane = registry.diag_plane_subspace()
+    assert cone_lineality(plane).shape[1] == 0
+    assert len(extreme_rays(plane)) == 2
 
     amb = ambient(3, 1)
     line = SubspaceInQuadrant(ambient=amb, basis=np.eye(3)[:, 1:])
-    pc2 = polyhedral_cone(line)
-    assert not pc2.pointed
-    assert pc2.lineality_basis.shape[1] == 2
+    assert cone_lineality(line).shape[1] == 2
+    with pytest.raises(NotPointed) as info:
+        extreme_rays(line)
+    assert info.value.lineality_basis.shape[1] == 2
 
 
 def test_basis_validation():
@@ -299,7 +300,7 @@ def test_one_chunk_makes_the_same_draws_whatever_the_data():
     states = []
     for N in (zero_row_line(), generic):
         rng = philox(4)
-        next(_pair_chunks(N, _orthogonal_complement(N), 1.0, SAMPLE_CHUNK, rng, 1e-9, _interior_point(N)))
+        next(_pair_chunks(N, _orthogonal_complement(N), 1.0, SAMPLE_CHUNK, rng, _interior_point(N)))
         states.append(rng.bit_generator.state)
     np.testing.assert_equal(states[0], states[1])
     assert not np.array_equal(states[0]["state"]["counter"], philox(4).bit_generator.state["state"]["counter"])

@@ -12,7 +12,6 @@ from germforge.germs import (
     SamplingPlan,
     SolutionGerm,
     germ_derivative,
-    iterate_tangent,
     shrink_to_contraction,
     solve_germ,
     tangent_germ,
@@ -149,20 +148,10 @@ def test_tangent_coherence_sampled():
         assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_iterate_tangent_order_zero_and_one():
-    germ = registry.cos_germ()
-    sol = SolutionGerm(germ)
-    assert iterate_tangent(germ, sol, j=0) is germ
-    once = iterate_tangent(germ, sol, j=1)
-    direct = tangent_germ(germ, sol)
-    x = np.array([0.05, 0.4])
-    assert np.allclose(solve_germ(once, x, tol=1e-12), solve_germ(direct, x, tol=1e-12))
-
-
 def test_iterate_tangent_second_derivative():
     germ = registry.cos_germ()
     sol = SolutionGerm(germ, tol=1e-13)
-    twice = iterate_tangent(germ, sol, j=2)
+    twice = tangent_germ(tangent_germ(germ, sol))
     # doubled twice: parameters (v, b1, b2, b3), solutions expose delta''(0)
     out = solve_germ(twice, np.array([0.0, 1.0, 1.0, 0.0]), tol=1e-11)
     h = 1e-4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from germforge import registry
-from germforge._linalg import fd_jacobian, newton, svd_split
+from germforge._linalg import fd_jacobian, is_surjective, newton, svd_split
 
 
 class Counted:
@@ -123,6 +123,14 @@ def test_svd_split_of_an_empty_operator_returns_orthonormal_bases():
     rank, kernel, coker, sigma = svd_split(np.zeros((0, 3)))
     assert rank == 0 and coker.shape == (0, 0)
     assert np.array_equal(kernel, np.eye(3))
+
+
+@pytest.mark.parametrize("T", [[[1e-9, 0.0]], [[1e-7, 0.0]], [[1e-9, 0.0], [0.0, 1e-10]],
+                               [[1.0, 0.0], [0.0, 1e-9]], [[3.0, 0.0, 1e-9]], [[5e-9]]])
+def test_is_surjective_agrees_with_the_svd_split_rank(T):
+    # below sigma_max = 1 the two cutoffs used to differ: [[1e-9, 0]] read
+    # as onto, where svd_split gives rank 0
+    assert is_surjective(T) == (svd_split(T)[0] == len(T))
 
 
 def test_determinant_line_of_a_map_from_r0_has_an_orthonormal_cokernel():

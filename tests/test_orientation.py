@@ -10,7 +10,6 @@ from germforge.orientation import (
     common_projection,
     continue_orientation,
     determinant_line,
-    natural_orientation,
     sign_of_zero,
     stabilize,
 )
@@ -23,30 +22,28 @@ def rank_deficient(rng, n=4, deficiency=1):
     return U @ np.diag(s) @ Vt
 
 
+def is_natural_orientation(dl):
+    """The +1 orientation of an isomorphism: empty kernel and cokernel bases."""
+    return dl.sign == 1 and dl.kernel_dim == 0 and dl.cokernel_dim == 0
+
+
 def test_natural_orientation_identity():
-    assert natural_orientation(np.eye(3)).sign == 1
+    assert is_natural_orientation(determinant_line(np.eye(3)))
 
 
 def test_natural_orientation_exists_for_negative_determinant():
-    dl = natural_orientation(np.diag([1.0, -1.0]))
-    assert dl.sign == 1
-    assert dl.kernel_dim == 0 and dl.cokernel_dim == 0
+    assert is_natural_orientation(determinant_line(np.diag([1.0, -1.0])))
 
 
 def test_natural_orientation_random_invertible():
     rng = np.random.default_rng(0)
     for _ in range(10):
         T = rng.normal(size=(3, 3)) + 4 * np.eye(3)
-        assert natural_orientation(T).sign == 1
-
-
-def test_natural_orientation_rejects_singular():
-    with pytest.raises(Singular):
-        natural_orientation(np.diag([1.0, 0.0]))
+        assert is_natural_orientation(determinant_line(T))
 
 
 def test_stabilize_invertible_identity_projection():
-    dl = natural_orientation(np.eye(2))
+    dl = determinant_line(np.eye(2))
     res = stabilize(dl, np.eye(2))
     assert res.sign == 1
     assert res.kernel_basis.shape[1] == 0

@@ -86,6 +86,15 @@ def test_not_surjective_raises():
         build_parametrization(bg, np.zeros(2), radius=0.3)
 
 
+def test_a_linearization_below_the_rank_cutoff_is_not_surjective():
+    # f'(q) = 1e-9 (2, 0) has rank 0 at svd_split's cutoff; the chart used to
+    # get a 2-column kernel and halve its radius until NonConvergence
+    W = GradedSpace(dim=0, levels=3)
+    bg = BasicGerm(n=2, k=0, N=1, W=W, g=lambda x: 1e-9 * registry.circle_section(x))
+    with pytest.raises(NotSurjective):
+        build_parametrization(bg, np.array([1.0, 0.0]), radius=0.5)
+
+
 def test_recentre_origin_keeps_chart():
     chart = circle_chart()
     rec = recentre(chart, np.zeros(1))
@@ -176,7 +185,7 @@ def test_transition_chart_vs_recentring():
         s = tm(tv)
         p = rec.gamma(tv)
         assert abs(s[0] - p[1]) < 1e-9  # kernel coordinate of chart 1 is the y-coordinate
-    D = tm.derivative(np.zeros(1))
+    D = fd_jacobian(tm, np.zeros(1))
     assert D.shape == (1, 1)
     # smoothness surrogate: bounded second differences
     h = 1e-3

@@ -1,30 +1,31 @@
 import numpy as np
 import pytest
 
-from germforge.spaces import GradedSpace, level_norm, quadrant_membership
+from germforge.cones import sigma_set
+from germforge.spaces import GradedSpace
 
 
 def test_zero_vector_norm_is_zero_at_every_level():
     sp = GradedSpace(dim=3, levels=4)
     z = sp.zero()
     for m in range(5):
-        assert level_norm(z, m) == 0.0
+        assert z.norm(m) == 0.0
 
 
 def test_direct_formula():
     sp = GradedSpace(dim=2, levels=2, weights=np.array([1.0, 2.0]))
     x = sp.vector([1.0, 1.0])
-    assert level_norm(x, 0) == pytest.approx(2.0)
-    assert level_norm(x, 1) == pytest.approx(3.0)
+    assert x.norm(0) == pytest.approx(2.0)
+    assert x.norm(1) == pytest.approx(3.0)
 
 
 def test_level_out_of_range():
     sp = GradedSpace(dim=2, levels=2)
     x = sp.vector([1.0, 1.0])
     with pytest.raises(ValueError):
-        level_norm(x, 3)
+        x.norm(3)
     with pytest.raises(ValueError):
-        level_norm(x, -1)
+        x.norm(-1)
 
 
 def test_nesting_monotone_on_random_vectors():
@@ -32,7 +33,7 @@ def test_nesting_monotone_on_random_vectors():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         x = sp.vector(rng.normal(size=5))
-        norms = [level_norm(x, m) for m in range(4)]
+        norms = [x.norm(m) for m in range(4)]
         assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
@@ -62,28 +63,25 @@ def test_quadrant_rank_bounds():
 
 def test_membership_examples():
     sp = GradedSpace(dim=3, levels=2, quadrant_rank=3)
-    m = quadrant_membership(sp.vector([0.0, 0.0, 3.2]))
-    assert m.inside
-    assert m.active_constraints == frozenset({0, 1})
+    x = sp.vector([0.0, 0.0, 3.2])
+    assert sp.contains_quadrant_point(x.coords)
+    assert sigma_set(x, sp.quadrant_rank) == frozenset({0, 1})
 
     sp2 = GradedSpace(dim=2, levels=2, quadrant_rank=1)
-    m2 = quadrant_membership(sp2.vector([-1.0, 2.0]))
-    assert not m2.inside
+    assert not sp2.contains_quadrant_point(sp2.vector([-1.0, 2.0]).coords)
 
-    m3 = quadrant_membership(sp2.vector([1e-12, 5.0]), tol=1e-9)
-    assert m3.inside
-    assert m3.active_constraints == frozenset({0})
+    x3 = sp2.vector([1e-12, 5.0])
+    assert sp2.contains_quadrant_point(x3.coords, 1e-9)
+    assert sigma_set(x3, sp2.quadrant_rank, tol=1e-9) == frozenset({0})
 
 
 def test_membership_scale_covariant():
     sp = GradedSpace(dim=3, levels=2, quadrant_rank=2)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        x = sp.vector(rng.normal(size=3))
+        x = rng.normal(size=3)
         lam = rng.uniform(0.1, 10.0)
-        a = quadrant_membership(x, tol=0.0)
-        b = quadrant_membership(sp.vector(lam * x.coords), tol=0.0)
-        assert a.inside == b.inside
+        assert sp.contains_quadrant_point(x, 0.0) == sp.contains_quadrant_point(lam * x, 0.0)
 
 
 def test_declared_level_bookkeeping():
