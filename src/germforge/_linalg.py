@@ -1,6 +1,6 @@
 """Small dense linear-algebra helpers: SVD rank splits, FD Jacobians and
-`newton`, the one damped Gauss-Newton solver behind chart values, polished
-degree zeros and chart inversions."""
+`newton`, the one damped Gauss-Newton solver behind chart values and
+polished degree zeros."""
 
 from __future__ import annotations
 

@@ -107,9 +107,11 @@ def load_config(path: Path | None, command: str, overrides: dict) -> RunConfig:
     existing = next((p for p in (cfg.out, *cfg.out.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError(f"field [run].out: {existing} exists and is not a directory")
-    accepted = MODEL_CHECKS.get(cfg.command, {})
+    if not cfg.models:
+        raise ConfigError("field [run].models: lists no model")
+    accepted = MODEL_CHECKS.get(cfg.command, DEFAULT_MODELS[cfg.command])
     for m in cfg.models:
-        if cfg.command != "selftest" and m not in accepted:
+        if m not in accepted:
             raise ConfigError(f"field [run].models: {cfg.command} does not accept model {m!r}; "
                               f"accepted: {sorted(accepted)}")
     if not 0 <= cfg.seed < 2**64:
@@ -289,6 +291,8 @@ def write_reports(reports: list, cfg: RunConfig) -> None:
     """All file writes happen here, once, after every command finished."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     provenance = {"seed": cfg.seed, "tol": cfg.tol, "version": __version__}
+    if cfg.command == "selftest":    # the battery pins its own seeds
+        del provenance["seed"]
     with (cfg.out / "events.jsonl").open("w", encoding="utf-8") as ev:
         for rep in reports:
             ev.write(json.dumps({"event": "run", "command": rep.command, "model": rep.model,

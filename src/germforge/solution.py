@@ -3,20 +3,21 @@
 Near a zero q of f with surjective linearization J = f'(q), the zero set is
 the graph Gamma(t) = q + K t + A(t) over the kernel N = ker J: K is an
 orthonormal basis of N, A(t) lies in a fixed complement C of N, A(0) = 0 and
-DA(0) = 0.  Both chart builders read J and K from one linearization.  Each
-A(t) = C s comes from one damped Newton solve of the square system
-f(q + K t + C s) = 0 started at s = 0, which A(0) = 0 and DA(0) = 0 make a
-second-order guess.  The paper reaches the same map in stages (fiber fixed
-point, Newton on the finite-dimensional remainder, reparametrization over N).
-Both constructions produce, for each t, a zero of f of the form q + K t + c
-with c in C near 0, and the implicit function theorem makes that c locally
-unique, so they agree to solver tolerance.  Interior charts use the
-orthogonal complement of N.  Corner charts run over the partial quadrant
-N ∩ C_q supplied by the cone analysis; their complement is C = M ⊕ W, where
-M is the parameter part of the certified good-position complement on the
-graph of the fiber slope delta'(0) = -J_ww^-1 J_wv, read off the same J.
-Tangents come from the same linearization: DGamma(t) = K - C (J C)^-1 J K
-with J = f'(Gamma(t)).
+DA(0) = 0.  A chart is fixed by (f, q, K, C): each A(t) = C s comes from one
+damped Newton solve of the square system f(q + K t + C s) = 0 started at
+s = 0, which A(0) = 0 and DA(0) = 0 make a second-order guess.  Both chart
+builders read J and K from one linearization; recentring and pushforward
+only choose a new (f, q, K, C), so they are graph charts of the same kind.
+The paper reaches the same map in stages (fiber fixed point, Newton on the
+finite-dimensional remainder, reparametrization over N).  Both constructions
+produce, for each t, a zero of f of the form q + K t + c with c in C near 0,
+and the implicit function theorem makes that c locally unique, so they agree
+to solver tolerance.  Interior charts use the orthogonal complement of N.
+Corner charts run over the partial quadrant N ∩ C_q supplied by the cone
+analysis; their complement is C = M ⊕ W, where M is the parameter part of
+the certified good-position complement on the graph of the fiber slope
+delta'(0) = -J_ww^-1 J_wv, read off the same J.  Tangents come from the same
+linearization: DGamma(t) = K - C (J C)^-1 J K with J = f'(Gamma(t)).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class GoodParametrization:
     complement_basis: np.ndarray
     radius: float
     section: object
-    a_map: object
     structure: cones.QuadrantStructure | None = None
     ambient_rank: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
@@ -81,6 +81,12 @@ class GoodParametrization:
     @property
     def is_boundary(self) -> bool:
         return self.structure is not None
+
+    def a_map(self, t):
+        """A(t) = C s with f(q + K t + C s) = 0, one damped Newton from s = 0."""
+        base = self.base_point + self.kernel_basis @ np.asarray(t, dtype=float)
+        C = self.complement_basis
+        return C @ _solve(lambda s: self.section(base + C @ s), np.zeros(C.shape[1]))
 
     def a_vector(self, t):
         """A(n) for n = kernel_basis @ t, cached on quantized coefficients.
@@ -171,25 +177,13 @@ def _linearization(bg: BasicGerm, q):
     return J, svd_split(J)[1]
 
 
-def _graph_map(section, q, kernel, complement):
-    """t -> A(t) = C s with f(q + K t + C s) = 0, one damped Newton from s = 0."""
-    s0 = np.zeros(complement.shape[1])
-
-    def a_map(t):
-        base = q + kernel @ np.asarray(t, dtype=float)
-        return complement @ _solve(lambda s: section(base + complement @ s), s0)
-
-    return a_map
-
-
 def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank) -> GoodParametrization:
     """The graph chart of bg at q over `kernel` in `complement`, at the first
     radius, halving from `radius` at most MAX_SHRINKS times, whose invariants
     hold on samples."""
     chart = GoodParametrization(
         base_point=q, kernel_basis=kernel, complement_basis=complement, radius=radius,
-        section=bg.evaluate, a_map=_graph_map(bg.evaluate, q, kernel, complement),
-        structure=structure, ambient_rank=ambient_rank,
+        section=bg.evaluate, structure=structure, ambient_rank=ambient_rank,
     )
     for _ in range(MAX_SHRINKS):
         if _chart_invariants_hold(chart):
@@ -235,10 +229,11 @@ def _chart_invariants_hold(chart: GoodParametrization) -> bool:
 
 
 def recentre(gp: GoodParametrization, n0) -> GoodParametrization:
-    """Chart with the same zero set re-based at q0 = Gamma(n0).
+    """Graph chart of the same section at q0 = Gamma(n0).
 
-    The new kernel is the transport of the old one, the complement is
-    reused, and the new graph map is the remainder of Gamma around n0.  The
+    Its kernel basis is an orthonormal basis of the transported kernel
+    DGamma(n0) = ker f'(q0), and it keeps the complement, which
+    kernel_transport has just checked is transverse to that kernel.  The
     new radius is chosen inside the old domain so the recentred image stays
     in the original chart.
     """
@@ -251,24 +246,11 @@ def recentre(gp: GoodParametrization, n0) -> GoodParametrization:
             raise GermforgeError(
                 "recentre target sits on a boundary stratum; recentring is an interior operation"
             )
-    q0 = gp.gamma(n0)
-    transported = gp.kernel_transport(n0)
-    new_kernel = orthonormal_columns(transported)
-    # sigma maps new-kernel coefficients back to old-kernel increments
-    lift = np.linalg.pinv(transported) @ new_kernel
-
-    def a_map(t):
-        t = np.asarray(t, dtype=float)
-        dn = lift @ t
-        offset = gp.gamma(n0 + dn) - q0
-        # offset = new_kernel t + remainder in the old complement, exactly
-        return offset - new_kernel @ t
-
     remaining = (gp.radius - float(np.linalg.norm(n0))) * 0.7
     return GoodParametrization(
-        base_point=q0, kernel_basis=new_kernel, complement_basis=gp.complement_basis,
-        radius=max(remaining, 1e-6), section=gp.section, a_map=a_map,
-        structure=None, ambient_rank=gp.ambient_rank,
+        base_point=gp.gamma(n0), kernel_basis=orthonormal_columns(gp.kernel_transport(n0)),
+        complement_basis=gp.complement_basis, radius=max(remaining, 1e-6), section=gp.section,
+        ambient_rank=gp.ambient_rank,
     )
 
 
@@ -287,11 +269,12 @@ class BundleIso:
 
 
 def transform(gp: GoodParametrization, phi: BundleIso) -> GoodParametrization:
-    """Chart for the pushforward section near q' = phi(q).
+    """Graph chart of the pushforward section f o phi^-1 at q' = phi(q).
 
-    New kernel = Tphi(q) applied to the old kernel; the graph map is rebuilt
-    from the transported parametrization by projecting onto the new kernel
-    and inverting the resulting local diffeomorphism.
+    Its kernel basis is an orthonormal basis of Tphi(q) ker f'(q), which is
+    ker (f o phi^-1)'(q'), and its complement is the orthogonal complement
+    of that kernel.  The radius is the old one scaled by the smallest
+    stretch of Tphi on the kernel.
     """
     if gp.is_boundary:
         raise GermforgeError("transform is defined for interior charts; corner charts keep their quadrant domain")
@@ -299,33 +282,15 @@ def transform(gp: GoodParametrization, phi: BundleIso) -> GoodParametrization:
     qp = np.asarray(phi.base(q), dtype=float)
     Tphi = fd_jacobian(lambda x: np.asarray(phi.base(x), dtype=float), q)
     s = np.linalg.svd(Tphi, compute_uv=False)
-    if s[-1] <= 1e-10 * max(s[0], 1.0):
+    if not s[-1] > 1e-10 * max(s[0], 1.0):  # also when an infinite Tphi gives NaN
         raise GermforgeError("base map Jacobian is singular at the chart point")
-    new_kernel = orthonormal_columns(Tphi @ gp.kernel_basis)
-    if new_kernel.shape[1] != gp.dim:
-        raise GermforgeError("kernel collapsed under the base map")
-    sigma = np.linalg.pinv(Tphi @ gp.kernel_basis) @ new_kernel
-
-    def curve(tp):
-        """Transported zero curve q' + image of Gamma."""
-        return np.asarray(phi.base(gp.gamma(sigma @ tp)), dtype=float)
-
-    def tau(tp):
-        return new_kernel.T @ (curve(tp) - qp)
-
-    def a_map(tp):
-        tp = np.asarray(tp, dtype=float)
-        t_inv = _solve(lambda z: tau(z) - tp, tp)
-        offset = curve(t_inv) - qp
-        return offset - new_kernel @ (new_kernel.T @ offset)
-
-    new_section = phi.push_section(gp.section_value)
+    new_kernel = orthonormal_columns(Tphi @ gp.kernel_basis)  # Tphi is invertible: no column is lost
     complement = orthonormal_columns(np.eye(qp.size) - new_kernel @ new_kernel.T)
     scale = float(np.linalg.svd(Tphi @ gp.kernel_basis, compute_uv=False)[-1])
     return GoodParametrization(
         base_point=qp, kernel_basis=new_kernel, complement_basis=complement,
-        radius=gp.radius * scale * 0.7, section=new_section, a_map=a_map,
-        structure=None, ambient_rank=gp.ambient_rank,
+        radius=gp.radius * scale * 0.7, section=phi.push_section(gp.section_value),
+        ambient_rank=gp.ambient_rank,
     )
 
 

@@ -160,6 +160,33 @@ def test_selftest_reports_each_criterion_wall_time(tmp_path, monkeypatch):
     assert {e["model"]: e["wall_time"] for e in runs} == {"a": 0.25, "b": 1.5}
 
 
+def test_selftest_csvs_do_not_depend_on_the_seed(tmp_path, monkeypatch):
+    from germforge import selftest
+
+    fake = [selftest.CriterionResult("a", True, {"x": 1}, wall_time=0.25)]
+    monkeypatch.setattr(selftest, "run_all", lambda echo=None: fake)
+    for seed in ("0", "5"):
+        assert main(["selftest", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    assert (tmp_path / "0" / "selftest-a.csv").read_bytes() == (tmp_path / "5" / "selftest-a.csv").read_bytes()
+    assert "seed" not in (tmp_path / "5" / "events.jsonl").read_text()
+
+
+@pytest.mark.parametrize("models", ["nope", "cubic", "all, circle"])
+def test_selftest_accepts_only_all_models(tmp_path, models, capsys):
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", _config(tmp_path, f"models = {models}\n"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("config error") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-germ", "selftest"])
+def test_an_empty_model_list_is_exit_2(tmp_path, command, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", _config(tmp_path, "models = ,\n"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("config error") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_0_to_2_pow_64_is_exit_2(tmp_path, seed, capsys):
     # Philox keys and SeedSequence entropy must be nonnegative

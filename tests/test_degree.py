@@ -294,8 +294,8 @@ def cubic_point_atlas():
     from germforge.solution import GoodParametrization
 
     return SolutionAtlas(charts=tuple(GoodParametrization(
-        base_point=z.point, kernel_basis=np.zeros((1, 0)), complement_basis=np.eye(1), radius=0.1,
-        section=pp.section, a_map=lambda t: np.zeros(1)) for z in enumerate_zeros(pp)))
+        base_point=z.point, kernel_basis=np.zeros((1, 0)), complement_basis=np.zeros((1, 0)), radius=0.1,
+        section=pp.section) for z in enumerate_zeros(pp)))
 
 
 def test_zero_form_counts_signed_points():

@@ -99,9 +99,11 @@ def test_recentre_origin_keeps_chart():
     chart = circle_chart()
     rec = recentre(chart, np.zeros(1))
     assert np.allclose(rec.base_point, chart.base_point, atol=1e-12)
-    assert np.max(np.abs(rec.a_vector(np.array([0.1])))) < 1e-8 or True
+    # the transported kernel at n0 = 0 is ker f'(q) again, up to its sign
+    sign = np.sign(chart.kernel_basis.T @ rec.kernel_basis)
     for t in rec.domain_samples(10, seed=5):
         assert rec.residual(t) < 1e-9
+        assert np.max(np.abs(rec.gamma(t) - chart.gamma(sign @ t))) < 1e-10
 
 
 def test_recentre_circle_closed_form():
@@ -484,6 +486,83 @@ def staged_corner_a_map(bg, q, kernel, complement):
         return np.concatenate([v, delta(v)]) - nvec
 
     return a_map
+
+
+# Reference: the constructions that recentre and transform replaced, both
+# built on the old chart's Gamma.  Recentring mapped new-kernel coefficients
+# back to old-kernel increments through a lift; pushforward inverted the
+# projection of the transported image onto the new kernel by a second Newton
+# solve.  Each yields zeros q' + K' t + c with c in the new chart's
+# complement, so by local uniqueness both agree with its graph solve.
+
+def lift_recentre_a_map(gp, n0, kernel):
+    q0 = gp.gamma(n0)
+    lift = np.linalg.pinv(gp.kernel_transport(n0)) @ kernel
+
+    def a_map(t):
+        return gp.gamma(n0 + lift @ t) - q0 - kernel @ t
+
+    return a_map
+
+
+def nested_transform_a_map(gp, phi, kernel):
+    qp = phi.base(gp.base_point)
+    Tphi = fd_jacobian(phi.base, gp.base_point)
+    sigma = np.linalg.pinv(Tphi @ gp.kernel_basis) @ kernel
+
+    def curve(tp):
+        return phi.base(gp.gamma(sigma @ tp))
+
+    def a_map(tp):
+        t_inv = _solve(lambda z: kernel.T @ (curve(z) - qp) - tp, tp)
+        offset = curve(t_inv) - qp
+        return offset - kernel @ (kernel.T @ offset)
+
+    return a_map
+
+
+R90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+BASE_MAPS = {
+    "rotation": BundleIso(base=lambda x: R90 @ x, base_inv=lambda y: R90.T @ y),
+    "shear": BundleIso(base=lambda x: np.array([x[0] + 0.3 * x[1] ** 2, x[1]]),
+                       base_inv=lambda y: np.array([y[0] - 0.3 * y[1] ** 2, y[1]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASE_MAPS))
+def test_transform_matches_the_nested_inversion(case):
+    chart = circle_chart()
+    out = transform(chart, BASE_MAPS[case])
+    oracle = nested_transform_a_map(chart, BASE_MAPS[case], out.kernel_basis)
+    samples = out.domain_samples(12, seed=32)
+    assert len(samples) == 12
+    for t in samples:
+        assert np.max(np.abs(out.a_vector(t) - oracle(t))) <= 1e-10
+
+
+def _parabola_corner_chart():
+    return build_boundary_parametrization(registry.parabola_corner_germ(), np.zeros(2), radius=0.4)
+
+
+# each chart with the kernel vector n of its recentre point, in ambient coordinates
+RECENTRE_CASES = {
+    "circle-0.4": (circle_chart, np.array([0.0, 0.4])),
+    "circle-0.6": (circle_chart, np.array([0.0, 0.6])),
+    "parabola-interior": (_parabola_corner_chart, np.array([0.2, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECENTRE_CASES))
+def test_recentre_matches_the_lift_through_the_old_chart(case):
+    make, n = RECENTRE_CASES[case]
+    chart = make()
+    n0 = chart.kernel_basis.T @ n
+    rec = recentre(chart, n0)
+    oracle = lift_recentre_a_map(chart, n0, rec.kernel_basis)
+    samples = rec.domain_samples(12, seed=33)
+    assert len(samples) == 12
+    for t in samples:
+        assert np.max(np.abs(rec.a_vector(t) - oracle(t))) <= 1e-10
 
 
 def _fibred_corner_germ():
