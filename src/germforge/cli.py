@@ -291,8 +291,8 @@ def write_reports(reports: list, cfg: RunConfig) -> None:
     """All file writes happen here, once, after every command finished."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     provenance = {"seed": cfg.seed, "tol": cfg.tol, "version": __version__}
-    if cfg.command == "selftest":    # the battery pins its own seeds
-        del provenance["seed"]
+    if cfg.command == "selftest":    # the battery pins its own seeds and tolerances
+        provenance = {"version": __version__}
     with (cfg.out / "events.jsonl").open("w", encoding="utf-8") as ev:
         for rep in reports:
             ev.write(json.dumps({"event": "run", "command": rep.command, "model": rep.model,

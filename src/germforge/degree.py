@@ -22,12 +22,13 @@ from .errors import (
     DimensionUnsupported,
     IndexMismatch,
     InvarianceViolation,
+    NonConvergence,
     RetryExhausted,
     WindowEscape,
 )
 from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
-from .solution import NEWTON_TOL, SolutionAtlas, _tangent
+from .solution import CACHE_QUANTUM, NEWTON_TOL, SolutionAtlas, _graph_solve, _tangent
 from .spaces import GradedSpace
 from .splicing import local_faces
 
@@ -516,6 +517,52 @@ def _covering_u(chart, x) -> float:
     return float(np.linalg.norm(t)) / chart.radius
 
 
+def _warm_solve(chart, t, s0):
+    """s of the chart point Gamma(t) = q + K t + C s, by Newton from s0, or
+    from s = 0 when that does not converge: a start taken off points already
+    solved only saves iterations, so the rule fails only where the cold
+    solve fails too."""
+    try:
+        return _graph_solve(chart, t, s0)
+    except NonConvergence:
+        if not s0.any():
+            raise
+        return _graph_solve(chart, t, np.zeros_like(s0))
+
+
+def _ray_points(chart, ts) -> list:
+    """(Gamma(t), DGamma(t)) at the nodes ts of one ray, walked in order.
+
+    The ray's first node, and a node nearer the origin than the previous
+    node, is solved from s = 0 (A(0) = 0 and DA(0) = 0 make that a good
+    guess there); every other node from the second-order predictor
+    s_i + s'_i d + s'' d^2 / 2 along the ray, s'' the difference of the
+    slopes of the ray's last two nodes over their distance.  The one
+    Jacobian J = f'(x) at a node gives its tangent K + C s', its slope
+    s' = -(J C)^-1 J K for the next prediction, and one polishing Newton
+    step s - (J C)^-1 f(x) that takes the residual from NEWTON_TOL to
+    rounding."""
+    K, C = chart.kernel_basis, chart.complement_basis
+    out, back = [], []          # (t, s, s') of the ray's last two nodes
+    for t in ts:
+        s0 = np.zeros(C.shape[1])
+        if back and np.linalg.norm(t - back[-1][0]) < np.linalg.norm(t):
+            t1, s1, slope1 = back[-1]
+            step = t - t1
+            s0 = s1 + slope1 @ step
+            if len(back) == 2 and (gap := float(np.linalg.norm(t1 - back[0][0]))) > 0:
+                s0 = s0 + 0.5 * ((slope1 - back[0][2]) @ step) * (float(np.linalg.norm(step)) / gap)
+        s = _warm_solve(chart, t, s0)
+        x = chart.base_point + K @ t + C @ s
+        J = chart.jacobian(x)
+        tangent = _tangent(chart, J)        # raises NotSurjective when J C is singular
+        solved = np.linalg.solve(J @ C, np.column_stack([J @ K, chart.section_value(x)]))
+        s = s - solved[:, -1]
+        back = [*back[-1:], (t, s, -solved[:, :-1])]
+        out.append((chart.base_point + K @ t + C @ s, tangent))
+    return out
+
+
 def _direction(theta: float) -> np.ndarray:
     return np.array([np.cos(theta), np.sin(theta)])
 
@@ -590,6 +637,11 @@ class _Cell:
     bracketed scalar root solves down to a bracket of sqrt(NEWTON_TOL) rho_max,
     whose secant root is then good to about NEWTON_TOL rho_max: the chart
     points they are computed from are no more accurate than that.
+
+    The cell solves the chart points of its brackets and corners itself
+    (`point`) and keeps them for re-reads.  They never enter the chart's
+    memo, whose cold starts define the chart, so a cell depends on its
+    charts alone; neighbours are checked for coverage at their cold points.
     """
 
     def __init__(self, chart, neighbours, rho_max: float):
@@ -597,10 +649,28 @@ class _Cell:
         self.neighbours = neighbours
         self.rho_max = rho_max
         self.tol = np.sqrt(NEWTON_TOL) * rho_max
+        self._points = {}       # quantized t -> s, as in the chart's memo
+        self._last = None       # (t, s) of the last point solved
+
+    def point(self, t):
+        """Gamma(t), solved from the cell's last point when that is nearer
+        t than the origin is, else from s = 0."""
+        t = np.asarray(t, dtype=float)
+        if not np.isfinite(t).all():        # no key for it: solved cold, as by the chart
+            return self.chart.gamma(t)
+        key = tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
+        s = self._points.get(key)
+        if s is None:
+            s0 = np.zeros(self.chart.complement_basis.shape[1])
+            if self._last is not None and np.linalg.norm(t - self._last[0]) < np.linalg.norm(t):
+                s0 = self._last[1]
+            s = self._points[key] = _warm_solve(self.chart, t, s0)
+            self._last = (t, s)
+        return self.chart.base_point + self.chart.kernel_basis @ t + self.chart.complement_basis @ s
 
     def excess(self, t):
         """(Gamma(t), u - u_j for every neighbour j, u_j by linear projection)."""
-        x = self.chart.gamma(t)
+        x = self.point(t)
         u = float(np.linalg.norm(t)) / self.chart.radius
         return x, np.array([u - np.linalg.norm(c.kernel_basis.T @ (x - c.base_point)) / c.radius
                             for c in self.neighbours])
@@ -773,11 +843,13 @@ class _Cell:
 
     def nodes(self, count: int) -> list:
         """(t, weight) of the polar Gauss-Legendre rule on the cell, count**k
-        nodes.  k = 1: the limits of the rays t = +-rho bound one interval
-        (a ray outside the domain has limit 0), integrated by `count` nodes.
-        k = 2: the rule of `_polar` on the cell's pieces.  Should its rays
-        find pieces the scan missed, the pieces are rescanned once with
-        those rays added, so that the rule again splits at every corner."""
+        nodes in rays of `count`, each walked away from its start.  k = 1:
+        the limits of the rays t = +-rho bound one interval (a ray outside
+        the domain has limit 0), integrated by `count` nodes in ascending
+        order.  k = 2: the rule of `_polar` on the cell's pieces, each ray
+        outward.  Should its rays find pieces the scan missed, the pieces
+        are rescanned once with those rays added, so that the rule again
+        splits at every corner."""
         chart = self.chart
         if chart.dim == 1:
             ends = [self.limit(e)[0] if chart.domain_contains(0.5 * chart.radius * e) else 0.0
@@ -792,9 +864,11 @@ class _Cell:
 def _quadrature_rule(atlas: SolutionAtlas, degree: int, nodes_per_axis: int) -> list:
     """(signed weight, Gamma(t), DGamma(t)) at every node of the atlas's
     charts of dimension `degree`, chart by chart in atlas order, the weight
-    times the chart's orientation sign.  A 0-dimensional chart is one node of
-    weight sign_of_zero at its point.  Built once per (degree, nodes_per_axis)
-    and kept in the atlas's `_rules`."""
+    times the chart's orientation sign, each ray of a cell's nodes solved by
+    `_ray_points`.  A 0-dimensional chart is one node of weight sign_of_zero
+    at its point.  Built once per (degree, nodes_per_axis) and kept in the
+    atlas's `_rules`; it depends on the atlas alone, not on what its charts
+    served before."""
     key = (degree, nodes_per_axis)
     if key in atlas._rules:
         return atlas._rules[key]
@@ -807,9 +881,11 @@ def _quadrature_rule(atlas: SolutionAtlas, degree: int, nodes_per_axis: int) -> 
             continue
         sign = _chart_orientation_sign(chart, np.zeros(degree))
         cell = _Cell(chart, charts[:i] + charts[i + 1:], SUPPORT_SCALE * chart.radius)
-        for t, w in cell.nodes(nodes_per_axis):
-            x = chart.gamma(t)
-            rule.append((sign * w, x, _tangent(chart, chart.jacobian(x))))
+        nodes = cell.nodes(nodes_per_axis)
+        for start in range(0, len(nodes), nodes_per_axis):
+            ray = nodes[start:start + nodes_per_axis]
+            for (_, w), (x, tangent) in zip(ray, _ray_points(chart, [t for t, _ in ray])):
+                rule.append((sign * w, x, tangent))
     atlas._rules[key] = rule
     return rule
 
@@ -833,7 +909,10 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis
     dimension does not match the form degree contribute zero.  Supports
     k <= 2.  The rule (cells, chart points Gamma(t) and tangents DGamma(t))
     does not depend on the form: it is built once per atlas, degree and
-    nodes_per_axis, and a later integral only evaluates pullbacks.  When
+    nodes_per_axis, and a later integral only evaluates pullbacks.  Its
+    nodes are solved by continuation along each ray and polished, its cell
+    boundaries from the cell's last point; each node is the chart's cold
+    point Gamma(t) to the solver's tolerance.  When
     `cover_points` (samples of the solution set, e.g. from zero enumeration)
     are supplied, `atlas_covers_points` must hold for them, else
     AtlasIncomplete is raised; that check runs on every call.

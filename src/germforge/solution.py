@@ -5,7 +5,10 @@ the graph Gamma(t) = q + K t + A(t) over the kernel N = ker J: K is an
 orthonormal basis of N, A(t) lies in a fixed complement C of N, A(0) = 0 and
 DA(0) = 0.  A chart is fixed by (f, q, K, C): each A(t) = C s comes from one
 damped Newton solve of the square system f(q + K t + C s) = 0 started at
-s = 0, which A(0) = 0 and DA(0) = 0 make a second-order guess.  Both chart
+s = 0, which A(0) = 0 and DA(0) = 0 make a second-order guess.  That cold
+start defines the chart (`a_map`, the memo behind `gamma`, coverage tests),
+so a point of another sheet is never taken for a chart point; the quadrature
+rule's continuation only picks other starts for the same solve.  Both chart
 builders read J and K from one linearization; recentring and pushforward
 only choose a new (f, q, K, C), so they are graph charts of the same kind.
 The paper reaches the same map in stages (fiber fixed point, Newton on the
@@ -54,6 +57,14 @@ def _solve(func, x0):
     return x
 
 
+def _graph_solve(chart, t, s0):
+    """s with f(q + K t + C s) = 0 by one damped Newton from s0, calling the
+    chart's section directly; NonConvergence when it does not converge."""
+    base = chart.base_point + chart.kernel_basis @ np.asarray(t, dtype=float)
+    C = chart.complement_basis
+    return _solve(lambda s: chart.section(base + C @ s), s0)
+
+
 @dataclass(frozen=True)
 class GoodParametrization:
     """Graph chart Gamma(n) = q + n + A(n) over the kernel of f'(q).
@@ -84,9 +95,8 @@ class GoodParametrization:
 
     def a_map(self, t):
         """A(t) = C s with f(q + K t + C s) = 0, one damped Newton from s = 0."""
-        base = self.base_point + self.kernel_basis @ np.asarray(t, dtype=float)
         C = self.complement_basis
-        return C @ _solve(lambda s: self.section(base + C @ s), np.zeros(C.shape[1]))
+        return C @ _graph_solve(self, t, np.zeros(C.shape[1]))
 
     def a_vector(self, t):
         """A(n) for n = kernel_basis @ t, cached on quantized coefficients.

@@ -171,6 +171,18 @@ def test_selftest_csvs_do_not_depend_on_the_seed(tmp_path, monkeypatch):
     assert "seed" not in (tmp_path / "5" / "events.jsonl").read_text()
 
 
+def test_selftest_csvs_do_not_depend_on_the_tolerance(tmp_path, monkeypatch):
+    from germforge import selftest
+
+    fake = [selftest.CriterionResult("a", True, {"x": 1}, wall_time=0.25)]
+    monkeypatch.setattr(selftest, "run_all", lambda echo=None: fake)
+    default, loose = tmp_path / "default", tmp_path / "loose"
+    assert main(["selftest", "--out", str(default)]) == 0
+    assert main(["selftest", "--tol", "0.001", "--trials", "7", "--out", str(loose)]) == 0
+    assert (default / "selftest-a.csv").read_bytes() == (loose / "selftest-a.csv").read_bytes()
+    assert "tol" not in (loose / "events.jsonl").read_text()
+
+
 @pytest.mark.parametrize("models", ["nope", "cubic", "all, circle"])
 def test_selftest_accepts_only_all_models(tmp_path, models, capsys):
     out = tmp_path / "out"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germforge import registry
+from germforge import degree, registry
 from germforge.degree import (
     AuxiliaryNorm,
     DifferentialForm,
@@ -20,10 +20,16 @@ from germforge.degree import (
     make_bump_section,
     smooth_plateau,
 )
-from germforge.degree import _Cell, _chart_orientation_sign, _covering_u
+from germforge.degree import SUPPORT_SCALE, _Cell, _chart_orientation_sign, _covering_u, _quadrature_rule
 from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, WindowEscape
 from germforge.orientation import OrientationReference
-from germforge.solution import SolutionAtlas, build_boundary_parametrization, build_parametrization
+from germforge.solution import (
+    CACHE_QUANTUM,
+    SolutionAtlas,
+    _tangent,
+    build_boundary_parametrization,
+    build_parametrization,
+)
 from germforge.spaces import GradedSpace
 
 FIBER = GradedSpace(dim=1, levels=3, weights=np.array([1.0]))
@@ -266,6 +272,16 @@ def circle_atlas():
     return counted_circle_atlas()[0]
 
 
+def sphere_atlas():
+    """The six axis charts of the unit sphere |x|^2 = 1 in R^3."""
+    from germforge.fredholm import BasicGerm
+
+    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=lambda x: np.array([x @ x - 1.0]))
+    bases = [np.array(b, dtype=float) for b in
+             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
+    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.9) for q in bases))
+
+
 def test_atlas_covers_circle():
     atlas = circle_atlas()
     pts = [np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0, 2 * np.pi, 73)]
@@ -328,12 +344,7 @@ def test_sphere_cell_is_a_cube_face():
     # the six axis charts of the unit sphere cut it like the faces of a cube,
     # so the cell of the chart at (0, 0, 1) has area 4 pi / 6; its corners
     # split the circle of rays into four pieces
-    from germforge.fredholm import BasicGerm
-
-    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=lambda x: np.array([x @ x - 1.0]))
-    bases = [np.array(b, dtype=float) for b in
-             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
-    charts = [build_parametrization(bg, q, radius=0.9) for q in bases]
+    charts = list(sphere_atlas().charts)
     cell = _Cell(charts[4], charts[:4] + charts[5:], 0.95 * 0.9)
     pieces = cell.pieces(32)
     assert len(pieces) == 4 and {label for _, _, label, _ in pieces} == {0, 1, 2, 3}   # the +-x, +-y charts
@@ -376,13 +387,7 @@ def test_quadrature_refinement_stable():
 def test_sphere_area_two_form():
     # f(x) = |x|^2 - 1 in R^3: a 2-dimensional zero set; the area form
     # p . (u x v) integrates to 4 pi (divergence-theorem oracle)
-    from germforge.fredholm import BasicGerm
-
-    W = GradedSpace(dim=0, levels=3)
-    bg = BasicGerm(n=3, k=0, N=1, W=W, g=lambda x: np.array([x @ x - 1.0]))
-    bases = [np.array(b, dtype=float) for b in
-             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
-    atlas = SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.9) for q in bases))
+    atlas = sphere_atlas()
     rng = np.random.default_rng(0)
     pts = []
     for _ in range(200):
@@ -509,6 +514,106 @@ def test_replaced_atlas_starts_without_rules():
     holed = replace(atlas, charts=atlas.charts[:3])
     assert holed._rules == {} and set(atlas._rules) == {(1, 32)}
     assert integrate_form(holed, ROTATION) != full
+
+
+def parabola_corner_atlas():
+    return SolutionAtlas(charts=(build_boundary_parametrization(registry.parabola_corner_germ(), np.zeros(2),
+                                                                radius=0.4),))
+
+
+def spied_rule(monkeypatch, atlas, degree_, nodes_per_axis):
+    """The rule, and the (chart, t) of its nodes in rule order."""
+    seen, walk = [], degree._ray_points
+
+    def spy(chart, ts):
+        seen.extend((chart, t) for t in ts)
+        return walk(chart, ts)
+
+    monkeypatch.setattr(degree, "_ray_points", spy)
+    return _quadrature_rule(atlas, degree_, nodes_per_axis), seen
+
+
+def cold_rule(atlas, degree_, nodes_per_axis):
+    """The rule with every chart point, of the cells and of the nodes, read
+    from the chart's memo, which solves each from s = 0."""
+    rule = []
+    charts = [c for c in atlas.charts if c.dim == degree_]
+    for i, chart in enumerate(charts):
+        sign = _chart_orientation_sign(chart, np.zeros(degree_))
+        cell = _Cell(chart, charts[:i] + charts[i + 1:], SUPPORT_SCALE * chart.radius)
+        cell.point = chart.gamma
+        for t, w in cell.nodes(nodes_per_axis):
+            x = chart.gamma(t)
+            rule.append((sign * w, x, _tangent(chart, chart.jacobian(x))))
+    return rule
+
+
+def same_rule(a, b) -> bool:
+    return len(a) == len(b) and all(
+        w1 == w2 and np.array_equal(x1, x2) and np.array_equal(d1, d2) for (w1, x1, d1), (w2, x2, d2) in zip(a, b))
+
+
+@pytest.mark.parametrize("build, degree_, nodes_per_axis", [
+    (circle_atlas, 1, 32), (sphere_atlas, 2, 8), (parabola_corner_atlas, 1, 32), (quadrant_plane_atlas, 2, 32),
+], ids=["circle", "sphere", "parabola-corner", "quadrant-plane"])
+def test_rule_nodes_are_the_cold_chart_points(monkeypatch, build, degree_, nodes_per_axis):
+    # each node is solved from a prediction off the ray's earlier nodes and
+    # polished by one Newton step with its tangent's Jacobian: it is the
+    # chart point Gamma(t), which the chart solves from s = 0, to the
+    # solver's tolerance, and a zero of f to rounding
+    rule, seen = spied_rule(monkeypatch, build(), degree_, nodes_per_axis)
+    assert len(seen) == len(rule) > 0
+    for (chart, t), (_, x, _) in zip(seen, rule):
+        assert np.max(np.abs(chart.gamma(t) - x)) <= 1e-12
+        assert np.max(np.abs(chart.section_value(x))) <= 1e-14
+
+
+def _serve_a_coarse_rule_and_a_coverage_check(atlas):
+    integrate_form(atlas, ROTATION, nodes_per_axis=16)
+    assert atlas_covers_points(atlas, [np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0, 2 * np.pi, 37)])
+    return atlas
+
+
+@pytest.mark.parametrize("used", [
+    lambda: _serve_a_coarse_rule_and_a_coverage_check(circle_atlas()),
+    lambda: replace(_serve_a_coarse_rule_and_a_coverage_check(circle_atlas())),
+], ids=["served", "replaced-copy"])
+def test_a_rule_does_not_depend_on_what_its_charts_served_before(monkeypatch, used):
+    # the cells and the nodes solve their own points and never read or fill
+    # the charts' memo, which earlier calls have filled
+    served = _quadrature_rule(used(), 1, 32)
+    rule, seen = spied_rule(monkeypatch, circle_atlas(), 1, 32)
+    assert same_rule(served, rule) and len(seen) == 128
+    assert not any(tuple(np.round(t / CACHE_QUANTUM).astype(np.int64)) in chart._cache for chart, t in seen)
+
+
+def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):
+    # every start taken off earlier points is made to fail (a NaN start
+    # stalls Newton at once): each point is then solved from s = 0, and the
+    # rule is the rule of cold chart points
+    solve, warm = degree._graph_solve, []
+
+    def failing(chart, t, s0):
+        if s0.any():
+            warm.append(t)
+            s0 = np.full_like(s0, np.nan)
+        return solve(chart, t, s0)
+
+    monkeypatch.setattr(degree, "_graph_solve", failing)
+    rule = _quadrature_rule(circle_atlas(), 1, 32)
+    oracle = cold_rule(circle_atlas(), 1, 32)
+    assert len(warm) > 128 and len(rule) == len(oracle)
+    for (w1, x1, d1), (w2, x2, d2) in zip(rule, oracle):
+        assert abs(w1 - w2) <= 1e-12 and np.max(np.abs(x1 - x2)) <= 1e-12 and np.max(np.abs(d1 - d2)) <= 1e-12
+
+
+def test_continuation_cuts_the_section_evaluations_of_the_circle_rule():
+    # solved from s = 0 the rule took 2,920 evaluations; from the predicted
+    # starts a node takes 2.1 Newton iterations
+    atlas, section = counted_circle_atlas()
+    before = section.calls
+    integrate_form(atlas, ROTATION)
+    assert section.calls - before == 2212
 
 
 def _counted_cubic():
