@@ -1,8 +1,16 @@
 """Small dense linear-algebra helpers: SVD rank splits, FD Jacobians and
 `newton`, the one damped Gauss-Newton solver behind chart values and
-polished degree zeros."""
+polished degree zeros.
+
+The systems are tiny (1x1 to 3x3 steps), so the cost of `fd_jacobian` and
+`newton` is numpy call overhead, not arithmetic: they make as few numpy
+calls as they can while returning the bits of the plain formulas (steps
+x +- h e_j, columns (f(x + h e_j) - f(x - h e_j)) / 2h, the 2-norm as
+sqrt(f . f), which is what `np.linalg.norm` computes for a real vector)."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,17 +70,21 @@ def fd_jacobian(f, x):
     from 2 len(x) evaluations of f (one, to size the result, for an empty x),
     with step h = 1e-6 (1 + |x|_1)."""
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
+    n = x.size
+    if n == 0:
         return np.zeros((np.atleast_1d(np.asarray(f(x), dtype=float)).size, 0))
-    h = 1e-6 * (1.0 + float(np.sum(np.abs(x))))
-    columns = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        fp = np.atleast_1d(np.asarray(f(x + e), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(x - e), dtype=float))
-        columns.append((fp - fm) / (2.0 * h))
-    return np.column_stack(columns)
+    h = 1e-6 * (1.0 + float(np.abs(x).sum()))
+    J = None
+    for j, e in enumerate(np.diag([h] * n)):    # rows h e_j, exact (no inf * 0) for any h
+        fp = np.asarray(f(x + e), dtype=float)
+        if J is None:
+            J = np.empty((fp.size, n))
+        J[:, j] = fp - f(x - e)     # float64 - anything promotes it to float64 first
+    return J / (2.0 * h)
+
+
+def _norm(v) -> float:
+    return math.sqrt(float(v.dot(v)))
 
 
 def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
@@ -88,12 +100,12 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     if x.size == 0:
         return x, 0.0, True
     fx = np.atleast_1d(func(x))
-    best = float(np.linalg.norm(fx))
+    best = _norm(fx)
     for _ in range(max_iter):
-        res = float(np.max(np.abs(fx)))
+        res = float(np.abs(fx).max())
         if res <= tol:
             return x, res, True
-        if not res < np.inf:    # no Jacobian off the domain: fd_jacobian would take inf - inf
+        if not res < math.inf:    # no Jacobian off the domain: fd_jacobian would take inf - inf
             return x, res, False
         J = fd_jacobian(func, x)
         if not np.isfinite(J).all():    # lstsq would print and step NaN
@@ -106,15 +118,16 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
         while lam > 1e-8:
             trial = x + lam * step
             ft = np.atleast_1d(func(trial))
-            if float(np.linalg.norm(ft)) < best:
-                x, fx, best = trial, ft, float(np.linalg.norm(ft))
+            norm = _norm(ft)
+            if norm < best:
+                x, fx, best = trial, ft, norm
                 break
             lam *= 0.5
         else:
             return x, res, False
         if stop is not None and stop(x):
-            return x, float(np.max(np.abs(fx))), False
-    res = float(np.max(np.abs(fx)))
+            return x, float(np.abs(fx).max()), False
+    res = float(np.abs(fx).max())
     return x, res, res <= tol
 
 

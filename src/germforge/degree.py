@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
-from .solution import CACHE_QUANTUM, NEWTON_TOL, SolutionAtlas, _graph_solve, _tangent
+from .solution import CACHE_QUANTUM, NEWTON_TOL, SolutionAtlas, _complement_inverse, _graph_solve, _tangent
 from .spaces import GradedSpace
 from .splicing import local_faces
 
@@ -38,6 +38,8 @@ WINDOW_MARGIN = 1e-6
 RETRY_LIMIT = 100
 BASIN_GATE = 1e-4      # sigma_min / sigma_max below which a zero gets no basin
 HOMOTOPY_GRID = 11     # homotopy parameters t sampled by invariance_suite
+CHORD_TOL = 1e-10      # a quadrature node's chord steps stop at this residual
+CHORD_STEPS = 8        # and give way to Newton after this many steps
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,33 @@ def _basin_radius(func, x, J, sv, r: float) -> float:
     return r
 
 
+def _halton(count: int, d: int, seed: int):
+    """The first `count` points of the scrambled Halton sequence in [0, 1)^d
+    that `scipy.stats.qmc.Halton(d=d, scramble=True, seed=seed)` draws, bit
+    for bit (Owen, "A randomized Halton algorithm in R", arXiv:1706.02808).
+    Coordinate i is the radical inverse in the i-th prime b of the point's
+    index, its j-th digit mapped through the j-th of ceil(54 / log2 b) - 1
+    random permutations of range(b); a default_rng(seed) shuffles them, base
+    after base.  The trailing zero digits are permuted too."""
+    rng = np.random.default_rng(seed)
+    bases, b = [], 2            # the first d primes
+    while len(bases) < d:
+        if all(b % p for p in bases):
+            bases.append(b)
+        b += 1
+    out = np.zeros((count, d))
+    for i, b in enumerate(bases):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        index, scale = np.arange(count), 1.0 / b
+        for row in perms:
+            index, digit = np.divmod(index, b)
+            out[:, i] += row[digit] * scale
+            scale /= b
+    return out
+
+
 def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> list:
     """Polished zeros of f + s inside the window, with linearization reports.
 
@@ -200,11 +229,8 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     d = pp.window.dim
     starts = [np.asarray(p, dtype=float) for p in pp.seeds]
     if pp.grid_starts:
-        from scipy.stats import qmc     # imported here: scipy.stats costs ~0.5 s of import time
-
-        sampler = qmc.Halton(d=d, scramble=True, seed=pp.rng_seed)
-        pts = qmc.scale(sampler.random(pp.grid_starts), pp.window.lo, pp.window.hi)
-        starts.extend(np.asarray(p) for p in pts)
+        pts = _halton(pp.grid_starts, d, pp.rng_seed) * (pp.window.hi - pp.window.lo) + pp.window.lo
+        starts.extend(pts)
     zeros, basins = [], []      # basins: (centre, radius) of the zeros that have one
 
     def in_basin(x):            # checked at every Newton iterate, so kept cheap
@@ -508,10 +534,10 @@ SUPPORT_SCALE = 0.95
 
 
 def _covering_u(chart, x) -> float:
-    """u = |t| / radius of x in the chart, t = K^T (x - q), when the chart
-    covers x (t lies in its domain and Gamma(t) = x); inf otherwise."""
+    """u = |t| / radius of x in the chart, t its chart coordinates, when the
+    chart covers x (t lies in its domain and Gamma(t) = x); inf otherwise."""
     x = np.asarray(x, dtype=float)
-    t = chart.kernel_basis.T @ (x - chart.base_point)
+    t = chart.coordinates(x)
     if not chart.domain_contains(t) or np.max(np.abs(chart.gamma(t) - x)) > COVER_TOL:
         return np.inf
     return float(np.linalg.norm(t)) / chart.radius
@@ -530,36 +556,60 @@ def _warm_solve(chart, t, s0):
         return _graph_solve(chart, t, np.zeros_like(s0))
 
 
+def _chord(chart, base, s, inverse):
+    """(s, f) with f = f(base + C s) and max|f| <= CHORD_TOL, by chord steps
+    s - inverse f from s, one evaluation each, inverse = (J C)^-1 of an
+    earlier Jacobian; None after CHORD_STEPS steps or at a non-finite
+    residual."""
+    C = chart.complement_basis
+    for _ in range(CHORD_STEPS + 1):
+        f = chart.section_value(base + C @ s)
+        res = float(np.abs(f).max())
+        if res <= CHORD_TOL:
+            return s, f
+        if not res < math.inf:
+            return None
+        s = s - inverse @ f
+    return None
+
+
 def _ray_points(chart, ts) -> list:
     """(Gamma(t), DGamma(t)) at the nodes ts of one ray, walked in order.
 
     The ray's first node, and a node nearer the origin than the previous
-    node, is solved from s = 0 (A(0) = 0 and DA(0) = 0 make that a good
-    guess there); every other node from the second-order predictor
-    s_i + s'_i d + s'' d^2 / 2 along the ray, s'' the difference of the
-    slopes of the ray's last two nodes over their distance.  The one
-    Jacobian J = f'(x) at a node gives its tangent K + C s', its slope
-    s' = -(J C)^-1 J K for the next prediction, and one polishing Newton
-    step s - (J C)^-1 f(x) that takes the residual from NEWTON_TOL to
-    rounding."""
-    K, C = chart.kernel_basis, chart.complement_basis
-    out, back = [], []          # (t, s, s') of the ray's last two nodes
+    node, is solved by Newton from s = 0 (A(0) = 0 and DA(0) = 0 make that a
+    good guess there).  Every other node starts from the second-order
+    predictor s_i + s'_i d + s'' d^2 / 2 along the ray, s'' the difference of
+    the slopes of the ray's last two nodes over their distance, and takes
+    chord steps with the previous node's (J C)^-1 down to CHORD_TOL, one
+    evaluation each (`_chord`); should they fail, Newton solves it from the
+    prediction (`_warm_solve`).  The one Jacobian J = f'(x) at a node, and
+    one factorization of its J C, give its tangent K + C s', its slope
+    s' = -(J C)^-1 J K for the next prediction, one polishing Newton step
+    s - (J C)^-1 f(x) that takes the residual to rounding, and the next
+    node's chord steps."""
+    q, K, C = chart.base_point, chart.kernel_basis, chart.complement_basis
+    out, back = [], []          # (t, s, s', (J C)^-1) of the ray's last two nodes
     for t in ts:
-        s0 = np.zeros(C.shape[1])
+        base = q + K @ t
+        s0, solved = np.zeros(C.shape[1]), None
         if back and np.linalg.norm(t - back[-1][0]) < np.linalg.norm(t):
-            t1, s1, slope1 = back[-1]
+            t1, s1, slope1, inverse = back[-1]
             step = t - t1
             s0 = s1 + slope1 @ step
             if len(back) == 2 and (gap := float(np.linalg.norm(t1 - back[0][0]))) > 0:
                 s0 = s0 + 0.5 * ((slope1 - back[0][2]) @ step) * (float(np.linalg.norm(step)) / gap)
-        s = _warm_solve(chart, t, s0)
-        x = chart.base_point + K @ t + C @ s
-        J = chart.jacobian(x)
-        tangent = _tangent(chart, J)        # raises NotSurjective when J C is singular
-        solved = np.linalg.solve(J @ C, np.column_stack([J @ K, chart.section_value(x)]))
-        s = s - solved[:, -1]
-        back = [*back[-1:], (t, s, -solved[:, :-1])]
-        out.append((chart.base_point + K @ t + C @ s, tangent))
+            solved = _chord(chart, base, s0, inverse)
+        if solved is None:
+            s = _warm_solve(chart, t, s0)
+            solved = s, chart.section_value(base + C @ s)
+        s, f = solved
+        J = chart.jacobian(base + C @ s)
+        inverse = _complement_inverse(chart, J)     # raises NotSurjective when J C is singular
+        slope = -(inverse @ (J @ K))
+        s = s - inverse @ f
+        back = [*back[-1:], (t, s, slope, inverse)]
+        out.append((base + C @ s, K + C @ slope))
     return out
 
 
@@ -631,12 +681,13 @@ class _Cell:
 
     In polar chart coordinates t = rho e the cell is {rho <= rho(e)}.  Along
     each ray it ends where u = u_j for a neighbour j that covers the point
-    there, or at rho_max.  The u_j along the ray come from the linear
-    projections t_j = K_j^T (x - q_j).  Coverage is checked only where a
-    neighbour claims the ray: at rho_max, and at the crossing.  Crossings are
-    bracketed scalar root solves down to a bracket of sqrt(NEWTON_TOL) rho_max,
-    whose secant root is then good to about NEWTON_TOL rho_max: the chart
-    points they are computed from are no more accurate than that.
+    there, or at rho_max.  The u_j along the ray come from the neighbours'
+    chart coordinates t_j of x, its projections onto K_j along C_j, which
+    are linear in x.  Coverage is checked only where a neighbour claims the
+    ray: at rho_max, and at the crossing.  Crossings are bracketed scalar
+    root solves down to a bracket of sqrt(NEWTON_TOL) rho_max, whose secant
+    root is then good to about NEWTON_TOL rho_max: the chart points they are
+    computed from are no more accurate than that.
 
     The cell solves the chart points of its brackets and corners itself
     (`point`) and keeps them for re-reads.  They never enter the chart's
@@ -669,11 +720,11 @@ class _Cell:
         return self.chart.base_point + self.chart.kernel_basis @ t + self.chart.complement_basis @ s
 
     def excess(self, t):
-        """(Gamma(t), u - u_j for every neighbour j, u_j by linear projection)."""
+        """(Gamma(t), u - u_j for every neighbour j, u_j from j's chart
+        coordinates of Gamma(t))."""
         x = self.point(t)
         u = float(np.linalg.norm(t)) / self.chart.radius
-        return x, np.array([u - np.linalg.norm(c.kernel_basis.T @ (x - c.base_point)) / c.radius
-                            for c in self.neighbours])
+        return x, np.array([u - np.linalg.norm(c.coordinates(x)) / c.radius for c in self.neighbours])
 
     def _crossing(self, e, claims, lo: float = 0.0, guess=None):
         """(root, pos): where the largest u - u_j, j in claims, changes sign
@@ -737,7 +788,7 @@ class _Cell:
 
     def _reach(self, e, label, guess):
         """(rho, stray): rho where the cell's boundary against `label` meets
-        the ray e, by linear projection alone (rho_max for None, or where it
+        the ray e, by chart coordinates alone (rho_max for None, or where it
         does not meet); `guess` narrows the starting bracket.  A covering
         neighbour that is further past its own boundary there than `label`
         (or past it at all, for None) claims the ray earlier: the ray lies
@@ -910,9 +961,11 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis
     k <= 2.  The rule (cells, chart points Gamma(t) and tangents DGamma(t))
     does not depend on the form: it is built once per atlas, degree and
     nodes_per_axis, and a later integral only evaluates pullbacks.  Its
-    nodes are solved by continuation along each ray and polished, its cell
-    boundaries from the cell's last point; each node is the chart's cold
-    point Gamma(t) to the solver's tolerance.  When
+    nodes are solved by continuation along each ray: chord steps from a
+    predicted start with the previous node's (J C)^-1, one Jacobian per
+    node for its tangent, and a polishing Newton step (`_ray_points`); its
+    cell boundaries from the cell's last point.  Each node is the chart's
+    cold point Gamma(t) to the solver's tolerance.  When
     `cover_points` (samples of the solution set, e.g. from zero enumeration)
     are supplied, `atlas_covers_points` must hold for them, else
     AtlasIncomplete is raised; that check runs on every call.

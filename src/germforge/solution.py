@@ -26,11 +26,13 @@ linearization: DGamma(t) = K - C (J C)^-1 J K with J = f'(Gamma(t)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import cones
-from ._linalg import fd_jacobian, is_surjective, newton, orthonormal_columns, subspace_intersection, svd_split
+from ._linalg import (SV_RELATIVE_CUTOFF, fd_jacobian, is_surjective, newton, orthonormal_columns,
+                      subspace_intersection, svd_split)
 from .errors import (
     GermforgeError,
     NoOverlap,
@@ -71,6 +73,10 @@ class GoodParametrization:
 
     Kernel points are addressed by coefficient vectors t in the orthonormal
     columns of kernel_basis, and A(n) lies in the span of complement_basis.
+    A point x = q + K t + C s has chart coordinates t = `coordinates(x)`,
+    its projection onto the kernel along the complement; that is K^T (x - q)
+    only when C is orthogonal to K, as for interior charts, and not for
+    corner charts or recentred ones.
     For boundary charts `structure` carries the standard-quadrant
     coordinates of the domain N ∩ C_q and `ambient_rank` the number of
     constrained ambient coordinates.
@@ -92,6 +98,16 @@ class GoodParametrization:
     @property
     def is_boundary(self) -> bool:
         return self.structure is not None
+
+    @cached_property
+    def _coordinate_rows(self):
+        """The first k rows of [K C]^-1, computed once per chart."""
+        return np.linalg.inv(np.hstack([self.kernel_basis, self.complement_basis]))[: self.dim]
+
+    def coordinates(self, x):
+        """t with x = q + K t + C s for some s: the first k entries of
+        [K C]^-1 (x - q)."""
+        return self._coordinate_rows @ (np.asarray(x, dtype=float) - self.base_point)
 
     def a_map(self, t):
         """A(t) = C s with f(q + K t + C s) = 0, one damped Newton from s = 0."""
@@ -166,13 +182,21 @@ class GoodParametrization:
         return _tangent(self, self.jacobian(self.gamma(t)))
 
 
+def _complement_inverse(chart: GoodParametrization, J):
+    """(J C)^-1 from one SVD of J C, for the Jacobian J = f'(Gamma(t)) at a
+    chart point.  Raises NotSurjective when J C is singular at
+    `is_surjective`'s cutoff, i.e. the complement is not transverse to
+    ker f'(Gamma(t))."""
+    U, sv, Vt = np.linalg.svd(J @ chart.complement_basis)
+    if not sv[-1] > SV_RELATIVE_CUTOFF * max(sv[0], 1.0):
+        raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
+    return (Vt.T / sv) @ U.T
+
+
 def _tangent(chart: GoodParametrization, J):
     """K - C (J C)^-1 J K for the Jacobian J = f'(Gamma(t)) at a chart point."""
-    K, C = chart.kernel_basis, chart.complement_basis
-    JC = J @ C
-    if not is_surjective(JC):
-        raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
-    return K - C @ np.linalg.solve(JC, J @ K)
+    K = chart.kernel_basis
+    return K - chart.complement_basis @ (_complement_inverse(chart, J) @ (J @ K))
 
 
 def _linearization(bg: BasicGerm, q):
@@ -312,10 +336,7 @@ class TransitionMap:
     gp2: GoodParametrization
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        target = self.gp2.gamma(t)
-        offset = target - self.gp1.base_point
-        return self.gp1.kernel_basis.T @ offset
+        return self.gp1.coordinates(self.gp2.gamma(t))
 
     def mismatch(self, t) -> float:
         """||Gamma_1(sigma(t)) - Gamma_2(t)|| at an overlap sample."""
@@ -324,13 +345,15 @@ class TransitionMap:
 
 
 def transition_map(gp1: GoodParametrization, gp2: GoodParametrization, shared_zero) -> TransitionMap:
-    """Overlap reparametrization sigma(t) = P_1(q2 - q1 + n + A_2(n)).
+    """Overlap reparametrization sigma(t) = P_1(Gamma_2(t)), P_1 the
+    coordinates of chart 1: the projection onto its kernel along its own
+    complement, so that Gamma_1(sigma(t)) = Gamma_2(t) on the overlap.
 
     Raises NoOverlap when the shared zero does not lie in both chart images.
     """
     z = np.asarray(shared_zero, dtype=float)
     for gp in (gp1, gp2):
-        t = gp.kernel_basis.T @ (z - gp.base_point)
+        t = gp.coordinates(z)
         if not gp.domain_contains(t, tol=1e-6):
             raise NoOverlap("shared zero lies outside a chart domain")
         if np.max(np.abs(gp.gamma(t) - z)) > 1e-6:
@@ -413,7 +436,7 @@ class SolutionAtlas:
         """Transition mismatch <= tol at 8 samples near each overlap's zero."""
         for i, j, zero in self.overlaps:
             tm = transition_map(self.charts[i], self.charts[j], zero)
-            t0 = self.charts[j].kernel_basis.T @ (np.asarray(zero) - self.charts[j].base_point)
+            t0 = self.charts[j].coordinates(zero)
             rng = np.random.Generator(np.random.Philox(key=5))
             for _ in range(8):
                 t = t0 + rng.uniform(-0.05, 0.05, size=self.charts[j].dim)

@@ -468,6 +468,40 @@ def quadrant_plane_atlas():
                                                                 radius=0.4),))
 
 
+def arc_atlas():
+    """The compact arc (x - 1/2)^2 + y^2 = 1 on [0, inf) x R: corner charts
+    at its ends (0, +-sqrt(3/4)), whose complements are oblique to their
+    kernels, and interior charts at the angles 0, +-0.9 and +-pi/2 around
+    (1/2, 0)."""
+    from germforge.fredholm import BasicGerm
+
+    bg = BasicGerm(n=2, k=1, N=1, W=GradedSpace(dim=0, levels=3),
+                   g=lambda x: np.array([(x[0] - 0.5) ** 2 + x[1] ** 2 - 1.0]))
+    end = np.sqrt(0.75)
+    charts = [build_boundary_parametrization(bg, np.array([0.0, y]), radius=0.8) for y in (end, -end)]
+    charts += [build_parametrization(bg, np.array([0.5 + np.cos(a), np.sin(a)]), radius=r)
+               for a, r in ((0.0, 0.6), (0.9, 0.6), (-0.9, 0.6), (np.pi / 2, 0.45), (-np.pi / 2, 0.45))]
+    return SolutionAtlas(charts=tuple(charts))
+
+
+@pytest.mark.parametrize("nodes_per_axis", [8, 32])
+def test_the_arc_meets_stokes_at_its_corners(nodes_per_axis):
+    # the integral of dg over the arc is g(end) - g(start); neighbouring
+    # cells split the arc only when every chart reads a point's coordinates
+    # along its own complement
+    g = lambda x: x[0] ** 2 * x[1] + x[1] ** 3 + np.sin(x[0])
+    dg = DifferentialForm(degree=1, coeff=lambda x: np.array([2 * x[0] * x[1] + np.cos(x[0]),
+                                                              x[0] ** 2 + 3 * x[1] ** 2]))
+    arc_length = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0] - 0.5]))
+    atlas = arc_atlas()
+    end = np.array([0.0, np.sqrt(0.75)])
+    stokes = g(end) - g(end * [1, -1])
+    assert abs(integrate_form(atlas, dg, nodes_per_axis=nodes_per_axis) - stokes) <= 1e-9
+    assert abs(integrate_form(atlas, arc_length, nodes_per_axis=nodes_per_axis) - 4 * np.pi / 3) <= 1e-9
+    angles = np.linspace(-2 * np.pi / 3 + 0.01, 2 * np.pi / 3 - 0.01, 41)
+    assert atlas_covers_points(atlas, [np.array([0.5 + np.cos(a), np.sin(a)]) for a in angles])
+
+
 def test_second_integral_over_an_atlas_makes_no_section_evaluation():
     atlas, section = counted_circle_atlas()
     integrate_form(atlas, ROTATION)
@@ -557,10 +591,10 @@ def same_rule(a, b) -> bool:
     (circle_atlas, 1, 32), (sphere_atlas, 2, 8), (parabola_corner_atlas, 1, 32), (quadrant_plane_atlas, 2, 32),
 ], ids=["circle", "sphere", "parabola-corner", "quadrant-plane"])
 def test_rule_nodes_are_the_cold_chart_points(monkeypatch, build, degree_, nodes_per_axis):
-    # each node is solved from a prediction off the ray's earlier nodes and
-    # polished by one Newton step with its tangent's Jacobian: it is the
-    # chart point Gamma(t), which the chart solves from s = 0, to the
-    # solver's tolerance, and a zero of f to rounding
+    # each node is solved by chord steps from a prediction off the ray's
+    # earlier nodes and polished by one Newton step with its tangent's
+    # Jacobian: it is the chart point Gamma(t), which the chart solves from
+    # s = 0, to the solver's tolerance, and a zero of f to rounding
     rule, seen = spied_rule(monkeypatch, build(), degree_, nodes_per_axis)
     assert len(seen) == len(rule) > 0
     for (chart, t), (_, x, _) in zip(seen, rule):
@@ -588,10 +622,11 @@ def test_a_rule_does_not_depend_on_what_its_charts_served_before(monkeypatch, us
 
 
 def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):
-    # every start taken off earlier points is made to fail (a NaN start
-    # stalls Newton at once): each point is then solved from s = 0, and the
-    # rule is the rule of cold chart points
-    solve, warm = degree._graph_solve, []
+    # every node's chord steps are made to fail, and so is every Newton
+    # start taken off earlier points (a NaN start stalls Newton at once):
+    # each point is then solved from s = 0, and the rule is the rule of cold
+    # chart points
+    solve, warm, chords = degree._graph_solve, [], []
 
     def failing(chart, t, s0):
         if s0.any():
@@ -599,21 +634,62 @@ def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):
             s0 = np.full_like(s0, np.nan)
         return solve(chart, t, s0)
 
+    def no_chord(chart, base, s, inverse):
+        chords.append(base)
+        return None
+
     monkeypatch.setattr(degree, "_graph_solve", failing)
+    monkeypatch.setattr(degree, "_chord", no_chord)
     rule = _quadrature_rule(circle_atlas(), 1, 32)
     oracle = cold_rule(circle_atlas(), 1, 32)
-    assert len(warm) > 128 and len(rule) == len(oracle)
+    # 4 intervals of 32 nodes, each solved cold at its first node and at the
+    # two nodes nearest its chart's origin, and the cells' own boundary points
+    assert len(chords) == 4 * 29 and len(warm) > len(chords) and len(rule) == len(oracle)
     for (w1, x1, d1), (w2, x2, d2) in zip(rule, oracle):
         assert abs(w1 - w2) <= 1e-12 and np.max(np.abs(x1 - x2)) <= 1e-12 and np.max(np.abs(d1 - d2)) <= 1e-12
 
 
+def test_a_chord_step_that_meets_a_non_finite_residual_gives_way_to_newton(monkeypatch):
+    # the section is NaN at every chord iterate but the first: each warm
+    # node then takes the chord's start to Newton, and the rule still ends
+    # on the cold chart points
+    atlas = circle_atlas()
+    chords, newton_starts, chord = [], [], degree._chord
+    solve = degree._graph_solve
+
+    def spoilt(chart, base, s, inverse):
+        calls = []
+
+        def section(x):
+            calls.append(x)
+            return chart.section(x) if len(calls) == 1 else np.full(1, np.nan)
+
+        chords.append(chord(replace(chart, section=section), base, s, inverse))
+        return chords[-1]
+
+    def spy(chart, t, s0):
+        newton_starts.append(s0.copy())
+        return solve(chart, t, s0)
+
+    monkeypatch.setattr(degree, "_chord", spoilt)
+    monkeypatch.setattr(degree, "_graph_solve", spy)
+    rule = _quadrature_rule(atlas, 1, 32)
+    oracle = cold_rule(circle_atlas(), 1, 32)
+    assert len(chords) == 4 * 29 and all(solved is None for solved in chords)
+    assert sum(bool(s0.any()) for s0 in newton_starts) >= len(chords)
+    for (w1, x1, d1), (w2, x2, d2) in zip(rule, oracle):
+        assert w1 == w2 and np.max(np.abs(x1 - x2)) <= 1e-12
+
+
 def test_continuation_cuts_the_section_evaluations_of_the_circle_rule():
-    # solved from s = 0 the rule took 2,920 evaluations; from the predicted
-    # starts a node takes 2.1 Newton iterations
+    # solved from s = 0 the rule took 2,920 evaluations, and 2,212 when each
+    # warm node took about two Newton iterations from its predicted start;
+    # chord steps with the previous node's (J C)^-1 cost one evaluation each,
+    # so a warm node's only Jacobian is the one its tangent needs
     atlas, section = counted_circle_atlas()
     before = section.calls
     integrate_form(atlas, ROTATION)
-    assert section.calls - before == 2212
+    assert section.calls - before == 1896
 
 
 def _counted_cubic():
@@ -692,6 +768,29 @@ def enumerate_zeros_oracle(pp, s=None):
     zeros.sort(key=lambda z: tuple(np.round(z[0], 9)))
     return [(x.tobytes(), res, J.tobytes(), sv.tobytes(), surj, kernel.tobytes())
             for x, res, J, sv, surj, kernel in zeros]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
+def test_halton_starts_are_the_points_of_scipys_scrambled_halton(d, seed, count):
+    from scipy.stats import qmc
+
+    expected = qmc.Halton(d=d, scramble=True, seed=seed).random(count)
+    assert degree._halton(count, d, seed).tobytes() == expected.tobytes()
+
+
+def test_enumerate_zeros_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import germforge
+
+    env = dict(os.environ, PYTHONPATH=str(Path(germforge.__file__).resolve().parents[1]))
+    code = ("import sys; from germforge import registry; from germforge.degree import enumerate_zeros; "
+            "assert len(enumerate_zeros(registry.build('cubic'))) == 3; sys.exit(int('scipy.stats' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def report_bytes(zeros):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import registry
 from germforge._linalg import fd_jacobian, is_surjective, newton, svd_split
@@ -139,3 +141,117 @@ def test_determinant_line_of_a_map_from_r0_has_an_orthonormal_cokernel():
     dl = determinant_line(np.zeros((2, 0)))
     assert dl.kernel_dim == 0 and dl.cokernel_dim == 2
     assert np.allclose(dl.cokernel_basis.T @ dl.cokernel_basis, np.eye(2))
+
+
+# ------------------------------------------------- the plain-formula oracles
+
+def fd_jacobian_oracle(f, x):
+    """fd_jacobian as first written: one zeros_like step vector per column
+    and a column_stack."""
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.zeros((np.atleast_1d(np.asarray(f(x), dtype=float)).size, 0))
+    h = 1e-6 * (1.0 + float(np.sum(np.abs(x))))
+    columns = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        fp = np.atleast_1d(np.asarray(f(x + e), dtype=float))
+        fm = np.atleast_1d(np.asarray(f(x - e), dtype=float))
+        columns.append((fp - fm) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def newton_oracle(func, x0, tol=1e-13, max_iter=80, stop=None):
+    """newton as first written, with np.linalg.norm and np.max."""
+    x = np.asarray(x0, dtype=float).copy()
+    if x.size == 0:
+        return x, 0.0, True
+    fx = np.atleast_1d(func(x))
+    best = float(np.linalg.norm(fx))
+    for _ in range(max_iter):
+        res = float(np.max(np.abs(fx)))
+        if res <= tol:
+            return x, res, True
+        if not res < np.inf:
+            return x, res, False
+        J = fd_jacobian_oracle(func, x)
+        if not np.isfinite(J).all():
+            return x, res, False
+        try:
+            step = np.linalg.lstsq(J, -fx, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return x, res, False
+        lam = 1.0
+        while lam > 1e-8:
+            trial = x + lam * step
+            ft = np.atleast_1d(func(trial))
+            if float(np.linalg.norm(ft)) < best:
+                x, fx, best = trial, ft, float(np.linalg.norm(ft))
+                break
+            lam *= 0.5
+        else:
+            return x, res, False
+        if stop is not None and stop(x):
+            return x, float(np.max(np.abs(fx))), False
+    res = float(np.max(np.abs(fx)))
+    return x, res, res <= tol
+
+
+coordinate = st.one_of(st.just(0.0), st.just(-0.0),
+                       st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def sections(draw):
+    """(f, x0): a smooth map R^n -> R^m, n, m <= 3, with a polynomial and a
+    sine part, that may be inf or NaN past a cut in its first coordinate, at
+    a start with entries that may be -0.0."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 3))
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    A = np.array(draw(st.lists(coeffs, min_size=3 * m * 3, max_size=3 * m * 3))).reshape(3, m, 3)
+    b = np.array(draw(st.lists(coeffs, min_size=m, max_size=m)))
+    cut = draw(st.one_of(st.none(), st.floats(-1.0, 1.0)))
+    bad = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+
+    def f(x):
+        y = np.resize(np.append(x, 0.0), 3)
+        val = A[0] @ y + A[1] @ y ** 2 + A[2] @ np.sin(y) + b
+        if cut is not None and n and x[0] > cut:
+            val = np.full(m, bad)
+        return val
+
+    return f, np.array(draw(st.lists(coordinate, min_size=n, max_size=n)), dtype=float)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections())
+def test_fd_jacobian_returns_the_bits_of_the_plain_formula(case):
+    f, x = case
+    with np.errstate(all="ignore"):     # inf - inf past the cut: a NaN either way
+        assert same_bits(fd_jacobian(f, x), fd_jacobian_oracle(f, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections(), st.one_of(st.none(), st.floats(-1.5, 1.5)))
+def test_newton_returns_the_bits_of_the_plain_formula(case, stop_at):
+    f, x0 = case
+    stop = None if stop_at is None else (lambda x: bool(x.size and x[0] > stop_at))
+    with np.errstate(all="ignore"):
+        x, res, ok = newton(f, x0, stop=stop)
+        xo, reso, oko = newton_oracle(f, x0, stop=stop)
+    assert same_bits(x, xo) and same_bits(np.float64(res), np.float64(reso)) and ok == oko
+
+
+def test_fd_jacobian_steps_keep_the_sign_of_a_negative_zero():
+    # x + 0.0 turns -0.0 into +0.0 and x - 0.0 keeps it: a section that
+    # reads the sign (copysign) sees the same inputs as from zeros_like steps
+    f = lambda x: np.copysign(1.0, x) + x
+    x = np.array([-0.0, 0.5, -0.0])
+    assert same_bits(fd_jacobian(f, x), fd_jacobian_oracle(f, x))

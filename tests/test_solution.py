@@ -195,6 +195,58 @@ def test_transition_chart_vs_recentring():
     assert np.max(np.abs(second)) < 10.0
 
 
+def test_coordinates_project_along_the_chart_complement():
+    # x = q + K t + C s gives back t, for an oblique complement too
+    rec = recentre(circle_chart(), np.array([0.4]))
+    assert abs(float((rec.kernel_basis.T @ rec.complement_basis)[0, 0])) > 0.3
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        t, s = rng.normal(size=1), rng.normal(size=1)
+        x = rec.base_point + rec.kernel_basis @ t + rec.complement_basis @ s
+        assert np.max(np.abs(rec.coordinates(x) - t)) <= 1e-14
+
+
+def test_a_recentred_chart_covers_its_own_points():
+    # the recentred circle chart keeps the complement (0, 1) of the chart at
+    # (1, 0) while its kernel turns: K^T (x - q) misses its own point Gamma(t)
+    from germforge.degree import _covering_u
+
+    rec = recentre(circle_chart(), np.array([0.4]))
+    for t in (-0.1, 0.05, 0.1):
+        x = rec.gamma(np.array([t]))
+        assert _covering_u(rec, x) == pytest.approx(abs(t) / rec.radius, abs=1e-14)
+
+
+@pytest.mark.parametrize("shared", [0.4, 0.45], ids=["at-the-recentred-base", "off-it"])
+def test_a_transition_into_a_recentred_chart_matches_off_the_shared_zero(shared):
+    chart = circle_chart()
+    rec = recentre(chart, np.array([0.4]))
+    tm = transition_map(rec, chart, chart.gamma(np.array([shared])))
+    for t in np.linspace(0.35, 0.5, 7):
+        assert tm.mismatch(np.array([t])) <= 1e-10
+
+
+def test_a_transition_into_a_corner_chart_matches_off_the_shared_zero():
+    # the corner chart of the arc at (0, sqrt(3/4)) has the oblique
+    # complement of its good-position certificate
+    bg, corner, cosine = _arc_charts()
+    assert cosine > 0.3
+    interior = build_parametrization(bg, np.array([0.5 + np.cos(1.6), np.sin(1.6)]), radius=0.45)
+    tm = transition_map(corner, interior, interior.base_point)
+    for t in np.linspace(-0.1, 0.1, 9):
+        if corner.domain_contains(tm(np.array([t]))):
+            assert tm.mismatch(np.array([t])) <= 1e-10
+
+
+def _arc_charts():
+    """(germ, corner chart, its complement's cosine with its kernel) of the
+    arc (x - 1/2)^2 + y^2 = 1 on [0, inf) x R at its corner (0, sqrt(3/4))."""
+    bg = BasicGerm(n=2, k=1, N=1, W=GradedSpace(dim=0, levels=3),
+                   g=lambda x: np.array([(x[0] - 0.5) ** 2 + x[1] ** 2 - 1.0]))
+    corner = build_boundary_parametrization(bg, np.array([0.0, np.sqrt(0.75)]), radius=0.8)
+    return bg, corner, float(np.abs(corner.kernel_basis.T @ corner.complement_basis).max())
+
+
 def test_transition_linear_charts_with_rotated_kernels():
     bg = linear_germ()
     c1 = build_parametrization(bg, np.zeros(2), radius=0.5)
