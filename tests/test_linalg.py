@@ -198,7 +198,7 @@ def newton_oracle(func, x0, tol=1e-13, max_iter=80, stop=None):
     return x, res, res <= tol
 
 
-coordinate = st.one_of(st.just(0.0), st.just(-0.0),
+coordinate = st.one_of(st.just(0.0), st.just(-0.0), st.just(np.inf),
                        st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False))
 
 
@@ -206,7 +206,7 @@ coordinate = st.one_of(st.just(0.0), st.just(-0.0),
 def sections(draw):
     """(f, x0): a smooth map R^n -> R^m, n, m <= 3, with a polynomial and a
     sine part, that may be inf or NaN past a cut in its first coordinate, at
-    a start with entries that may be -0.0."""
+    a start with entries that may be -0.0 or inf (an infinite FD step)."""
     n = draw(st.integers(0, 3))
     m = draw(st.integers(1, 3))
     coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
