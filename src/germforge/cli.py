@@ -243,7 +243,7 @@ MODEL_CHECKS = {
 
 def run_models(cfg: RunConfig) -> list:
     """One report per model.  An exception inside a model's check, from the
-    library or from numpy/scipy, fails that report (invariant `completed`,
+    library or from numpy, fails that report (invariant `completed`,
     plus an error event; an exception from outside the library also carries
     its traceback there) and the other models still run."""
     reports = []

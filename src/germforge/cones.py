@@ -8,16 +8,18 @@ c make membership of n + m in C equivalent to membership of n whenever
 quadrant; `quadrant_structure` produces the explicit isomorphism.
 
 Feasibility questions (membership in a ray cone, extremality) are resolved
-by nonnegative least squares; interior questions by one LP.  Both solvers
-are deterministic.  Good position itself is only sampled: test pairs are
-drawn from a seeded Philox stream in chunks of SAMPLE_CHUNK trials, each
-trial making the same draws whatever its data, so a seed and SAMPLE_CHUNK
-fix every pair (`_pair_chunks`).
+by nonnegative least squares (`nnls`, Lawson-Hanson); interior questions by
+one least-distance problem solved through the same NNLS (`linprog`).  Both
+are deterministic numpy code.  Good position itself is only sampled: test
+pairs are drawn from a seeded Philox stream in chunks of SAMPLE_CHUNK
+trials, each trial making the same draws whatever its data, so a seed and
+SAMPLE_CHUNK fix every pair (`_pair_chunks`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,8 @@ from .errors import Inconclusive, NotPointed
 from .spaces import DEFAULT_TOL, GradedSpace
 
 FEAS_TOL = 1e-8
+# ||E u - f|| of the least-distance problem in `linprog` (G scaled to max
+# |entry| 1) at or below which a cone counts as having no interior
 LP_TOL = 1e-10
 # good-position trials whose pairs are tested together; a failing
 # (complement, c) pair meets its first counterexample after a few to a few
@@ -34,17 +38,77 @@ LP_TOL = 1e-10
 SAMPLE_CHUNK = 64
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use: importing
-    scipy.optimize is most of `import germforge`'s time."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
-
-
 def nnls(A, b):
-    """scipy.optimize.nnls, imported on first use (see linprog)."""
-    from scipy.optimize import nnls as solve
-    return solve(A, b)
+    """(x, ||A x - b||) with x >= 0 minimizing ||A x - b||, by the
+    Lawson-Hanson active-set method (Lawson & Hanson, *Solving Least Squares
+    Problems*, ch. 23).  A may have no columns.  Raises ValueError unless A
+    and b are finite, and Inconclusive after 3n outer iterations, n the
+    number of columns."""
+    A, b = np.asarray_chkfinite(A, dtype=float), np.asarray_chkfinite(b, dtype=float)
+    n = A.shape[1]
+    norm_A = np.linalg.norm(A, 1)
+    # gradient entries up to the rounding of A^T (b - A x) cannot lower the
+    # residual; that rounding grows with |b| + |A| |x|
+    rounding = 10 * np.finfo(float).eps * max(A.shape) * norm_A
+    norm_b = np.abs(b).sum()
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for it in range(3 * n + 1):
+        r = b - A @ x
+        w = A.T @ r
+        w[passive] = -np.inf
+        if w.max(initial=-np.inf) <= rounding * (norm_b + norm_A * x.sum()):
+            return x, math.sqrt(r.dot(r))
+        if it == 3 * n:
+            raise Inconclusive(f"NNLS did not converge in {3 * n} outer iterations")
+        passive[np.argmax(w)] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            blocked = passive & (z <= 0.0)
+            if not blocked.any():
+                x = z
+                break
+            # step from x toward z until the first passive entry reaches 0
+            gap = x[blocked] - z[blocked]
+            ratios = np.divide(x[blocked], gap, out=np.zeros_like(gap), where=gap > 0)
+            k = np.argmin(ratios)
+            x = x + ratios[k] * (z - x)
+            x[np.flatnonzero(blocked)[k]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+
+
+def linprog(G):
+    """A y with G y >= 1 of least norm, or None when the cone G y >= 0 has no
+    interior.
+
+    Least-distance problem (Lawson & Hanson, ch. 23): with E = [G^T; 1^T] and
+    f = e_(d+1), the NNLS residual r = E u - f vanishes iff G y >= 1 has no
+    solution, and otherwise y = -r[:d] / r[d] = G^T u / ||r||^2.  That y
+    is the least-norm solution of G_P y = 1 over the rows P with u > 0,
+    which is how it is computed: r[:d] carries an absolute rounding error
+    of about 1e-16, and in a cone of depth 1e-9 the quotient then misses
+    G y >= 1 by hundreds.  G is first scaled to max |entry| 1, which leaves
+    y's direction unchanged.  The cone is refused when ||r|| =
+    1 / sqrt(1 + ||y||^2) is at most LP_TOL, that is when no unit direction
+    clears every scaled facet by more than about LP_TOL.
+    """
+    G = np.asarray(G, dtype=float)
+    n, d = G.shape
+    if not n:
+        return np.zeros(d)
+    scale = np.abs(G).max(initial=0.0)
+    if not scale:
+        return None
+    E = np.vstack([G.T / scale, np.ones((1, n))])
+    f = np.zeros(d + 1)
+    f[d] = 1.0
+    u, res = nnls(E, f)
+    if res <= LP_TOL:
+        return None
+    active = u > 0
+    return np.linalg.lstsq(G[active], np.ones(active.sum()), rcond=None)[0]
 
 
 @dataclass(frozen=True)
@@ -114,27 +178,14 @@ def is_neat(N: SubspaceInQuadrant) -> NeatnessResult:
 
 
 def _interior_point(N: SubspaceInQuadrant):
-    """A coefficient vector y with (B y)_i >= 1 on all constraints, or None.
-
-    Solved as an LP maximizing the margin t subject to G y >= t, |y| <= bound.
-    """
-    n = N.n
-    if n == 0:
+    """A coefficient vector y with (B y)_i >= 1 on all constraints and
+    min (B y)_i = 1, or None (see `linprog`)."""
+    if N.n == 0:
         return np.zeros(N.dim) if N.dim == 0 else np.eye(N.dim)[:, 0]
-    if N.dim == 0:
-        return None
     G = N.constraint_matrix()
-    d = N.dim
-    # variables (y, t): maximize t  s.t.  -G y + t <= 0,  t <= 1, |y_j| <= 100
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-G, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    bounds = [(-100.0, 100.0)] * d + [(None, 1.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x is None or res.x[-1] <= LP_TOL:
+    y = linprog(G)
+    if y is None:
         return None
-    y = res.x[:d]
     margin = np.min(G @ y)
     return y / margin if margin > 0 else None
 
@@ -266,7 +317,7 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
                      seed: int = 0) -> GoodPositionResult:
     """Search for a complement and constant certifying good position.
 
-    (a) N ∩ C must have nonempty interior in N (LP).
+    (a) N ∩ C must have nonempty interior in N (`linprog`).
     (b) For a candidate complement and constant c, sampled pairs (n, m) with
         ||m||_E <= c ||n||_E must satisfy: n + m in C  <=>  n in C.  Half of
         the samples are biased into the band where the smallest constrained
@@ -312,13 +363,6 @@ def cone_lineality(N: SubspaceInQuadrant):
         return np.eye(N.dim)
     _, ker, _, _ = svd_split(G)
     return ker
-
-
-def _nnls_residual(A, b):
-    if A.shape[1] == 0:
-        return float(np.linalg.norm(b))
-    _, res = nnls(A, b)
-    return float(res)
 
 
 def extreme_rays(N: SubspaceInQuadrant) -> list:
@@ -368,7 +412,7 @@ def extreme_rays(N: SubspaceInQuadrant) -> list:
         others = [u for j, u in enumerate(uniq) if j != i]
         if others:
             A = np.column_stack(others)
-            if _nnls_residual(A, y) <= FEAS_TOL:
+            if nnls(A, y)[1] <= FEAS_TOL:
                 continue
         rays.append(y)
     ambient_rays = []
@@ -384,10 +428,8 @@ def extreme_rays(N: SubspaceInQuadrant) -> list:
 def cone_membership_residual(point, rays) -> float:
     """NNLS residual of representing `point` as a nonneg combination of rays."""
     point = np.asarray(point, dtype=float)
-    if not len(rays):
-        return float(np.linalg.norm(point))
-    A = np.column_stack(rays)
-    return _nnls_residual(A, point)
+    A = np.column_stack(rays) if len(rays) else np.zeros((point.size, 0))
+    return nnls(A, point)[1]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ an explicit change of coordinates built from the splitting of 1 + P D2s(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import SV_RELATIVE_CUTOFF, fd_jacobian, guard_rank_band, svd_split
 from .errors import MismatchAtPoint
-from .germs import ContractionGerm, SamplingPlan, shrink_to_contraction
+from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, shrink_levels_to_contraction
 from .spaces import GradedSpace
 
 # |s(q) - f(q)| up to which linearize_relative takes s(q) = f(q)
@@ -163,8 +163,8 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
 
     and its contraction is re-certified at every level by shrinking the
     sampling radius until the empirical ratio is < 0.9.  The levels draw the
-    same samples, so every level is certified from one set of B_hat
-    evaluations, one per distinct sample, held only for this call.
+    same samples, so all of them are shrunk together and B_hat is evaluated
+    once per sample (`shrink_levels_to_contraction`).
 
     Returns (BasicGerm for g + s, NormalFormReport).  Raises
     DegenerateSplitting when the rank of 1 + A is numerically ambiguous.
@@ -220,26 +220,13 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
     )
     out = BasicGerm(n=n + d, k=k, N=N + d, W=X_space, g=new_g)
 
-    # certify B_hat level by level; the levels draw the same (v, w) samples
-    inner = out.inner
-    seen = {}
-
-    def B_once(v, w):
-        key = (v.tobytes(), w.tobytes())
-        if key not in seen:
-            seen[key] = inner.B(v, w)
-        return seen[key]
-
-    shared = replace(inner, B=B_once)
+    # certify B_hat at every level from one set of samples per radius
     start = max(r for _, r in bg.contraction_schedule.values()) if bg.contraction_schedule else 1.0
-    schedule = {}
-    worst_ratio = 0.0
-    worst_radius = start
-    for m in range(X_space.levels + 1):
-        certified, report = shrink_to_contraction(shared, m=m, start_radius=start, grid=grid)
-        schedule[m] = certified.contraction_schedule[m]
-        worst_ratio = max(worst_ratio, report.max_ratio)
-        worst_radius = min(worst_radius, report.radius)
+    levels = range(X_space.levels + 1)
+    certified, reports = shrink_levels_to_contraction(out.inner, levels, start, MAX_BISECTIONS, grid)
+    schedule = {m: certified.contraction_schedule[m] for m in levels}
+    worst_ratio = max(rep.max_ratio for rep in reports.values())
+    worst_radius = min([start] + [rep.radius for rep in reports.values()])
     out = BasicGerm(n=out.n, k=out.k, N=out.N, W=out.W, g=out.g,
                     contraction_schedule=schedule)
     return out, NormalFormReport(

@@ -30,6 +30,8 @@ DEFAULT_TOL = 1e-12
 RATIO_SLACK = 1e-12
 # the sampled ratio below which shrink_to_contraction certifies a radius
 TARGET_RATIO = 0.9
+# radius halvings shrink_to_contraction tries before it gives up
+MAX_BISECTIONS = 40
 # entries a SolutionGerm memo keeps; past it the oldest goes.  Selftest
 # misses about 100 times in all, so none of its hits is lost
 SOLUTION_CACHE_SIZE = 1024
@@ -241,45 +243,54 @@ def verify_contraction(germ: ContractionGerm, m: int = 0, grid: SamplingPlan | N
 
     Reports max ||B(v,u) - B(v,u')||_m / ||u - u'||_m over parameter and pair
     samples inside the level-m ball; passes iff the maximum is < 1.
+    """
+    germ.solution_space.check_level(m)
+    return _sampled_ratios(germ, (m,), germ.radius(m), grid or SamplingPlan())[m]
+
+
+def _sampled_ratios(germ: ContractionGerm, levels, radius: float, grid: SamplingPlan) -> dict:
+    """{m: ContractionReport} of every level in `levels` at one radius (1
+    when not finite), from one set of samples and B evaluations.
 
     Each parameter sample v and its pairs (u, u') come from one uniform draw
     of pdim + 2 * pair_samples * sdim values, which the Generator fills one
     double at a time, so they equal v, u, u', u, u', ... drawn one by one.
     B is called, one pair at a time, only for the pairs with
-    ||u - u'||_m >= 1e-14; numerators and denominators are stacked level
-    norms.
+    ||u - u'||_top >= 1e-14 at the top level of `levels`; the level norms
+    are nested, so these are all the pairs any level keeps.  Numerators
+    and denominators are stacked level norms.
     """
-    germ.solution_space.check_level(m)
-    if grid is None:
-        grid = SamplingPlan()
     rng = np.random.Generator(np.random.Philox(key=grid.seed))
-    r = germ.radius(m)
-    if not np.isfinite(r):
-        r = 1.0
-    r *= grid.radius_scale
-    pdim, sdim = germ.parameter_space.dim, germ.solution_space.dim
-    max_ratio = 0.0
-    count = 0
+    r = (radius if np.isfinite(radius) else 1.0) * grid.radius_scale
+    space = germ.solution_space
+    pdim, sdim = germ.parameter_space.dim, space.dim
+    top = max(levels)
+    max_ratio = dict.fromkeys(levels, 0.0)
+    count = dict.fromkeys(levels, 0)
     nq = germ.parameter_space.quadrant_rank
     for _ in range(grid.parameter_samples):
         draws = rng.uniform(-r, r, size=pdim + 2 * grid.pair_samples * sdim)
         v = draws[:pdim]
         v[:nq] = np.abs(v[:nq])
         pairs = draws[pdim:].reshape(grid.pair_samples, 2, sdim)
-        us, u2s = pairs[:, 0], pairs[:, 1]
-        dens = germ.solution_space.level_norm(us - u2s, m)
-        kept = np.flatnonzero(~(dens < 1e-14))
-        if kept.size:
-            diffs = np.array([germ.evaluate(v, us[j]) - germ.evaluate(v, u2s[j]) for j in kept])
+        steps = pairs[:, 0] - pairs[:, 1]
+        kept = np.flatnonzero(~(space.level_norm(steps, top) < 1e-14))
+        if not kept.size:
+            continue
+        diffs = np.array([germ.evaluate(v, pairs[j, 0]) - germ.evaluate(v, pairs[j, 1]) for j in kept])
+        for m in levels:
+            dens = space.level_norm(steps[kept], m)
+            sel = ~(dens < 1e-14)
             # fmax skips NaN ratios, as the running max over single pairs did
-            ratios = germ.solution_space.level_norm(diffs, m) / dens[kept]
-            max_ratio = max(max_ratio, float(np.fmax.reduce(ratios)))
-            count += kept.size
-    return ContractionReport(level=m, max_ratio=max_ratio, samples=count, radius=r, passed=max_ratio < 1.0)
+            ratios = space.level_norm(diffs[sel], m) / dens[sel]
+            max_ratio[m] = float(np.fmax.reduce(ratios, initial=max_ratio[m]))
+            count[m] += int(sel.sum())
+    return {m: ContractionReport(level=m, max_ratio=max_ratio[m], samples=count[m], radius=r,
+                                 passed=max_ratio[m] < 1.0) for m in levels}
 
 
 def shrink_to_contraction(germ: ContractionGerm, m: int = 0, start_radius: float = 1.0,
-                          max_bisections: int = 40, grid: SamplingPlan | None = None):
+                          max_bisections: int = MAX_BISECTIONS, grid: SamplingPlan | None = None):
     """Bisect the sampling radius until the empirical ratio is below TARGET_RATIO.
 
     Returns (certified ContractionGerm with the schedule entry set, report).
@@ -287,29 +298,54 @@ def shrink_to_contraction(germ: ContractionGerm, m: int = 0, start_radius: float
     max_bisections, or as soon as the ratios stall above it: the sizes
     of their changes decay geometrically, too fast to take them below it.
     """
+    germ, reports = shrink_levels_to_contraction(germ, (m,), start_radius, max_bisections, grid)
+    return germ, reports[m]
+
+
+def shrink_levels_to_contraction(germ: ContractionGerm, levels, start_radius: float, max_bisections: int,
+                                 grid: SamplingPlan | None):
+    """`shrink_to_contraction` of every level in `levels` at once.
+
+    All levels start at start_radius and halve it while pending, so the
+    pending ones share each radius and its samples and B evaluations
+    (`_sampled_ratios`).  Returns (the germ with every level's schedule
+    entry set, {m: report}); each level's entry and report are those of
+    its own `shrink_to_contraction`.  When levels fail, raises the
+    NonConvergence of the lowest one: levels above a failed one stop.
+    """
+    for m in levels:
+        germ.solution_space.check_level(m)
     base = grid or SamplingPlan()
     radius = start_radius
-    ratios = []
+    ratios = {m: [] for m in levels}
+    schedule, reports, failed = {}, {}, {}
+    pending = sorted(levels)
     for _ in range(max_bisections):
-        trial = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (TARGET_RATIO, radius)})
-        report = verify_contraction(trial, m=m, grid=base)
-        if report.max_ratio < TARGET_RATIO:
-            certified_rho = max(min(report.max_ratio, 0.999), 1e-12)
-            out = replace(germ, contraction_schedule={**germ.contraction_schedule, m: (certified_rho, radius)})
-            return out, report
-        ratios.append(report.max_ratio)
-        floor = _ratio_floor(ratios)
-        if floor is not None and floor >= TARGET_RATIO:
-            raise NonConvergence(
-                f"contraction ratio stalled at {ratios[-1]:.6g} after {len(ratios)} bisections: "
-                f"its decaying changes keep it above {floor:.6g} >= {TARGET_RATIO}",
-                residual=ratios[-1],
-            )
+        for m, report in _sampled_ratios(germ, pending, radius, base).items():
+            if report.max_ratio < TARGET_RATIO:
+                schedule[m] = (max(min(report.max_ratio, 0.999), 1e-12), radius)
+                reports[m] = report
+                continue
+            ratios[m].append(report.max_ratio)
+            floor = _ratio_floor(ratios[m])
+            if floor is not None and floor >= TARGET_RATIO:
+                failed[m] = NonConvergence(
+                    f"contraction ratio stalled at {ratios[m][-1]:.6g} after {len(ratios[m])} bisections: "
+                    f"its decaying changes keep it above {floor:.6g} >= {TARGET_RATIO}",
+                    residual=ratios[m][-1],
+                )
+        pending = [m for m in pending if m not in reports and m < min(failed, default=np.inf)]
+        if not pending:
+            break
         radius /= 2.0
-    raise NonConvergence(
-        f"no radius with contraction ratio < {TARGET_RATIO} found after {max_bisections} bisections",
-        residual=ratios[-1] if ratios else None,
-    )
+    for m in pending:
+        failed[m] = NonConvergence(
+            f"no radius with contraction ratio < {TARGET_RATIO} found after {max_bisections} bisections",
+            residual=ratios[m][-1] if ratios[m] else None,
+        )
+    if failed:
+        raise failed[min(failed)]
+    return replace(germ, contraction_schedule={**germ.contraction_schedule, **schedule}), reports
 
 
 def _ratio_floor(ratios):

@@ -333,9 +333,9 @@ FUZZ_FIELDS = {
 }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(command=st.sampled_from(["solve-germ", "parametrize"]),
+@given(command=st.sampled_from(["solve-germ", "parametrize", "cones", "degree"]),
        fields=st.dictionaries(st.sampled_from(sorted(FUZZ_FIELDS)), st.just(None)).flatmap(
            lambda keys: st.fixed_dictionaries({k: FUZZ_FIELDS[k] for k in keys})))
 def test_exit_code_is_0_1_or_2_on_any_run_config(command, fields):

@@ -341,8 +341,9 @@ def test_a_bad_complement_raises(case):
         is_good_position(sub, complement_candidates=[comp])
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # cones imports scipy.optimize on its first LP or NNLS solve, not at import
+def test_certificates_leave_scipy_unloaded():
+    # the LP and NNLS solves of the cone certificates are numpy code: a fresh
+    # interpreter runs every certificate on the registry cones without scipy
     import os
     import subprocess
     import sys
@@ -351,5 +352,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     import germforge
 
     env = dict(os.environ, PYTHONPATH=str(Path(germforge.__file__).resolve().parents[1]))
-    code = "import sys, germforge; sys.exit(int('scipy.optimize' in sys.modules))"
+    code = "\n".join([
+        "import sys",
+        "from germforge import cones, registry",
+        "for name in ('diag-plane', 'diagonal-in-square', 'ice-cream'):",
+        "    sub = registry.build(name)",
+        "    try:",
+        "        cones.is_good_position(sub, grid=200)",
+        "    except cones.Inconclusive:",
+        "        pass",
+        "    rays = cones.extreme_rays(sub)",
+        "    cones.is_quadrant(sub)",
+        "    assert cones.cone_membership_residual(sum(rays), rays) <= 1e-8",
+        "sys.exit(int('scipy' in sys.modules))",
+    ])
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

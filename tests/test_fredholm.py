@@ -212,12 +212,13 @@ def certify_levels_oracle(bg, nf, grid=None):
 
 def uncertified_normal_form(bg, s, monkeypatch):
     """The normal form of g + s before its contraction is certified."""
-    def accept(germ, m=0, start_radius=1.0, **_):
-        report = ContractionReport(level=m, max_ratio=0.0, samples=0, radius=start_radius, passed=True)
-        return replace(germ, contraction_schedule={m: (0.5, start_radius)}), report
+    def accept(germ, levels, start_radius, *_):
+        reports = {m: ContractionReport(level=m, max_ratio=0.0, samples=0, radius=start_radius, passed=True)
+                   for m in levels}
+        return replace(germ, contraction_schedule=dict.fromkeys(levels, (0.5, start_radius))), reports
 
     with monkeypatch.context() as patch:
-        patch.setattr(fredholm, "shrink_to_contraction", accept)
+        patch.setattr(fredholm, "shrink_levels_to_contraction", accept)
         nf, _ = perturb_normal_form(bg, s)
     return nf
 

@@ -320,12 +320,14 @@ def test_shrink_stops_once_the_ratio_stalls_above_target(B, monkeypatch):
 
     p, s = scalar_spaces()
     ratios = []
+    sampled = germs._sampled_ratios
 
     def recorded(*args, **kwargs):
-        ratios.append(verify_contraction(*args, **kwargs).max_ratio)
-        return germs.ContractionReport(0, ratios[-1], 1, 1.0, False)
+        reports = sampled(*args, **kwargs)
+        ratios.append(reports[0].max_ratio)
+        return reports
 
-    monkeypatch.setattr(germs, "verify_contraction", recorded)
+    monkeypatch.setattr(germs, "_sampled_ratios", recorded)
     with pytest.raises(NonConvergence) as info:
         shrink_to_contraction(ContractionGerm(p, s, B=B), max_bisections=40)
     assert len(ratios) <= 6
