@@ -11,7 +11,8 @@ For the tree (default: this checkout) one invocation records
   events.jsonl of the fastest run,
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
 - the tree's git revision (and whether it had uncommitted changes outside
-  the BENCH_*.json records), the Python, numpy and scipy versions and nproc,
+  the BENCH_*.json records), the Python, numpy and scipy versions (None
+  without scipy) and nproc,
 - the size of the tree's src/: its lines and its settable values.
 
 The record is appended to the label's list in BENCH_<pr>.json at the root of
@@ -93,8 +94,14 @@ def source_size(tree: Path) -> dict:
 
 
 def environment() -> dict:
+    """Python, numpy and scipy versions and nproc; scipy is None where it is
+    not installed, since only the tests need it."""
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
     return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy"), "nproc": len(os.sched_getaffinity(0))}
+            "scipy": scipy, "nproc": len(os.sched_getaffinity(0))}
 
 
 def workload(tree: Path, name: str, seed: int, seconds: float) -> dict:

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
-from .solution import CACHE_QUANTUM, NEWTON_TOL, SolutionAtlas, _complement_inverse, _graph_solve, _tangent
+from .solution import (CACHE_QUANTUM, NEWTON_TOL, SUPPORT_SCALE, SolutionAtlas, _complement_inverse, _graph_solve,
+                       _tangent)
 from .spaces import GradedSpace
 from .splicing import local_faces
 
@@ -529,8 +530,6 @@ def _chart_orientation_sign(chart, t) -> int:
 
 # a chart covers x when its graph passes within this distance of x
 COVER_TOL = 1e-7
-# cells are clipped at this share of their chart's radius
-SUPPORT_SCALE = 0.95
 
 
 def _covering_u(chart, x) -> float:
@@ -545,15 +544,15 @@ def _covering_u(chart, x) -> float:
 
 def _warm_solve(chart, t, s0):
     """s of the chart point Gamma(t) = q + K t + C s, by Newton from s0, or
-    from s = 0 when that does not converge: a start taken off points already
-    solved only saves iterations, so the rule fails only where the cold
-    solve fails too."""
-    try:
-        return _graph_solve(chart, t, s0)
-    except NonConvergence:
-        if not s0.any():
-            raise
-        return _graph_solve(chart, t, np.zeros_like(s0))
+    from the chart's cold start s2(t) when s0 is None or Newton from it does
+    not converge: a start taken off points already solved only saves
+    iterations, so the rule fails only where the cold solve fails too."""
+    if s0 is not None:
+        try:
+            return _graph_solve(chart, t, s0)
+        except NonConvergence:
+            pass
+    return _graph_solve(chart, t, chart.cold_start(t))
 
 
 def _chord(chart, base, s, inverse):
@@ -577,14 +576,15 @@ def _ray_points(chart, ts) -> list:
     """(Gamma(t), DGamma(t)) at the nodes ts of one ray, walked in order.
 
     The ray's first node, and a node nearer the origin than the previous
-    node, is solved by Newton from s = 0 (A(0) = 0 and DA(0) = 0 make that a
-    good guess there).  Every other node starts from the second-order
-    predictor s_i + s'_i d + s'' d^2 / 2 along the ray, s'' the difference of
-    the slopes of the ray's last two nodes over their distance, and takes
-    chord steps with the previous node's (J C)^-1 down to CHORD_TOL, one
-    evaluation each (`_chord`); should they fail, Newton solves it from the
-    prediction (`_warm_solve`).  The one Jacobian J = f'(x) at a node, and
-    one factorization of its J C, give its tangent K + C s', its slope
+    node, is solved by Newton from the chart's cold start s2(t), the
+    second-order term of s (`_warm_solve`).  Every other node starts from
+    the cubic Hermite predictor through the (s, s') of the ray's last two
+    nodes, extrapolated along the ray (from the previous node's tangent
+    line when the ray has only one), and takes chord steps with the
+    previous node's (J C)^-1 down to CHORD_TOL, one evaluation each
+    (`_chord`); should they fail, Newton solves it from the prediction
+    (`_warm_solve`).  The one Jacobian J = f'(x) at a node, and one
+    factorization of its J C, give its tangent K + C s', its slope
     s' = -(J C)^-1 J K for the next prediction, one polishing Newton step
     s - (J C)^-1 f(x) that takes the residual to rounding, and the next
     node's chord steps."""
@@ -592,20 +592,23 @@ def _ray_points(chart, ts) -> list:
     out, back = [], []          # (t, s, s', (J C)^-1) of the ray's last two nodes
     for t in ts:
         base = q + K @ t
-        s0, solved = np.zeros(C.shape[1]), None
+        s0, solved = None, None
         if back and np.linalg.norm(t - back[-1][0]) < np.linalg.norm(t):
-            t1, s1, slope1, inverse = back[-1]
-            step = t - t1
-            s0 = s1 + slope1 @ step
-            if len(back) == 2 and (gap := float(np.linalg.norm(t1 - back[0][0]))) > 0:
-                s0 = s0 + 0.5 * ((slope1 - back[0][2]) @ step) * (float(np.linalg.norm(step)) / gap)
+            (t0, s_0, slope0, _), (t1, s1, slope1, inverse) = back[0], back[-1]
+            gap = t1 - t0       # 0 while the ray has one node: then s0 is on its tangent line
+            s0 = s1 + slope1 @ (t - t1)
+            if (gap2 := float(gap @ gap)) > 0:
+                # the cubic Hermite through both nodes, in r = (t - t1) . gap / |gap|^2
+                d0, d1, rise = slope0 @ gap, slope1 @ gap, s1 - s_0
+                r = float((t - t1) @ gap) / gap2
+                s0 = s1 + r * (d1 + r * (2 * d1 + d0 - 3 * rise + r * (d1 + d0 - 2 * rise)))
             solved = _chord(chart, base, s0, inverse)
         if solved is None:
             s = _warm_solve(chart, t, s0)
             solved = s, chart.section_value(base + C @ s)
         s, f = solved
         J = chart.jacobian(base + C @ s)
-        inverse = _complement_inverse(chart, J)     # raises NotSurjective when J C is singular
+        inverse = _complement_inverse(J @ C)        # raises NotSurjective when J C is singular
         slope = -(inverse @ (J @ K))
         s = s - inverse @ f
         back = [*back[-1:], (t, s, slope, inverse)]
@@ -705,14 +708,14 @@ class _Cell:
 
     def point(self, t):
         """Gamma(t), solved from the cell's last point when that is nearer
-        t than the origin is, else from s = 0."""
+        t than the origin is, else from the chart's cold start s2(t)."""
         t = np.asarray(t, dtype=float)
         if not np.isfinite(t).all():        # no key for it: solved cold, as by the chart
             return self.chart.gamma(t)
         key = tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
         s = self._points.get(key)
         if s is None:
-            s0 = np.zeros(self.chart.complement_basis.shape[1])
+            s0 = None
             if self._last is not None and np.linalg.norm(t - self._last[0]) < np.linalg.norm(t):
                 s0 = self._last[1]
             s = self._points[key] = _warm_solve(self.chart, t, s0)
@@ -962,10 +965,12 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis
     does not depend on the form: it is built once per atlas, degree and
     nodes_per_axis, and a later integral only evaluates pullbacks.  Its
     nodes are solved by continuation along each ray: chord steps from a
-    predicted start with the previous node's (J C)^-1, one Jacobian per
-    node for its tangent, and a polishing Newton step (`_ray_points`); its
-    cell boundaries from the cell's last point.  Each node is the chart's
-    cold point Gamma(t) to the solver's tolerance.  When
+    cubic Hermite prediction with the previous node's (J C)^-1, one
+    Jacobian per node for its tangent, and a polishing Newton step
+    (`_ray_points`); its cell boundaries from the cell's last point; the
+    other points from the chart's cold start s2(t), the second-order term
+    of the chart.  Each node is the chart's cold point Gamma(t) to the
+    solver's tolerance.  When
     `cover_points` (samples of the solution set, e.g. from zero enumeration)
     are supplied, `atlas_covers_points` must hold for them, else
     AtlasIncomplete is raised; that check runs on every call.

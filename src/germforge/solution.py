@@ -4,13 +4,15 @@ Near a zero q of f with surjective linearization J = f'(q), the zero set is
 the graph Gamma(t) = q + K t + A(t) over the kernel N = ker J: K is an
 orthonormal basis of N, A(t) lies in a fixed complement C of N, A(0) = 0 and
 DA(0) = 0.  A chart is fixed by (f, q, K, C): each A(t) = C s comes from one
-damped Newton solve of the square system f(q + K t + C s) = 0 started at
-s = 0, which A(0) = 0 and DA(0) = 0 make a second-order guess.  That cold
-start defines the chart (`a_map`, the memo behind `gamma`, coverage tests),
-so a point of another sheet is never taken for a chart point; the quadrature
-rule's continuation only picks other starts for the same solve.  Both chart
-builders read J and K from one linearization; recentring and pushforward
-only choose a new (f, q, K, C), so they are graph charts of the same kind.
+damped Newton solve of the square system f(q + K t + C s) = 0 started at the
+second-order term s2(t) = -1/2 (J C)^-1 D^2 f(q)[K t, K t] of s, computed once
+per chart (`GoodParametrization.cold_start`).  That cold start is a fixed
+function of t, so it defines the chart (`a_map`, the memo behind `gamma`,
+coverage tests), and a point of another sheet is never taken for a chart
+point; the quadrature rule's continuation only picks other starts for the
+same solve.  Both chart builders read J and K from one linearization;
+recentring and pushforward only choose a new (f, q, K, C), so they are
+graph charts of the same kind.
 The paper reaches the same map in stages (fiber fixed point, Newton on the
 finite-dimensional remainder, reparametrization over N).  Both constructions
 produce, for each t, a zero of f of the form q + K t + c with c in C near 0,
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -45,10 +48,13 @@ from .fredholm import BasicGerm
 from .spaces import DEFAULT_TOL, GradedSpace
 
 CACHE_QUANTUM = 1e-12
-RESIDUAL_TOL = 1e-9
 MAX_SHRINKS = 20
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
+# step of the central second differences along K, relative to 1 + |q|_1
+SECOND_DIFFERENCE_STEP = 1e-4
+# cells are clipped at this share of their chart's radius
+SUPPORT_SCALE = 0.95
 
 
 def _solve(func, x0):
@@ -59,12 +65,17 @@ def _solve(func, x0):
     return x
 
 
+def _graph_system(chart, t):
+    """s -> f(q + K t + C s), the square system whose zero is Gamma(t)."""
+    base = chart.base_point + chart.kernel_basis @ np.asarray(t, dtype=float)
+    C = chart.complement_basis
+    return lambda s: chart.section(base + C @ s)
+
+
 def _graph_solve(chart, t, s0):
     """s with f(q + K t + C s) = 0 by one damped Newton from s0, calling the
     chart's section directly; NonConvergence when it does not converge."""
-    base = chart.base_point + chart.kernel_basis @ np.asarray(t, dtype=float)
-    C = chart.complement_basis
-    return _solve(lambda s: chart.section(base + C @ s), s0)
+    return _solve(_graph_system(chart, t), s0)
 
 
 @dataclass(frozen=True)
@@ -109,10 +120,41 @@ class GoodParametrization:
         [K C]^-1 (x - q)."""
         return self._coordinate_rows @ (np.asarray(x, dtype=float) - self.base_point)
 
+    @cached_property
+    def _second_order(self):
+        """Q with s2(t) = (Q t) t, computed once per chart: (J C)^-1 from the
+        graph system's central differences at t = 0, and D^2 f(q) from
+        central second differences of f along the columns K_i of K and, off
+        the diagonal, along K_i + K_j (polarization)."""
+        m, k = self.complement_basis.shape[1], self.dim
+        Q = np.zeros((m, k, k))
+        if not (m and k):
+            return Q
+        inverse = _complement_inverse(fd_jacobian(_graph_system(self, np.zeros(k)), np.zeros(m)))
+        q, K = self.base_point, self.kernel_basis
+        h = SECOND_DIFFERENCE_STEP * (1.0 + float(np.abs(q).sum()))
+        twice_f0 = 2.0 * self.section_value(q)
+
+        def second(v):          # (J C)^-1 D^2 f(q)[v, v]
+            return inverse @ ((self.section_value(q + h * v) - twice_f0 + self.section_value(q - h * v)) / (h * h))
+
+        for i in range(k):
+            Q[:, i, i] = second(K[:, i])
+        for i, j in combinations(range(k), 2):
+            Q[:, i, j] = Q[:, j, i] = 0.5 * (second(K[:, i] + K[:, j]) - Q[:, i, i] - Q[:, j, j])
+        return -0.5 * Q
+
+    def cold_start(self, t):
+        """s2(t) = -1/2 (J C)^-1 D^2 f(q)[K t, K t], J = f'(q): the
+        second-order term of s(t), A(t) = C s(t), since A(0) = 0 and
+        DA(0) = 0.  Every cold solve of the chart starts from it."""
+        t = np.asarray(t, dtype=float)
+        return (self._second_order @ t) @ t
+
     def a_map(self, t):
-        """A(t) = C s with f(q + K t + C s) = 0, one damped Newton from s = 0."""
-        C = self.complement_basis
-        return C @ _graph_solve(self, t, np.zeros(C.shape[1]))
+        """A(t) = C s with f(q + K t + C s) = 0, one damped Newton from the
+        cold start s2(t)."""
+        return self.complement_basis @ _graph_solve(self, t, self.cold_start(t))
 
     def a_vector(self, t):
         """A(n) for n = kernel_basis @ t, cached on quantized coefficients.
@@ -182,12 +224,12 @@ class GoodParametrization:
         return _tangent(self, self.jacobian(self.gamma(t)))
 
 
-def _complement_inverse(chart: GoodParametrization, J):
-    """(J C)^-1 from one SVD of J C, for the Jacobian J = f'(Gamma(t)) at a
-    chart point.  Raises NotSurjective when J C is singular at
-    `is_surjective`'s cutoff, i.e. the complement is not transverse to
-    ker f'(Gamma(t))."""
-    U, sv, Vt = np.linalg.svd(J @ chart.complement_basis)
+def _complement_inverse(JC):
+    """(J C)^-1 from one SVD of J C, the Jacobian of the graph system
+    s -> f(q + K t + C s) at a chart point.  Raises NotSurjective when J C
+    is singular at `is_surjective`'s cutoff, i.e. the complement is not
+    transverse to ker f'(Gamma(t))."""
+    U, sv, Vt = np.linalg.svd(JC)
     if not sv[-1] > SV_RELATIVE_CUTOFF * max(sv[0], 1.0):
         raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
     return (Vt.T / sv) @ U.T
@@ -195,8 +237,8 @@ def _complement_inverse(chart: GoodParametrization, J):
 
 def _tangent(chart: GoodParametrization, J):
     """K - C (J C)^-1 J K for the Jacobian J = f'(Gamma(t)) at a chart point."""
-    K = chart.kernel_basis
-    return K - chart.complement_basis @ (_complement_inverse(chart, J) @ (J @ K))
+    K, C = chart.kernel_basis, chart.complement_basis
+    return K - C @ (_complement_inverse(J @ C) @ (J @ K))
 
 
 def _linearization(bg: BasicGerm, q):
@@ -211,16 +253,18 @@ def _linearization(bg: BasicGerm, q):
     return J, svd_split(J)[1]
 
 
-def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank) -> GoodParametrization:
+def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank,
+           quadrant_rank) -> GoodParametrization:
     """The graph chart of bg at q over `kernel` in `complement`, at the first
     radius, halving from `radius` at most MAX_SHRINKS times, whose invariants
-    hold on samples."""
+    hold on samples, with the first `quadrant_rank` coordinates kept in the
+    quadrant."""
     chart = GoodParametrization(
         base_point=q, kernel_basis=kernel, complement_basis=complement, radius=radius,
         section=bg.evaluate, structure=structure, ambient_rank=ambient_rank,
     )
     for _ in range(MAX_SHRINKS):
-        if _chart_invariants_hold(chart):
+        if _chart_invariants_hold(chart, quadrant_rank):
             return chart
         chart = replace(chart, radius=chart.radius / 2.0, _cache={})
     raise NonConvergence(f"no radius down to {chart.radius:.2e} satisfied the chart invariants")
@@ -231,12 +275,14 @@ def build_parametrization(bg: BasicGerm, q, radius: float = 0.5) -> GoodParametr
 
     The kernel N of f'(q) gets an orthonormal basis K and the complement C
     is its orthogonal complement.  A(t) = C s solves f(q + K t + C s) = 0 by
-    one damped Newton from s = 0.  This is the paper's graph map: its staged
-    construction (fiber fixed point, remainder Newton, reparametrization over
-    N) also yields a zero q + K t + c with c in C, and the implicit function
-    theorem makes c locally unique.  The domain radius shrinks by halves
-    until the chart invariants hold on samples; the final radius is
-    recorded on the chart.
+    one damped Newton from the cold start s2(t).  This is the paper's graph
+    map: its staged construction (fiber fixed point, remainder Newton,
+    reparametrization over N) also yields a zero q + K t + c with c in C,
+    and the implicit function theorem makes c locally unique.  The domain
+    radius shrinks by halves until the chart invariants hold on samples,
+    and, for a germ with quadrant constraints, until its points keep
+    x_i >= -DEFAULT_TOL for i < bg.k out to the cell clip; the final radius
+    is recorded on the chart.
 
     Raises NotSurjective when f'(q) has a rank deficit and NonConvergence
     when no radius passes.
@@ -244,19 +290,28 @@ def build_parametrization(bg: BasicGerm, q, radius: float = 0.5) -> GoodParametr
     q = np.asarray(q, dtype=float)
     _, kernel = _linearization(bg, q)
     complement = orthonormal_columns(np.eye(bg.domain_dim) - kernel @ kernel.T)
-    return _chart(bg, q, kernel, complement, radius, None, 0)
+    return _chart(bg, q, kernel, complement, radius, None, 0, bg.k)
 
 
-def _chart_invariants_hold(chart: GoodParametrization) -> bool:
-    """A(0) = 0, and at 12 domain samples Gamma(t) is a zero, to RESIDUAL_TOL,
-    at which the complement stays transverse to the kernel (so f' stays onto)."""
+def _chart_invariants_hold(chart: GoodParametrization, quadrant_rank: int) -> bool:
+    """A(0) = 0, and at 12 domain samples t the solve converges (so Gamma(t)
+    is a zero to NEWTON_TOL) and the graph system's J C, central differences
+    along C at the solved point, is nonsingular: the complement stays
+    transverse to the kernel, so f' stays onto.  With quadrant_rank > 0 the
+    points Gamma(t), and Gamma at t scaled out to the cell clip
+    SUPPORT_SCALE radius, keep x_i >= -DEFAULT_TOL for i < quadrant_rank."""
+    q, K, C = chart.base_point, chart.kernel_basis, chart.complement_basis
+    reach = SUPPORT_SCALE * chart.radius
     try:
         if np.linalg.norm(chart.a_vector(np.zeros(chart.dim))) > 1e-8:
             return False
         for t in chart.domain_samples(12, seed=11):
-            if chart.residual(t) > RESIDUAL_TOL:
+            system = _graph_system(chart, t)
+            s = _solve(system, chart.cold_start(t))
+            _complement_inverse(fd_jacobian(system, s))
+            if quadrant_rank and any(np.any(x[:quadrant_rank] < -DEFAULT_TOL) for x in (
+                    q + K @ t + C @ s, chart.gamma(t * (reach / np.linalg.norm(t))))):
                 return False
-            chart.kernel_transport(t)
     except (NonConvergence, GermforgeError):
         return False
     return True
@@ -374,9 +429,9 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
     delta'(0) over the remainder kernel N'; M, the parameter part of the
     certified complement's intersection with graph(delta'(0)), complements
     N', and the chart complement is C = M ⊕ W.  A(t) = C s solves
-    f(q + K t + C s) = 0 by one damped Newton from s = 0; the paper's staged
-    construction over N' ∩ C' yields a zero of the same form, and the
-    implicit function theorem makes it locally unique.
+    f(q + K t + C s) = 0 by one damped Newton from the cold start s2(t); the
+    paper's staged construction over N' ∩ C' yields a zero of the same form,
+    and the implicit function theorem makes it locally unique.
 
     Raises NotSurjective when J is not onto, SingularLinearization when its
     fiber block J_ww is singular, PositionNotCertified when the certificate
@@ -413,7 +468,7 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
 
     M = orthonormal_columns(subspace_intersection(comp, np.vstack([np.eye(n), slope]))[:n])
     complement = np.block([[M, np.zeros((n, wdim))], [np.zeros((wdim, M.shape[1])), np.eye(wdim)]])
-    return _chart(bg, q, kernel, complement, radius, cones.quadrant_structure(sub), len(active))
+    return _chart(bg, q, kernel, complement, radius, cones.quadrant_structure(sub), len(active), 0)
 
 
 @dataclass(frozen=True)

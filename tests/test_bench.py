@@ -66,3 +66,16 @@ def test_source_size_counts_lines_and_values(tmp_path):
     (tmp_path / "src" / "pkg" / "a.py").write_text("def f(x=1):\n    return x\n")
     (tmp_path / "src" / "pkg" / "b.py").write_text("Y = 2\n")
     assert bench_run.source_size(tmp_path) == {"src_lines": 3, "settable_values": 1}
+
+
+def test_environment_records_no_scipy_version_without_scipy(monkeypatch):
+    version = bench_run.metadata.version
+
+    def without_scipy(name):
+        if name == "scipy":
+            raise bench_run.metadata.PackageNotFoundError(name)
+        return version(name)
+
+    monkeypatch.setattr(bench_run.metadata, "version", without_scipy)
+    env = bench_run.environment()
+    assert env["scipy"] is None and env["numpy"] == version("numpy")

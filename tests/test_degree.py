@@ -272,14 +272,20 @@ def circle_atlas():
     return counted_circle_atlas()[0]
 
 
-def sphere_atlas():
-    """The six axis charts of the unit sphere |x|^2 = 1 in R^3."""
+def counted_sphere_atlas():
+    """The six axis charts of the unit sphere |x|^2 = 1 in R^3, and their
+    counted section."""
     from germforge.fredholm import BasicGerm
 
-    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=lambda x: np.array([x @ x - 1.0]))
+    section = _CountedSection(lambda x: np.array([x @ x - 1.0]))
+    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=section)
     bases = [np.array(b, dtype=float) for b in
              [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
-    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.9) for q in bases))
+    return SolutionAtlas(charts=tuple(build_parametrization(bg, q, radius=0.9) for q in bases)), section
+
+
+def sphere_atlas():
+    return counted_sphere_atlas()[0]
 
 
 def test_atlas_covers_circle():
@@ -387,7 +393,7 @@ def test_quadrature_refinement_stable():
 def test_sphere_area_two_form():
     # f(x) = |x|^2 - 1 in R^3: a 2-dimensional zero set; the area form
     # p . (u x v) integrates to 4 pi (divergence-theorem oracle)
-    atlas = sphere_atlas()
+    atlas, section = counted_sphere_atlas()
     rng = np.random.default_rng(0)
     pts = []
     for _ in range(200):
@@ -399,8 +405,11 @@ def test_sphere_area_two_form():
         return np.array([[0.0, p[2], -p[1]], [-p[2], 0.0, p[0]], [p[1], -p[0], 0.0]])
 
     omega = DifferentialForm(degree=2, coeff=area_coeff)
+    before = section.calls
     val = integrate_form(atlas, omega, nodes_per_axis=32)
-    assert abs(val - 4 * np.pi) < 2e-2
+    # 5.7e-10 at 75,216 evaluations; cold solves from s = 0 and second-order
+    # node predictions took 79,728
+    assert abs(val - 4 * np.pi) <= 1e-9 and section.calls - before == 75216
 
 
 def test_exact_form_on_the_parabola_corner_chart():
@@ -569,7 +578,7 @@ def spied_rule(monkeypatch, atlas, degree_, nodes_per_axis):
 
 def cold_rule(atlas, degree_, nodes_per_axis):
     """The rule with every chart point, of the cells and of the nodes, read
-    from the chart's memo, which solves each from s = 0."""
+    from the chart's memo, which solves each from its cold start s2(t)."""
     rule = []
     charts = [c for c in atlas.charts if c.dim == degree_]
     for i, chart in enumerate(charts):
@@ -594,7 +603,7 @@ def test_rule_nodes_are_the_cold_chart_points(monkeypatch, build, degree_, nodes
     # each node is solved by chord steps from a prediction off the ray's
     # earlier nodes and polished by one Newton step with its tangent's
     # Jacobian: it is the chart point Gamma(t), which the chart solves from
-    # s = 0, to the solver's tolerance, and a zero of f to rounding
+    # its cold start, to the solver's tolerance, and a zero of f to rounding
     rule, seen = spied_rule(monkeypatch, build(), degree_, nodes_per_axis)
     assert len(seen) == len(rule) > 0
     for (chart, t), (_, x, _) in zip(seen, rule):
@@ -624,12 +633,12 @@ def test_a_rule_does_not_depend_on_what_its_charts_served_before(monkeypatch, us
 def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):
     # every node's chord steps are made to fail, and so is every Newton
     # start taken off earlier points (a NaN start stalls Newton at once):
-    # each point is then solved from s = 0, and the rule is the rule of cold
-    # chart points
+    # each point is then solved again from the chart's cold start, and the
+    # rule is the rule of cold chart points
     solve, warm, chords = degree._graph_solve, [], []
 
     def failing(chart, t, s0):
-        if s0.any():
+        if not np.array_equal(s0, chart.cold_start(t)):
             warm.append(t)
             s0 = np.full_like(s0, np.nan)
         return solve(chart, t, s0)
@@ -685,11 +694,13 @@ def test_continuation_cuts_the_section_evaluations_of_the_circle_rule():
     # solved from s = 0 the rule took 2,920 evaluations, and 2,212 when each
     # warm node took about two Newton iterations from its predicted start;
     # chord steps with the previous node's (J C)^-1 cost one evaluation each,
-    # so a warm node's only Jacobian is the one its tangent needs
+    # so a warm node's only Jacobian is the one its tangent needs (1,896);
+    # cold points start from the second-order term s2(t) and warm nodes from
+    # the cubic Hermite predictor
     atlas, section = counted_circle_atlas()
     before = section.calls
     integrate_form(atlas, ROTATION)
-    assert section.calls - before == 1896
+    assert section.calls - before == 1700
 
 
 def _counted_cubic():

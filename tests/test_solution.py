@@ -11,6 +11,7 @@ from germforge.germs import ContractionGerm, SolutionGerm, germ_derivative
 from germforge.solution import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    SUPPORT_SCALE,
     BundleIso,
     SolutionAtlas,
     build_boundary_parametrization,
@@ -19,7 +20,7 @@ from germforge.solution import (
     transform,
     transition_map,
 )
-from germforge.spaces import GradedSpace
+from germforge.spaces import DEFAULT_TOL, GradedSpace
 from germforge.splicing import degeneracy_index
 
 
@@ -432,6 +433,76 @@ def test_atlas_transition_consistency():
     assert atlas.verify_transitions(tol=1e-8)
 
 
+def _counted(g):
+    calls = [0]
+
+    def section(x):
+        calls[0] += 1
+        return g(x)
+
+    return section, calls
+
+
+def test_a_circle_chart_build_takes_131_section_evaluations():
+    # f(q) and f'(q) (5), the second-order term (J C and two second
+    # differences along K, 5), A(0) (1), and at each of 12 samples one cold
+    # solve and the graph system's J C (2); the former check took the full
+    # f'(Gamma(t)) (4) and re-evaluated the residual, from solves started at
+    # s = 0, in 198 evaluations
+    section, calls = _counted(registry.circle_section)
+    bg = registry.circle_basic_germ()
+    chart = build_parametrization(BasicGerm(n=bg.n, k=bg.k, N=bg.N, W=bg.W, g=section), np.array([1.0, 0.0]),
+                                  radius=0.75)
+    assert chart.radius == 0.75 and calls[0] == 131
+
+
+def test_the_cold_start_is_the_second_order_term_of_a_quadratic_graph():
+    # z = x^2 - 3 x y + 2 y^2 over the (x, y)-plane is its own second-order
+    # term, mixed part included: C s2(t) is the chart's A(t)
+    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3),
+                   g=lambda x: np.array([x[2] - x[0] ** 2 + 3 * x[0] * x[1] - 2 * x[1] ** 2]))
+    chart = build_parametrization(bg, np.zeros(3), radius=0.5)
+    for t in chart.domain_samples(12, seed=5):
+        x, y = (chart.kernel_basis @ t)[:2]
+        want = np.array([0.0, 0.0, x**2 - 3 * x * y + 2 * y**2])
+        assert np.max(np.abs(chart.complement_basis @ chart.cold_start(t) - want)) <= 1e-10
+        assert np.max(np.abs(chart.a_vector(t) - want)) <= 1e-12
+
+
+def test_a_chart_whose_complement_turns_tangent_inside_its_radius_shrinks():
+    # the x-axis, the complement of the circle's chart at (1, 0), is tangent
+    # to the circle at t = +-1: asked for radius 1.3 the chart halves to
+    # 0.65, where the graph system's J C = 2 x stays invertible
+    assert circle_chart(radius=1.3).radius == 0.65
+
+
+def test_a_chart_shrinks_where_the_graph_systems_j_c_vanishes():
+    # f = y (1 - 4 x^2)_+^2 vanishes on |x| >= 1/2, so a solve there stops at
+    # once, at a point where f' = 0 and J C = 0: radius 0.8 halves to 0.4
+    bg = BasicGerm(n=2, k=0, N=1, W=GradedSpace(dim=0, levels=3),
+                   g=lambda x: np.array([x[1] * max(0.0, 1.0 - 4.0 * x[0] ** 2) ** 2]))
+    assert build_parametrization(bg, np.zeros(2), radius=0.8).radius == 0.4
+
+
+def arc_germ(k=1):
+    """The circle (x - 1/2)^2 + y^2 = 1, on [0, inf) x R for k = 1."""
+    return BasicGerm(n=2, k=k, N=1, W=GradedSpace(dim=0, levels=3),
+                     g=lambda x: np.array([(x[0] - 0.5) ** 2 + x[1] ** 2 - 1.0]))
+
+
+def test_an_interior_chart_keeps_every_point_the_rule_reaches_in_the_quadrant():
+    # at radius 0.6 the chart at angle -pi/2 - 0.024 reaches
+    # Gamma(0.57) = (-0.0896, -0.8077) inside the cell clip, off the germ's
+    # domain x >= 0; it halves to 0.3.  Without the constraint it keeps 0.6
+    a = -np.pi / 2 - 0.024
+    q = np.array([0.5 + np.cos(a), np.sin(a)])
+    chart = build_parametrization(arc_germ(), q, radius=0.6)
+    assert chart.radius == 0.3
+    for t in np.linspace(-SUPPORT_SCALE, SUPPORT_SCALE, 41) * chart.radius:
+        assert chart.gamma(np.array([t]))[0] >= -DEFAULT_TOL
+    assert build_parametrization(arc_germ(k=0), q, radius=0.6).radius == 0.6
+
+
 def test_chart_solve_without_zero_raises_nonconvergence_with_residual():
     chart = circle_chart()
     # the line x = 1 + s, y = 1.5 misses the unit circle: |f| >= 1.25 on it
@@ -594,6 +665,43 @@ def test_transform_matches_the_nested_inversion(case):
 
 def _parabola_corner_chart():
     return build_boundary_parametrization(registry.parabola_corner_germ(), np.zeros(2), radius=0.4)
+
+
+def zero_start_a_map(chart, t):
+    """A(t) by Newton from s = 0, where every cold chart solve started
+    before the second-order term s2(t)."""
+    C = chart.complement_basis
+    base = chart.base_point + chart.kernel_basis @ t
+    return C @ _solve(lambda s: chart.section(base + C @ s), np.zeros(C.shape[1]))
+
+
+def _sphere_chart():
+    bg = BasicGerm(n=3, k=0, N=1, W=GradedSpace(dim=0, levels=3), g=lambda x: np.array([x @ x - 1.0]))
+    return build_parametrization(bg, np.array([0.0, 0.0, 1.0]), radius=0.9)
+
+
+def _recentred_circle_chart():
+    chart = circle_chart()
+    return recentre(chart, chart.kernel_basis.T @ np.array([0.0, 0.4]))
+
+
+COLD_START_CASES = {
+    "circle": circle_chart,
+    "sphere": _sphere_chart,
+    "parabola-corner": _parabola_corner_chart,
+    "quadrant-plane": lambda: build_boundary_parametrization(registry.quadrant_plane_germ(), np.zeros(3), radius=0.4),
+    "recentred": _recentred_circle_chart,
+    "transformed": lambda: transform(circle_chart(), BASE_MAPS["shear"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLD_START_CASES))
+def test_chart_points_from_the_cold_start_match_the_solve_from_zero(case):
+    chart = COLD_START_CASES[case]()
+    samples = chart.domain_samples(12, seed=34)
+    assert len(samples) == 12
+    for t in samples:
+        assert np.max(np.abs(chart.a_vector(t) - zero_start_a_map(chart, t))) <= 1e-12
 
 
 # each chart with the kernel vector n of its recentre point, in ambient coordinates
