@@ -237,7 +237,8 @@ MODEL_CHECKS = {
                     **dict.fromkeys(("parabola-at-corner", "diagonal-line", "quadrant-plane"),
                                     check_corner_chart)},
     "cones": dict.fromkeys(("diag-plane", "diagonal-in-square", "ice-cream"), check_cones),
-    "degree": dict.fromkeys(("cubic", "square-minus-one", "identity", "boundary-parabola"), check_degree),
+    "degree": dict.fromkeys(("cubic", "square-minus-one", "identity", "boundary-parabola", "double-root"),
+                            check_degree),
 }
 
 

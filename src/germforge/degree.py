@@ -2,8 +2,9 @@
 
 Properness is a model contract here: the user supplies a window that must
 contain every zero, and escapes are loud errors.  Regular values are found
-by rejection sampling with rank certificates instead of measure theory; the
-counter-based RNG makes every experiment bit-reproducible from its seed.
+by rejection sampling with Kantorovich certificates instead of measure
+theory; the counter-based RNG makes every experiment bit-reproducible from
+its seed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     AtlasIncomplete,
     BudgetExceeded,
     DimensionUnsupported,
+    Inconclusive,
     IndexMismatch,
     InvarianceViolation,
     NonConvergence,
@@ -38,6 +40,10 @@ DEDUPE_SEPARATION = 1e-6
 WINDOW_MARGIN = 1e-6
 RETRY_LIMIT = 100
 BASIN_GATE = 1e-4      # sigma_min / sigma_max below which a zero gets no basin
+KANTOROVICH_GATE = 0.25    # h = beta L eta at or below which a square zero is certified
+BALL_STARTS = 8        # Halton starts of a stop ball's first local search
+BALL_DOUBLINGS = 3     # doublings of a ball's starts, and of its boundary samples, before giving up
+WINDING_SAMPLES = 64   # first boundary samples of a 2-D ball's winding number
 HOMOTOPY_GRID = 11     # homotopy parameters t sampled by invariance_suite
 CHORD_TOL = 1e-10      # a quadrature node's chord steps stop at this residual
 CHORD_STEPS = 8        # and give way to Newton after this many steps
@@ -157,26 +163,44 @@ class ZeroReport:
     basin_radius: float
 
 
-def _basin_radius(func, x, J, sv, r: float) -> float:
-    """Sampled radius 2/(3 beta L) of Newton's basin around the zero x: beta =
-    1/sigma_min and L = |(D_1, ..., D_n)| / r, D_j = max |J(x +- r e_j) - J|_F.
-    D_j sees the mixed second derivatives too, and L bounds the Lipschitz
-    constant of an affine J (quadratic f).  r shrinks to 2/(3 beta L) and is
-    sampled once more.  A non-square or gated J (sigma_min / sigma_max <
-    BASIN_GATE), a non-finite sample and an underflow give 0."""
-    if J.shape[0] != J.shape[1] or not (sv.size and sv[-1] > BASIN_GATE * sv[0] and r > 0):
-        return 0.0
+def _basin_radius(func, x, J, sv, r: float) -> tuple[float, float]:
+    """Sampled radius 2/(3 beta L) of Newton's basin around the zero x, and
+    L: beta = 1/sigma_min and L = |(D_1, ..., D_n)| / r, D_j = max |J(x +- r
+    e_j) - J|_F.  D_j sees the mixed second derivatives too, and L bounds the
+    Lipschitz constant of an affine J (quadratic f).  r shrinks to 2/(3 beta
+    L) and is sampled once more; L is read off the last sample.  A non-square
+    or singular J, r <= 0 and a non-finite sample give (0, nan): no L.  A J
+    with sigma_min / sigma_max < BASIN_GATE keeps its L but gets radius 0."""
+    if J.shape[0] != J.shape[1] or not (sv.size and sv[-1] > 0 and r > 0):
+        return 0.0, math.nan
     beta, n = 1.0 / float(sv[-1]), x.size
     for _ in range(2):
         with np.errstate(invalid="ignore"):     # inf - inf off a domain: a NaN, no warning
             d = [np.linalg.norm(fd_jacobian(func, x + r * e) - J) for e in np.vstack([np.eye(n), -np.eye(n)])]
         rl = float(np.hypot.reduce(np.maximum(d[:n], d[n:])))     # r L; np.maximum keeps a NaN
         if not rl < np.inf:
-            return 0.0
+            return 0.0, math.nan
+        lipschitz = rl / r
         if 3.0 * beta * rl <= 2.0:
             break
         r = 2.0 * r / (3.0 * beta * rl)
-    return r
+    return (r if sv[-1] > BASIN_GATE * sv[0] else 0.0), lipschitz
+
+
+def _certified(zero: ZeroReport, lipschitz: float) -> bool:
+    """Kantorovich's test at a square zero (Ortega & Rheinboldt, 12.6): h =
+    beta L eta <= KANTOROVICH_GATE, beta = 1/sigma_min and the Newton step
+    eta = |J^-1 f| bounded by sqrt(m) res / sigma_min from the residual the
+    zero was polished to.  Then f has a zero within 2 eta of the point, the
+    only one in the ball of radius (1 + sqrt(1 - 2h)) / (beta L).  h is
+    about 1/2 at a double root, where Newton stops short, and at most 1e-13
+    at a simple zero.  A non-square zero, and one without a sampled L, keeps
+    the rank test."""
+    J = zero.jacobian
+    if J.shape[0] != J.shape[1] or math.isnan(lipschitz):
+        return zero.surjective
+    sigma = float(zero.singular_values[-1])
+    return math.sqrt(J.shape[0]) * zero.residual * lipschitz <= KANTOROVICH_GATE * sigma * sigma
 
 
 def _halton(count: int, d: int, seed: int):
@@ -206,6 +230,74 @@ def _halton(count: int, d: int, seed: int):
     return out
 
 
+def _order(pair):
+    return tuple(np.round(pair[0].point, 9))
+
+
+def _search(pp: PerturbationProblem, s, starts, basins: bool, balls) -> list:
+    """The multi-start loop behind `enumerate_zeros` and
+    `generic_perturbation`: (report, certified) pairs of the polished zeros
+    of f + s reached from `starts`, sorted by point.
+
+    With `basins`, each new square zero with a basin radius gets its basin.
+    With `balls` a list, each new uncertified square zero gets a stop ball
+    instead, fixed when it is found and appended to `balls` as (centre,
+    radius).  A start that lies in a basin or ball, or whose accepted
+    iterate enters one, is stopped."""
+    def func(x):
+        return pp.evaluate(x, s)
+
+    found, stops = [], []       # stops: (centre, radius) of the basins and stop balls
+
+    def stopped(x):             # checked at every Newton iterate, so kept cheap
+        x = x.tolist()
+        return any(math.dist(x, c) < r for c, r in stops)
+
+    for x0 in starts:
+        if stopped(x0):
+            continue
+        x, res, ok = newton(func, x0, stop=stopped)
+        if not ok or res > ZERO_RESIDUAL:
+            continue
+        nq = pp.quadrant_rank
+        if nq:
+            head = x[:nq]
+            if np.any(head < -WINDOW_MARGIN):
+                continue
+            x = x.copy()
+            x[:nq] = np.where(np.abs(head) <= 1e-12, 0.0, head)
+        if not pp.window.contains(x, margin=WINDOW_MARGIN):
+            raise WindowEscape(
+                f"polished zero {x} escaped the window; model is not proper on it",
+                point=x,
+            )
+        if any(np.linalg.norm(x - z.point) < DEDUPE_SEPARATION for z, _ in found):
+            continue
+        J = fd_jacobian(func, x)
+        _, kernel, coker, sv = svd_split(J)
+        radius, lipschitz = _basin_radius(func, x, J, sv, pp.window.margin_at(x))
+        zero = ZeroReport(point=x, residual=res, jacobian=J, singular_values=sv,
+                          surjective=bool(coker.shape[1] == 0), kernel_basis=kernel, basin_radius=radius)
+        certified = _certified(zero, lipschitz)
+        if balls is not None and not certified and J.shape[0] == J.shape[1]:
+            balls.append((x, _ball_radius(pp, x, found, balls)))
+            stops.append((x.tolist(), balls[-1][1]))
+        elif basins and radius:
+            stops.append((x.tolist(), radius))
+        found.append((zero, certified))
+    found.sort(key=_order)
+    return found
+
+
+def _starts(pp: PerturbationProblem) -> list:
+    """The user seeds, then pp.grid_starts Halton points of the window."""
+    starts = [np.asarray(p, dtype=float) for p in pp.seeds]
+    if pp.grid_starts:
+        starts.extend(_halton(pp.grid_starts, pp.window.dim, pp.rng_seed) * (pp.window.hi - pp.window.lo)
+                      + pp.window.lo)
+    return starts
+
+
 def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> list:
     """Polished zeros of f + s inside the window, with linearization reports.
 
@@ -223,57 +315,115 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     runs when the sampled L is a Lipschitz constant of J on the ball, as for
     quadratic maps; a Jacobian that varies far more between the samples than
     at them can give a basin that swallows another zero or a window escape.
+    Every start that heads for a degenerate zero polishes it again; only
+    `generic_perturbation`'s own search stops them at a ball.
     """
-    def func(x):
-        return pp.evaluate(x, s)
-
-    d = pp.window.dim
-    starts = [np.asarray(p, dtype=float) for p in pp.seeds]
-    if pp.grid_starts:
-        pts = _halton(pp.grid_starts, d, pp.rng_seed) * (pp.window.hi - pp.window.lo) + pp.window.lo
-        starts.extend(pts)
-    zeros, basins = [], []      # basins: (centre, radius) of the zeros that have one
-
-    def in_basin(x):            # checked at every Newton iterate, so kept cheap
-        x = x.tolist()
-        return any(math.dist(x, c) < r for c, r in basins)
-
-    for x0 in starts:
-        if in_basin(x0):
-            continue
-        x, res, ok = newton(func, x0, stop=in_basin)
-        if not ok or res > ZERO_RESIDUAL:
-            continue
-        nq = pp.quadrant_rank
-        if nq:
-            head = x[:nq]
-            if np.any(head < -WINDOW_MARGIN):
-                continue
-            x = x.copy()
-            x[:nq] = np.where(np.abs(head) <= 1e-12, 0.0, head)
-        if not pp.window.contains(x, margin=WINDOW_MARGIN):
-            raise WindowEscape(
-                f"polished zero {x} escaped the window; model is not proper on it",
-                point=x,
-            )
-        if any(np.linalg.norm(x - z.point) < DEDUPE_SEPARATION for z in zeros):
-            continue
-        J = fd_jacobian(func, x)
-        rank, kernel, coker, sv = svd_split(J)
-        zeros.append(ZeroReport(
-            point=x, residual=res, jacobian=J, singular_values=sv,
-            surjective=bool(coker.shape[1] == 0), kernel_basis=kernel,
-            basin_radius=_basin_radius(func, x, J, sv, pp.window.margin_at(x)),
-        ))
-        if zeros[-1].basin_radius:
-            basins.append((x.tolist(), zeros[-1].basin_radius))
-    zeros.sort(key=lambda z: tuple(np.round(z.point, 9)))
-    return zeros
+    return [zero for zero, _ in _search(pp, s, _starts(pp), True, None)]
 
 
-def _transversality_ok(pp: PerturbationProblem, zero: ZeroReport, mode: str) -> tuple[bool, float]:
-    """Rank checks at one zero; returns (ok, rank gap), the gap 1.0 when ok."""
-    if not zero.surjective:
+def _room(pp: PerturbationProblem, x) -> float:
+    """The distance from x to the window's boundary and the quadrant's faces."""
+    face = float(np.min(x[: pp.quadrant_rank])) if pp.quadrant_rank else math.inf
+    return min(pp.window.margin_at(x), face)
+
+
+def _ball_radius(pp: PerturbationProblem, x, found, balls) -> float:
+    """0.8 times the least of `_room`, half the distance to the nearest zero
+    found so far and the gap to the balls placed so far, and at least 1e-3."""
+    near = min((math.dist(x, z.point) for z, _ in found), default=math.inf)
+    gap = min((math.dist(x, c) - r for c, r in balls), default=math.inf)
+    return max(0.8 * min(_room(pp, x), 0.5 * near, gap), 1e-3)
+
+
+def _end_degree(pp: PerturbationProblem, a, b):
+    """The degree of f on the interval [a, b], (sign f(b) - sign f(a)) / 2,
+    or None where f vanishes at an end."""
+    lo, hi = (float(np.sign(pp.evaluate(x)[0])) for x in (a, b))
+    return int(hi - lo) // 2 if lo * hi in (-1.0, 1.0) else None
+
+
+def _winding(pp: PerturbationProblem, point_at):
+    """The winding number of f along the closed curve point_at(tau), tau in
+    [0, 1), from WINDING_SAMPLES points, doubled at most BALL_DOUBLINGS
+    times until every angle step is below pi/2; the degree of f on the
+    region the curve bounds when it runs counterclockwise.  None where f
+    vanishes at a sample or the samples cannot resolve it."""
+    def value(tau):
+        f = pp.evaluate(point_at(tau))
+        return complex(f[0], f[1])
+
+    n = WINDING_SAMPLES
+    w = np.array([value(k / n) for k in range(n)])
+    for _ in range(BALL_DOUBLINGS + 1):
+        if not (np.isfinite(w).all() and w.all()):
+            return None
+        steps = np.angle(np.roll(w, -1) / w)
+        if np.abs(steps).max() < 0.5 * math.pi:
+            return round(float(steps.sum()) / (2.0 * math.pi))
+        w, n = np.column_stack([w, [value((2 * k + 1) / (2 * n)) for k in range(n)]]).ravel(), 2 * n
+    return None
+
+
+def _ball_degree(pp: PerturbationProblem, centre, radius: float):
+    """The degree of f on a ball of the line or the plane, from f on its boundary."""
+    if centre.size == 1:
+        return _end_degree(pp, centre - radius, centre + radius)
+    return _winding(pp, lambda tau: centre + radius * np.array([math.cos(2.0 * math.pi * tau),
+                                                                math.sin(2.0 * math.pi * tau)]))
+
+
+def _window_degree(pp: PerturbationProblem):
+    """The degree of f on the window of the line or the plane, from f on its boundary."""
+    lo, hi = pp.window.lo, pp.window.hi
+    if lo.size == 1:
+        return _end_degree(pp, lo, hi)
+    corners = [lo, np.array([hi[0], lo[1]]), hi, np.array([lo[0], hi[1]]), lo]
+
+    def point_at(tau):
+        side, u = divmod(4.0 * tau, 1.0)
+        return corners[int(side)] + u * (corners[int(side) + 1] - corners[int(side)])
+
+    return _winding(pp, point_at)
+
+
+def _sign(zero: ZeroReport) -> int:
+    return 1 if np.linalg.det(zero.jacobian) > 0 else -1
+
+
+def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int) -> list:
+    """The zeros of f + s inside a stop ball, from BALL_STARTS Halton starts
+    of the ball, with no basins, since a bump's ramp can make a sampled
+    basin swallow a zero.  While the signed count of these zeros misses the
+    ball's degree, the search runs again with twice the starts; after
+    BALL_DOUBLINGS doublings it raises Inconclusive, and `_retry` draws
+    another s.  A zero that is not certified ends the search at once."""
+    centre, radius = ball
+    d, count = centre.size, BALL_STARTS
+    for _ in range(BALL_DOUBLINGS + 1):
+        u = _halton(count, d, pp.rng_seed)
+        if d == 1:
+            starts = centre + radius * (2.0 * u - 1.0)
+        else:
+            r, a = radius * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1]
+            starts = centre + np.column_stack([r * np.cos(a), r * np.sin(a)])
+        found = [(z, ok) for z, ok in _search(pp, s, starts, False, None) if math.dist(z.point, centre) < radius]
+        if not all(ok for _, ok in found):
+            return found
+        signed = sum(_sign(z) for z, _ in found)
+        if signed == degree:
+            return found
+        count *= 2
+    raise Inconclusive(
+        f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
+        f"{count // 2} starts found zeros of signed count {signed}"
+    )
+
+
+def _transversality_ok(pp: PerturbationProblem, zero: ZeroReport, certified: bool,
+                       mode: str) -> tuple[bool, float]:
+    """The zero's certificate plus, in full_boundary mode, the face checks;
+    returns (ok, rank gap), the gap 1.0 when ok."""
+    if not certified:
         sv = zero.singular_values
         gap = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
         return False, gap
@@ -335,55 +485,120 @@ def _combine(bumps, lambdas, levels: int) -> ScPlusSection:
     return ScPlusSection(section=section, levels=levels, support=support)
 
 
-def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -> PerturbationOutcome:
-    """A finite bump combination making every zero of f + s transversal.
+def _ball_plan(pp: PerturbationProblem, found, checks, balls):
+    """(carried zeros, ball degrees) when only the stop balls need bumps:
+    every zero that fails is a ball's centre, the balls lie in the window
+    and the open quadrant and apart, f has a degree on each ball's boundary,
+    and the signs of the zeros outside the balls with the balls' degrees add
+    up to f's degree on the window.  That sum catches a zero that the balls
+    hid from every start.  None otherwise."""
+    if not balls or sum(not ok for ok, _ in checks) != len(balls):
+        return None
+    for i, (c, r) in enumerate(balls):
+        if _room(pp, c) < r or any(math.dist(c, c2) < r + r2 for c2, r2 in balls[i + 1:]):
+            return None
+    degrees = [_ball_degree(pp, c, r) for c, r in balls]
+    if None in degrees:
+        return None
+    carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
+    if _window_degree(pp) != sum(_sign(z) for z, _ in carried) + sum(degrees):
+        return None
+    return carried, degrees
 
-    If f is already transversal (and, in full_boundary mode, its kernels are
-    transversal to the boundary strata with surjective face restrictions),
-    the zero perturbation is accepted.  Otherwise bump sections are anchored
-    at every zero found, transversal or not, or at the window centre when
-    there is none; in interior_only mode an anchor within 1e-6 of a face gets
-    no bump and the others keep their supports clear of the faces.  The
-    coefficients lambda are rejection-sampled within the budget until every
-    rank certificate passes; the retry limit makes failures loud.
-    """
-    if mode not in ("interior_only", "full_boundary"):
-        raise ValueError(f"unknown mode {mode!r}")
-    levels = pp.aux_norm.fiber_space.levels
-    zeros = enumerate_zeros(pp)
-    if all(_transversality_ok(pp, z, mode)[0] for z in zeros):
-        out = _zero_section(levels)
-        return PerturbationOutcome(perturbation=out, zeros=tuple(zeros),
-                                   lambdas=np.zeros(0), retries=0)
 
-    # bump directions: cokernel defects plus generic fiber directions
+def _bumps(pp: PerturbationProblem, rng, anchors, out_dim: int, levels: int) -> list:
+    """out_dim bumps at each (anchor, radius), each of a random fiber
+    direction scaled to 0.45 of the budget."""
     bumps = []
-    out_dim = np.atleast_1d(pp.evaluate(np.asarray(zeros[0].point) if zeros else pp.window.lo)).size
-    rng = np.random.Generator(np.random.Philox(key=pp.rng_seed))
-    anchors = [z.point for z in zeros] or [0.5 * (pp.window.lo + pp.window.hi)]
-    boundary_avoiding = mode == "interior_only" and pp.quadrant_rank > 0
-    for anchor in anchors:
-        radius = pp.window.margin_at(anchor)
-        if boundary_avoiding:
-            # the perturbation must vanish near the boundary faces, so only
-            # interior anchors get bumps and their supports stay clear
-            face_dist = float(np.min(anchor[: pp.quadrant_rank])) if pp.quadrant_rank else np.inf
-            if face_dist <= 1e-6:
-                continue
-            radius = min(radius, face_dist)
-        radius = max(0.8 * radius, 1e-3)
+    for anchor, radius in anchors:
         for _ in range(max(1, out_dim)):
             h = rng.normal(size=out_dim)
             h /= max(pp.aux_norm(anchor, h), 1e-12)
             h *= 0.45 * pp.budget
             bumps.append(make_bump_section(anchor, h, radius, pp.budget, pp.aux_norm, levels))
-    if not bumps:
+    return bumps
+
+
+def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -> PerturbationOutcome:
+    """A finite bump combination making every zero of f + s transversal.
+
+    A square zero is transversal when it passes the Kantorovich gate
+    (`_certified`), a non-square one when its linearization is onto; in
+    full_boundary mode its kernel must also be transversal to the boundary
+    strata, with surjective face restrictions.  If every zero is, the zero
+    perturbation is accepted.
+
+    In 1-D and 2-D the search gives each degenerate square zero a stop ball
+    when it finds it (`_search`), so later starts do not polish it again.
+    Where `_ball_plan` allows it, only the balls are bumped: each ball is
+    the support of its bumps, the zeros outside the balls are kept, and each
+    attempt searches f + s inside the balls alone (`_ball_zeros`), whose
+    signed counts must match f's degrees on their boundaries.  Otherwise the
+    window is searched again without balls and bumps are anchored at every
+    zero found, or at the window centre when there is none; in
+    interior_only mode an anchor within 1e-6 of a face gets no bump and the
+    others keep their supports clear of the faces.  There, in 1-D and 2-D
+    without quadrant constraints, an attempt's signed count must also match
+    f's degree on the window.  The coefficients lambda are rejection-sampled
+    within the budget until an attempt passes; the retry limit makes
+    failures loud.
+    """
+    if mode not in ("interior_only", "full_boundary"):
+        raise ValueError(f"unknown mode {mode!r}")
+    levels = pp.aux_norm.fiber_space.levels
+    starts, balls = _starts(pp), ([] if pp.window.dim <= 2 else None)
+    found = _search(pp, None, starts, True, balls)
+    checks = [_transversality_ok(pp, z, ok, mode) for z, ok in found]
+    if all(ok for ok, _ in checks):
+        return PerturbationOutcome(perturbation=_zero_section(levels), zeros=tuple(z for z, _ in found),
+                                   lambdas=np.zeros(0), retries=0)
+    rng = np.random.Generator(np.random.Philox(key=pp.rng_seed))
+    plan = _ball_plan(pp, found, checks, balls)
+    if plan is not None:
+        carried, degrees = plan
+
+        def zeros_of(s):
+            out = list(carried)
+            for ball, degree in zip(balls, degrees):
+                out += _ball_zeros(pp, s, ball, degree)
+                if not all(ok for _, ok in out):
+                    break
+            return sorted(out, key=_order)
+
+        return _retry(pp, rng, _bumps(pp, rng, balls, pp.window.dim, levels), zeros_of, mode, None)
+
+    if balls:   # the balls stopped starts: search the window again without them
+        found = _search(pp, None, starts, True, None)
+    zeros = [z for z, _ in found]
+    out_dim = np.atleast_1d(pp.evaluate(np.asarray(zeros[0].point) if zeros else pp.window.lo)).size
+    points, anchors = [z.point for z in zeros] or [0.5 * (pp.window.lo + pp.window.hi)], []
+    for anchor in points:
+        radius = pp.window.margin_at(anchor)
+        if mode == "interior_only" and pp.quadrant_rank > 0:
+            # the perturbation must vanish near the boundary faces, so only
+            # interior anchors get bumps and their supports stay clear
+            face_dist = float(np.min(anchor[: pp.quadrant_rank]))
+            if face_dist <= 1e-6:
+                continue
+            radius = min(radius, face_dist)
+        anchors.append((anchor, max(0.8 * radius, 1e-3)))
+    if not anchors:
         raise RetryExhausted(
             "no admissible bump anchors: every degenerate zero sits on the boundary, "
             "where a boundary-avoiding perturbation cannot act",
-            failing_zero=anchors[0] if anchors else None,
+            failing_zero=points[0],
         )
+    # a search of the whole window can miss a zero of f + s, which f's degree
+    # on the window's boundary shows where it exists
+    window = _window_degree(pp) if out_dim == pp.window.dim <= 2 and not pp.quadrant_rank else None
+    return _retry(pp, rng, _bumps(pp, rng, anchors, out_dim, levels),
+                  lambda s: _search(pp, s, starts, True, None), mode, window)
 
+
+def _retry(pp: PerturbationProblem, rng, bumps, zeros_of, mode: str, window) -> PerturbationOutcome:
+    """Draw lambda until every zero of f + s, from zeros_of(s), passes, and,
+    unless `window` is None, their signed count is `window`."""
+    levels = pp.aux_norm.fiber_space.levels
     last_fail = None
     for attempt in range(RETRY_LIMIT):
         lam = rng.uniform(-1.0, 1.0, size=len(bumps))
@@ -391,20 +606,21 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
         lam *= rng.uniform(0.2, 1.0)
         s = _combine(bumps, lam, levels)
         try:
-            zs = enumerate_zeros(pp, s)
-        except WindowEscape as exc:
+            found = zeros_of(s)
+        except (WindowEscape, Inconclusive) as exc:    # another s may do
             last_fail = (None, str(exc))
             continue
-        checks = [_transversality_ok(pp, z, mode) for z in zs]
-        if zs and all(ok for ok, _ in checks):
-            return PerturbationOutcome(perturbation=s, zeros=tuple(zs), lambdas=lam, retries=attempt)
-        if not zs:
-            # zero set emptied out; acceptable only for problems that had
-            # no stable zero to begin with (e.g. a grazing tangency)
-            return PerturbationOutcome(perturbation=s, zeros=(), lambdas=lam, retries=attempt)
-        bad = [z for (ok, _), z in zip(checks, zs) if not ok]
-        gaps = [gap for ok, gap in checks if not ok]
-        last_fail = (bad[0].point if bad else None, f"rank gap {min(gaps) if gaps else 'n/a'}")
+        checks = [_transversality_ok(pp, z, ok, mode) for z, ok in found]
+        # an empty zero set is accepted too: the problem had no stable zero
+        # to begin with (e.g. a grazing tangency)
+        bad = [(z, gap) for (ok, gap), (z, _) in zip(checks, found) if not ok]
+        if bad:
+            last_fail = (bad[0][0].point, f"rank gap {min(gap for _, gap in bad)}")
+        elif window is not None and sum(_sign(z) for z, _ in found) != window:
+            last_fail = (None, f"signed count {sum(_sign(z) for z, _ in found)} != window degree {window}")
+        else:
+            return PerturbationOutcome(perturbation=s, zeros=tuple(z for z, _ in found), lambdas=lam,
+                                       retries=attempt)
     raise RetryExhausted(
         f"no regular value found in {RETRY_LIMIT} attempts; last failure at {last_fail}",
         failing_zero=None if last_fail is None else last_fail[0],

@@ -160,6 +160,20 @@ def square_minus_one_problem(seed: int = 0, budget: float = 0.1) -> Perturbation
     )
 
 
+def double_root_problem(seed: int = 0) -> PerturbationProblem:
+    """(x - 1/2)^2 (x + 1) on [-2, 2]: a simple zero -1 and a double root 1/2;
+    degree 1."""
+    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
+    return PerturbationProblem(
+        section=lambda x: np.array([(x[0] - 0.5) ** 2 * (x[0] + 1.0)]),
+        window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
+        aux_norm=AuxiliaryNorm(fiber_space=fiber),
+        budget=0.1,
+        seeds=(np.array([-1.5]), np.array([1.5])),
+        rng_seed=seed,
+    )
+
+
 def identity_problem(seed: int = 0) -> PerturbationProblem:
     fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
     return PerturbationProblem(
@@ -232,6 +246,7 @@ MODEL_BUILDERS = {
     "quadrant-plane": quadrant_plane_germ,
     "cubic": cubic_problem,
     "square-minus-one": square_minus_one_problem,
+    "double-root": double_root_problem,
     "identity": identity_problem,
     "boundary-parabola": boundary_parabola_problem,
     "diag-plane": diag_plane_subspace,

@@ -266,7 +266,10 @@ def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank
     for _ in range(MAX_SHRINKS):
         if _chart_invariants_hold(chart, quadrant_rank):
             return chart
-        chart = replace(chart, radius=chart.radius / 2.0, _cache={})
+        smaller = replace(chart, radius=chart.radius / 2.0, _cache={})
+        # the once-per-chart terms depend on (f, q, K, C) alone, not on the radius
+        vars(smaller).update({k: v for k, v in vars(chart).items() if k in ("_second_order", "_coordinate_rows")})
+        chart = smaller
     raise NonConvergence(f"no radius down to {chart.radius:.2e} satisfied the chart invariants")
 
 

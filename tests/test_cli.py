@@ -87,6 +87,15 @@ def test_flag_overrides_and_outputs(tmp_path):
     assert "provenance,seed,11" in text
 
 
+def test_degree_of_the_double_root_model(tmp_path):
+    # (x - 1/2)^2 (x + 1): the double root is bumped inside its stop ball,
+    # and every invariance trial gives degree 1
+    cfg = _config(tmp_path, "models = double-root\n")
+    assert main(["degree", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "degree-double-root.csv").read_text()
+    assert "metric,degree,1" in text and "invariant,degree_invariant,pass" in text
+
+
 def test_env_var_overrides_out(tmp_path):
     env_out = tmp_path / "via-env"
     res = run_cli(["degree", "--trials", "2", "--out", str(tmp_path / "ignored")],

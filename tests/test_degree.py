@@ -21,7 +21,7 @@ from germforge.degree import (
     smooth_plateau,
 )
 from germforge.degree import SUPPORT_SCALE, _Cell, _chart_orientation_sign, _covering_u, _quadrature_rule
-from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, WindowEscape
+from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, RetryExhausted, WindowEscape
 from germforge.orientation import OrientationReference
 from germforge.solution import (
     CACHE_QUANTUM,
@@ -1010,3 +1010,119 @@ def test_degree_is_invariant_under_orientation_preserving_affine_maps(pp, data):
     pulled = replace(pp, section=lambda y: pp.section(scale * y + shift),
                      window=Window(lo=(pp.window.lo - shift) / scale, hi=(pp.window.hi - shift) / scale))
     assert compute_degree(pulled) == compute_degree(pp)
+
+
+# ------------------------------------------------- Kantorovich gate and stop balls
+
+def poly_degree(coeff, simple, double):
+    """(sign f(2) - sign f(-2)) / 2 for f = coeff prod(x - r) prod(x - d)^2."""
+    def f(x):
+        return coeff * np.prod([x - r for r in simple]) * np.prod([(x - d) ** 2 for d in double])
+
+    return int((np.sign(f(2.0)) - np.sign(f(-2.0))) // 2)
+
+
+def complex_degree(holo, anti):
+    """#holo - #anti for z -> prod(z - r_i) prod conj(z - s_j), multiplicities counted."""
+    return len(holo) - len(anti)
+
+
+def local_searches(monkeypatch, hide):
+    """Record the start count of every search of f + s, s != 0, which here
+    are the searches inside stop balls; `hide` (call number, found pairs) ->
+    the pairs that search returns."""
+    counts, search = [], degree._search
+
+    def spied(pp, s, starts, basins, balls):
+        found = search(pp, s, starts, basins, balls)
+        if s is None:
+            return found
+        counts.append(len(starts))
+        return hide(len(counts), found)
+
+    monkeypatch.setattr(degree, "_search", spied)
+    return counts
+
+
+def test_a_1d_double_root_is_bumped_in_its_ball():
+    # (x - 1/2)^2 (x + 1): Newton stops about 3e-7 short of 1/2, where
+    # h = beta L eta is 1/2; the simple zero -1 is carried over unchanged
+    pp = polynomial_problem(1.0, [-1.0], [0.5])
+    out = generic_perturbation(pp)
+    assert out.lambdas.size == 1 and not out.perturbation.support_contains(np.array([-1.0]))
+    assert [z.point[0] for z in out.zeros][0] == -1.0
+    assert len(out.zeros) in (1, 3)
+    assert compute_degree(pp) == 1
+
+
+def test_a_2d_double_root_is_bumped_in_its_ball():
+    # (z - r)^2 conj(z - s): local degree 2 at r, -1 at s
+    pp = complex_problem(1.0, [0.3 + 0.4j, 0.3 + 0.4j], [-0.8 + 0.1j])
+    out = generic_perturbation(pp)
+    assert out.lambdas.size == 2 and out.perturbation.support_contains(np.array([0.3, 0.4]))
+    assert compute_degree(pp) == 1
+
+
+def double_root_before_a_simple_zero():
+    # (x - 1/2)^2 (x - 0.2) (x + 1.8), degree 0; the seed 0.6 finds the double
+    # root first, so its ball has radius 0.8 times its window margin 1.5 and
+    # holds the simple zero 0.2, which no later start reaches
+    roots = np.array([0.2, -1.8])
+
+    def section(x):
+        return np.array([(x[0] - 0.5) ** 2 * np.prod(x[0] - roots)])
+
+    return replace(problem(section, [-2], [2], seeds=([0.6],), budget=0.1), grid_starts=32)
+
+
+def test_a_stop_ball_that_holds_a_simple_zero_finds_it_again():
+    pp = double_root_before_a_simple_zero()
+    out = generic_perturbation(pp)
+    assert out.perturbation.support_contains(np.array([0.2]))
+    assert any(abs(z.point[0] - 0.2) < 0.1 for z in out.zeros)
+    assert compute_degree(pp) == 0
+
+
+def test_a_ball_whose_first_search_misses_a_zero_is_searched_again(monkeypatch):
+    # the first search inside the ball loses the zero near 0.2; the ball's
+    # signed count then misses its degree +1, and twice the starts find it
+    def hide(call, found):
+        return [p for p in found if call > 1 or abs(p[0].point[0] - 0.2) >= 0.1]
+
+    counts = local_searches(monkeypatch, hide)
+    out = generic_perturbation(double_root_before_a_simple_zero())
+    assert counts[:2] == [degree.BALL_STARTS, 2 * degree.BALL_STARTS]
+    assert any(abs(z.point[0] - 0.2) < 0.1 for z in out.zeros)
+
+
+def test_a_ball_whose_count_never_matches_its_degree_fails_loud(monkeypatch):
+    # each attempt's searches end in Inconclusive after BALL_DOUBLINGS
+    # doublings; another s is drawn, up to the retry limit
+    def hide(call, found):
+        return [p for p in found if abs(p[0].point[0] - 0.2) >= 0.1]
+
+    counts = local_searches(monkeypatch, hide)
+    monkeypatch.setattr(degree, "RETRY_LIMIT", 2)
+    with pytest.raises(RetryExhausted, match="signed count"):
+        generic_perturbation(double_root_before_a_simple_zero())
+    assert counts == 2 * [degree.BALL_STARTS * 2 ** i for i in range(degree.BALL_DOUBLINGS + 1)]
+
+
+@st.composite
+def complex_maps_with_a_double_root(draw):
+    phase, holo, anti = draw(complex_maps())
+    if holo and (not anti or draw(st.booleans())):
+        return phase, holo + holo[:1], anti
+    return phase, holo, anti + anti[:1]
+
+
+@BASIN_SETTINGS
+@given(polynomials(doubles=True), st.integers(0, 2**31 - 1))
+def test_degree_of_polynomials_with_double_roots_is_the_closed_form(poly, seed):
+    assert compute_degree(polynomial_problem(*poly, seed=seed)) == poly_degree(*poly)
+
+
+@BASIN_SETTINGS
+@given(complex_maps_with_a_double_root(), st.integers(0, 2**31 - 1))
+def test_degree_of_complex_maps_with_a_double_root_is_the_closed_form(cmap, seed):
+    assert compute_degree(complex_problem(*cmap, seed=seed)) == complex_degree(*cmap[1:])

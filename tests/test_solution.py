@@ -1,4 +1,5 @@
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from germforge.solution import (
     NEWTON_TOL,
     SUPPORT_SCALE,
     BundleIso,
+    GoodParametrization,
     SolutionAtlas,
     build_boundary_parametrization,
     build_parametrization,
@@ -474,6 +476,22 @@ def test_a_chart_whose_complement_turns_tangent_inside_its_radius_shrinks():
     # to the circle at t = +-1: asked for radius 1.3 the chart halves to
     # 0.65, where the graph system's J C = 2 x stays invertible
     assert circle_chart(radius=1.3).radius == 0.65
+
+
+def test_a_chart_that_halves_its_radius_computes_its_second_order_term_once(monkeypatch):
+    # the term depends on (f, q, K, C) alone, so each halving carries it over
+    # and saves its 5 evaluations on the circle
+    radii, term = [], GoodParametrization.__dict__["_second_order"].func
+
+    def counted(chart):
+        radii.append(chart.radius)
+        return term(chart)
+
+    prop = cached_property(counted)
+    prop.__set_name__(GoodParametrization, "_second_order")
+    monkeypatch.setattr(GoodParametrization, "_second_order", prop)
+    chart = circle_chart(radius=1.3)
+    assert chart.radius == 0.65 and radii == [1.3]
 
 
 def test_a_chart_shrinks_where_the_graph_systems_j_c_vanishes():
