@@ -163,15 +163,19 @@ class ZeroReport:
     basin_radius: float
 
 
-def _basin_radius(func, x, J, sv, r: float) -> tuple[float, float]:
+def _basin_radius(func, x, J, sv, r: float, certify: bool) -> tuple[float, float]:
     """Sampled radius 2/(3 beta L) of Newton's basin around the zero x, and
     L: beta = 1/sigma_min and L = |(D_1, ..., D_n)| / r, D_j = max |J(x +- r
     e_j) - J|_F.  D_j sees the mixed second derivatives too, and L bounds the
     Lipschitz constant of an affine J (quadratic f).  r shrinks to 2/(3 beta
     L) and is sampled once more; L is read off the last sample.  A non-square
     or singular J, r <= 0 and a non-finite sample give (0, nan): no L.  A J
-    with sigma_min / sigma_max < BASIN_GATE keeps its L but gets radius 0."""
+    with sigma_min / sigma_max < BASIN_GATE gets radius 0, and its L is
+    sampled only when `certify` asks for it (`_certified`)."""
     if J.shape[0] != J.shape[1] or not (sv.size and sv[-1] > 0 and r > 0):
+        return 0.0, math.nan
+    gated = not sv[-1] > BASIN_GATE * sv[0]
+    if gated and not certify:
         return 0.0, math.nan
     beta, n = 1.0 / float(sv[-1]), x.size
     for _ in range(2):
@@ -184,20 +188,21 @@ def _basin_radius(func, x, J, sv, r: float) -> tuple[float, float]:
         if 3.0 * beta * rl <= 2.0:
             break
         r = 2.0 * r / (3.0 * beta * rl)
-    return (r if sv[-1] > BASIN_GATE * sv[0] else 0.0), lipschitz
+    return (0.0 if gated else r), lipschitz
 
 
 def _certified(zero: ZeroReport, lipschitz: float) -> bool:
-    """Kantorovich's test at a square zero (Ortega & Rheinboldt, 12.6): h =
-    beta L eta <= KANTOROVICH_GATE, beta = 1/sigma_min and the Newton step
-    eta = |J^-1 f| bounded by sqrt(m) res / sigma_min from the residual the
-    zero was polished to.  Then f has a zero within 2 eta of the point, the
-    only one in the ball of radius (1 + sqrt(1 - 2h)) / (beta L).  h is
-    about 1/2 at a double root, where Newton stops short, and at most 1e-13
-    at a simple zero.  A non-square zero, and one without a sampled L, keeps
-    the rank test."""
+    """Kantorovich's test at a square zero (Ortega & Rheinboldt, 12.6): the
+    rank test and h = beta L eta <= KANTOROVICH_GATE, beta = 1/sigma_min and
+    the Newton step eta = |J^-1 f| bounded by sqrt(m) res / sigma_min from
+    the residual the zero was polished to.  Then f has a zero within 2 eta
+    of the point, the only one in the ball of radius (1 + sqrt(1 - 2h)) /
+    (beta L).  h is about 1/2 at a double root, where Newton stops short,
+    and at most 1e-13 at a simple zero.  The rank test stays, since at
+    residual 0 (a seed on a double root) h is 0 for any sigma_min > 0.  A
+    non-square zero, and one without a sampled L, gets the rank test alone."""
     J = zero.jacobian
-    if J.shape[0] != J.shape[1] or math.isnan(lipschitz):
+    if not zero.surjective or J.shape[0] != J.shape[1] or math.isnan(lipschitz):
         return zero.surjective
     sigma = float(zero.singular_values[-1])
     return math.sqrt(J.shape[0]) * zero.residual * lipschitz <= KANTOROVICH_GATE * sigma * sigma
@@ -234,10 +239,11 @@ def _order(pair):
     return tuple(np.round(pair[0].point, 9))
 
 
-def _search(pp: PerturbationProblem, s, starts, basins: bool, balls) -> list:
+def _search(pp: PerturbationProblem, s, starts, basins: bool, balls, certify: bool) -> list:
     """The multi-start loop behind `enumerate_zeros` and
     `generic_perturbation`: (report, certified) pairs of the polished zeros
-    of f + s reached from `starts`, sorted by point.
+    of f + s reached from `starts`, sorted by point.  Without `certify` a
+    zero with a gated basin gets no L, and its flag is the rank test alone.
 
     With `basins`, each new square zero with a basin radius gets its basin.
     With `balls` a list, each new uncertified square zero gets a stop ball
@@ -275,9 +281,10 @@ def _search(pp: PerturbationProblem, s, starts, basins: bool, balls) -> list:
             continue
         J = fd_jacobian(func, x)
         _, kernel, coker, sv = svd_split(J)
-        radius, lipschitz = _basin_radius(func, x, J, sv, pp.window.margin_at(x))
+        surjective = bool(coker.shape[1] == 0)
+        radius, lipschitz = _basin_radius(func, x, J, sv, pp.window.margin_at(x), certify and surjective)
         zero = ZeroReport(point=x, residual=res, jacobian=J, singular_values=sv,
-                          surjective=bool(coker.shape[1] == 0), kernel_basis=kernel, basin_radius=radius)
+                          surjective=surjective, kernel_basis=kernel, basin_radius=radius)
         certified = _certified(zero, lipschitz)
         if balls is not None and not certified and J.shape[0] == J.shape[1]:
             balls.append((x, _ball_radius(pp, x, found, balls)))
@@ -318,7 +325,7 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     Every start that heads for a degenerate zero polishes it again; only
     `generic_perturbation`'s own search stops them at a ball.
     """
-    return [zero for zero, _ in _search(pp, s, _starts(pp), True, None)]
+    return [zero for zero, _ in _search(pp, s, _starts(pp), True, None, False)]
 
 
 def _room(pp: PerturbationProblem, x) -> float:
@@ -373,8 +380,11 @@ def _ball_degree(pp: PerturbationProblem, centre, radius: float):
 
 
 def _window_degree(pp: PerturbationProblem):
-    """The degree of f on the window of the line or the plane, from f on its boundary."""
-    lo, hi = pp.window.lo, pp.window.hi
+    """The degree of f on the window of the line or the plane, from f on its
+    boundary; with quadrant constraints, on the window's part in the
+    quadrant, since the search discards the zeros outside it."""
+    lo, hi = pp.window.lo.copy(), pp.window.hi
+    lo[: pp.quadrant_rank] = np.maximum(lo[: pp.quadrant_rank], 0.0)
     if lo.size == 1:
         return _end_degree(pp, lo, hi)
     corners = [lo, np.array([hi[0], lo[1]]), hi, np.array([lo[0], hi[1]]), lo]
@@ -394,28 +404,32 @@ def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int) -> list:
     """The zeros of f + s inside a stop ball, from BALL_STARTS Halton starts
     of the ball, with no basins, since a bump's ramp can make a sampled
     basin swallow a zero.  While the signed count of these zeros misses the
-    ball's degree, the search runs again with twice the starts; after
-    BALL_DOUBLINGS doublings it raises Inconclusive, and `_retry` draws
-    another s.  A zero that is not certified ends the search at once."""
+    ball's degree, as many new Halton starts as were made so far search
+    again, and their new zeros join the others; after BALL_DOUBLINGS
+    doublings it raises Inconclusive, and `_retry` draws another s.  A zero
+    that is not certified ends the search at once."""
     centre, radius = ball
-    d, count = centre.size, BALL_STARTS
+    d, done, count, found = centre.size, 0, BALL_STARTS, []
     for _ in range(BALL_DOUBLINGS + 1):
-        u = _halton(count, d, pp.rng_seed)
+        u = _halton(count, d, pp.rng_seed)[done:]       # a longer draw keeps the earlier points
         if d == 1:
             starts = centre + radius * (2.0 * u - 1.0)
         else:
             r, a = radius * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1]
             starts = centre + np.column_stack([r * np.cos(a), r * np.sin(a)])
-        found = [(z, ok) for z, ok in _search(pp, s, starts, False, None) if math.dist(z.point, centre) < radius]
+        for z, ok in _search(pp, s, starts, False, None, True):
+            if math.dist(z.point, centre) < radius and all(
+                    np.linalg.norm(z.point - y.point) >= DEDUPE_SEPARATION for y, _ in found):
+                found.append((z, ok))
         if not all(ok for _, ok in found):
             return found
         signed = sum(_sign(z) for z, _ in found)
         if signed == degree:
             return found
-        count *= 2
+        done, count = count, 2 * count
     raise Inconclusive(
         f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
-        f"{count // 2} starts found zeros of signed count {signed}"
+        f"{done} starts found zeros of signed count {signed}"
     )
 
 
@@ -547,7 +561,7 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
         raise ValueError(f"unknown mode {mode!r}")
     levels = pp.aux_norm.fiber_space.levels
     starts, balls = _starts(pp), ([] if pp.window.dim <= 2 else None)
-    found = _search(pp, None, starts, True, balls)
+    found = _search(pp, None, starts, True, balls, True)
     checks = [_transversality_ok(pp, z, ok, mode) for z, ok in found]
     if all(ok for ok, _ in checks):
         return PerturbationOutcome(perturbation=_zero_section(levels), zeros=tuple(z for z, _ in found),
@@ -568,19 +582,17 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
         return _retry(pp, rng, _bumps(pp, rng, balls, pp.window.dim, levels), zeros_of, mode, None)
 
     if balls:   # the balls stopped starts: search the window again without them
-        found = _search(pp, None, starts, True, None)
+        found = _search(pp, None, starts, True, None, True)
     zeros = [z for z, _ in found]
     out_dim = np.atleast_1d(pp.evaluate(np.asarray(zeros[0].point) if zeros else pp.window.lo)).size
     points, anchors = [z.point for z in zeros] or [0.5 * (pp.window.lo + pp.window.hi)], []
+    interior = mode == "interior_only"
     for anchor in points:
-        radius = pp.window.margin_at(anchor)
-        if mode == "interior_only" and pp.quadrant_rank > 0:
-            # the perturbation must vanish near the boundary faces, so only
-            # interior anchors get bumps and their supports stay clear
-            face_dist = float(np.min(anchor[: pp.quadrant_rank]))
-            if face_dist <= 1e-6:
-                continue
-            radius = min(radius, face_dist)
+        # the perturbation must vanish near the boundary faces, so only
+        # interior anchors get bumps and their supports stay clear
+        if interior and pp.quadrant_rank and float(np.min(anchor[: pp.quadrant_rank])) <= 1e-6:
+            continue
+        radius = _room(pp, anchor) if interior else pp.window.margin_at(anchor)
         anchors.append((anchor, max(0.8 * radius, 1e-3)))
     if not anchors:
         raise RetryExhausted(
@@ -592,7 +604,7 @@ def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -
     # on the window's boundary shows where it exists
     window = _window_degree(pp) if out_dim == pp.window.dim <= 2 and not pp.quadrant_rank else None
     return _retry(pp, rng, _bumps(pp, rng, anchors, out_dim, levels),
-                  lambda s: _search(pp, s, starts, True, None), mode, window)
+                  lambda s: _search(pp, s, starts, True, None, True), mode, window)
 
 
 def _retry(pp: PerturbationProblem, rng, bumps, zeros_of, mode: str, window) -> PerturbationOutcome:

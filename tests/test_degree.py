@@ -175,6 +175,7 @@ def test_boundary_avoiding_perturbation_support():
     pp = problem(f, [0.0], [1.0], seeds=([0.5],), budget=0.2, rank=1, seed=6)
     out = generic_perturbation(pp, mode="interior_only")
     s = out.perturbation
+    assert out.lambdas.size     # the zero at the seed is bumped
     for eps in (1e-4, 1e-3, 0.05):
         assert not s.support_contains(np.array([eps]))
         assert np.max(np.abs(s(np.array([eps])))) == 0.0
@@ -866,6 +867,23 @@ def test_basin_radius_is_zero_when_a_ball_sample_leaves_the_domain(outside):
     assert report_bytes(zs) == enumerate_zeros_oracle(pp)
 
 
+def test_a_gated_zero_gets_a_lipschitz_constant_only_when_certified():
+    # (x, y^2) at y = 5e-8: sigma_min / sigma_max = 1e-7 is below
+    # BASIN_GATE, so there is no basin either way; the L of the Kantorovich
+    # gate is sampled only for a certificate, and enumerate_zeros asks for none
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return np.array([x[0], x[1] ** 2])
+
+    x, J, sv = np.array([0.0, 5e-8]), np.diag([1.0, 1e-7]), np.array([1.0, 1e-7])
+    radius, lipschitz = degree._basin_radius(func, x, J, sv, 1.0, False)
+    assert (radius, calls) == (0.0, []) and np.isnan(lipschitz)
+    radius, lipschitz = degree._basin_radius(func, x, J, sv, 1.0, True)
+    assert radius == 0.0 and np.isfinite(lipschitz) and calls
+
+
 def polynomial_problem(coeff, simple, double=(), seed=0):
     roots, dbl = np.array(simple), np.array(double)
 
@@ -1028,20 +1046,20 @@ def complex_degree(holo, anti):
 
 
 def local_searches(monkeypatch, hide):
-    """Record the start count of every search of f + s, s != 0, which here
-    are the searches inside stop balls; `hide` (call number, found pairs) ->
-    the pairs that search returns."""
-    counts, search = [], degree._search
+    """Record the starts of every search of f + s, s != 0, which here are
+    the searches inside stop balls; `hide` (call number, found pairs) -> the
+    pairs that search returns."""
+    calls, search = [], degree._search
 
-    def spied(pp, s, starts, basins, balls):
-        found = search(pp, s, starts, basins, balls)
+    def spied(pp, s, starts, *flags):
+        found = search(pp, s, starts, *flags)
         if s is None:
             return found
-        counts.append(len(starts))
-        return hide(len(counts), found)
+        calls.append(np.asarray(starts))
+        return hide(len(calls), found)
 
     monkeypatch.setattr(degree, "_search", spied)
-    return counts
+    return calls
 
 
 def test_a_1d_double_root_is_bumped_in_its_ball():
@@ -1061,6 +1079,21 @@ def test_a_2d_double_root_is_bumped_in_its_ball():
     out = generic_perturbation(pp)
     assert out.lambdas.size == 2 and out.perturbation.support_contains(np.array([0.3, 0.4]))
     assert compute_degree(pp) == 1
+
+
+@pytest.mark.parametrize("section, seed, expected", [
+    (lambda x: np.array([(x[0] - 0.5) ** 2 * (x[0] + 1.0)]), [0.5], 1),
+    (lambda x: np.array([x[0] ** 3]), [0.0], 1),
+    (complex_section(1.0, [0.3 + 0.4j, 0.3 + 0.4j], [-0.8 + 0.1j]), [0.3, 0.4], 1),
+])
+def test_a_seed_on_a_degenerate_zero_still_gets_a_ball(section, seed, expected):
+    # Newton stops at the seed with residual 0, where h = beta L eta is 0
+    # whatever sigma_min; the rank test keeps the zero uncertified
+    base = problem(section, [-2], [2], budget=0.1, seed=3) if len(seed) == 1 else plane_problem(section, 3)
+    pp = replace(base, seeds=(np.array(seed, dtype=float),), grid_starts=32)
+    out = generic_perturbation(pp)
+    assert out.lambdas.size and out.perturbation.support_contains(np.asarray(seed))
+    assert compute_degree(pp) == expected
 
 
 def double_root_before_a_simple_zero():
@@ -1085,13 +1118,14 @@ def test_a_stop_ball_that_holds_a_simple_zero_finds_it_again():
 
 def test_a_ball_whose_first_search_misses_a_zero_is_searched_again(monkeypatch):
     # the first search inside the ball loses the zero near 0.2; the ball's
-    # signed count then misses its degree +1, and twice the starts find it
+    # signed count then misses its degree +1, and as many new starts find it
     def hide(call, found):
         return [p for p in found if call > 1 or abs(p[0].point[0] - 0.2) >= 0.1]
 
-    counts = local_searches(monkeypatch, hide)
+    calls = local_searches(monkeypatch, hide)
     out = generic_perturbation(double_root_before_a_simple_zero())
-    assert counts[:2] == [degree.BALL_STARTS, 2 * degree.BALL_STARTS]
+    assert [len(starts) for starts in calls[:2]] == [degree.BALL_STARTS, degree.BALL_STARTS]
+    assert np.unique(np.concatenate(calls[:2]), axis=0).shape[0] == 2 * degree.BALL_STARTS
     assert any(abs(z.point[0] - 0.2) < 0.1 for z in out.zeros)
 
 
@@ -1101,11 +1135,24 @@ def test_a_ball_whose_count_never_matches_its_degree_fails_loud(monkeypatch):
     def hide(call, found):
         return [p for p in found if abs(p[0].point[0] - 0.2) >= 0.1]
 
-    counts = local_searches(monkeypatch, hide)
+    calls = local_searches(monkeypatch, hide)
     monkeypatch.setattr(degree, "RETRY_LIMIT", 2)
     with pytest.raises(RetryExhausted, match="signed count"):
         generic_perturbation(double_root_before_a_simple_zero())
-    assert counts == 2 * [degree.BALL_STARTS * 2 ** i for i in range(degree.BALL_DOUBLINGS + 1)]
+    # each doubling searches only the new starts: 8, then 8, 16 and 32 more
+    new = [degree.BALL_STARTS] + [degree.BALL_STARTS * 2 ** i for i in range(degree.BALL_DOUBLINGS)]
+    assert [len(starts) for starts in calls] == 2 * new
+
+
+def test_a_quadrant_problem_whose_window_runs_past_the_face_bumps_only_its_ball(monkeypatch):
+    # (x - 1/2)^2 (x + 1/2) on [-1, 1] with x >= 0: the search discards the
+    # zero -1/2, so the count is checked against f's degree on [0, 1], and
+    # the window is not searched again
+    pp = replace(problem(lambda x: np.array([(x[0] - 0.5) ** 2 * (x[0] + 0.5)]), [-1], [1],
+                         budget=0.1, rank=1), grid_starts=32)
+    calls = local_searches(monkeypatch, lambda call, found: found)
+    out = generic_perturbation(pp)
+    assert out.lambdas.size == 1 and [len(starts) for starts in calls] == [degree.BALL_STARTS]
 
 
 @st.composite
