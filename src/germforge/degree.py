@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from ._linalg import fd_jacobian, is_surjective, newton, svd_split
+from ._linalg import fd_jacobian, newton, svd_split
 from .errors import (
     AtlasIncomplete,
     BudgetExceeded,
@@ -33,7 +32,6 @@ from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
 from .solution import (CACHE_QUANTUM, NEWTON_TOL, SUPPORT_SCALE, SolutionAtlas, _complement_inverse, _graph_solve,
                        _tangent)
 from .spaces import GradedSpace
-from .splicing import local_faces
 
 ZERO_RESIDUAL = 1e-10
 DEDUPE_SEPARATION = 1e-6
@@ -246,14 +244,14 @@ def _search(pp: PerturbationProblem, s, starts, basins: bool, balls, certify: bo
     zero with a gated basin gets no L, and its flag is the rank test alone.
 
     With `basins`, each new square zero with a basin radius gets its basin.
-    With `balls` a list, each new uncertified square zero gets a stop ball
-    instead, fixed when it is found and appended to `balls` as (centre,
-    radius).  A start that lies in a basin or ball, or whose accepted
-    iterate enters one, is stopped."""
+    With `balls` a list, each new uncertified zero gets a stop ball instead,
+    fixed when it is found and appended to `balls` as (centre, radius); the
+    balls already in the list stop starts too.  A start that lies in a basin
+    or ball, or whose accepted iterate enters one, is stopped."""
     def func(x):
         return pp.evaluate(x, s)
 
-    found, stops = [], []       # stops: (centre, radius) of the basins and stop balls
+    found, stops = [], [(c.tolist(), r) for c, r in balls or ()]    # (centre, radius) of basins and balls
 
     def stopped(x):             # checked at every Newton iterate, so kept cheap
         x = x.tolist()
@@ -286,7 +284,7 @@ def _search(pp: PerturbationProblem, s, starts, basins: bool, balls, certify: bo
         zero = ZeroReport(point=x, residual=res, jacobian=J, singular_values=sv,
                           surjective=surjective, kernel_basis=kernel, basin_radius=radius)
         certified = _certified(zero, lipschitz)
-        if balls is not None and not certified and J.shape[0] == J.shape[1]:
+        if balls is not None and not certified:
             balls.append((x, _ball_radius(pp, x, found, balls)))
             stops.append((x.tolist(), balls[-1][1]))
         elif basins and radius:
@@ -296,13 +294,15 @@ def _search(pp: PerturbationProblem, s, starts, basins: bool, balls, certify: bo
     return found
 
 
+def _window_points(pp: PerturbationProblem, first: int, count: int) -> list:
+    """The Halton points first, ..., first + count - 1 of the window."""
+    u = _halton(first + count, pp.window.dim, pp.rng_seed)[first:]     # a longer draw keeps the earlier points
+    return list(u * (pp.window.hi - pp.window.lo) + pp.window.lo)
+
+
 def _starts(pp: PerturbationProblem) -> list:
     """The user seeds, then pp.grid_starts Halton points of the window."""
-    starts = [np.asarray(p, dtype=float) for p in pp.seeds]
-    if pp.grid_starts:
-        starts.extend(_halton(pp.grid_starts, pp.window.dim, pp.rng_seed) * (pp.window.hi - pp.window.lo)
-                      + pp.window.lo)
-    return starts
+    return [np.asarray(p, dtype=float) for p in pp.seeds] + _window_points(pp, 0, pp.grid_starts)
 
 
 def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> list:
@@ -323,7 +323,8 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     quadratic maps; a Jacobian that varies far more between the samples than
     at them can give a basin that swallows another zero or a window escape.
     Every start that heads for a degenerate zero polishes it again; only
-    `generic_perturbation`'s own search stops them at a ball.
+    `generic_perturbation`'s own search, in any dimension, stops them at a
+    stop ball around the first such zero it finds.
     """
     return [zero for zero, _ in _search(pp, s, _starts(pp), True, None, False)]
 
@@ -400,28 +401,30 @@ def _sign(zero: ZeroReport) -> int:
     return 1 if np.linalg.det(zero.jacobian) > 0 else -1
 
 
-def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int) -> list:
+def _ball_zeros(pp: PerturbationProblem, s, ball, degree) -> list:
     """The zeros of f + s inside a stop ball, from BALL_STARTS Halton starts
-    of the ball, with no basins, since a bump's ramp can make a sampled
-    basin swallow a zero.  While the signed count of these zeros misses the
-    ball's degree, as many new Halton starts as were made so far search
-    again, and their new zeros join the others; after BALL_DOUBLINGS
-    doublings it raises Inconclusive, and `_retry` draws another s.  A zero
-    that is not certified ends the search at once."""
+    of the ball (of its disc in 2-D, else of the cube inscribed in it), with
+    no basins, since a bump's ramp can make a sampled basin swallow a zero.
+    While the signed count of these zeros misses the ball's degree, as many
+    new Halton starts as were made so far search again, and their new zeros
+    join the others; after BALL_DOUBLINGS doublings it raises Inconclusive,
+    and `generic_perturbation` draws another s.  A zero that is not
+    certified ends the search at once, and so does the first search when
+    the degree is None."""
     centre, radius = ball
     d, done, count, found = centre.size, 0, BALL_STARTS, []
     for _ in range(BALL_DOUBLINGS + 1):
         u = _halton(count, d, pp.rng_seed)[done:]       # a longer draw keeps the earlier points
-        if d == 1:
-            starts = centre + radius * (2.0 * u - 1.0)
-        else:
+        if d == 2:
             r, a = radius * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1]
             starts = centre + np.column_stack([r * np.cos(a), r * np.sin(a)])
+        else:
+            starts = centre + radius / math.sqrt(d) * (2.0 * u - 1.0)
         for z, ok in _search(pp, s, starts, False, None, True):
             if math.dist(z.point, centre) < radius and all(
                     np.linalg.norm(z.point - y.point) >= DEDUPE_SEPARATION for y, _ in found):
                 found.append((z, ok))
-        if not all(ok for _, ok in found):
+        if degree is None or not all(ok for _, ok in found):
             return found
         signed = sum(_sign(z) for z, _ in found)
         if signed == degree:
@@ -431,42 +434,6 @@ def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int) -> list:
         f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
         f"{done} starts found zeros of signed count {signed}"
     )
-
-
-def _transversality_ok(pp: PerturbationProblem, zero: ZeroReport, certified: bool,
-                       mode: str) -> tuple[bool, float]:
-    """The zero's certificate plus, in full_boundary mode, the face checks;
-    returns (ok, rank gap), the gap 1.0 when ok."""
-    if not certified:
-        sv = zero.singular_values
-        gap = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
-        return False, gap
-    if mode == "full_boundary" and pp.quadrant_rank:
-        faces = local_faces(zero.point, GradedSpace(dim=pp.window.dim, quadrant_rank=pp.quadrant_rank))
-        tangent = faces.boundary_tangent_basis
-        active = [face.constraint_index for face in faces.faces]
-        if active:
-            d = pp.window.dim
-            stacked = np.hstack([zero.kernel_basis, tangent])
-            rank = np.linalg.matrix_rank(stacked, tol=1e-8)
-            if rank < d:
-                return False, 0.0
-            for subset_size in range(1, len(active) + 1):
-                # restriction to each face intersection stays surjective and
-                # its kernel stays transversal to the face's boundary tangent
-                for subset in combinations(active, subset_size):
-                    keep = [i for i in range(d) if i not in subset]
-                    FB = np.eye(d)[:, keep]
-                    J_face = zero.jacobian @ FB
-                    if not is_surjective(J_face):
-                        return False, 0.0
-                    _, ker_face, _, _ = svd_split(J_face)
-                    boundary_cols = np.eye(len(keep))[:, [p for p, j in enumerate(keep)
-                                                          if j not in active]]
-                    stacked_face = np.hstack([ker_face, boundary_cols])
-                    if np.linalg.matrix_rank(stacked_face, tol=1e-8) < len(keep):
-                        return False, 0.0
-    return True, 1.0
 
 
 @dataclass(frozen=True)
@@ -499,27 +466,6 @@ def _combine(bumps, lambdas, levels: int) -> ScPlusSection:
     return ScPlusSection(section=section, levels=levels, support=support)
 
 
-def _ball_plan(pp: PerturbationProblem, found, checks, balls):
-    """(carried zeros, ball degrees) when only the stop balls need bumps:
-    every zero that fails is a ball's centre, the balls lie in the window
-    and the open quadrant and apart, f has a degree on each ball's boundary,
-    and the signs of the zeros outside the balls with the balls' degrees add
-    up to f's degree on the window.  That sum catches a zero that the balls
-    hid from every start.  None otherwise."""
-    if not balls or sum(not ok for ok, _ in checks) != len(balls):
-        return None
-    for i, (c, r) in enumerate(balls):
-        if _room(pp, c) < r or any(math.dist(c, c2) < r + r2 for c2, r2 in balls[i + 1:]):
-            return None
-    degrees = [_ball_degree(pp, c, r) for c, r in balls]
-    if None in degrees:
-        return None
-    carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
-    if _window_degree(pp) != sum(_sign(z) for z, _ in carried) + sum(degrees):
-        return None
-    return carried, degrees
-
-
 def _bumps(pp: PerturbationProblem, rng, anchors, out_dim: int, levels: int) -> list:
     """out_dim bumps at each (anchor, radius), each of a random fiber
     direction scaled to 0.45 of the budget."""
@@ -533,118 +479,112 @@ def _bumps(pp: PerturbationProblem, rng, anchors, out_dim: int, levels: int) -> 
     return bumps
 
 
-def generic_perturbation(pp: PerturbationProblem, mode: str = "interior_only") -> PerturbationOutcome:
+def _settled_ball(pp: PerturbationProblem, ball, earlier, counted: bool):
+    """(ball, f's degree on it), the degree read off f on the ball's
+    boundary, or None unless `counted`.  A ball whose degree cannot be
+    sampled is halved once.  A ball that reaches the window's edge, a
+    quadrant face or one of the `earlier` balls raises RetryExhausted,
+    naming its zero, since a perturbation there would reach them too."""
+    centre, radius = ball
+    if _room(pp, centre) < radius or any(math.dist(centre, c) < radius + r for c, r in earlier):
+        raise RetryExhausted(
+            f"the stop ball of radius {radius:.3e} around the degenerate zero {centre} reaches the "
+            "window's edge, a face or another ball, where a perturbation may not act",
+            failing_zero=centre,
+        )
+    if not counted:
+        return ball, None
+    for r in (radius, 0.5 * radius):
+        degree = _ball_degree(pp, centre, r)
+        if degree is not None:
+            return (centre, r), degree
+    raise RetryExhausted(f"f has no sampled degree on the stop ball of radius {radius:.3e} around {centre}, "
+                         "nor on half of it", failing_zero=centre)
+
+
+def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
     """A finite bump combination making every zero of f + s transversal.
 
     A square zero is transversal when it passes the Kantorovich gate
-    (`_certified`), a non-square one when its linearization is onto; in
-    full_boundary mode its kernel must also be transversal to the boundary
-    strata, with surjective face restrictions.  If every zero is, the zero
-    perturbation is accepted.
+    (`_certified`), a non-square one when its linearization is onto.  If
+    every zero the search finds is, the zero perturbation is accepted.
 
-    In 1-D and 2-D the search gives each degenerate square zero a stop ball
-    when it finds it (`_search`), so later starts do not polish it again.
-    Where `_ball_plan` allows it, only the balls are bumped: each ball is
-    the support of its bumps, the zeros outside the balls are kept, and each
-    attempt searches f + s inside the balls alone (`_ball_zeros`), whose
-    signed counts must match f's degrees on their boundaries.  Otherwise the
-    window is searched again without balls and bumps are anchored at every
-    zero found, or at the window centre when there is none; in
-    interior_only mode an anchor within 1e-6 of a face gets no bump and the
-    others keep their supports clear of the faces.  There, in 1-D and 2-D
-    without quadrant constraints, an attempt's signed count must also match
-    f's degree on the window.  The coefficients lambda are rejection-sampled
-    within the budget until an attempt passes; the retry limit makes
-    failures loud.
+    Otherwise the search has given each zero that is not transversal a stop
+    ball when it found it (`_search`), so that later starts do not polish it
+    again.  Only the balls are bumped, each ball being the support of its
+    bumps, and the zeros outside them are kept; a ball that reaches the
+    window's edge, a quadrant face or another ball raises RetryExhausted.
+    For a square problem on the line or the plane each ball has f's degree
+    on its boundary, and the signs of the kept zeros plus the balls' degrees
+    must add up to f's degree on the window (on its part in the quadrant),
+    since a ball fixed before a later zero is known can hide that zero from
+    every start.  While they do not, the window is searched again from as
+    many new Halton starts as were made so far, the balls stopping them, at
+    most BALL_DOUBLINGS times.  Each attempt draws the coefficients lambda
+    within the budget and searches f + s inside the balls alone
+    (`_ball_zeros`), where a ball's signed count must match its degree; it
+    passes when every zero is transversal.  The retry limit makes failures
+    loud.
     """
-    if mode not in ("interior_only", "full_boundary"):
-        raise ValueError(f"unknown mode {mode!r}")
     levels = pp.aux_norm.fiber_space.levels
-    starts, balls = _starts(pp), ([] if pp.window.dim <= 2 else None)
+    starts, balls = _starts(pp), []
     found = _search(pp, None, starts, True, balls, True)
-    checks = [_transversality_ok(pp, z, ok, mode) for z, ok in found]
-    if all(ok for ok, _ in checks):
+    if all(ok for _, ok in found):
         return PerturbationOutcome(perturbation=_zero_section(levels), zeros=tuple(z for z, _ in found),
                                    lambdas=np.zeros(0), retries=0)
+    out_dim, d = found[0][0].jacobian.shape
+    counted = out_dim == d <= 2
+    window = _window_degree(pp) if counted else None
+    degrees, used, made = [], pp.grid_starts, len(starts)
+    for doubling in range(BALL_DOUBLINGS + 1):
+        for i in range(len(degrees), len(balls)):
+            balls[i], degree = _settled_ball(pp, balls[i], balls[:i], counted)
+            degrees.append(degree)
+        carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
+        signed = None if window is None else sum(_sign(z) for z, _ in carried) + sum(degrees)
+        if signed == window:
+            break
+        if doubling == BALL_DOUBLINGS:
+            raise RetryExhausted(
+                f"{made} starts found zeros and stop balls of signed count {signed}, "
+                f"but f has degree {window} on the window"
+            )
+        more = _search(pp, None, _window_points(pp, used, made), True, balls, True)
+        found += [p for p in more
+                  if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
+        used, made = used + made, 2 * made
     rng = np.random.Generator(np.random.Philox(key=pp.rng_seed))
-    plan = _ball_plan(pp, found, checks, balls)
-    if plan is not None:
-        carried, degrees = plan
-
-        def zeros_of(s):
-            out = list(carried)
-            for ball, degree in zip(balls, degrees):
-                out += _ball_zeros(pp, s, ball, degree)
-                if not all(ok for _, ok in out):
-                    break
-            return sorted(out, key=_order)
-
-        return _retry(pp, rng, _bumps(pp, rng, balls, pp.window.dim, levels), zeros_of, mode, None)
-
-    if balls:   # the balls stopped starts: search the window again without them
-        found = _search(pp, None, starts, True, None, True)
-    zeros = [z for z, _ in found]
-    out_dim = np.atleast_1d(pp.evaluate(np.asarray(zeros[0].point) if zeros else pp.window.lo)).size
-    points, anchors = [z.point for z in zeros] or [0.5 * (pp.window.lo + pp.window.hi)], []
-    interior = mode == "interior_only"
-    for anchor in points:
-        # the perturbation must vanish near the boundary faces, so only
-        # interior anchors get bumps and their supports stay clear
-        if interior and pp.quadrant_rank and float(np.min(anchor[: pp.quadrant_rank])) <= 1e-6:
-            continue
-        radius = _room(pp, anchor) if interior else pp.window.margin_at(anchor)
-        anchors.append((anchor, max(0.8 * radius, 1e-3)))
-    if not anchors:
-        raise RetryExhausted(
-            "no admissible bump anchors: every degenerate zero sits on the boundary, "
-            "where a boundary-avoiding perturbation cannot act",
-            failing_zero=points[0],
-        )
-    # a search of the whole window can miss a zero of f + s, which f's degree
-    # on the window's boundary shows where it exists
-    window = _window_degree(pp) if out_dim == pp.window.dim <= 2 and not pp.quadrant_rank else None
-    return _retry(pp, rng, _bumps(pp, rng, anchors, out_dim, levels),
-                  lambda s: _search(pp, s, starts, True, None, True), mode, window)
-
-
-def _retry(pp: PerturbationProblem, rng, bumps, zeros_of, mode: str, window) -> PerturbationOutcome:
-    """Draw lambda until every zero of f + s, from zeros_of(s), passes, and,
-    unless `window` is None, their signed count is `window`."""
-    levels = pp.aux_norm.fiber_space.levels
+    bumps = _bumps(pp, rng, balls, out_dim, levels)
     last_fail = None
     for attempt in range(RETRY_LIMIT):
         lam = rng.uniform(-1.0, 1.0, size=len(bumps))
         lam /= max(np.sum(np.abs(lam)), 1.0)     # keep the combination inside the budget
         lam *= rng.uniform(0.2, 1.0)
         s = _combine(bumps, lam, levels)
+        zeros = list(carried)
         try:
-            found = zeros_of(s)
+            for ball, degree in zip(balls, degrees):
+                zeros += _ball_zeros(pp, s, ball, degree)
+                if not all(ok for _, ok in zeros):
+                    break
         except (WindowEscape, Inconclusive) as exc:    # another s may do
-            last_fail = (None, str(exc))
+            last_fail = (str(exc), None, None)
             continue
-        checks = [_transversality_ok(pp, z, ok, mode) for z, ok in found]
-        # an empty zero set is accepted too: the problem had no stable zero
-        # to begin with (e.g. a grazing tangency)
-        bad = [(z, gap) for (ok, gap), (z, _) in zip(checks, found) if not ok]
-        if bad:
-            last_fail = (bad[0][0].point, f"rank gap {min(gap for _, gap in bad)}")
-        elif window is not None and sum(_sign(z) for z, _ in found) != window:
-            last_fail = (None, f"signed count {sum(_sign(z) for z, _ in found)} != window degree {window}")
-        else:
-            return PerturbationOutcome(perturbation=s, zeros=tuple(z for z, _ in found), lambdas=lam,
-                                       retries=attempt)
-    raise RetryExhausted(
-        f"no regular value found in {RETRY_LIMIT} attempts; last failure at {last_fail}",
-        failing_zero=None if last_fail is None else last_fail[0],
-        rank_gap=None if last_fail is None else last_fail[1],
-    )
+        bad = [z for z, ok in zeros if not ok]
+        if not bad:     # an empty zero set is accepted too: x^2 + c has none for c > 0
+            return PerturbationOutcome(perturbation=s, zeros=tuple(z for z, _ in sorted(zeros, key=_order)),
+                                       lambdas=lam, retries=attempt)
+        sv = bad[0].singular_values
+        last_fail = (f"the zero at {bad[0].point} is not certified", bad[0].point, float(sv[-1] / sv[0]))
+    raise RetryExhausted(f"no regular value found in {RETRY_LIMIT} attempts; last failure: {last_fail[0]}",
+                         failing_zero=last_fail[1], rank_gap=last_fail[2])
 
 
 def compute_degree(pp: PerturbationProblem,
                    reference: OrientationReference = AMBIENT_REFERENCE,
                    outcome: PerturbationOutcome | None = None) -> int:
     """Signed count of the zeros of a generic perturbation of f, by default
-    an interior-only `generic_perturbation`.
+    `generic_perturbation`'s, whose bumps keep clear of the faces.
 
     Requires index 0: the linearizations at zeros must be square.  The
     result is deterministic given the problem's RNG seed.

@@ -173,7 +173,7 @@ def test_boundary_avoiding_perturbation_support():
     # the boundary face
     f = lambda x: np.array([(x[0] - 0.5) ** 2])
     pp = problem(f, [0.0], [1.0], seeds=([0.5],), budget=0.2, rank=1, seed=6)
-    out = generic_perturbation(pp, mode="interior_only")
+    out = generic_perturbation(pp)
     s = out.perturbation
     assert out.lambdas.size     # the zero at the seed is bumped
     for eps in (1e-4, 1e-3, 0.05):
@@ -187,22 +187,7 @@ def test_boundary_avoiding_fails_loud_for_degenerate_boundary_zero():
     f = lambda x: np.array([x[0] ** 2])
     pp = problem(f, [0.0], [1.0], seeds=([0.0],), budget=0.2, rank=1, seed=7)
     with pytest.raises(RetryExhausted):
-        generic_perturbation(pp, mode="interior_only")
-
-
-def test_boundary_mode_corner_transversality():
-    pp = registry.boundary_parabola_problem()
-    out = generic_perturbation(pp, mode="full_boundary")
-    assert out.zeros
-    for z in out.zeros:
-        assert z.surjective
-    corner = [z for z in out.zeros if abs(z.point[0]) <= 1e-9]
-    assert corner
-    # kernel at the corner is transversal to the boundary tangent
-    z = corner[0]
-    tangent = np.eye(2)[:, 1:]
-    stacked = np.hstack([z.kernel_basis, tangent])
-    assert np.linalg.matrix_rank(stacked, tol=1e-8) == 2
+        generic_perturbation(pp)
 
 
 def test_degree_examples():
@@ -1173,3 +1158,66 @@ def test_degree_of_polynomials_with_double_roots_is_the_closed_form(poly, seed):
 @given(complex_maps_with_a_double_root(), st.integers(0, 2**31 - 1))
 def test_degree_of_complex_maps_with_a_double_root_is_the_closed_form(cmap, seed):
     assert compute_degree(complex_problem(*cmap, seed=seed)) == complex_degree(*cmap[1:])
+
+
+def test_a_ball_that_would_reach_the_face_fails_loud():
+    # the double root 5e-4 lies 5e-4 from the face x = 0, inside the least
+    # ball radius 1e-3: a bump there would act on the face
+    f = lambda x: np.array([(x[0] - 5e-4) ** 2])
+    pp = problem(f, [0.0], [1.0], seeds=([5e-4],), budget=0.2, rank=1, seed=6)
+    with pytest.raises(RetryExhausted, match="face") as exc:
+        generic_perturbation(pp)
+    assert exc.value.failing_zero == pytest.approx([5e-4], abs=1e-6)
+
+
+@pytest.mark.parametrize("cmap, seed", [
+    # the 32 starts miss the simple zero near 0.80 + 0.02i: the window's
+    # count shows it, and 32 new starts find it
+    ((0.2942351285550152 + 0.9095083628216725j, [-0.012879 + 0.273369j],
+      [1.464846 + 0.10287j, 0.797896 + 0.02298j, 1.464846 + 0.10287j]), 924353119),
+    # the boundaries of these balls pass too near a simple zero for the
+    # winding number; the halved balls have a degree
+    ((-0.5224450824774295 + 0.021659136036463314j, [], [-0.021102 - 0.27661j, -0.629364 + 0.961553j,
+                                                        -0.021102 - 0.27661j]), 1531370878),
+    ((-0.45080192896499527 - 0.45360545968460664j, [-1.161381 - 0.040136j],
+      [0.189316 + 0.579556j, 1.323202 + 0.610506j, 0.189316 + 0.579556j]), 34304193),
+], ids=["missed-zero", "unsampled-ball-3", "unsampled-ball-2"])
+def test_degree_of_complex_maps_with_a_double_root_found_by_a_sweep(cmap, seed):
+    assert compute_degree(complex_problem(*cmap, seed=seed)) == complex_degree(*cmap[1:])
+
+
+def test_a_window_whose_count_never_matches_is_searched_again_then_fails_loud(monkeypatch):
+    # (x - 1/2)^2 (x + 1) with the simple zero -1 hidden from every window
+    # search: the window's count misses it, and each new search starts from
+    # as many new Halton points as were made so far
+    calls, search = [], degree._search
+
+    def spied(pp, s, starts, *flags):
+        found = search(pp, s, starts, *flags)
+        if s is None:
+            calls.append(np.asarray(starts))
+            found = [p for p in found if abs(p[0].point[0] + 1.0) >= 0.1]
+        return found
+
+    monkeypatch.setattr(degree, "_search", spied)
+    with pytest.raises(RetryExhausted, match="signed count"):
+        generic_perturbation(polynomial_problem(1.0, [-1.0], [0.5]))
+    assert [len(starts) for starts in calls] == [32 * 2 ** max(i - 1, 0) for i in range(degree.BALL_DOUBLINGS + 1)]
+    assert np.unique(np.concatenate(calls), axis=0).shape[0] == 32 * 2 ** degree.BALL_DOUBLINGS
+
+
+def cube_problem(section):
+    return PerturbationProblem(section=section, window=Window(lo=-np.ones(3), hi=np.ones(3)),
+                               aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=3, levels=3)),
+                               budget=0.1, seeds=(np.full(3, 0.1),), grid_starts=32)
+
+
+@pytest.mark.parametrize("power, expected", [(3, 1), (2, 0)])
+def test_a_3d_degenerate_zero_is_bumped_in_one_ball(power, expected):
+    # (x^p, y, z): every start polishes the zero at 0 to a different point
+    # short of it; the first one's ball stops the others, and its three bumps
+    # are the perturbation's only ones
+    pp = cube_problem(lambda x: np.array([x[0] ** power, x[1], x[2]]))
+    out = generic_perturbation(pp)
+    assert out.lambdas.size == 3
+    assert compute_degree(pp, outcome=out) == expected
