@@ -401,7 +401,7 @@ def _sign(zero: ZeroReport) -> int:
     return 1 if np.linalg.det(zero.jacobian) > 0 else -1
 
 
-def _ball_zeros(pp: PerturbationProblem, s, ball, degree) -> list:
+def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
     """The zeros of f + s inside a stop ball, from BALL_STARTS Halton starts
     of the ball (of its disc in 2-D, else of the cube inscribed in it), with
     no basins, since a bump's ramp can make a sampled basin swallow a zero.
