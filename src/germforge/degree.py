@@ -403,14 +403,16 @@ def _sign(zero: ZeroReport) -> int:
 
 def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
     """The zeros of f + s inside a stop ball, from BALL_STARTS Halton starts
-    of the ball (of its disc in 2-D, else of the cube inscribed in it), with
+    of the ball (of its disc in 2-D, else of the cube around it), with
     no basins, since a bump's ramp can make a sampled basin swallow a zero.
     While the signed count of these zeros misses the ball's degree, as many
     new Halton starts as were made so far search again, and their new zeros
     join the others; after BALL_DOUBLINGS doublings it raises Inconclusive,
-    and `generic_perturbation` draws another s.  A zero that is not
-    certified ends the search at once, and so does the first search when
-    the degree is None."""
+    and `generic_perturbation` draws another s.  With no degree, the
+    starts double while the last ones found a new zero, unless the zeros
+    are not square: those form manifolds, where every start finds a new
+    point, and one search stands.  A zero that is not certified ends the
+    search at once."""
     centre, radius = ball
     d, done, count, found = centre.size, 0, BALL_STARTS, []
     for _ in range(BALL_DOUBLINGS + 1):
@@ -419,21 +421,24 @@ def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
             r, a = radius * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1]
             starts = centre + np.column_stack([r * np.cos(a), r * np.sin(a)])
         else:
-            starts = centre + radius / math.sqrt(d) * (2.0 * u - 1.0)
+            starts = centre + radius * (2.0 * u - 1.0)
+        known = len(found)
         for z, ok in _search(pp, s, starts, False, None, True):
             if math.dist(z.point, centre) < radius and all(
                     np.linalg.norm(z.point - y.point) >= DEDUPE_SEPARATION for y, _ in found):
                 found.append((z, ok))
-        if degree is None or not all(ok for _, ok in found):
+        if not all(ok for _, ok in found):
             return found
-        signed = sum(_sign(z) for z, _ in found)
-        if signed == degree:
+        if degree is None:
+            if len(found) == known or found[0][0].jacobian.shape[0] != d:
+                return found
+        elif sum(_sign(z) for z, _ in found) == degree:
             return found
         done, count = count, 2 * count
-    raise Inconclusive(
-        f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
-        f"{done} starts found zeros of signed count {signed}"
-    )
+    if degree is None:
+        return found
+    raise Inconclusive(f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
+                       f"{done} starts found zeros of signed count {sum(_sign(z) for z, _ in found)}")
 
 
 @dataclass(frozen=True)
@@ -450,15 +455,8 @@ def _zero_section(levels: int) -> ScPlusSection:
 
 
 def _combine(bumps, lambdas, levels: int) -> ScPlusSection:
-    if not bumps:
-        return _zero_section(levels)
-
     def section(x):
-        total = None
-        for lam, b in zip(lambdas, bumps):
-            v = lam * b(x)
-            total = v if total is None else total + v
-        return total
+        return sum(lam * b(x) for lam, b in zip(lambdas, bumps))
 
     def support(x):
         return any(b.support_contains(x) for b in bumps)
@@ -487,11 +485,9 @@ def _settled_ball(pp: PerturbationProblem, ball, earlier, counted: bool):
     naming its zero, since a perturbation there would reach them too."""
     centre, radius = ball
     if _room(pp, centre) < radius or any(math.dist(centre, c) < radius + r for c, r in earlier):
-        raise RetryExhausted(
-            f"the stop ball of radius {radius:.3e} around the degenerate zero {centre} reaches the "
-            "window's edge, a face or another ball, where a perturbation may not act",
-            failing_zero=centre,
-        )
+        raise RetryExhausted(f"the stop ball of radius {radius:.3e} around the degenerate zero {centre} reaches "
+                             "the window's edge, a face or another ball, where a perturbation may not act",
+                             failing_zero=centre)
     if not counted:
         return ball, None
     for r in (radius, 0.5 * radius):
@@ -514,17 +510,19 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
     again.  Only the balls are bumped, each ball being the support of its
     bumps, and the zeros outside them are kept; a ball that reaches the
     window's edge, a quadrant face or another ball raises RetryExhausted.
-    For a square problem on the line or the plane each ball has f's degree
-    on its boundary, and the signs of the kept zeros plus the balls' degrees
-    must add up to f's degree on the window (on its part in the quadrant),
-    since a ball fixed before a later zero is known can hide that zero from
-    every start.  While they do not, the window is searched again from as
-    many new Halton starts as were made so far, the balls stopping them, at
-    most BALL_DOUBLINGS times.  Each attempt draws the coefficients lambda
-    within the budget and searches f + s inside the balls alone
-    (`_ball_zeros`), where a ball's signed count must match its degree; it
-    passes when every zero is transversal.  The retry limit makes failures
-    loud.
+    A ball fixed before a later zero is known can hide that zero from every
+    start.  So for a square problem on the line or the plane, the signs of
+    the kept zeros plus the balls' degrees (f's degrees on their boundaries)
+    must add up to f's degree on the window (on its part in the quadrant);
+    while they do not, the window is searched again from as many new Halton
+    starts as were made so far, the balls stopping them, at most
+    BALL_DOUBLINGS times.  In more dimensions, with no degree to sample,
+    the balls shrink clear of the zeros found, and the window is searched
+    again while a search finds a new zero.  With no degree on the window,
+    or zeros that are not square, the first search stands.  Each attempt
+    draws lambda within the budget and searches f + s inside the balls
+    alone (`_ball_zeros`); it passes when every zero is transversal, and
+    the retry limit makes failures loud.
     """
     levels = pp.aux_norm.fiber_space.levels
     starts, balls = _starts(pp), []
@@ -533,25 +531,28 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
         return PerturbationOutcome(perturbation=_zero_section(levels), zeros=tuple(z for z, _ in found),
                                    lambdas=np.zeros(0), retries=0)
     out_dim, d = found[0][0].jacobian.shape
-    counted = out_dim == d <= 2
+    counted, searched = out_dim == d <= 2, out_dim == d > 2
     window = _window_degree(pp) if counted else None
-    degrees, used, made = [], pp.grid_starts, len(starts)
+    degrees, used, made, new = [], pp.grid_starts, len(starts), found
     for doubling in range(BALL_DOUBLINGS + 1):
+        if searched:
+            balls[:] = [(c, min(r, _ball_radius(pp, c, [p for p in found if math.dist(p[0].point, c) > 0], [])))
+                        for c, r in balls]
         for i in range(len(degrees), len(balls)):
             balls[i], degree = _settled_ball(pp, balls[i], balls[:i], counted)
             degrees.append(degree)
         carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
-        signed = None if window is None else sum(_sign(z) for z, _ in carried) + sum(degrees)
-        if signed == window:
+        if window is None:      # nothing to count: d > 2 searches again while a search finds a new zero
+            if not (searched and new) or doubling == BALL_DOUBLINGS:
+                break
+        elif (signed := sum(_sign(z) for z, _ in carried) + sum(degrees)) == window:
             break
-        if doubling == BALL_DOUBLINGS:
-            raise RetryExhausted(
-                f"{made} starts found zeros and stop balls of signed count {signed}, "
-                f"but f has degree {window} on the window"
-            )
+        elif doubling == BALL_DOUBLINGS:
+            raise RetryExhausted(f"{made} starts found zeros and stop balls of signed count {signed}, "
+                                 f"but f has degree {window} on the window")
         more = _search(pp, None, _window_points(pp, used, made), True, balls, True)
-        found += [p for p in more
-                  if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
+        new = [p for p in more if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
+        found += new
         used, made = used + made, 2 * made
     rng = np.random.Generator(np.random.Philox(key=pp.rng_seed))
     bumps = _bumps(pp, rng, balls, out_dim, levels)
@@ -568,16 +569,15 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
                 if not all(ok for _, ok in zeros):
                     break
         except (WindowEscape, Inconclusive) as exc:    # another s may do
-            last_fail = (str(exc), None, None)
+            last_fail = (str(exc), None)
             continue
         bad = [z for z, ok in zeros if not ok]
         if not bad:     # an empty zero set is accepted too: x^2 + c has none for c > 0
             return PerturbationOutcome(perturbation=s, zeros=tuple(z for z, _ in sorted(zeros, key=_order)),
                                        lambdas=lam, retries=attempt)
-        sv = bad[0].singular_values
-        last_fail = (f"the zero at {bad[0].point} is not certified", bad[0].point, float(sv[-1] / sv[0]))
+        last_fail = (f"the zero at {bad[0].point} is not certified", bad[0].point)
     raise RetryExhausted(f"no regular value found in {RETRY_LIMIT} attempts; last failure: {last_fail[0]}",
-                         failing_zero=last_fail[1], rank_gap=last_fail[2])
+                         failing_zero=last_fail[1])
 
 
 def compute_degree(pp: PerturbationProblem,

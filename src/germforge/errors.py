@@ -90,12 +90,12 @@ class WindowEscape(GermforgeError):
 
 
 class RetryExhausted(GermforgeError):
-    """Rejection sampling of a regular value hit the retry limit."""
+    """No regular value was found: rejection sampling hit the retry limit,
+    or a degenerate zero, `failing_zero` where known, cannot be bumped."""
 
-    def __init__(self, message, failing_zero=None, rank_gap=None):
+    def __init__(self, message, failing_zero=None):
         super().__init__(message)
         self.failing_zero = failing_zero
-        self.rank_gap = rank_gap
 
 
 class IndexMismatch(GermforgeError):

@@ -1206,10 +1206,26 @@ def test_a_window_whose_count_never_matches_is_searched_again_then_fails_loud(mo
     assert np.unique(np.concatenate(calls), axis=0).shape[0] == 32 * 2 ** degree.BALL_DOUBLINGS
 
 
-def cube_problem(section):
+@pytest.mark.parametrize("f, lo, hi, rank", [
+    # the zero 0 on the face x = 0 is carried with sign +1, and the ball at 1/2 has degree 0
+    (lambda x: np.array([x[0] * (x[0] - 0.5) ** 2]), 0.0, 1.0, 1),
+    # the simple zero -2 is the window's end
+    (lambda x: np.array([(x[0] + 2.0) * (x[0] - 0.5) ** 2]), -2.0, 2.0, 0),
+], ids=["face-zero", "end-zero"])
+def test_a_window_without_a_degree_is_not_counted(f, lo, hi, rank):
+    # f vanishes on the window's boundary, so the window has no degree to
+    # check the balls against, and they are bumped as they are
+    pp = problem(f, [lo], [hi], seeds=([0.5],), budget=0.2, rank=rank)
+    assert degree._window_degree(pp) is None
+    out = generic_perturbation(pp)
+    assert out.lambdas.size
+    assert compute_degree(pp, outcome=out) == 1
+
+
+def cube_problem(section, seed=0):
     return PerturbationProblem(section=section, window=Window(lo=-np.ones(3), hi=np.ones(3)),
                                aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=3, levels=3)),
-                               budget=0.1, seeds=(np.full(3, 0.1),), grid_starts=32)
+                               budget=0.1, seeds=(np.full(3, 0.1),), grid_starts=32, rng_seed=seed)
 
 
 @pytest.mark.parametrize("power, expected", [(3, 1), (2, 0)])
@@ -1221,3 +1237,20 @@ def test_a_3d_degenerate_zero_is_bumped_in_one_ball(power, expected):
     out = generic_perturbation(pp)
     assert out.lambdas.size == 3
     assert compute_degree(pp, outcome=out) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 9])
+def test_degree_of_a_3d_map_with_double_roots_is_the_closed_form(seed):
+    # A (p(x), q(y), r(z)) with p = 0.6 (x - 0.8)(x - 0.5)^2: the six zeros
+    # include three double roots at x = 0.5.  The first ball, fixed before
+    # its neighbours are found, holds the double root at y = 0.5 and the
+    # simple zero (0.8, 0.15); with no degree to count in 3-D, the balls
+    # shrink clear of the zeros found and the window is searched again
+    # until a search finds no new zero.  Degree 1 * (-1) * (-1) * sign det A.
+    A = np.array([[0.2, 1.7, -0.7], [1.2, -0.4, -1.0], [1.2, -0.4, -0.4]])
+
+    def f(x):
+        return A @ np.array([0.6 * (x[0] - 0.8) * (x[0] - 0.5) ** 2,
+                             -0.8 * (x[1] - 0.75) * (x[1] - 0.5) * (x[1] - 0.15), -0.8 * (x[2] + 0.1)])
+
+    assert compute_degree(cube_problem(f, seed)) == -1
