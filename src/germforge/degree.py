@@ -449,11 +449,6 @@ class PerturbationOutcome:
     retries: int
 
 
-def _zero_section(levels: int) -> ScPlusSection:
-    # scalar zero broadcasts against any fiber dimension
-    return ScPlusSection(section=lambda x: 0.0, levels=levels)
-
-
 def _combine(bumps, lambdas, levels: int) -> ScPlusSection:
     def section(x):
         return sum(lam * b(x) for lam, b in zip(lambdas, bumps))
@@ -485,9 +480,11 @@ def _settled_ball(pp: PerturbationProblem, ball, earlier, counted: bool):
     naming its zero, since a perturbation there would reach them too."""
     centre, radius = ball
     if _room(pp, centre) < radius or any(math.dist(centre, c) < radius + r for c, r in earlier):
-        raise RetryExhausted(f"the stop ball of radius {radius:.3e} around the degenerate zero {centre} reaches "
-                             "the window's edge, a face or another ball, where a perturbation may not act",
-                             failing_zero=centre)
+        raise RetryExhausted(
+            f"the stop ball of radius {radius:.3e} around the degenerate zero {centre} reaches the "
+            "window's edge, a face or another ball, where a perturbation may not act",
+            failing_zero=centre,
+        )
     if not counted:
         return ball, None
     for r in (radius, 0.5 * radius):
@@ -528,8 +525,9 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
     starts, balls = _starts(pp), []
     found = _search(pp, None, starts, True, balls, True)
     if all(ok for _, ok in found):
-        return PerturbationOutcome(perturbation=_zero_section(levels), zeros=tuple(z for z, _ in found),
-                                   lambdas=np.zeros(0), retries=0)
+        # a scalar zero broadcasts against any fiber dimension
+        return PerturbationOutcome(perturbation=ScPlusSection(section=lambda x: 0.0, levels=levels),
+                                   zeros=tuple(z for z, _ in found), lambdas=np.zeros(0), retries=0)
     out_dim, d = found[0][0].jacobian.shape
     counted, searched = out_dim == d <= 2, out_dim == d > 2
     window = _window_degree(pp) if counted else None
@@ -551,7 +549,8 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
             raise RetryExhausted(f"{made} starts found zeros and stop balls of signed count {signed}, "
                                  f"but f has degree {window} on the window")
         more = _search(pp, None, _window_points(pp, used, made), True, balls, True)
-        new = [p for p in more if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
+        new = [p for p in more
+               if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
         found += new
         used, made = used + made, 2 * made
     rng = np.random.Generator(np.random.Philox(key=pp.rng_seed))
