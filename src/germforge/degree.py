@@ -451,7 +451,11 @@ class PerturbationOutcome:
 
 def _combine(bumps, lambdas, levels: int) -> ScPlusSection:
     def section(x):
-        return sum(lam * b(x) for lam, b in zip(lambdas, bumps))
+        total = None
+        for lam, b in zip(lambdas, bumps):
+            v = lam * b(x)
+            total = v if total is None else total + v
+        return total
 
     def support(x):
         return any(b.support_contains(x) for b in bumps)
