@@ -10,6 +10,9 @@ For the tree (default: this checkout) one invocation records
   wall time, the exit codes, and the wall time of each model from the
   events.jsonl of the fastest run,
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
+- the signed degree of DEGREE3D_MAPS seeded 3-D maps (`cube_map`) against
+  their closed form: the wrong degrees, the loud failures (a germforge
+  error) and the median seconds per map,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -36,13 +39,17 @@ import time
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("degree-search", "atlas-integrate", "certify")
 COMMANDS = ("solve-germ", "parametrize", "cones", "degree", "selftest")
-PARTS = ("workloads", "import", "cli", "tier1")
+PARTS = ("workloads", "import", "cli", "tier1", "degree3d")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 IMPORT_RUNS = 5
 CLI_RUNS = 3
+DEGREE3D_MAPS = 100
+DEGREE3D_SEED = 2024
 # perfbench pins BLAS the same way; the other measurements get the same setting
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -160,6 +167,73 @@ def tier1(tree: Path) -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0), "summary": summary}
 
 
+def cube_map(rng):
+    """One map A (p(x), q(y), r(z)) on [-1, 1]^3 as ([(coefficient, roots)
+    of p, q and r], A).  p has a double root, listed twice, and 1-2 simple
+    roots; q and r have 1-3 simple roots.  The roots of each lie in [-0.8,
+    0.8], at least 0.2 apart, the coefficients in +-[0.5, 1.5], and A is
+    Gaussian with |det A| >= 0.3."""
+    factors = []
+    for i in range(3):
+        count = int(rng.integers(2, 4)) if i == 0 else int(rng.integers(1, 4))
+        roots = rng.uniform(-0.8, 0.8, count)
+        while np.any(np.diff(np.sort(roots)) < 0.2):
+            roots = rng.uniform(-0.8, 0.8, count)
+        factors.append((float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)),
+                        [*roots, roots[0]] if i == 0 else list(roots)))
+    A = rng.normal(size=(3, 3))
+    while abs(np.linalg.det(A)) < 0.3:
+        A = rng.normal(size=(3, 3))
+    return factors, A
+
+
+def cube_map_degree(factors, A) -> int:
+    """The closed form sign det A * prod_i (sign p_i(1) - sign p_i(-1)) / 2;
+    no root lies on the cube's boundary."""
+    ends = [[np.sign(c * np.prod(np.subtract(x, roots))) for x in (-1.0, 1.0)] for c, roots in factors]
+    return int(np.sign(np.linalg.det(A)) * np.prod([(hi - lo) / 2 for lo, hi in ends]))
+
+
+def sweep_3d(seed: int, count: int) -> dict:
+    """compute_degree of the first `count` maps `cube_map` draws from
+    default_rng(seed), map i with 32 Halton starts, the seed (0.1, 0.1, 0.1),
+    budget 0.1 and rng_seed i, against `cube_map_degree`.  Runs in the
+    process of the tree under test."""
+    from germforge.degree import AuxiliaryNorm, PerturbationProblem, Window, compute_degree
+    from germforge.errors import GermforgeError
+    from germforge.spaces import GradedSpace
+
+    rng, wrong, loud, seconds = np.random.default_rng(seed), [], [], []
+    for i in range(count):
+        factors, A = cube_map(rng)
+
+        def section(x, factors=factors, A=A):
+            return A @ np.array([c * np.prod(x[k] - np.asarray(roots)) for k, (c, roots) in enumerate(factors)])
+
+        pp = PerturbationProblem(section=section, window=Window(lo=-np.ones(3), hi=np.ones(3)),
+                                 aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=3, levels=3)),
+                                 budget=0.1, seeds=(np.full(3, 0.1),), grid_starts=32, rng_seed=i)
+        t0 = time.perf_counter()
+        try:
+            if compute_degree(pp) != cube_map_degree(factors, A):
+                wrong.append(i)
+        except GermforgeError:
+            loud.append(i)
+        seconds.append(time.perf_counter() - t0)
+    return {"seed": seed, "maps": count, "wrong": len(wrong), "loud": len(loud), "wrong_maps": wrong,
+            "loud_maps": loud, "median_s": float(np.median(seconds)), "max_s": max(seconds)}
+
+
+def degree3d(tree: Path) -> dict:
+    """`sweep_3d` of DEGREE3D_MAPS maps from DEGREE3D_SEED, run on the tree's src/."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); import run; "
+            f"print(json.dumps(run.sweep_3d({DEGREE3D_SEED}, {DEGREE3D_MAPS})))")
+    proc = _run([sys.executable, "-c", code], tree)
+    if proc.returncode != 0:
+        return {"exit_code": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -188,6 +262,8 @@ def main(argv=None) -> int:
         record["cli"] = cli(tree)
     if "tier1" in parts:
         record["tier1"] = tier1(tree)
+    if "degree3d" in parts:
+        record["degree3d"] = degree3d(tree)
 
     path = ROOT / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text()) if path.is_file() else {"pr": args.pr, "entries": {}}

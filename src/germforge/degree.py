@@ -41,7 +41,8 @@ BASIN_GATE = 1e-4      # sigma_min / sigma_max below which a zero gets no basin
 KANTOROVICH_GATE = 0.25    # h = beta L eta at or below which a square zero is certified
 BALL_STARTS = 8        # Halton starts of a stop ball's first local search
 BALL_DOUBLINGS = 3     # doublings of a ball's starts, and of its boundary samples, before giving up
-WINDING_SAMPLES = 64   # first boundary samples of a 2-D ball's winding number
+WINDING_SAMPLES = 64   # first boundary samples of a 2-D winding number
+FACE_SQUARES = 8       # first grid squares per face edge of a 3-D boundary degree
 HOMOTOPY_GRID = 11     # homotopy parameters t sampled by invariance_suite
 CHORD_TOL = 1e-10      # a quadrature node's chord steps stop at this residual
 CHORD_STEPS = 8        # and give way to Newton after this many steps
@@ -324,7 +325,10 @@ def enumerate_zeros(pp: PerturbationProblem, s: ScPlusSection | None = None) -> 
     at them can give a basin that swallows another zero or a window escape.
     Every start that heads for a degenerate zero polishes it again; only
     `generic_perturbation`'s own search, in any dimension, stops them at a
-    stop ball around the first such zero it finds.
+    stop ball around the first such zero it finds.  A zero that no start
+    reaches is missing from the list; `generic_perturbation` sees such a
+    miss for square maps in 1-D, 2-D and 3-D, by a count against f's degree
+    on the window.
     """
     return [zero for zero, _ in _search(pp, s, _starts(pp), True, None, False)]
 
@@ -341,13 +345,6 @@ def _ball_radius(pp: PerturbationProblem, x, found, balls) -> float:
     near = min((math.dist(x, z.point) for z, _ in found), default=math.inf)
     gap = min((math.dist(x, c) - r for c, r in balls), default=math.inf)
     return max(0.8 * min(_room(pp, x), 0.5 * near, gap), 1e-3)
-
-
-def _end_degree(pp: PerturbationProblem, a, b):
-    """The degree of f on the interval [a, b], (sign f(b) - sign f(a)) / 2,
-    or None where f vanishes at an end."""
-    lo, hi = (float(np.sign(pp.evaluate(x)[0])) for x in (a, b))
-    return int(hi - lo) // 2 if lo * hi in (-1.0, 1.0) else None
 
 
 def _winding(pp: PerturbationProblem, point_at):
@@ -372,29 +369,56 @@ def _winding(pp: PerturbationProblem, point_at):
     return None
 
 
-def _ball_degree(pp: PerturbationProblem, centre, radius: float):
-    """The degree of f on a ball of the line or the plane, from f on its boundary."""
-    if centre.size == 1:
-        return _end_degree(pp, centre - radius, centre + radius)
-    return _winding(pp, lambda tau: centre + radius * np.array([math.cos(2.0 * math.pi * tau),
-                                                                math.sin(2.0 * math.pi * tau)]))
+def _boundary_degree(pp: PerturbationProblem, d: int, point_at):
+    """f's degree on the region whose boundary point_at maps the boundary of
+    the cube [-1, 1]^d onto, for d <= 3.  In 1-D it is half the change of
+    sign between the ends.  In 2-D it is the winding number (`_winding`)
+    along the square, walked counterclockwise.  In 3-D it is the signed
+    solid angle f/|f| sweeps over two triangles per grid square of each
+    face, over 4 pi; each triangle's angle is 2 atan2(a.(b x c), 1 + a.b +
+    b.c + c.a) (Van Oosterom & Strackee 1983).  The grid starts at
+    FACE_SQUARES squares per face edge and doubles, at most BALL_DOUBLINGS
+    times, until two successive grids agree.  None where f vanishes at a
+    sample or the samples cannot resolve it."""
+    if d == 1:
+        lo, hi = (float(np.sign(pp.evaluate(point_at(np.array([v])))[0])) for v in (-1.0, 1.0))
+        return int(hi - lo) // 2 if lo * hi in (-1.0, 1.0) else None
+    if d == 2:
+        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+        def along(tau):
+            side, u = divmod(4.0 * tau, 1.0)
+            return point_at(corners[int(side)] + u * (corners[int(side) + 1] - corners[int(side)]))
+
+        return _winding(pp, along)
+    last, n = None, FACE_SQUARES
+    for _ in range(BALL_DOUBLINGS + 1):
+        total, g = 0.0, np.linspace(-1.0, 1.0, n + 1)
+        for k, side in ((k, side) for k in range(3) for side in (-1.0, 1.0)):
+            v = np.full((n + 1, n + 1, 3), side)      # face v_k = side; axes k + 1, k + 2 span it
+            v[..., (k + 1) % 3], v[..., (k + 2) % 3] = np.meshgrid(g, g, indexing="ij")
+            f = np.array([pp.evaluate(point_at(p)) for p in v.reshape(-1, 3)]).reshape(v.shape)
+            norm = np.linalg.norm(f, axis=-1, keepdims=True)
+            if not (np.isfinite(norm).all() and norm.all()):
+                return None
+            u = f / norm
+            a, c = u[:-1, :-1], u[1:, 1:]
+            for b, e in ((u[1:, :-1], c), (c, u[:-1, 1:])):     # both triangles turn about +e_k
+                dots = (a * b).sum(-1) + (b * e).sum(-1) + (e * a).sum(-1)
+                total += side * 2.0 * np.arctan2((a * np.cross(b, e)).sum(-1), 1.0 + dots).sum()
+        degree = round(total / (4.0 * math.pi))
+        if degree == last:
+            return degree
+        last, n = degree, 2 * n
+    return None
 
 
 def _window_degree(pp: PerturbationProblem):
-    """The degree of f on the window of the line or the plane, from f on its
-    boundary; with quadrant constraints, on the window's part in the
-    quadrant, since the search discards the zeros outside it."""
+    """f's degree on the window; with quadrant constraints, on the window's
+    part in the quadrant, since the search discards the zeros outside it."""
     lo, hi = pp.window.lo.copy(), pp.window.hi
     lo[: pp.quadrant_rank] = np.maximum(lo[: pp.quadrant_rank], 0.0)
-    if lo.size == 1:
-        return _end_degree(pp, lo, hi)
-    corners = [lo, np.array([hi[0], lo[1]]), hi, np.array([lo[0], hi[1]]), lo]
-
-    def point_at(tau):
-        side, u = divmod(4.0 * tau, 1.0)
-        return corners[int(side)] + u * (corners[int(side) + 1] - corners[int(side)])
-
-    return _winding(pp, point_at)
+    return _boundary_degree(pp, lo.size, lambda v: lo + 0.5 * (v + 1.0) * (hi - lo))
 
 
 def _sign(zero: ZeroReport) -> int:
@@ -408,11 +432,9 @@ def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
     While the signed count of these zeros misses the ball's degree, as many
     new Halton starts as were made so far search again, and their new zeros
     join the others; after BALL_DOUBLINGS doublings it raises Inconclusive,
-    and `generic_perturbation` draws another s.  With no degree, the
-    starts double while the last ones found a new zero, unless the zeros
-    are not square: those form manifolds, where every start finds a new
-    point, and one search stands.  A zero that is not certified ends the
-    search at once."""
+    and `generic_perturbation` draws another s.  With no degree (d > 3, or
+    zeros that are not square) one search stands.  A zero that is not
+    certified ends the search at once."""
     centre, radius = ball
     d, done, count, found = centre.size, 0, BALL_STARTS, []
     for _ in range(BALL_DOUBLINGS + 1):
@@ -422,21 +444,13 @@ def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
             starts = centre + np.column_stack([r * np.cos(a), r * np.sin(a)])
         else:
             starts = centre + radius * (2.0 * u - 1.0)
-        known = len(found)
         for z, ok in _search(pp, s, starts, False, None, True):
             if math.dist(z.point, centre) < radius and all(
                     np.linalg.norm(z.point - y.point) >= DEDUPE_SEPARATION for y, _ in found):
                 found.append((z, ok))
-        if not all(ok for _, ok in found):
-            return found
-        if degree is None:
-            if len(found) == known or found[0][0].jacobian.shape[0] != d:
-                return found
-        elif sum(_sign(z) for z, _ in found) == degree:
+        if not all(ok for _, ok in found) or degree is None or sum(_sign(z) for z, _ in found) == degree:
             return found
         done, count = count, 2 * count
-    if degree is None:
-        return found
     raise Inconclusive(f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
                        f"{done} starts found zeros of signed count {sum(_sign(z) for z, _ in found)}")
 
@@ -492,7 +506,7 @@ def _settled_ball(pp: PerturbationProblem, ball, earlier, counted: bool):
     if not counted:
         return ball, None
     for r in (radius, 0.5 * radius):
-        degree = _ball_degree(pp, centre, r)
+        degree = _boundary_degree(pp, centre.size, lambda v, r=r: centre + r * v / np.linalg.norm(v))
         if degree is not None:
             return (centre, r), degree
     raise RetryExhausted(f"f has no sampled degree on the stop ball of radius {radius:.3e} around {centre}, "
@@ -512,18 +526,16 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
     bumps, and the zeros outside them are kept; a ball that reaches the
     window's edge, a quadrant face or another ball raises RetryExhausted.
     A ball fixed before a later zero is known can hide that zero from every
-    start.  So for a square problem on the line or the plane, the signs of
-    the kept zeros plus the balls' degrees (f's degrees on their boundaries)
-    must add up to f's degree on the window (on its part in the quadrant);
-    while they do not, the window is searched again from as many new Halton
-    starts as were made so far, the balls stopping them, at most
-    BALL_DOUBLINGS times.  In more dimensions, with no degree to sample,
-    the balls shrink clear of the zeros found, and the window is searched
-    again while a search finds a new zero.  With no degree on the window,
-    or zeros that are not square, the first search stands.  Each attempt
-    draws lambda within the budget and searches f + s inside the balls
-    alone (`_ball_zeros`); it passes when every zero is transversal, and
-    the retry limit makes failures loud.
+    start.  So for a square problem in 1-D, 2-D or 3-D, the signs of the
+    kept zeros plus the balls' degrees (f's degrees on their boundaries,
+    `_boundary_degree`) must add up to f's degree on the window (on its
+    part in the quadrant); while they do not, the window is searched again
+    from as many new Halton starts as were made so far, the balls stopping
+    them, at most BALL_DOUBLINGS times.  With no degree on the window, in
+    more dimensions or with zeros that are not square, the first search
+    stands.  Each attempt draws lambda within the budget and searches f + s
+    inside the balls alone (`_ball_zeros`); it passes when every zero is
+    transversal, and the retry limit makes failures loud.
     """
     levels = pp.aux_norm.fiber_space.levels
     starts, balls = _starts(pp), []
@@ -533,29 +545,22 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
         return PerturbationOutcome(perturbation=ScPlusSection(section=lambda x: 0.0, levels=levels),
                                    zeros=tuple(z for z, _ in found), lambdas=np.zeros(0), retries=0)
     out_dim, d = found[0][0].jacobian.shape
-    counted, searched = out_dim == d <= 2, out_dim == d > 2
+    counted = out_dim == d <= 3
     window = _window_degree(pp) if counted else None
-    degrees, used, made, new = [], pp.grid_starts, len(starts), found
+    degrees, used, made = [], pp.grid_starts, len(starts)
     for doubling in range(BALL_DOUBLINGS + 1):
-        if searched:
-            balls[:] = [(c, min(r, _ball_radius(pp, c, [p for p in found if math.dist(p[0].point, c) > 0], [])))
-                        for c, r in balls]
         for i in range(len(degrees), len(balls)):
             balls[i], degree = _settled_ball(pp, balls[i], balls[:i], counted)
             degrees.append(degree)
         carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
-        if window is None:      # nothing to count: d > 2 searches again while a search finds a new zero
-            if not (searched and new) or doubling == BALL_DOUBLINGS:
-                break
-        elif (signed := sum(_sign(z) for z, _ in carried) + sum(degrees)) == window:
+        if window is None or (signed := sum(_sign(z) for z, _ in carried) + sum(degrees)) == window:
             break
-        elif doubling == BALL_DOUBLINGS:
+        if doubling == BALL_DOUBLINGS:
             raise RetryExhausted(f"{made} starts found zeros and stop balls of signed count {signed}, "
                                  f"but f has degree {window} on the window")
         more = _search(pp, None, _window_points(pp, used, made), True, balls, True)
-        new = [p for p in more
-               if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
-        found += new
+        found += [p for p in more
+                  if all(np.linalg.norm(p[0].point - q.point) >= DEDUPE_SEPARATION for q, _ in found)]
         used, made = used + made, 2 * made
     rng = np.random.Generator(np.random.Philox(key=pp.rng_seed))
     bumps = _bumps(pp, rng, balls, out_dim, levels)
@@ -629,9 +634,9 @@ def invariance_suite(pp: PerturbationProblem, trials: int = 10, homotopy_shift=N
     Each trial owns the derived RNG stream (seed, trial).  When
     `homotopy_shift` is supplied (a callable t, x -> fiber vector), the
     degree is also computed along f + shift_t on HOMOTOPY_GRID evenly spaced
-    t in [0, 1], skipping
-    non-transversal grid points after retries.  Any disagreement raises
-    InvarianceViolation with full diagnostics.
+    t in [0, 1]; a grid point without a generic perturbation raises
+    RetryExhausted.  Any disagreement raises InvarianceViolation with full
+    diagnostics.
     """
     base_degree = compute_degree(pp)
     trial_degrees = []
@@ -650,10 +655,7 @@ def invariance_suite(pp: PerturbationProblem, trials: int = 10, homotopy_shift=N
         for i, t in enumerate(np.linspace(0.0, 1.0, HOMOTOPY_GRID)):
             shifted = replace(pp, section=(lambda x, _t=t: pp.evaluate(x) + np.atleast_1d(homotopy_shift(_t, x))),
                               rng_seed=pp.rng_seed + 1000 + i)
-            try:
-                deg = compute_degree(shifted)
-            except RetryExhausted:
-                continue
+            deg = compute_degree(shifted)
             homotopy_degrees.append((float(t), deg))
             if deg != base_degree:
                 raise InvarianceViolation(

@@ -1,8 +1,11 @@
 """The end-to-end recorder bench/run.py: its dirty-tree check and its size counts."""
 
 import importlib.util
+import itertools
 import subprocess
 from pathlib import Path
+
+import numpy as np
 
 spec = importlib.util.spec_from_file_location("bench_run", Path(__file__).resolve().parent.parent / "bench" / "run.py")
 bench_run = importlib.util.module_from_spec(spec)
@@ -79,3 +82,36 @@ def test_environment_records_no_scipy_version_without_scipy(monkeypatch):
     monkeypatch.setattr(bench_run.metadata, "version", without_scipy)
     env = bench_run.environment()
     assert env["scipy"] is None and env["numpy"] == version("numpy")
+
+
+def test_cube_map_degree_is_the_signed_count_of_the_simple_zeros():
+    # a zero (a, b, c) counts sign det A * sign p'(a) q'(b) r'(c), and 0 at p's double root
+    def slope(coefficient, roots, a):
+        rest = list(roots)
+        rest.remove(a)
+        return coefficient * np.prod(np.subtract(a, rest))
+
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        factors, A = bench_run.cube_map(rng)
+        distinct = [sorted(set(roots)) for _, roots in factors]
+        assert [len(roots) - len(set(roots)) for _, roots in factors] == [1, 0, 0]
+        assert all(np.all(np.abs(r) <= 0.8) and np.all(np.diff(r) >= 0.2) for r in distinct)
+        assert abs(np.linalg.det(A)) >= 0.3
+        count = sum(np.sign(np.linalg.det(A)) * np.prod([np.sign(slope(c, roots, a))
+                                                         for (c, roots), a in zip(factors, zero)])
+                    for zero in itertools.product(*distinct))
+        assert bench_run.cube_map_degree(factors, A) == count
+
+
+def test_cube_map_degree_of_two_rounded_maps():
+    assert bench_run.cube_map_degree(
+        [(0.583392, [-0.261067, 0.080949, 0.080949]), (-0.562025, [-0.599979, -0.324828, 0.271871]),
+         (0.729402, [-0.669305])],
+        np.array([[-1.076108, -1.426966, 0.308461], [-0.663885, -1.988295, 2.483483],
+                  [-0.834854, -1.255509, 1.239788]])) == -1
+    assert bench_run.cube_map_degree(
+        [(-0.877996, [-0.747467, -0.160643, -0.160643, 0.476517]), (1.293575, [-0.180055, 0.173253, 0.542158]),
+         (1.061820, [-0.539781, -0.338929, 0.332672])],
+        np.array([[0.036086, 0.147825, 1.763003], [-0.04285, 0.800355, 0.055702],
+                  [-0.457185, -0.456809, -0.820401]])) == 0

@@ -234,6 +234,16 @@ def test_invariance_suite_cubic_with_homotopy():
     assert rep.homotopy_degrees and all(d == 1 for _, d in rep.homotopy_degrees)
 
 
+def test_invariance_suite_raises_where_a_homotopy_point_has_no_generic_perturbation():
+    # (x - a)^2 + 1 - t has no zero for t < 1; at t = 1 the seed is a double
+    # root 5e-4 from the window's edge, whose stop ball would reach the edge
+    a = 2.0 - 5e-4
+    pp = problem(lambda x: np.array([(x[0] - a) ** 2 + 1.0]), [-2], [2], seeds=([a],), budget=0.2)
+    assert invariance_suite(pp, trials=1).degree == 0
+    with pytest.raises(RetryExhausted, match="edge"):
+        invariance_suite(pp, trials=1, homotopy_shift=lambda t, x: np.array([-t]))
+
+
 class _CountedSection:
     """A basic germ's section that counts its evaluations."""
 
@@ -1243,10 +1253,10 @@ def test_a_3d_degenerate_zero_is_bumped_in_one_ball(power, expected):
 def test_degree_of_a_3d_map_with_double_roots_is_the_closed_form(seed):
     # A (p(x), q(y), r(z)) with p = 0.6 (x - 0.8)(x - 0.5)^2: the six zeros
     # include three double roots at x = 0.5.  The first ball, fixed before
-    # its neighbours are found, holds the double root at y = 0.5 and the
-    # simple zero (0.8, 0.15); with no degree to count in 3-D, the balls
-    # shrink clear of the zeros found and the window is searched again
-    # until a search finds no new zero.  Degree 1 * (-1) * (-1) * sign det A.
+    # its neighbours are found, can hold another zero; its degree, the
+    # signed solid angle of f on its sphere, counts that zero, and the
+    # zeros and balls must add up to f's degree on the window.  Degree
+    # 1 * (-1) * (-1) * sign det A.
     A = np.array([[0.2, 1.7, -0.7], [1.2, -0.4, -1.0], [1.2, -0.4, -0.4]])
 
     def f(x):
@@ -1254,3 +1264,82 @@ def test_degree_of_a_3d_map_with_double_roots_is_the_closed_form(seed):
                              -0.8 * (x[1] - 0.75) * (x[1] - 0.5) * (x[1] - 0.15), -0.8 * (x[2] + 0.1)])
 
     assert compute_degree(cube_problem(f, seed)) == -1
+
+
+def roadmap_map(seed):
+    """A rounded map A (p(x), q(y), r(z)) of a sweep, by its rng seed."""
+    p, q, r, A = {
+        27: ((0.583392, [-0.261067, 0.080949, 0.080949]), (-0.562025, [-0.599979, -0.324828, 0.271871]),
+             (0.729402, [-0.669305]),
+             [[-1.076108, -1.426966, 0.308461], [-0.663885, -1.988295, 2.483483], [-0.834854, -1.255509, 1.239788]]),
+        51: ((-0.877996, [-0.747467, -0.160643, -0.160643, 0.476517]),
+             (1.293575, [-0.180055, 0.173253, 0.542158]), (1.061820, [-0.539781, -0.338929, 0.332672]),
+             [[0.036086, 0.147825, 1.763003], [-0.04285, 0.800355, 0.055702], [-0.457185, -0.456809, -0.820401]]),
+    }[seed]
+    A = np.array(A)
+
+    def f(x):
+        return A @ np.array([c * np.prod(x[i] - np.array(roots)) for i, (c, roots) in enumerate((p, q, r))])
+
+    return cube_problem(f, seed)
+
+
+def test_a_3d_ball_whose_first_search_finds_one_zero_of_a_split_pair_is_searched_again():
+    # in a stop ball the first 8 starts find one zero of the pair its bumps
+    # split; the ball's degree, 0, sends new starts, which find the other.
+    # sign det A = 1, so the degree is 1 * (-1) * 1 = -1
+    assert compute_degree(roadmap_map(27)) == -1
+
+
+def test_a_3d_zero_that_no_start_reaches_outside_the_balls_fails_loud():
+    # the closed form is 0; 264 starts miss simple zeros outside the balls,
+    # and the window's count shows the miss
+    with pytest.raises(RetryExhausted, match="signed count -1, but f has degree 0"):
+        compute_degree(roadmap_map(51))
+
+
+LINEAR_3D = np.array([[0.3, -1.2, 0.4], [1.1, 0.2, -0.7], [0.5, 0.8, 1.3]])
+CENTRE, RADIUS = np.array([0.1, -0.2, 0.3]), 0.6
+REGIONS_3D = {      # f's degree on the region, and whether the region holds x
+    "window": (degree._window_degree, lambda x: np.max(np.abs(x)) < 1.0),
+    "ball": (lambda pp: degree._boundary_degree(pp, 3, lambda v: CENTRE + RADIUS * v / np.linalg.norm(v)),
+             lambda x: np.linalg.norm(x - CENTRE) < RADIUS),
+}
+
+
+@pytest.mark.parametrize("region", REGIONS_3D)
+@pytest.mark.parametrize("flip", [1.0, -1.0])
+@pytest.mark.parametrize("x0", [(0.2, -0.1, 0.35), (0.5, 0.4, -0.6), (1.3, 0.2, 0.1)])
+def test_boundary_degree_of_a_3d_affine_map_is_the_sign_of_its_determinant(region, flip, x0):
+    boundary_degree, holds = REGIONS_3D[region]
+    A, x0 = LINEAR_3D * np.array([flip, 1.0, 1.0]), np.array(x0)
+    expected = int(np.sign(np.linalg.det(A))) if holds(x0) else 0
+    assert boundary_degree(cube_problem(lambda x: A @ (x - x0))) == expected
+
+
+@pytest.mark.parametrize("region", REGIONS_3D)
+@pytest.mark.parametrize("first, expected", [(lambda u: u ** 3 - 0.1 * u, 1), (lambda u: u ** 2 - 0.1, 0)])
+def test_boundary_degree_of_a_3d_map_with_several_zeros(region, first, expected):
+    # the zeros (0 and +-sqrt(0.1), 0, 0) lie in the window and the ball
+    boundary_degree, _ = REGIONS_3D[region]
+    assert boundary_degree(cube_problem(lambda x: np.array([first(x[0]), x[1], x[2]]))) == expected
+
+
+@pytest.mark.parametrize("region, vertex", [("window", np.array([1.0, 0.0, 0.0])),
+                                            ("ball", CENTRE + RADIUS * np.array([0.0, 0.0, 1.0]))])
+def test_boundary_degree_is_none_where_f_vanishes_at_a_grid_vertex(region, vertex):
+    boundary_degree, _ = REGIONS_3D[region]
+    assert boundary_degree(cube_problem(lambda x: x - vertex)) is None
+
+
+@pytest.mark.parametrize("region", REGIONS_3D)
+def test_boundary_degree_refines_its_grid_until_two_grids_agree(region):
+    # (Re w^14, Im w^14, z), w = x + iy, has degree 14; with 8 squares per
+    # face edge the image of a square can turn by more than pi, and the
+    # first grid's count is off
+    def f(x):
+        w = complex(x[0], x[1]) ** 14
+        return np.array([w.real, w.imag, x[2]])
+
+    boundary_degree, _ = REGIONS_3D[region]
+    assert boundary_degree(cube_problem(f)) == 14
