@@ -12,7 +12,7 @@ For the tree (default: this checkout) one invocation records
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
 - the signed degree of DEGREE3D_MAPS seeded 3-D maps (`cube_map`) against
   their closed form: the wrong degrees, the loud failures (a germforge
-  error) and the median seconds per map,
+  error), the median and largest seconds per map and their total,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -221,7 +221,8 @@ def sweep_3d(seed: int, count: int) -> dict:
             loud.append(i)
         seconds.append(time.perf_counter() - t0)
     return {"seed": seed, "maps": count, "wrong": len(wrong), "loud": len(loud), "wrong_maps": wrong,
-            "loud_maps": loud, "median_s": float(np.median(seconds)), "max_s": max(seconds)}
+            "loud_maps": loud, "median_s": float(np.median(seconds)), "max_s": max(seconds),
+            "total_s": sum(seconds)}
 
 
 def degree3d(tree: Path) -> dict:

@@ -378,8 +378,9 @@ def _boundary_degree(pp: PerturbationProblem, d: int, point_at):
     face, over 4 pi; each triangle's angle is 2 atan2(a.(b x c), 1 + a.b +
     b.c + c.a) (Van Oosterom & Strackee 1983).  The grid starts at
     FACE_SQUARES squares per face edge and doubles, at most BALL_DOUBLINGS
-    times, until two successive grids agree.  None where f vanishes at a
-    sample or the samples cannot resolve it."""
+    times, until two successive grids agree; f is evaluated once at each
+    point.  None where f vanishes at a sample or the samples cannot resolve
+    it."""
     if d == 1:
         lo, hi = (float(np.sign(pp.evaluate(point_at(np.array([v])))[0])) for v in (-1.0, 1.0))
         return int(hi - lo) // 2 if lo * hi in (-1.0, 1.0) else None
@@ -391,13 +392,19 @@ def _boundary_degree(pp: PerturbationProblem, d: int, point_at):
             return point_at(corners[int(side)] + u * (corners[int(side) + 1] - corners[int(side)]))
 
         return _winding(pp, along)
-    last, n = None, FACE_SQUARES
+    last, n, values = None, FACE_SQUARES, {}    # f at the cube points met again on shared edges and finer grids
+
+    def value(v):
+        if v not in values:
+            values[v] = pp.evaluate(point_at(np.array(v)))
+        return values[v]
+
     for _ in range(BALL_DOUBLINGS + 1):
         total, g = 0.0, np.linspace(-1.0, 1.0, n + 1)
         for k, side in ((k, side) for k in range(3) for side in (-1.0, 1.0)):
             v = np.full((n + 1, n + 1, 3), side)      # face v_k = side; axes k + 1, k + 2 span it
             v[..., (k + 1) % 3], v[..., (k + 2) % 3] = np.meshgrid(g, g, indexing="ij")
-            f = np.array([pp.evaluate(point_at(p)) for p in v.reshape(-1, 3)]).reshape(v.shape)
+            f = np.array([value(p) for p in map(tuple, v.reshape(-1, 3))]).reshape(v.shape)
             norm = np.linalg.norm(f, axis=-1, keepdims=True)
             if not (np.isfinite(norm).all() and norm.all()):
                 return None
