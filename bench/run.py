@@ -12,7 +12,8 @@ For the tree (default: this checkout) one invocation records
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
 - the signed degree of DEGREE3D_MAPS seeded 3-D maps (`cube_map`) against
   their closed form: the wrong degrees, the loud failures (a germforge
-  error), the median and largest seconds per map and their total,
+  error), each map's degree and section evaluations, the median and
+  largest seconds per map and their total,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -197,17 +198,20 @@ def cube_map_degree(factors, A) -> int:
 def sweep_3d(seed: int, count: int) -> dict:
     """compute_degree of the first `count` maps `cube_map` draws from
     default_rng(seed), map i with 32 Halton starts, the seed (0.1, 0.1, 0.1),
-    budget 0.1 and rng_seed i, against `cube_map_degree`.  Runs in the
+    budget 0.1 and rng_seed i, against `cube_map_degree`, with each map's
+    degree (None where it fails loud) and section evaluations.  Runs in the
     process of the tree under test."""
     from germforge.degree import AuxiliaryNorm, PerturbationProblem, Window, compute_degree
     from germforge.errors import GermforgeError
     from germforge.spaces import GradedSpace
 
-    rng, wrong, loud, seconds = np.random.default_rng(seed), [], [], []
+    rng, wrong, loud, seconds, degrees, evals = np.random.default_rng(seed), [], [], [], [], []
     for i in range(count):
         factors, A = cube_map(rng)
+        evals.append(0)
 
         def section(x, factors=factors, A=A):
+            evals[-1] += 1
             return A @ np.array([c * np.prod(x[k] - np.asarray(roots)) for k, (c, roots) in enumerate(factors)])
 
         pp = PerturbationProblem(section=section, window=Window(lo=-np.ones(3), hi=np.ones(3)),
@@ -215,14 +219,16 @@ def sweep_3d(seed: int, count: int) -> dict:
                                  budget=0.1, seeds=(np.full(3, 0.1),), grid_starts=32, rng_seed=i)
         t0 = time.perf_counter()
         try:
-            if compute_degree(pp) != cube_map_degree(factors, A):
+            degrees.append(compute_degree(pp))
+            if degrees[-1] != cube_map_degree(factors, A):
                 wrong.append(i)
         except GermforgeError:
+            degrees.append(None)
             loud.append(i)
         seconds.append(time.perf_counter() - t0)
     return {"seed": seed, "maps": count, "wrong": len(wrong), "loud": len(loud), "wrong_maps": wrong,
-            "loud_maps": loud, "median_s": float(np.median(seconds)), "max_s": max(seconds),
-            "total_s": sum(seconds)}
+            "loud_maps": loud, "degrees": degrees, "section_evals": evals,
+            "median_s": float(np.median(seconds)), "max_s": max(seconds), "total_s": sum(seconds)}
 
 
 def degree3d(tree: Path) -> dict:

@@ -41,8 +41,7 @@ BASIN_GATE = 1e-4      # sigma_min / sigma_max below which a zero gets no basin
 KANTOROVICH_GATE = 0.25    # h = beta L eta at or below which a square zero is certified
 BALL_STARTS = 8        # Halton starts of a stop ball's first local search
 BALL_DOUBLINGS = 3     # doublings of a ball's starts, and of its boundary samples, before giving up
-WINDING_SAMPLES = 64   # first boundary samples of a 2-D winding number
-FACE_SQUARES = 8       # first grid squares per face edge of a 3-D boundary degree
+FACE_CELLS = (1, 16, 8)    # first grid cells per face edge of a boundary degree in 1-D, 2-D and 3-D
 HOMOTOPY_GRID = 11     # homotopy parameters t sampled by invariance_suite
 CHORD_TOL = 1e-10      # a quadrature node's chord steps stop at this residual
 CHORD_STEPS = 8        # and give way to Newton after this many steps
@@ -246,8 +245,10 @@ def _search(pp: PerturbationProblem, s, starts, basins: bool, balls, certify: bo
 
     With `basins`, each new square zero with a basin radius gets its basin.
     With `balls` a list, each new uncertified zero gets a stop ball instead,
-    fixed when it is found and appended to `balls` as (centre, radius); the
-    balls already in the list stop starts too.  A start that lies in a basin
+    appended to `balls` as (centre, radius) when it is found (`_ball_radius`);
+    an earlier ball that it would overlap (its radius is then the least,
+    1e-3) first shrinks to 0.4 times the distance between their centres.
+    The balls already in the list stop starts too.  A start that lies in a basin
     or ball, or whose accepted iterate enters one, is stopped."""
     def func(x):
         return pp.evaluate(x, s)
@@ -286,6 +287,10 @@ def _search(pp: PerturbationProblem, s, starts, basins: bool, balls, certify: bo
                           surjective=surjective, kernel_basis=kernel, basin_radius=radius)
         certified = _certified(zero, lipschitz)
         if balls is not None and not certified:
+            reach = _ball_radius(pp, x, found, balls)       # the balls it would overlap shrink clear of x
+            shrunk = {tuple(c): 0.4 * math.dist(c, x) for c, r in balls if math.dist(c, x) < r + reach}
+            balls[:] = [(c, shrunk.get(tuple(c), r)) for c, r in balls]
+            stops = [(c, shrunk.get(tuple(c), r)) for c, r in stops]
             balls.append((x, _ball_radius(pp, x, found, balls)))
             stops.append((x.tolist(), balls[-1][1]))
         elif basins and radius:
@@ -347,52 +352,20 @@ def _ball_radius(pp: PerturbationProblem, x, found, balls) -> float:
     return max(0.8 * min(_room(pp, x), 0.5 * near, gap), 1e-3)
 
 
-def _winding(pp: PerturbationProblem, point_at):
-    """The winding number of f along the closed curve point_at(tau), tau in
-    [0, 1), from WINDING_SAMPLES points, doubled at most BALL_DOUBLINGS
-    times until every angle step is below pi/2; the degree of f on the
-    region the curve bounds when it runs counterclockwise.  None where f
-    vanishes at a sample or the samples cannot resolve it."""
-    def value(tau):
-        f = pp.evaluate(point_at(tau))
-        return complex(f[0], f[1])
-
-    n = WINDING_SAMPLES
-    w = np.array([value(k / n) for k in range(n)])
-    for _ in range(BALL_DOUBLINGS + 1):
-        if not (np.isfinite(w).all() and w.all()):
-            return None
-        steps = np.angle(np.roll(w, -1) / w)
-        if np.abs(steps).max() < 0.5 * math.pi:
-            return round(float(steps.sum()) / (2.0 * math.pi))
-        w, n = np.column_stack([w, [value((2 * k + 1) / (2 * n)) for k in range(n)]]).ravel(), 2 * n
-    return None
-
-
 def _boundary_degree(pp: PerturbationProblem, d: int, point_at):
     """f's degree on the region whose boundary point_at maps the boundary of
-    the cube [-1, 1]^d onto, for d <= 3.  In 1-D it is half the change of
-    sign between the ends.  In 2-D it is the winding number (`_winding`)
-    along the square, walked counterclockwise.  In 3-D it is the signed
-    solid angle f/|f| sweeps over two triangles per grid square of each
-    face, over 4 pi; each triangle's angle is 2 atan2(a.(b x c), 1 + a.b +
-    b.c + c.a) (Van Oosterom & Strackee 1983).  The grid starts at
-    FACE_SQUARES squares per face edge and doubles, at most BALL_DOUBLINGS
-    times, until two successive grids agree; f is evaluated once at each
-    point.  None where f vanishes at a sample or the samples cannot resolve
-    it."""
-    if d == 1:
-        lo, hi = (float(np.sign(pp.evaluate(point_at(np.array([v])))[0])) for v in (-1.0, 1.0))
-        return int(hi - lo) // 2 if lo * hi in (-1.0, 1.0) else None
-    if d == 2:
-        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
-
-        def along(tau):
-            side, u = divmod(4.0 * tau, 1.0)
-            return point_at(corners[int(side)] + u * (corners[int(side) + 1] - corners[int(side)]))
-
-        return _winding(pp, along)
-    last, n, values = None, FACE_SQUARES, {}    # f at the cube points met again on shared edges and finer grids
+    the cube [-1, 1]^d onto, for d <= 3: the signed angle f/|f| sweeps over
+    a grid of each of the 2d faces, over |S^(d-1)| = 2, 2 pi or 4 pi.  Face
+    v_k = side, spanned by axes k + 1, ..., k + d - 1 (mod d), is oriented
+    by side (-1)^(k (d - 1)).  The angle is f/|f| itself at the point of a
+    face in 1-D, atan2(a x b, a.b) along each grid segment in 2-D, and 2
+    atan2(a.(b x c), 1 + a.b + b.c + c.a) over two triangles per grid
+    square in 3-D (Van Oosterom & Strackee 1983).  The grid starts at
+    FACE_CELLS cells per face edge and doubles, at most BALL_DOUBLINGS
+    times, until in 2-D every segment turns by less than pi/2 and in 3-D
+    two successive grids agree; f is evaluated once at each point.  None
+    where f vanishes at a sample or the samples cannot resolve it."""
+    last, n, values = None, FACE_CELLS[d - 1], {}    # f at the cube points met again on shared edges and finer grids
 
     def value(v):
         if v not in values:
@@ -400,21 +373,25 @@ def _boundary_degree(pp: PerturbationProblem, d: int, point_at):
         return values[v]
 
     for _ in range(BALL_DOUBLINGS + 1):
-        total, g = 0.0, np.linspace(-1.0, 1.0, n + 1)
-        for k, side in ((k, side) for k in range(3) for side in (-1.0, 1.0)):
-            v = np.full((n + 1, n + 1, 3), side)      # face v_k = side; axes k + 1, k + 2 span it
-            v[..., (k + 1) % 3], v[..., (k + 2) % 3] = np.meshgrid(g, g, indexing="ij")
-            f = np.array([value(p) for p in map(tuple, v.reshape(-1, 3))]).reshape(v.shape)
+        total, turn, grid = 0.0, 0.0, np.meshgrid(*[np.linspace(-1.0, 1.0, n + 1)] * (d - 1), indexing="ij")
+        for k, side in ((k, side) for k in range(d) for side in (-1.0, 1.0)):
+            v = np.roll(np.stack([np.full((n + 1,) * (d - 1), side), *grid], -1), k, axis=-1)    # v_k = side
+            f = np.array([value(p) for p in map(tuple, v.reshape(-1, d))]).reshape(v.shape)
             norm = np.linalg.norm(f, axis=-1, keepdims=True)
             if not (np.isfinite(norm).all() and norm.all()):
                 return None
-            u = f / norm
-            a, c = u[:-1, :-1], u[1:, 1:]
-            for b, e in ((u[1:, :-1], c), (c, u[:-1, 1:])):     # both triangles turn about +e_k
-                dots = (a * b).sum(-1) + (b * e).sum(-1) + (e * a).sum(-1)
-                total += side * 2.0 * np.arctan2((a * np.cross(b, e)).sum(-1), 1.0 + dots).sum()
-        degree = round(total / (4.0 * math.pi))
-        if degree == last:
+            angles = u = f / norm       # in 1-D, the sign of f at the face's point
+            if d == 2:
+                a, b = u[:-1], u[1:]
+                angles = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], (a * b).sum(-1))
+                turn = max(turn, float(np.abs(angles).max()))
+            elif d == 3:
+                a, c = u[:-1, :-1], u[1:, 1:]
+                angles = sum(2.0 * np.arctan2((a * np.cross(b, e)).sum(-1), 1.0 + (a * b + b * e + e * a).sum(-1))
+                             for b, e in ((u[1:, :-1], c), (c, u[:-1, 1:])))
+            total += side * (-1) ** (k * (d - 1)) * float(angles.sum())
+        degree = round(total / (2.0, 2.0 * math.pi, 4.0 * math.pi)[d - 1])
+        if degree == last if d == 3 else turn < 0.5 * math.pi:
             return degree
         last, n = degree, 2 * n
     return None
@@ -532,15 +509,16 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
     again.  Only the balls are bumped, each ball being the support of its
     bumps, and the zeros outside them are kept; a ball that reaches the
     window's edge, a quadrant face or another ball raises RetryExhausted.
-    A ball fixed before a later zero is known can hide that zero from every
-    start.  So for a square problem in 1-D, 2-D or 3-D, the signs of the
-    kept zeros plus the balls' degrees (f's degrees on their boundaries,
-    `_boundary_degree`) must add up to f's degree on the window (on its
-    part in the quadrant); while they do not, the window is searched again
-    from as many new Halton starts as were made so far, the balls stopping
-    them, at most BALL_DOUBLINGS times.  With no degree on the window, in
-    more dimensions or with zeros that are not square, the first search
-    stands.  Each attempt draws lambda within the budget and searches f + s
+    A ball placed before a later zero is known can hide that zero from every
+    start, and shrinks when that zero's ball would overlap it; its degree is
+    then sampled again.  So for a square problem in 1-D, 2-D or 3-D, the
+    signs of the kept zeros plus the balls' degrees (f's degrees on their
+    boundaries, `_boundary_degree`) must add up to f's degree on the window
+    (on its part in the quadrant); while they do not, the window is searched
+    again from as many new Halton starts as were made so far, the balls
+    stopping them, at most BALL_DOUBLINGS times.  With no degree on the
+    window, in more dimensions or with zeros that are not square, the first
+    search stands.  Each attempt draws lambda within the budget and searches f + s
     inside the balls alone (`_ball_zeros`); it passes when every zero is
     transversal, and the retry limit makes failures loud.
     """
@@ -554,13 +532,14 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
     out_dim, d = found[0][0].jacobian.shape
     counted = out_dim == d <= 3
     window = _window_degree(pp) if counted else None
-    degrees, used, made = [], pp.grid_starts, len(starts)
+    settled, used, made = [], pp.grid_starts, len(starts)      # (ball, f's degree on it)
     for doubling in range(BALL_DOUBLINGS + 1):
-        for i in range(len(degrees), len(balls)):
-            balls[i], degree = _settled_ball(pp, balls[i], balls[:i], counted)
-            degrees.append(degree)
+        for i, ball in enumerate(balls):
+            if i == len(settled) or settled[i][0][1] != ball[1]:     # a new ball, or one a later zero shrank
+                settled[i:i + 1] = [_settled_ball(pp, ball, balls[:i], counted)]
+                balls[i] = settled[i][0]
         carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
-        if window is None or (signed := sum(_sign(z) for z, _ in carried) + sum(degrees)) == window:
+        if window is None or (signed := sum(_sign(z) for z, _ in carried) + sum(deg for _, deg in settled)) == window:
             break
         if doubling == BALL_DOUBLINGS:
             raise RetryExhausted(f"{made} starts found zeros and stop balls of signed count {signed}, "
@@ -579,7 +558,7 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
         s = _combine(bumps, lam, levels)
         zeros = list(carried)
         try:
-            for ball, degree in zip(balls, degrees):
+            for ball, degree in settled:
                 zeros += _ball_zeros(pp, s, ball, degree)
                 if not all(ok for _, ok in zeros):
                     break
@@ -909,7 +888,7 @@ class _Cell:
         u = float(np.linalg.norm(t)) / self.chart.radius
         return x, np.array([u - np.linalg.norm(c.coordinates(x)) / c.radius for c in self.neighbours])
 
-    def _crossing(self, e, claims, lo: float = 0.0, guess=None):
+    def _crossing(self, e, claims, lo: float, guess):
         """(root, pos): where the largest u - u_j, j in claims, changes sign
         along t = rho e between lo and rho_max, and the end of the final
         bracket past it.  None when the sign does not change.  A `guess`
@@ -942,7 +921,7 @@ class _Cell:
         claims = [j for j in np.flatnonzero(g > 0) if np.isfinite(_covering_u(self.neighbours[j], x))]
         lo = 0.0
         while claims:
-            hit = self._crossing(e, claims, lo)
+            hit = self._crossing(e, claims, lo, None)
             if hit is None:         # a neighbour claims the ray from its start
                 return lo, claims[0]
             rho, pos = hit

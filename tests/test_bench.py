@@ -1,4 +1,4 @@
-"""The end-to-end recorder bench/run.py: its dirty-tree check and its size counts."""
+"""The end-to-end recorder bench/run.py: its dirty-tree check, its size counts and its 3-D sweep."""
 
 import importlib.util
 import itertools
@@ -115,3 +115,10 @@ def test_cube_map_degree_of_two_rounded_maps():
          (1.061820, [-0.539781, -0.338929, 0.332672])],
         np.array([[0.036086, 0.147825, 1.763003], [-0.04285, 0.800355, 0.055702],
                   [-0.457185, -0.456809, -0.820401]])) == 0
+
+
+def test_sweep_3d_records_each_maps_degree_and_section_evaluations():
+    out = bench_run.sweep_3d(2024, 2)
+    rng = np.random.default_rng(2024)
+    assert out["degrees"] == [bench_run.cube_map_degree(*bench_run.cube_map(rng)) for _ in range(2)]
+    assert len(out["section_evals"]) == 2 and min(out["section_evals"]) > 0

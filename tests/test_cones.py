@@ -191,6 +191,17 @@ def test_quadrant_structure_full_parameter_block():
     assert np.allclose(qs.from_standard @ s, x, atol=1e-12)
 
 
+def test_quadrant_structure_with_a_w_part():
+    # N = R^3 with x_0, x_1 >= 0: N ∩ W is the x_2-axis, and its complement
+    # in N meets the quadrant in the rays e_0 and e_1
+    N = SubspaceInQuadrant(ambient=ambient(3, 2), basis=np.eye(3))
+    qs = quadrant_structure(N)
+    assert qs.quadrant_count == 2
+    assert sorted(qs.sigma) == [0, 1]
+    x = np.array([0.3, 0.7, -0.4])
+    assert np.max(np.abs(qs.from_standard @ (qs.to_standard @ x) - x)) <= 1e-12
+
+
 def test_quadrant_structure_second_case_diagonal():
     qs = quadrant_structure(registry.diagonal_in_square())
     assert qs.sigma == frozenset()

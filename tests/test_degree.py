@@ -1091,6 +1091,25 @@ def test_a_seed_on_a_degenerate_zero_still_gets_a_ball(section, seed, expected):
     assert compute_degree(pp) == expected
 
 
+def test_a_degenerate_zero_of_a_map_that_is_not_square_is_bumped_without_a_count():
+    # x^2 + y^2 on the square: the seed lies on the zero 0, where f' = 0 is
+    # not onto.  f has no degree, so its ball is bumped with no count, and
+    # f + s has a circle of zeros in it, or none
+    pp = problem(lambda x: np.array([x[0] ** 2 + x[1] ** 2]), [-1, -1], [1, 1], seeds=([0.0, 0.0],))
+    out = generic_perturbation(pp)
+    assert out.lambdas.size == 1 and out.perturbation.support_contains(np.zeros(2))
+    assert all(z.surjective for z in out.zeros)
+
+
+def test_an_attempt_whose_ball_holds_an_uncertified_zero_draws_another_perturbation(monkeypatch):
+    # x^3 + s has one zero in the ball for every s; the first attempt's ball
+    # search reports it uncertified, so that attempt fails and the next passes
+    calls = local_searches(monkeypatch, lambda call, found: [(z, ok and call > 1) for z, ok in found])
+    pp = replace(problem(lambda x: np.array([x[0] ** 3]), [-2], [2], seeds=([0.0],), budget=0.1), grid_starts=32)
+    out = generic_perturbation(pp)
+    assert out.retries == 1 and len(calls) == 2 and len(out.zeros) == 1
+
+
 def double_root_before_a_simple_zero():
     # (x - 1/2)^2 (x - 0.2) (x + 1.8), degree 0; the seed 0.6 finds the double
     # root first, so its ball has radius 0.8 times its window margin 1.5 and
@@ -1267,7 +1286,9 @@ def test_degree_of_a_3d_map_with_double_roots_is_the_closed_form(seed):
 
 
 def roadmap_map(seed):
-    """A rounded map A (p(x), q(y), r(z)) of a sweep, by its rng seed."""
+    """A rounded map A (p(x), q(y), r(z)) of a sweep, by its rng seed: 27
+    and 51 of ROADMAP item 2's draw, 58 of `bench/run.py`'s `cube_map` from
+    default_rng(2024) and 92 of its draw from default_rng(7)."""
     p, q, r, A = {
         27: ((0.583392, [-0.261067, 0.080949, 0.080949]), (-0.562025, [-0.599979, -0.324828, 0.271871]),
              (0.729402, [-0.669305]),
@@ -1275,6 +1296,12 @@ def roadmap_map(seed):
         51: ((-0.877996, [-0.747467, -0.160643, -0.160643, 0.476517]),
              (1.293575, [-0.180055, 0.173253, 0.542158]), (1.061820, [-0.539781, -0.338929, 0.332672]),
              [[0.036086, 0.147825, 1.763003], [-0.04285, 0.800355, 0.055702], [-0.457185, -0.456809, -0.820401]]),
+        58: ((-1.051754, [0.631846, -0.438889, -0.688124, 0.631846]), (-1.021386, [0.032335, -0.262917, 0.614527]),
+             (0.565767, [0.404445, -0.207273, -0.734127]),
+             [[-0.229322, -0.985646, -0.365206], [0.302128, -0.711734, 0.931201], [-1.955941, 1.952807, -0.137436]]),
+        92: ((0.964433, [-0.693087, -0.185373, 0.719379, -0.693087]), (0.747418, [-0.448913, 0.749115, -0.16552]),
+             (-1.113756, [0.169063, 0.450151, -0.03225]),
+             [[-0.412063, -0.304288, -2.991673], [1.000986, 0.818449, 0.799019], [0.978406, 1.691, -0.046002]]),
     }[seed]
     A = np.array(A)
 
@@ -1296,6 +1323,15 @@ def test_a_3d_zero_that_no_start_reaches_outside_the_balls_fails_loud():
     # and the window's count shows the miss
     with pytest.raises(RetryExhausted, match="signed count -1, but f has degree 0"):
         compute_degree(roadmap_map(51))
+
+
+@pytest.mark.parametrize("seed", [58, 92])
+def test_a_3d_ball_placed_before_a_nearby_degenerate_zero_shrinks_clear_of_it(seed):
+    # a degenerate zero lies just outside the stop ball of an earlier one,
+    # so its own ball would get the least radius 1e-3 and overlap that ball;
+    # the earlier ball shrinks to 0.4 times their distance instead, and its
+    # degree is sampled again.  The closed form is 0
+    assert compute_degree(roadmap_map(seed)) == 0
 
 
 LINEAR_3D = np.array([[0.3, -1.2, 0.4], [1.1, 0.2, -0.7], [0.5, 0.8, 1.3]])
