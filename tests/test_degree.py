@@ -1287,8 +1287,8 @@ def test_degree_of_a_3d_map_with_double_roots_is_the_closed_form(seed):
 
 def roadmap_map(seed):
     """A rounded map A (p(x), q(y), r(z)) of a sweep, by its rng seed: 27
-    and 51 of ROADMAP item 2's draw, 58 of `bench/run.py`'s `cube_map` from
-    default_rng(2024) and 92 of its draw from default_rng(7)."""
+    and 51 of a draw made like `bench/run.py`'s `cube_map`, 58 of `cube_map`
+    from default_rng(2024) and 92 of its draw from default_rng(7)."""
     p, q, r, A = {
         27: ((0.583392, [-0.261067, 0.080949, 0.080949]), (-0.562025, [-0.599979, -0.324828, 0.271871]),
              (0.729402, [-0.669305]),
