@@ -7,8 +7,10 @@ For the tree (default: this checkout) one invocation records
 - the final JSON line of `perfbench/run.py --trace 0` for each workload,
 - the minimum cold `import germforge` time over IMPORT_RUNS fresh interpreters,
 - each CLI command at `--seed 0`, run CLI_RUNS times: the minimum and every
-  wall time, the exit codes, and the wall time of each model from the
-  events.jsonl of the fastest run,
+  wall time, the exit codes, the wall time of each model from the
+  events.jsonl of the fastest run, and the SHA-256 of each CSV it wrote
+  (events.jsonl, which holds timings, is left out), with whether every run
+  wrote the same CSVs,
 - one run of the tier-1 suite: wall time, exit code and passed/failed counts,
 - the signed degree of DEGREE3D_MAPS seeded 3-D maps (`cube_map`) against
   their closed form: the wrong degrees, the loud failures (a germforge
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import platform
@@ -127,8 +130,13 @@ def cold_import(tree: Path) -> dict:
     return {"min_s": min(runs), "runs_s": runs}
 
 
+def csv_digests(out: Path) -> dict:
+    """File name -> SHA-256 of each CSV in a CLI output directory."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
+
+
 def cli_run(tree: Path, command: str) -> dict:
-    """Wall time, exit code and per-model wall times of one CLI run."""
+    """Wall time, exit code, per-model wall times and CSV digests of one CLI run."""
     with tempfile.TemporaryDirectory() as tmp:
         t0 = time.perf_counter()
         proc = _run([sys.executable, "-m", "germforge.cli", command, "--seed", "0", "--out", tmp], tree)
@@ -140,19 +148,22 @@ def cli_run(tree: Path, command: str) -> dict:
                 event = json.loads(line)
                 if event["event"] == "run":
                     models[event["model"]] = event["wall_time"]
-    return {"seconds": wall, "exit_code": proc.returncode, "model_seconds": models}
+        digests = csv_digests(Path(tmp))
+    return {"seconds": wall, "exit_code": proc.returncode, "model_seconds": models, "csv_sha256": digests}
 
 
 def cli(tree: Path) -> dict:
-    """Each command CLI_RUNS times: the fastest run's wall time, exit code and
-    model times, plus the wall time of every run."""
+    """Each command CLI_RUNS times: the fastest run's wall time, exit code,
+    model times and CSV digests, the wall time of every run, and whether
+    every run wrote the same CSVs."""
     out = {}
     for command in COMMANDS:
         runs = [cli_run(tree, command) for _ in range(CLI_RUNS)]
         fastest = min(runs, key=lambda r: r["seconds"])
         out[command] = {"min_s": fastest["seconds"], "runs_s": [r["seconds"] for r in runs],
                         "exit_codes": [r["exit_code"] for r in runs],
-                        "model_seconds": fastest["model_seconds"]}
+                        "model_seconds": fastest["model_seconds"], "csv_sha256": fastest["csv_sha256"],
+                        "csv_runs_agree": all(r["csv_sha256"] == fastest["csv_sha256"] for r in runs)}
     return out
 
 

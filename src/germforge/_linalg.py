@@ -6,7 +6,10 @@ The systems are tiny (1x1 to 3x3 steps), so the cost of `fd_jacobian` and
 `newton` is numpy call overhead, not arithmetic: they make as few numpy
 calls as they can while returning the bits of the plain formulas (steps
 x +- h e_j, columns (f(x + h e_j) - f(x - h e_j)) / 2h, the 2-norm as
-sqrt(f . f), which is what `np.linalg.norm` computes for a real vector)."""
+sqrt(f . f), which is what `np.linalg.norm` computes for a real vector).
+A 1x1 step is solved in closed form, -f * (1 / J), which is what LAPACK's
+dgelsd behind `np.linalg.lstsq` returns bit for bit while it does not
+rescale J or f (see CLOSED_FORM_RANGE)."""
 
 from __future__ import annotations
 
@@ -18,6 +21,16 @@ from .errors import DegenerateSplitting
 
 SV_RELATIVE_CUTOFF = 1e-8
 RANK_BAND_FACTOR = 10.0
+# |J| and |f| of a 1x1 step inside which `newton` skips lstsq: dgelsd solves
+# it as b * (1 / d), and rescales only beyond about 1e-290 or 1e290
+CLOSED_FORM_RANGE = (1e-250, 1e250)
+
+
+def as_vector(y):
+    """y as a float64 array, a 0-d value reshaped to shape (1,); what
+    np.atleast_1d(np.asarray(y, dtype=float)) returns."""
+    y = np.asarray(y, dtype=float)
+    return y.reshape(1) if y.ndim == 0 else y
 
 
 def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
@@ -72,7 +85,7 @@ def fd_jacobian(f, x):
     x = np.asarray(x, dtype=float)
     n = x.size
     if n == 0:
-        return np.zeros((np.atleast_1d(np.asarray(f(x), dtype=float)).size, 0))
+        return np.zeros((as_vector(f(x)).size, 0))
     h = 1e-6 * (1.0 + float(np.abs(x).sum()))
     J = None
     for j, e in enumerate(np.diag([h] * n)):    # rows h e_j, exact (no inf * 0) for any h
@@ -87,10 +100,20 @@ def _norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def _step(J, fx):
+    """The lstsq solution of J step = -fx; for a 1x1 J with |J| and |f| in
+    CLOSED_FORM_RANGE, -f * (1 / J), which has the same bits."""
+    lo, hi = CLOSED_FORM_RANGE
+    if J.shape == (1, 1) and lo <= abs(J[0, 0]) <= hi and lo <= abs(fx[0]) <= hi:
+        return -fx * (1.0 / J[0, 0])
+    return np.linalg.lstsq(J, -fx, rcond=None)[0]
+
+
 def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     """Damped Gauss-Newton for func(x) = 0; returns (x, max|func(x)|, converged).
 
-    Steps are lstsq solutions with the FD Jacobian (square or not), halved
+    Steps are lstsq solutions with the FD Jacobian (square or not; a 1x1
+    one in closed form, with lstsq's bits inside CLOSED_FORM_RANGE), halved
     down to 1e-8 until the residual 2-norm beats the best so far.  A stall, a
     non-finite Jacobian or residual, a failed solve, or an accepted iterate
     on which the predicate `stop` holds returns converged = False; it never
@@ -111,7 +134,7 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
         if not np.isfinite(J).all():    # lstsq would print and step NaN
             return x, res, False
         try:
-            step = np.linalg.lstsq(J, -fx, rcond=None)[0]
+            step = _step(J, fx)
         except np.linalg.LinAlgError:
             return x, res, False
         lam = 1.0

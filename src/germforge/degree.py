@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import fd_jacobian, newton, svd_split
+from ._linalg import as_vector, fd_jacobian, newton, svd_split
 from .errors import (
     AtlasIncomplete,
     BudgetExceeded,
@@ -101,7 +101,7 @@ class PerturbationProblem:
     grid_starts: int = 64
 
     def evaluate(self, x, extra=None):
-        val = np.atleast_1d(np.asarray(self.section(np.asarray(x, dtype=float)), dtype=float))
+        val = as_vector(self.section(np.asarray(x, dtype=float)))
         if extra is not None:
             val = val + extra(x)
         return val

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import SV_RELATIVE_CUTOFF, fd_jacobian, guard_rank_band, svd_split
+from ._linalg import SV_RELATIVE_CUTOFF, as_vector, fd_jacobian, guard_rank_band, svd_split
 from .errors import MismatchAtPoint
 from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, shrink_levels_to_contraction
 from .spaces import GradedSpace
@@ -58,7 +58,7 @@ class BasicGerm:
         return self.N + self.W.dim
 
     def evaluate(self, x):
-        out = np.atleast_1d(np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float))
+        out = as_vector(self.g(np.asarray(x, dtype=float)))
         if out.shape != (self.target_dim,):
             raise ValueError(f"g must return {self.target_dim} components, got {out.shape}")
         return out
@@ -73,11 +73,10 @@ class BasicGerm:
     @property
     def inner(self) -> ContractionGerm:
         """Contraction germ B(v, w) = w - P(g(v, w) - g(0))."""
-        g0 = self.value_at_zero()
+        g0 = self.value_at_zero()[self.N:]
 
         def B(v, w):
-            x = np.concatenate([v, w])
-            return w - self.project_W(self.evaluate(x) - g0)
+            return w - (self.evaluate(np.concatenate([v, w]))[self.N:] - g0)
 
         return ContractionGerm(
             parameter_space=self.parameter_space,
@@ -115,7 +114,7 @@ class ScPlusSection:
     support: object = None
 
     def __call__(self, x):
-        return np.atleast_1d(np.asarray(self.section(np.asarray(x, dtype=float)), dtype=float))
+        return as_vector(self.section(np.asarray(x, dtype=float)))
 
     def output_level(self, input_level: int) -> int:
         return min(input_level + 1, self.levels)
@@ -134,12 +133,12 @@ def linearize_relative(f, s: ScPlusSection, q):
     choice.
     """
     q = np.asarray(q, dtype=float)
-    fq = np.atleast_1d(np.asarray(f(q), dtype=float))
+    fq = as_vector(f(q))
     sq = s(q)
     gap = float(np.max(np.abs(fq - sq))) if fq.size else 0.0
     if gap > MATCH_TOL:
         raise MismatchAtPoint(f"s(q) differs from f(q) by {gap:.3e} > {MATCH_TOL:.1e}")
-    return fd_jacobian(lambda x: np.atleast_1d(np.asarray(f(x), dtype=float)) - s(x), q)
+    return fd_jacobian(lambda x: as_vector(f(x)) - s(x), q)
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
     A = Ds0[bg.N:, n:]                      # P D2 s(0): W -> W
     one_plus_A = np.eye(wdim) + A
 
-    U, sv, Vt = np.linalg.svd(one_plus_A) if wdim else (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+    U, sv, Vt = np.linalg.svd(one_plus_A)
     smax = sv[0] if sv.size else 1.0
     cutoff = SV_RELATIVE_CUTOFF * max(smax, 1.0)
     guard_rank_band(sv, cutoff)
@@ -189,33 +188,27 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
 
     # L = (1+A)|X as a rank x rank matrix in the (X, R) coordinates.
     L = R_basis.T @ one_plus_A @ X_basis
-    L_inv = np.linalg.inv(L) if rank else np.zeros((0, 0))
+    L_inv = np.linalg.inv(L)
 
-    g0 = bg.value_at_zero()
-    s0 = s(np.zeros(bg.domain_dim))
-    fs0 = g0 + s0
+    fs0 = bg.value_at_zero() + s(np.zeros(bg.domain_dim))
 
-    def gs(x):
-        return bg.evaluate(x) + s(x)
+    # y = (a, c_coeffs, x_coeffs) -> (a, C c + X x), and a value
+    # (head, w) -> (head, Z^T w, L^-1 R^T w); tau: Z -> C pairs the SVD
+    # null directions of the two sides
+    into = np.eye(n + wdim)
+    into[n:, n:] = np.hstack([C_basis, X_basis])
+    out_of = np.eye(N + wdim)
+    out_of[N:, N:] = np.vstack([Z_basis.T, L_inv @ R_basis.T])
 
-    # tau: Z -> C pairs the SVD null directions of the two sides.
     def new_g(y):
         """y = (a, c_coeffs, x_coeffs) -> (R^N, tau-coords, X-coords)."""
-        a = y[:n]
-        c = C_basis @ y[n:n + d] if d else np.zeros(wdim)
-        xpart = X_basis @ y[n + d:] if rank else np.zeros(wdim)
-        w = c + xpart
-        val = gs(np.concatenate([a, w])) - fs0
-        head = val[:N]
-        wval = val[N:]
-        z_coords = Z_basis.T @ wval if d else np.zeros(0)
-        x_coords = L_inv @ (R_basis.T @ wval) if rank else np.zeros(0)
-        return np.concatenate([head, z_coords, x_coords])
+        x = into @ y
+        return out_of @ (bg.evaluate(x) + s(x) - fs0)
 
     X_space = GradedSpace(
         dim=rank,
         levels=bg.W.levels,
-        weights=np.maximum(np.abs(X_basis).T @ bg.W.weights, 1.0) if rank else np.zeros(0),
+        weights=np.maximum(np.abs(X_basis).T @ bg.W.weights, 1.0),
         quadrant_rank=0,
     )
     out = BasicGerm(n=n + d, k=k, N=N + d, W=X_space, g=new_g)

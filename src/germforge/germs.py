@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import fd_jacobian
+from ._linalg import as_vector, fd_jacobian
 from .errors import NonConvergence, SingularLinearization
 from .spaces import GradedSpace
 
@@ -61,7 +61,7 @@ class ContractionGerm:
                 raise ValueError(f"neighborhood radius at level {m} must be positive, got {r}")
 
     def evaluate(self, v, u):
-        out = np.atleast_1d(np.asarray(self.B(np.asarray(v, float), np.asarray(u, float)), dtype=float))
+        out = as_vector(self.B(np.asarray(v, float), np.asarray(u, float)))
         if out.shape != (self.solution_space.dim,):
             raise ValueError(f"B returned shape {out.shape}, expected ({self.solution_space.dim},)")
         return out

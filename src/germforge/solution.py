@@ -34,7 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from . import cones
-from ._linalg import (SV_RELATIVE_CUTOFF, fd_jacobian, is_surjective, newton, orthonormal_columns,
+from ._linalg import (SV_RELATIVE_CUTOFF, as_vector, fd_jacobian, is_surjective, newton, orthonormal_columns,
                       subspace_intersection, svd_split)
 from .errors import (
     GermforgeError,
@@ -55,6 +55,9 @@ NEWTON_MAX_ITER = 60
 SECOND_DIFFERENCE_STEP = 1e-4
 # cells are clipped at this share of their chart's radius
 SUPPORT_SCALE = 0.95
+# |a| up to which `_complement_inverse` inverts a 1x1 J C = a as 1 / a;
+# dgesdd rescales above about 1.68e138
+CLOSED_FORM_BOUND = 1e130
 
 
 def _solve(func, x0):
@@ -178,7 +181,7 @@ class GoodParametrization:
         return self.base_point + self.kernel_basis @ t + self.a_vector(t)
 
     def section_value(self, x):
-        return np.atleast_1d(np.asarray(self.section(np.asarray(x, dtype=float)), dtype=float))
+        return as_vector(self.section(np.asarray(x, dtype=float)))
 
     def jacobian(self, x):
         return fd_jacobian(self.section_value, np.asarray(x, dtype=float))
@@ -228,11 +231,16 @@ def _complement_inverse(JC):
     """(J C)^-1 from one SVD of J C, the Jacobian of the graph system
     s -> f(q + K t + C s) at a chart point.  Raises NotSurjective when J C
     is singular at `is_surjective`'s cutoff, i.e. the complement is not
-    transverse to ker f'(Gamma(t))."""
-    U, sv, Vt = np.linalg.svd(JC)
+    transverse to ker f'(Gamma(t)).  A 1x1 J C = a gives 1 / a, the bits of
+    the SVD formula while |a| <= CLOSED_FORM_BOUND."""
+    closed = JC.shape == (1, 1) and abs(JC[0, 0]) <= CLOSED_FORM_BOUND
+    if closed:
+        sv = np.abs(JC[0])
+    else:
+        U, sv, Vt = np.linalg.svd(JC)
     if not sv[-1] > SV_RELATIVE_CUTOFF * max(sv[0], 1.0):
         raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
-    return (Vt.T / sv) @ U.T
+    return 1.0 / JC if closed else (Vt.T / sv) @ U.T
 
 
 def _tangent(chart: GoodParametrization, J):
@@ -356,7 +364,7 @@ class BundleIso:
     def push_section(self, section):
         def pushed(y):
             x = np.asarray(self.base_inv(np.asarray(y, dtype=float)), dtype=float)
-            return np.atleast_1d(np.asarray(section(x), dtype=float))
+            return as_vector(section(x))
         return pushed
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._linalg import fd_jacobian, orthonormal_columns, svd_split
+from ._linalg import as_vector, fd_jacobian, orthonormal_columns, svd_split
 from .errors import GermforgeError, NotAZero
 from .spaces import DEFAULT_TOL, GradedSpace
 
@@ -173,7 +173,7 @@ class Filler:
     fc: object
 
     def evaluate(self, v, e):
-        out = np.atleast_1d(np.asarray(self.fc(np.asarray(v, float), np.asarray(e, float)), dtype=float))
+        out = as_vector(self.fc(np.asarray(v, float), np.asarray(e, float)))
         if out.shape != (self.bundle.F.dim,):
             raise ValueError(f"filler must return {self.bundle.F.dim} components, got {out.shape}")
         return out
@@ -203,9 +203,9 @@ class FilledSection:
         return self.filler.bundle.base.model
 
     def section_value(self, v, e):
-        out = np.atleast_1d(np.asarray(self.section(np.asarray(v, float), np.asarray(e, float)), dtype=float))
+        out = as_vector(self.section(np.asarray(v, float), np.asarray(e, float)))
         if out.shape != (self.filler.bundle.F.dim,):
-            raise ValueError(f"section must return {self.filler.bundle.F.dim} components")
+            raise ValueError(f"section must return {self.filler.bundle.F.dim} components, got {out.shape}")
         return out
 
     def evaluate(self, v, e):

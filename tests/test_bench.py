@@ -1,5 +1,6 @@
 """The end-to-end recorder bench/run.py: its dirty-tree check, its size counts and its 3-D sweep."""
 
+import hashlib
 import importlib.util
 import itertools
 import subprocess
@@ -122,3 +123,35 @@ def test_sweep_3d_records_each_maps_degree_and_section_evaluations():
     rng = np.random.default_rng(2024)
     assert out["degrees"] == [bench_run.cube_map_degree(*bench_run.cube_map(rng)) for _ in range(2)]
     assert len(out["section_evals"]) == 2 and min(out["section_evals"]) > 0
+
+
+def test_csv_digests_hash_each_csv_and_leave_out_the_events(tmp_path):
+    (tmp_path / "b-model.csv").write_bytes(b"x,y\n1,2\n")
+    (tmp_path / "a-model.csv").write_bytes(b"")
+    (tmp_path / "events.jsonl").write_text('{"event": "run", "wall_time": 0.1}\n')
+    assert bench_run.csv_digests(tmp_path) == {
+        "a-model.csv": hashlib.sha256(b"").hexdigest(),
+        "b-model.csv": hashlib.sha256(b"x,y\n1,2\n").hexdigest()}
+
+
+def test_a_cli_record_carries_the_fastest_runs_digests_and_whether_the_runs_agree(monkeypatch):
+    def record(digests):
+        runs = iter(zip([1.0, 0.5, 2.0], digests))
+
+        def fake_run(tree, command):
+            seconds, digest = next(runs)
+            return {"seconds": seconds, "exit_code": 0, "model_seconds": {}, "csv_sha256": {"a.csv": digest}}
+
+        monkeypatch.setattr(bench_run, "cli_run", fake_run)
+        return bench_run.cli(Path("."))["degree"]
+
+    monkeypatch.setattr(bench_run, "COMMANDS", ("degree",))
+    assert record(["1", "1", "1"])["csv_runs_agree"] is True
+    out = record(["1", "2", "1"])
+    assert (out["min_s"], out["csv_sha256"], out["csv_runs_agree"]) == (0.5, {"a.csv": "2"}, False)
+
+
+def test_a_cli_run_of_the_tree_records_its_csvs():
+    out = bench_run.cli_run(bench_run.ROOT, "solve-germ")
+    assert out["exit_code"] == 0 and out["csv_sha256"]
+    assert all(name.startswith("solve-germ-") and name.endswith(".csv") for name in out["csv_sha256"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from germforge import fredholm
+from germforge._linalg import SV_RELATIVE_CUTOFF, fd_jacobian
 from germforge.errors import DegenerateSplitting, MismatchAtPoint, NonConvergence
 from germforge.fredholm import (
     BasicGerm,
@@ -292,3 +293,73 @@ def test_normal_form_evaluates_g_once_per_distinct_sample(monkeypatch):
     oracle = [p for p in points if p != np.zeros(bg.domain_dim).tobytes()]
     assert set(sampled) == set(oracle)
     assert len(oracle) > len(sampled)
+
+
+# The normal form's map as first written: per call, C c and X x and the Z
+# and L^-1 R^T coordinates, each block only when it is not empty.
+
+def branchy_normal_form_map(bg, s):
+    wdim, n, N = bg.W.dim, bg.n, bg.N
+    one_plus_A = np.eye(wdim) + fd_jacobian(s, np.zeros(bg.domain_dim))[N:, n:]
+    U, sv, Vt = np.linalg.svd(one_plus_A) if wdim else (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+    rank = int(np.sum(sv > SV_RELATIVE_CUTOFF * max(sv[0] if sv.size else 1.0, 1.0)))
+    X_basis, C_basis, R_basis, Z_basis = Vt[:rank].T, Vt[rank:].T, U[:, :rank], U[:, rank:]
+    d = C_basis.shape[1]
+    L_inv = np.linalg.inv(R_basis.T @ one_plus_A @ X_basis) if rank else np.zeros((0, 0))
+    fs0 = bg.value_at_zero() + s(np.zeros(bg.domain_dim))
+
+    def gs(x):
+        return bg.evaluate(x) + s(x)
+
+    def new_g(y):
+        a = y[:n]
+        c = C_basis @ y[n:n + d] if d else np.zeros(wdim)
+        xpart = X_basis @ y[n + d:] if rank else np.zeros(wdim)
+        val = gs(np.concatenate([a, c + xpart])) - fs0
+        wval = val[N:]
+        z_coords = Z_basis.T @ wval if d else np.zeros(0)
+        x_coords = L_inv @ (R_basis.T @ wval) if rank else np.zeros(0)
+        return np.concatenate([val[:N], z_coords, x_coords])
+
+    return new_g, d
+
+
+def normal_form_cases():
+    """(bg, s, kernel dim): random germs with quadratic sections (d = 0),
+    with s = -w on the first W coordinate (d = 1), and the full absorption
+    germ (rank 0)."""
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        bg = make_linear_basic_germ(rng, n=2, N=1, wdim=2, scale=0.08)
+        A = rng.normal(size=(bg.target_dim, bg.domain_dim)) * 0.2
+        Q = rng.normal(size=(bg.target_dim, bg.domain_dim)) * 0.05
+        yield bg, ScPlusSection(section=lambda x, A=A, Q=Q: A @ x + Q @ (x * x), levels=bg.W.levels), 0
+    for _ in range(4):
+        bg = make_linear_basic_germ(rng, n=2, N=1, wdim=2, scale=0.08)
+        Q = rng.normal(size=(bg.target_dim, bg.domain_dim)) * 0.05
+        Q[1:, 2:] = 0.0     # no w^2 term in the W rows: B_hat stays a contraction
+
+        def s_map(x, Q=Q):
+            return np.array([0.0, -x[2], 0.0]) + Q @ (x * x)
+
+        yield bg, ScPlusSection(section=s_map, levels=bg.W.levels), 1
+    yield base_germ_for_stability(), ScPlusSection(section=lambda x: np.array([-x[1]]), levels=2), 1
+
+
+def test_the_folded_normal_form_map_matches_the_branchy_one():
+    rng = np.random.default_rng(32)
+    for bg, s, kernel_dim in normal_form_cases():
+        out, rep = perturb_normal_form(bg, s)
+        oracle, d = branchy_normal_form_map(bg, s)
+        assert rep.kernel_dim == d == kernel_dim
+        for y in rng.uniform(-0.3, 0.3, size=(20, out.domain_dim)):
+            got, want = out.g(y), oracle(y)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # the normal form has g(0) = 0; shifting g checks that B subtracts g(0)
+        shifted = replace(bg, g=lambda x, g=bg.g: g(x) + np.arange(1.0, bg.target_dim + 1.0))
+        for germ in (out, shifted):
+            for y in rng.uniform(-0.3, 0.3, size=(5, germ.domain_dim)):
+                v, w = y[:germ.n], y[germ.n:]
+                inner = w - germ.project_W(germ.evaluate(y) - germ.value_at_zero())
+                assert np.array_equal(germ.inner.evaluate(v, w), inner)

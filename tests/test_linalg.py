@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge import registry
-from germforge._linalg import fd_jacobian, is_surjective, newton, svd_split
+from germforge._linalg import CLOSED_FORM_RANGE, _step, fd_jacobian, is_surjective, newton, svd_split
 
 
 class Counted:
@@ -255,3 +255,59 @@ def test_fd_jacobian_steps_keep_the_sign_of_a_negative_zero():
     f = lambda x: np.copysign(1.0, x) + x
     x = np.array([-0.0, 0.5, -0.0])
     assert same_bits(fd_jacobian(f, x), fd_jacobian_oracle(f, x))
+
+
+# ------------------------------------------- the closed-form 1x1 Newton step
+
+def log_uniform(rng, count, exponent=300):
+    """count values of both signs with |value| log-uniform over 1e+-exponent."""
+    return rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-exponent, exponent, count)
+
+
+def edge_values():
+    """+-0, subnormals, the extremes of float64 and the values on and next
+    to the edges of the closed-form range, with both signs."""
+    lo, hi = CLOSED_FORM_RANGE
+    edges = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1e-290, 1e290, np.finfo(float).max]
+    for edge in (lo, hi):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    return [sign * v for v in edges for sign in (1.0, -1.0)]
+
+
+def assert_step_is_lstsqs(J, f):
+    fx = np.array([f])
+    with np.errstate(over="ignore", under="ignore"):
+        step = _step(np.array([[J]]), fx)
+    assert same_bits(step, np.linalg.lstsq(np.array([[J]]), -fx, rcond=None)[0]), (J, f)
+
+
+def test_a_1x1_step_returns_the_bits_of_lstsq():
+    rng = np.random.default_rng(23)
+    for J, f in zip(log_uniform(rng, 20000), log_uniform(rng, 20000)):
+        assert_step_is_lstsqs(J, f)
+
+
+def test_a_1x1_step_at_zero_subnormal_and_edge_values_returns_the_bits_of_lstsq():
+    rng = np.random.default_rng(24)
+    edges = edge_values()
+    for J in edges:
+        for f in edges + list(log_uniform(rng, 8)):
+            assert_step_is_lstsqs(J, f)
+        for f in log_uniform(rng, 8):
+            assert_step_is_lstsqs(f, J)
+
+
+def test_the_closed_form_covers_the_1x1_steps_inside_its_range(monkeypatch):
+    # inside the range lstsq is never called; outside it, and for larger J, it is
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a[0].shape) or lstsq(*a, **k))
+    lo, hi = CLOSED_FORM_RANGE
+    for J, f in [(lo, 1.0), (-hi, 2.0), (3.0, -lo), (0.5, hi)]:
+        _step(np.array([[J]]), np.array([f]))
+    assert calls == []
+    for J, f in [(0.0, 1.0), (-0.0, 1.0), (np.nextafter(lo, 0.0), 1.0), (1.0, np.nextafter(hi, np.inf))]:
+        _step(np.array([[J]]), np.array([f]))
+    _step(np.eye(2), np.ones(2))
+    _step(np.ones((1, 2)), np.ones(1))
+    assert calls == [(1, 1)] * 4 + [(2, 2), (1, 2)]

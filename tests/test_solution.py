@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from germforge import registry
-from germforge._linalg import fd_jacobian, newton, orthonormal_columns, subspace_intersection, svd_split
+from germforge._linalg import (SV_RELATIVE_CUTOFF, fd_jacobian, newton, orthonormal_columns, subspace_intersection,
+                               svd_split)
 from germforge.errors import NonConvergence, NoOverlap, NotSurjective, PositionNotCertified, SingularLinearization
 from germforge.fredholm import BasicGerm
 from germforge.germs import ContractionGerm, SolutionGerm, germ_derivative
 from germforge.solution import (
+    CLOSED_FORM_BOUND,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     SUPPORT_SCALE,
     BundleIso,
     GoodParametrization,
     SolutionAtlas,
+    _complement_inverse,
     build_boundary_parametrization,
     build_parametrization,
     recentre,
@@ -784,3 +787,44 @@ def test_bordered_solve_matches_staged_construction(case):
     for t in samples:
         assert np.max(np.abs(chart.a_vector(t) - oracle(t))) <= 1e-10
         assert np.max(np.abs(chart.kernel_transport(t) - fd_jacobian(chart.gamma, t))) <= 1e-6
+
+
+# --------------------------------------- the closed-form 1x1 chart inverse
+
+def svd_inverse(JC):
+    """(J C)^-1 by the SVD formula, or NotSurjective at the same cutoff."""
+    U, sv, Vt = np.linalg.svd(JC)
+    if not sv[-1] > SV_RELATIVE_CUTOFF * max(sv[0], 1.0):
+        raise NotSurjective("singular")
+    return (Vt.T / sv) @ U.T
+
+
+def assert_inverse_is_the_svd_formulas(a):
+    JC = np.array([[a]])
+    try:
+        want = svd_inverse(JC)
+    except NotSurjective:
+        with pytest.raises(NotSurjective):
+            _complement_inverse(JC)
+        return
+    got = _complement_inverse(JC)
+    assert got.shape == (1, 1) and got.dtype == want.dtype and got.tobytes() == want.tobytes(), a
+
+
+def test_a_1x1_chart_inverse_returns_the_bits_of_the_svd_formula():
+    rng = np.random.default_rng(25)
+    for a in rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-300, 300, 20000):
+        assert_inverse_is_the_svd_formulas(a)
+    edges = [1e-300, 1e130, 1.68e138, 1e139, 1e300, np.finfo(float).max]
+    edges += [np.nextafter(CLOSED_FORM_BOUND, 0.0), np.nextafter(CLOSED_FORM_BOUND, np.inf)]
+    for a in edges:
+        assert_inverse_is_the_svd_formulas(a)
+        assert_inverse_is_the_svd_formulas(-a)
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, -1e-310, 1e-12, -5e-9, 1e-8, np.nextafter(1e-8, 0.0)])
+def test_a_1x1_chart_inverse_inside_the_cutoff_is_not_surjective(a):
+    with pytest.raises(NotSurjective):
+        _complement_inverse(np.array([[a]]))
+    with pytest.raises(NotSurjective):
+        svd_inverse(np.array([[a]]))
