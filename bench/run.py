@@ -25,6 +25,11 @@ The record is appended to the label's list in BENCH_<pr>.json at the root of
 this checkout, so one file holds the runs of the parent and of the change,
 made on the same machine.  `--parts` and `--workloads` restrict a run, e.g.
 to one workload for alternating pairs.
+
+    python3 bench/run.py --pr N --summary
+
+reads BENCH_<N>.json, runs nothing, and prints the parent against the
+change (`summary`).
 """
 
 from __future__ import annotations
@@ -252,16 +257,63 @@ def degree3d(tree: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _first(records, key) -> dict:
+    """The value of `key` in the first of the records that has it, else {}."""
+    return next((r[key] for r in records if key in r), {})
+
+
+def summary(data: dict) -> list:
+    """Lines comparing the "parent" and "change" records of one BENCH file:
+    src/ lines and settable values, tier-1 passed and failed, whether each
+    CLI command's CSV digests and the degree3d degrees and section
+    evaluations agree, and each workload's section_evals_per_op.  Each
+    value is read from the first record of its label that holds it."""
+    records = [data["entries"].get(label, []) for label in ("parent", "change")]
+
+    def pair(key):
+        return [_first(r, key) for r in records]
+
+    lines = []
+    for group, keys in (("source", ("src_lines", "settable_values")), ("tier1", ("passed", "failed"))):
+        a, b = pair(group)
+        lines += [f"{group} {key}: {a.get(key)} -> {b.get(key)}" for key in keys]
+    a, b = pair("cli")
+    for command in sorted(set(a) | set(b)):
+        same = command in a and command in b and a[command]["csv_sha256"] == b[command]["csv_sha256"]
+        lines.append(f"cli {command} csv_sha256: {'same' if same else 'DIFFER'}")
+    a, b = pair("degree3d")
+    for key in ("degrees", "section_evals"):
+        x, y = a.get(key), b.get(key)
+        if x is None or y is None or len(x) != len(y):
+            verdict = "DIFFER"
+        else:
+            moved = [i for i, (u, v) in enumerate(zip(x, y)) if u != v]
+            verdict = f"DIFFER at maps {moved}" if moved else "same"
+        lines.append(f"degree3d {key}: {verdict}")
+    for name in WORKLOADS:
+        x, y = (_first([r.get("workloads", {}) for r in label], name).get("metrics", {})
+                .get("section_evals_per_op", {}).get("value") for label in records)
+        lines.append(f"{name} section_evals_per_op: {x} -> {y}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--label")
+    parser.add_argument("--summary", action="store_true", help="print BENCH_<pr>.json's parent against its change")
     parser.add_argument("--tree", type=Path, default=ROOT)
     parser.add_argument("--seed", type=int, default=0, help="perfbench workload seed")
     parser.add_argument("--seconds", type=float, default=30.0, help="perfbench run length")
     parser.add_argument("--parts", default=",".join(PARTS))
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
+    path = ROOT / f"BENCH_{args.pr}.json"
+    if args.summary:
+        print("\n".join(summary(json.loads(path.read_text()))))
+        return 0
+    if args.label is None:
+        parser.error("--label is required unless --summary is given")
     tree = args.tree.resolve()
     parts = [p for p in args.parts.split(",") if p]
     names = [w for w in args.workloads.split(",") if w]
@@ -283,7 +335,6 @@ def main(argv=None) -> int:
     if "degree3d" in parts:
         record["degree3d"] = degree3d(tree)
 
-    path = ROOT / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text()) if path.is_file() else {"pr": args.pr, "entries": {}}
     data["entries"].setdefault(args.label, []).append(record)
     path.write_text(json.dumps(data, indent=1) + "\n")

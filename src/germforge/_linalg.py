@@ -1,6 +1,6 @@
-"""Small dense linear-algebra helpers: SVD rank splits, FD Jacobians and
-`newton`, the one damped Gauss-Newton solver behind chart values and
-polished degree zeros.
+"""Small dense linear-algebra helpers: `rank_cutoff`, the one rule for when a
+singular value counts, SVD rank splits, FD Jacobians and `newton`, the one
+damped Gauss-Newton solver behind chart values and polished degree zeros.
 
 The systems are tiny (1x1 to 3x3 steps), so the cost of `fd_jacobian` and
 `newton` is numpy call overhead, not arithmetic: they make as few numpy
@@ -33,6 +33,11 @@ def as_vector(y):
     return y.reshape(1) if y.ndim == 0 else y
 
 
+def rank_cutoff(sv) -> float:
+    """SV_RELATIVE_CUTOFF * max(sigma_max, 1) of descending singular values sv, empty or not."""
+    return SV_RELATIVE_CUTOFF * max(sv[0] if sv.size else 0.0, 1.0)
+
+
 def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
     """Rank, orthonormal kernel and cokernel-complement bases of a matrix.
 
@@ -54,9 +59,10 @@ def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
     return rank, kernel, coker, s
 
 
-def guard_rank_band(sigma, cutoff: float):
-    """Raise DegenerateSplitting when singular values fall in [cutoff, RANK_BAND_FACTOR * cutoff]."""
+def guard_rank_band(sigma):
+    """Raise DegenerateSplitting when singular values fall in [c, RANK_BAND_FACTOR * c], c = rank_cutoff."""
     sigma = np.asarray(sigma)
+    cutoff = rank_cutoff(sigma)
     bad = sigma[(sigma >= cutoff) & (sigma <= RANK_BAND_FACTOR * cutoff)]
     if bad.size:
         raise DegenerateSplitting(
@@ -67,7 +73,7 @@ def guard_rank_band(sigma, cutoff: float):
 
 def is_surjective(T) -> bool:
     """Full row rank at `svd_split`'s cutoff: the m-th singular value exceeds
-    SV_RELATIVE_CUTOFF * max(sigma_max, 1)."""
+    rank_cutoff."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
     m, n = T.shape
     if m == 0:
@@ -75,7 +81,7 @@ def is_surjective(T) -> bool:
     if n < m:
         return False
     s = np.linalg.svd(T, compute_uv=False)
-    return bool(s[m - 1] > SV_RELATIVE_CUTOFF * max(s[0], 1.0))
+    return bool(s[m - 1] > rank_cutoff(s))
 
 
 def fd_jacobian(f, x):

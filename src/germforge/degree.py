@@ -23,7 +23,6 @@ from .errors import (
     Inconclusive,
     IndexMismatch,
     InvarianceViolation,
-    NonConvergence,
     RetryExhausted,
     WindowEscape,
 )
@@ -61,7 +60,7 @@ class AuxiliaryNorm:
 
 @dataclass(frozen=True)
 class Window:
-    """Compact box in chart coordinates localizing the zero set."""
+    """Compact box of dimension >= 1 in chart coordinates localizing the zero set."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -69,8 +68,8 @@ class Window:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("window must satisfy lo < hi componentwise")
+        if lo.shape != hi.shape or not lo.size or np.any(lo >= hi):
+            raise ValueError("window must have a dimension and satisfy lo < hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -701,19 +700,6 @@ def _covering_u(chart, x) -> float:
     return float(np.linalg.norm(t)) / chart.radius
 
 
-def _warm_solve(chart, t, s0):
-    """s of the chart point Gamma(t) = q + K t + C s, by Newton from s0, or
-    from the chart's cold start s2(t) when s0 is None or Newton from it does
-    not converge: a start taken off points already solved only saves
-    iterations, so the rule fails only where the cold solve fails too."""
-    if s0 is not None:
-        try:
-            return _graph_solve(chart, t, s0)
-        except NonConvergence:
-            pass
-    return _graph_solve(chart, t, chart.cold_start(t))
-
-
 def _chord(chart, base, s, inverse):
     """(s, f) with f = f(base + C s) and max|f| <= CHORD_TOL, by chord steps
     s - inverse f from s, one evaluation each, inverse = (J C)^-1 of an
@@ -736,13 +722,13 @@ def _ray_points(chart, ts) -> list:
 
     The ray's first node, and a node nearer the origin than the previous
     node, is solved by Newton from the chart's cold start s2(t), the
-    second-order term of s (`_warm_solve`).  Every other node starts from
+    second-order term of s (`_graph_solve`).  Every other node starts from
     the cubic Hermite predictor through the (s, s') of the ray's last two
     nodes, extrapolated along the ray (from the previous node's tangent
     line when the ray has only one), and takes chord steps with the
     previous node's (J C)^-1 down to CHORD_TOL, one evaluation each
     (`_chord`); should they fail, Newton solves it from the prediction
-    (`_warm_solve`).  The one Jacobian J = f'(x) at a node, and one
+    (`_graph_solve`).  The one Jacobian J = f'(x) at a node, and one
     factorization of its J C, give its tangent K + C s', its slope
     s' = -(J C)^-1 J K for the next prediction, one polishing Newton step
     s - (J C)^-1 f(x) that takes the residual to rounding, and the next
@@ -763,7 +749,7 @@ def _ray_points(chart, ts) -> list:
                 s0 = s1 + r * (d1 + r * (2 * d1 + d0 - 3 * rise + r * (d1 + d0 - 2 * rise)))
             solved = _chord(chart, base, s0, inverse)
         if solved is None:
-            s = _warm_solve(chart, t, s0)
+            s = _graph_solve(chart, t, s0)
             solved = s, chart.section_value(base + C @ s)
         s, f = solved
         J = chart.jacobian(base + C @ s)
@@ -877,7 +863,7 @@ class _Cell:
             s0 = None
             if self._last is not None and np.linalg.norm(t - self._last[0]) < np.linalg.norm(t):
                 s0 = self._last[1]
-            s = self._points[key] = _warm_solve(self.chart, t, s0)
+            s = self._points[key] = _graph_solve(self.chart, t, s0)
             self._last = (t, s)
         return self.chart.base_point + self.chart.kernel_basis @ t + self.chart.complement_basis @ s
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import SV_RELATIVE_CUTOFF, as_vector, fd_jacobian, guard_rank_band, svd_split
+from ._linalg import as_vector, fd_jacobian, guard_rank_band, rank_cutoff, svd_split
 from .errors import MismatchAtPoint
-from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, shrink_levels_to_contraction
+from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, shrink_to_contraction
 from .spaces import GradedSpace
 
 # |s(q) - f(q)| up to which linearize_relative takes s(q) = f(q)
@@ -163,7 +163,7 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
     and its contraction is re-certified at every level by shrinking the
     sampling radius until the empirical ratio is < 0.9.  The levels draw the
     same samples, so all of them are shrunk together and B_hat is evaluated
-    once per sample (`shrink_levels_to_contraction`).
+    once per sample (`shrink_to_contraction`).
 
     Returns (BasicGerm for g + s, NormalFormReport).  Raises
     DegenerateSplitting when the rank of 1 + A is numerically ambiguous.
@@ -176,10 +176,8 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
     one_plus_A = np.eye(wdim) + A
 
     U, sv, Vt = np.linalg.svd(one_plus_A)
-    smax = sv[0] if sv.size else 1.0
-    cutoff = SV_RELATIVE_CUTOFF * max(smax, 1.0)
-    guard_rank_band(sv, cutoff)
-    rank = int(np.sum(sv > cutoff))
+    guard_rank_band(sv)
+    rank = int(np.sum(sv > rank_cutoff(sv)))
     X_basis = Vt[:rank].T                   # complement of the kernel in W
     C_basis = Vt[rank:].T                   # kernel of 1 + A
     R_basis = U[:, :rank]                   # range
@@ -216,7 +214,7 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
     # certify B_hat at every level from one set of samples per radius
     start = max(r for _, r in bg.contraction_schedule.values()) if bg.contraction_schedule else 1.0
     levels = range(X_space.levels + 1)
-    certified, reports = shrink_levels_to_contraction(out.inner, levels, start, MAX_BISECTIONS, grid)
+    certified, reports = shrink_to_contraction(out.inner, levels, start, MAX_BISECTIONS, grid)
     schedule = {m: certified.contraction_schedule[m] for m in levels}
     worst_ratio = max(rep.max_ratio for rep in reports.values())
     worst_radius = min([start] + [rep.radius for rep in reports.values()])

@@ -8,6 +8,7 @@ solution u = delta(v) obtained by Picard iteration, with derivative
 
 Tangent lifting doubles parameter and solution spaces and has
 (delta(v), delta'(v) b) as its solution; lifting j times gives order j.
+`shrink_to_contraction` certifies a set of levels on shared samples.
 
 User-supplied maps must be pure functions of their arguments; under that
 contract every operation here is safe for concurrent use (SolutionGerm's
@@ -154,7 +155,7 @@ class SolutionGerm:
 
     germ: ContractionGerm
     tol: float = DEFAULT_TOL
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _key(self, v):
         return tuple(np.round(np.asarray(v, dtype=float), 12))
@@ -289,29 +290,18 @@ def _sampled_ratios(germ: ContractionGerm, levels, radius: float, grid: Sampling
                                  passed=max_ratio[m] < 1.0) for m in levels}
 
 
-def shrink_to_contraction(germ: ContractionGerm, m: int = 0, start_radius: float = 1.0,
-                          max_bisections: int = MAX_BISECTIONS, grid: SamplingPlan | None = None):
-    """Bisect the sampling radius until the empirical ratio is below TARGET_RATIO.
+def shrink_to_contraction(germ: ContractionGerm, levels, start_radius: float, max_bisections: int,
+                          grid: SamplingPlan | None):
+    """Bisect the sampling radius until the empirical ratio of each level in
+    `levels` is below TARGET_RATIO.
 
-    Returns (certified ContractionGerm with the schedule entry set, report).
-    Raises NonConvergence, with the last ratio as residual, after
-    max_bisections, or as soon as the ratios stall above it: the sizes
-    of their changes decay geometrically, too fast to take them below it.
-    """
-    germ, reports = shrink_levels_to_contraction(germ, (m,), start_radius, max_bisections, grid)
-    return germ, reports[m]
-
-
-def shrink_levels_to_contraction(germ: ContractionGerm, levels, start_radius: float, max_bisections: int,
-                                 grid: SamplingPlan | None):
-    """`shrink_to_contraction` of every level in `levels` at once.
-
-    All levels start at start_radius and halve it while pending, so the
-    pending ones share each radius and its samples and B evaluations
+    Pending levels share each radius and its samples and B evaluations
     (`_sampled_ratios`).  Returns (the germ with every level's schedule
-    entry set, {m: report}); each level's entry and report are those of
-    its own `shrink_to_contraction`.  When levels fail, raises the
-    NonConvergence of the lowest one: levels above a failed one stop.
+    entry set, {m: report}); neither depends on the other levels.  A level
+    fails after max_bisections, or as soon as its ratios stall above the
+    target: their changes decay geometrically, too fast to take them below
+    it.  Raises the NonConvergence of the lowest failed level, with its last
+    ratio as residual; levels above it stop.
     """
     for m in levels:
         germ.solution_space.check_level(m)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SV_RELATIVE_CUTOFF, orthonormal_columns, svd_split
+from ._linalg import orthonormal_columns, rank_cutoff, svd_split
 from .errors import (
     GridTooCoarse,
     NotSurjectiveAfterProjection,
@@ -46,15 +46,15 @@ class DeterminantLine:
         return self.cokernel_basis.shape[1]
 
 
-def determinant_line(T, sign: int = 1) -> DeterminantLine:
-    """SVD kernel and cokernel bases of T packaged with an orientation sign.
+def determinant_line(T) -> DeterminantLine:
+    """SVD kernel and cokernel bases of T packaged with the orientation sign +1.
 
     An isomorphism, of either determinant sign, gets empty bases, and the
-    default sign +1 is its natural orientation e ⊗ e* -> e*(e).
+    sign +1 is its natural orientation e ⊗ e* -> e*(e).
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     _, kernel, coker, _ = svd_split(T)
-    return DeterminantLine(operator=T, kernel_basis=kernel, cokernel_basis=coker, sign=int(np.sign(sign)))
+    return DeterminantLine(operator=T, kernel_basis=kernel, cokernel_basis=coker)
 
 
 def _sign_det(M) -> int:
@@ -181,14 +181,14 @@ def common_projection(operators):
         pt_svs = [np.linalg.svd(P @ T, compute_uv=False) for T in ops]
         worst = np.inf
         for s in pt_svs:
-            if s.size < rank_P or (rank_P and s[rank_P - 1] <= SV_RELATIVE_CUTOFF * max(s[0], 1.0)):
+            if s.size < rank_P or (rank_P and s[rank_P - 1] <= rank_cutoff(s)):
                 return None, pt_svs
             if rank_P:
                 worst = min(worst, s[rank_P - 1])
         return (worst if np.isfinite(worst) else 1.0), pt_svs
 
     U0, s0, _ = svds[0]
-    rank0 = int(np.sum(s0 > SV_RELATIVE_CUTOFF * max(s0[0] if s0.size else 0.0, 1.0)))
+    rank0 = int(np.sum(s0 > rank_cutoff(s0)))
     P0 = np.eye(F_dim) - U0[:, rank0:] @ U0[:, rank0:].T
     rank_P0 = int(np.round(np.trace(P0)))
     worst, pt_svs = admissible(P0)
@@ -305,8 +305,9 @@ AMBIENT_REFERENCE = OrientationReference(kind="ambient")
 def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFERENCE) -> int:
     """Sign of a transversal zero x relative to a reference orientation.
 
-    jacobian_at(point) must return the (square) linearization matrix.
-    Raises Singular when f'(x) is not invertible.
+    jacobian_at(point) must return the (square) linearization matrix; a
+    0x0 one, on R^0, has the natural orientation +1.  Raises Singular when
+    f'(x) is not invertible.
 
     For the ambient reference the answer is sign(det f'(x)).  For a
     base-zero reference, continuation along any operator path connecting
@@ -315,21 +316,23 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
     that reduction is evaluated directly.  `continue_orientation` performs
     the equivalent discrete transport when an explicit path is of interest.
     """
-    x = np.asarray(x, dtype=float)
-    Jx = np.atleast_2d(np.asarray(jacobian_at(x), dtype=float))
-    det = np.linalg.det(Jx)
-    s = np.linalg.svd(Jx, compute_uv=False)
-    if s[-1] <= SV_RELATIVE_CUTOFF * max(s[0], 1.0):
-        raise Singular("linearization at the zero is not invertible")
+    sign = _det_sign(jacobian_at(np.asarray(x, dtype=float)), "zero")
     if reference.kind == "ambient":
-        return 1 if det > 0 else -1
+        return sign
     if reference.kind != "base_zero" or reference.base_point is None:
         raise ValueError(f"unknown orientation reference {reference.kind!r}")
-    base = np.asarray(reference.base_point, dtype=float)
-    Jb = np.atleast_2d(np.asarray(jacobian_at(base), dtype=float))
-    det_b = np.linalg.det(Jb)
-    sb = np.linalg.svd(Jb, compute_uv=False)
-    if sb[-1] <= SV_RELATIVE_CUTOFF * max(sb[0], 1.0):
-        raise Singular("linearization at the reference zero is not invertible")
-    return (1 if det > 0 else -1) * (1 if det_b > 0 else -1)
+    return sign * _det_sign(jacobian_at(np.asarray(reference.base_point, dtype=float)), "reference zero")
+
+
+def _det_sign(J, where: str) -> int:
+    """sign(det J) of a square J, +1 for the 0x0 one (R^0 -> R^0); Singular
+    when its last singular value is at most `rank_cutoff`."""
+    J = np.atleast_2d(np.asarray(J, dtype=float))
+    if J.shape == (0, 0):
+        return 1
+    det = np.linalg.det(J)
+    s = np.linalg.svd(J, compute_uv=False)
+    if s[-1] <= rank_cutoff(s):
+        raise Singular(f"linearization at the {where} is not invertible")
+    return 1 if det > 0 else -1
 

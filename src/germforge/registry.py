@@ -40,8 +40,8 @@ def cos_germ() -> ContractionGerm:
     )
 
 
-def linear_germ(alpha: float = 0.5, beta: float = 1.0) -> ContractionGerm:
-    """B(v, u) = alpha*u + beta*v with |alpha| < 1; delta(v) = beta v/(1-alpha)."""
+def linear_germ(alpha: float = 0.5) -> ContractionGerm:
+    """B(v, u) = alpha*u + v with |alpha| < 1; delta(v) = v/(1-alpha)."""
     if not abs(alpha) < 1:
         raise ValueError("alpha must have modulus < 1")
     param = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
@@ -50,13 +50,14 @@ def linear_germ(alpha: float = 0.5, beta: float = 1.0) -> ContractionGerm:
     return ContractionGerm(
         parameter_space=param,
         solution_space=sol,
-        B=lambda v, u: alpha * u + beta * v,
+        B=lambda v, u: alpha * u + v,
         contraction_schedule=schedule,
     )
 
 
-def rotating_line_model(radius: float = 1.2) -> SplicingModel:
-    """pi_v = orthogonal projection onto span(cos v, sin v) in the plane."""
+def rotating_line_model() -> SplicingModel:
+    """pi_v = orthogonal projection onto span(cos v, sin v) in the plane, for
+    |v| < 1.2."""
     param = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
     E = GradedSpace(dim=2, levels=LEVELS)
 
@@ -65,7 +66,7 @@ def rotating_line_model(radius: float = 1.2) -> SplicingModel:
         u = np.array([c, s])
         return np.outer(u, u)
 
-    return SplicingModel(param_space=param, E=E, pi=pi, radius=radius)
+    return SplicingModel(param_space=param, E=E, pi=pi, radius=1.2)
 
 
 def rotating_line_filled_section() -> FilledSection:
@@ -134,55 +135,38 @@ def quadrant_plane_germ() -> BasicGerm:
     return BasicGerm(n=3, k=2, N=1, W=W, g=lambda x: np.array([x[2] - x[0] - x[1]]))
 
 
-def cubic_problem(seed: int = 0, budget: float = 0.1) -> PerturbationProblem:
+def _interval_problem(section, seeds, seed: int, budget: float) -> PerturbationProblem:
+    """The scalar section x -> [section(x[0])] on the window [-2, 2], with a
+    1-D fiber of weight 1 as budget norm."""
+    return PerturbationProblem(
+        section=lambda x: np.array([section(x[0])]),
+        window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
+        aux_norm=AuxiliaryNorm(fiber_space=GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))),
+        budget=budget,
+        seeds=tuple(np.array([x]) for x in seeds),
+        rng_seed=seed,
+    )
+
+
+def cubic_problem(seed: int = 0) -> PerturbationProblem:
     """x^3 - x on [-2, 2]: zeros -1, 0, 1 with signs +, -, +."""
-    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
-    return PerturbationProblem(
-        section=lambda x: np.array([x[0] ** 3 - x[0]]),
-        window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
-        aux_norm=AuxiliaryNorm(fiber_space=fiber),
-        budget=budget,
-        seeds=(np.array([-1.5]), np.array([0.1]), np.array([1.5])),
-        rng_seed=seed,
-    )
+    return _interval_problem(lambda x: x ** 3 - x, (-1.5, 0.1, 1.5), seed, 0.1)
 
 
-def square_minus_one_problem(seed: int = 0, budget: float = 0.1) -> PerturbationProblem:
+def square_minus_one_problem(seed: int = 0) -> PerturbationProblem:
     """x^2 - 1 on [-2, 2]: zeros -1, 1 with signs -, +; degree 0."""
-    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
-    return PerturbationProblem(
-        section=lambda x: np.array([x[0] ** 2 - 1.0]),
-        window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
-        aux_norm=AuxiliaryNorm(fiber_space=fiber),
-        budget=budget,
-        seeds=(np.array([-1.3]), np.array([1.3])),
-        rng_seed=seed,
-    )
+    return _interval_problem(lambda x: x ** 2 - 1.0, (-1.3, 1.3), seed, 0.1)
 
 
 def double_root_problem(seed: int = 0) -> PerturbationProblem:
     """(x - 1/2)^2 (x + 1) on [-2, 2]: a simple zero -1 and a double root 1/2;
     degree 1."""
-    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
-    return PerturbationProblem(
-        section=lambda x: np.array([(x[0] - 0.5) ** 2 * (x[0] + 1.0)]),
-        window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
-        aux_norm=AuxiliaryNorm(fiber_space=fiber),
-        budget=0.1,
-        seeds=(np.array([-1.5]), np.array([1.5])),
-        rng_seed=seed,
-    )
+    return _interval_problem(lambda x: (x - 0.5) ** 2 * (x + 1.0), (-1.5, 1.5), seed, 0.1)
 
 
 def identity_problem(seed: int = 0) -> PerturbationProblem:
-    fiber = GradedSpace(dim=1, levels=LEVELS, weights=np.array([1.0]))
-    return PerturbationProblem(
-        section=lambda x: np.array([x[0]]),
-        window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
-        aux_norm=AuxiliaryNorm(fiber_space=fiber),
-        seeds=(np.array([0.3]),),
-        rng_seed=seed,
-    )
+    """x on [-2, 2]: the zero 0 with sign +."""
+    return _interval_problem(lambda x: x, (0.3,), seed, 1.0)
 
 
 def boundary_parabola_problem(seed: int = 0) -> PerturbationProblem:

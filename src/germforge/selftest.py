@@ -410,9 +410,9 @@ def criterion_7_orientation() -> CriterionResult:
 
 def criterion_8_degree() -> CriterionResult:
     t0 = time.time()
-    cubic = registry.cubic_problem(seed=8, budget=0.1)
+    cubic = registry.cubic_problem(seed=8)
     deg_cubic = compute_degree(cubic)
-    sq = registry.square_minus_one_problem(seed=9, budget=0.1)
+    sq = registry.square_minus_one_problem(seed=9)
     deg_sq = compute_degree(sq)
     violations = 0
     try:

@@ -10,9 +10,10 @@ per chart (`GoodParametrization.cold_start`).  That cold start is a fixed
 function of t, so it defines the chart (`a_map`, the memo behind `gamma`,
 coverage tests), and a point of another sheet is never taken for a chart
 point; the quadrature rule's continuation only picks other starts for the
-same solve.  Both chart builders read J and K from one linearization;
-recentring and pushforward only choose a new (f, q, K, C), so they are
-graph charts of the same kind.
+same solve (`_graph_solve` falls back to s2(t) where another start fails).
+Both chart builders read J and K from one linearization; recentring and
+pushforward only choose a new (f, q, K, C), so they are graph charts of the
+same kind.
 The paper reaches the same map in stages (fiber fixed point, Newton on the
 finite-dimensional remainder, reparametrization over N).  Both constructions
 produce, for each t, a zero of f of the form q + K t + c with c in C near 0,
@@ -34,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from . import cones
-from ._linalg import (SV_RELATIVE_CUTOFF, as_vector, fd_jacobian, is_surjective, newton, orthonormal_columns,
+from ._linalg import (as_vector, fd_jacobian, is_surjective, newton, orthonormal_columns, rank_cutoff,
                       subspace_intersection, svd_split)
 from .errors import (
     GermforgeError,
@@ -60,14 +61,6 @@ SUPPORT_SCALE = 0.95
 CLOSED_FORM_BOUND = 1e130
 
 
-def _solve(func, x0):
-    """`newton` at the chart tolerances; NonConvergence when it does not converge."""
-    x, res, converged = newton(func, x0, NEWTON_TOL, NEWTON_MAX_ITER)
-    if not converged:
-        raise NonConvergence(f"Newton stalled at residual {res:.3e}", residual=res)
-    return x
-
-
 def _graph_system(chart, t):
     """s -> f(q + K t + C s), the square system whose zero is Gamma(t)."""
     base = chart.base_point + chart.kernel_basis @ np.asarray(t, dtype=float)
@@ -76,9 +69,19 @@ def _graph_system(chart, t):
 
 
 def _graph_solve(chart, t, s0):
-    """s with f(q + K t + C s) = 0 by one damped Newton from s0, calling the
-    chart's section directly; NonConvergence when it does not converge."""
-    return _solve(_graph_system(chart, t), s0)
+    """s with f(q + K t + C s) = 0 by damped Newton, calling the chart's
+    section directly: from s0, and from the cold start s2(t) when s0 is None
+    or does not converge, so a start only saves iterations.  NonConvergence,
+    with its residual, when the cold solve does not converge."""
+    system = _graph_system(chart, t)
+    if s0 is not None:
+        s, _, converged = newton(system, s0, NEWTON_TOL, NEWTON_MAX_ITER)
+        if converged:
+            return s
+    s, res, converged = newton(system, chart.cold_start(t), NEWTON_TOL, NEWTON_MAX_ITER)
+    if not converged:
+        raise NonConvergence(f"Newton stalled at residual {res:.3e}", residual=res)
+    return s
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class GoodParametrization:
     section: object
     structure: cones.QuadrantStructure | None = None
     ambient_rank: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -157,7 +160,7 @@ class GoodParametrization:
     def a_map(self, t):
         """A(t) = C s with f(q + K t + C s) = 0, one damped Newton from the
         cold start s2(t)."""
-        return self.complement_basis @ _graph_solve(self, t, self.cold_start(t))
+        return self.complement_basis @ _graph_solve(self, t, None)
 
     def a_vector(self, t):
         """A(n) for n = kernel_basis @ t, cached on quantized coefficients.
@@ -168,12 +171,11 @@ class GoodParametrization:
         """
         t = np.asarray(t, dtype=float)
         if not np.isfinite(t).all():  # no key for it; a_map rejects it uncached
-            return np.asarray(self.a_map(t), dtype=float)
+            return self.a_map(t)
         key = tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
         hit = self._cache.get(key)
         if hit is None:
-            hit = np.asarray(self.a_map(t), dtype=float)
-            self._cache[key] = hit
+            hit = self._cache[key] = self.a_map(t)
         return hit
 
     def gamma(self, t):
@@ -238,7 +240,7 @@ def _complement_inverse(JC):
         sv = np.abs(JC[0])
     else:
         U, sv, Vt = np.linalg.svd(JC)
-    if not sv[-1] > SV_RELATIVE_CUTOFF * max(sv[0], 1.0):
+    if not sv[-1] > rank_cutoff(sv):
         raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
     return 1.0 / JC if closed else (Vt.T / sv) @ U.T
 
@@ -274,7 +276,7 @@ def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank
     for _ in range(MAX_SHRINKS):
         if _chart_invariants_hold(chart, quadrant_rank):
             return chart
-        smaller = replace(chart, radius=chart.radius / 2.0, _cache={})
+        smaller = replace(chart, radius=chart.radius / 2.0)
         # the once-per-chart terms depend on (f, q, K, C) alone, not on the radius
         vars(smaller).update({k: v for k, v in vars(chart).items() if k in ("_second_order", "_coordinate_rows")})
         chart = smaller
@@ -317,9 +319,8 @@ def _chart_invariants_hold(chart: GoodParametrization, quadrant_rank: int) -> bo
         if np.linalg.norm(chart.a_vector(np.zeros(chart.dim))) > 1e-8:
             return False
         for t in chart.domain_samples(12, seed=11):
-            system = _graph_system(chart, t)
-            s = _solve(system, chart.cold_start(t))
-            _complement_inverse(fd_jacobian(system, s))
+            s = _graph_solve(chart, t, None)
+            _complement_inverse(fd_jacobian(_graph_system(chart, t), s))
             if quadrant_rank and any(np.any(x[:quadrant_rank] < -DEFAULT_TOL) for x in (
                     q + K @ t + C @ s, chart.gamma(t * (reach / np.linalg.norm(t))))):
                 return False
@@ -498,8 +499,8 @@ class SolutionAtlas:
     def dim(self) -> int:
         return self.charts[0].dim if self.charts else 0
 
-    def verify_transitions(self, tol: float = 1e-8) -> bool:
-        """Transition mismatch <= tol at 8 samples near each overlap's zero."""
+    def verify_transitions(self) -> bool:
+        """Transition mismatch <= 1e-8 at 8 samples near each overlap's zero."""
         for i, j, zero in self.overlaps:
             tm = transition_map(self.charts[i], self.charts[j], zero)
             t0 = self.charts[j].coordinates(zero)
@@ -511,6 +512,6 @@ class SolutionAtlas:
                 s = tm(t)
                 if not self.charts[i].domain_contains(s):
                     continue
-                if tm.mismatch(t) > tol:
+                if tm.mismatch(t) > 1e-8:
                     return False
         return True

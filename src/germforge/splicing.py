@@ -5,6 +5,7 @@ E; the core {(v, e) : pi_v e = e} is the local model whose fiber dimension
 may jump.  A filler converts a section over the core into an equivalent
 "filled" map on the full space by adding a fiberwise isomorphism on the
 complementary directions; zeros and linearization data of the two agree.
+Derivatives, D_v(pi_v e) along the core included, are `fd_jacobian`'s.
 """
 
 from __future__ import annotations
@@ -249,25 +250,9 @@ def _core_tangent_basis(model: SplicingModel, v, e):
     de in range(pi_v).
     """
     pdim = model.param_space.dim
-    P = model.projection(v)
-    plus = orthonormal_columns(P)          # range pi_v
-    cols = []
-    for j in range(pdim):
-        def moved(t, j=j):
-            vv = np.array(v, dtype=float)
-            vv[j] += t
-            return model.projection(vv) @ e
-        h = 1e-6 * (1.0 + abs(float(v[j])))
-        dpi = (moved(h) - moved(-h)) / (2.0 * h)
-        col = np.zeros(pdim + model.E.dim)
-        col[j] = 1.0
-        col[pdim:] = dpi
-        cols.append(col)
-    for k in range(plus.shape[1]):
-        col = np.zeros(pdim + model.E.dim)
-        col[pdim:] = plus[:, k]
-        cols.append(col)
-    return np.column_stack(cols) if cols else np.zeros((pdim + model.E.dim, 0))
+    plus = orthonormal_columns(model.projection(v))         # range pi_v
+    dpi = fd_jacobian(lambda vv: model.projection(vv) @ e, v)
+    return np.block([[np.eye(pdim), np.zeros((pdim, plus.shape[1]))], [dpi, plus]])
 
 
 def linearize_filled(fs: FilledSection, q) -> FilledLinearization:

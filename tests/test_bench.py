@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import itertools
+import json
 import subprocess
 from pathlib import Path
 
@@ -155,3 +156,38 @@ def test_a_cli_run_of_the_tree_records_its_csvs():
     out = bench_run.cli_run(bench_run.ROOT, "solve-germ")
     assert out["exit_code"] == 0 and out["csv_sha256"]
     assert all(name.startswith("solve-germ-") and name.endswith(".csv") for name in out["csv_sha256"])
+
+
+def synthetic_record(src_lines, passed, csv, degrees, evals, per_op):
+    return {"source": {"src_lines": src_lines, "settable_values": 105}, "tier1": {"passed": passed, "failed": 0},
+            "cli": {"degree": {"csv_sha256": {"degree-cubic.csv": csv}}, "cones": {"csv_sha256": {}}},
+            "degree3d": {"degrees": degrees, "section_evals": evals},
+            "workloads": {"certify": {"metrics": {"section_evals_per_op": {"value": per_op}}}}}
+
+
+def test_summary_compares_the_parent_with_the_change(tmp_path, capsys, monkeypatch):
+    data = {"pr": 99, "entries": {
+        "parent": [synthetic_record(5196, 523, "aa", [1, -1, None], [10, 20, 30], 1782.5),
+                   {"source": {"src_lines": 0}, "workloads": {"degree-search": {"metrics": {}}}}],
+        "change": [{"workloads": {"certify": {"metrics": {"section_evals_per_op": {"value": 1782.5}}}}},
+                   synthetic_record(5149, 525, "bb", [1, -1, None], [10, 21, 30], 0.0)]}}
+    lines = bench_run.summary(data)
+    assert lines == [
+        "source src_lines: 5196 -> 5149",
+        "source settable_values: 105 -> 105",
+        "tier1 passed: 523 -> 525",
+        "tier1 failed: 0 -> 0",
+        "cli cones csv_sha256: same",
+        "cli degree csv_sha256: DIFFER",
+        "degree3d degrees: same",
+        "degree3d section_evals: DIFFER at maps [1]",
+        "degree-search section_evals_per_op: None -> None",
+        "atlas-integrate section_evals_per_op: None -> None",
+        "certify section_evals_per_op: 1782.5 -> 1782.5",
+    ]
+    # --summary reads BENCH_<pr>.json at the root of the checkout and records nothing
+    (tmp_path / "BENCH_99.json").write_text(json.dumps(data))
+    monkeypatch.setattr(bench_run, "ROOT", tmp_path)
+    assert bench_run.main(["--pr", "99", "--summary"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert json.loads((tmp_path / "BENCH_99.json").read_text()) == data

@@ -79,7 +79,7 @@ def test_transitions_round_trip(ab, theta, offset):
 def test_a_vector_does_not_depend_on_query_order(ab, theta):
     chart = ellipse_chart(*ab, theta)
     ts = chart.domain_samples(8, seed=3)
-    first, second = replace(chart, _cache={}), replace(chart, _cache={})
+    first, second = replace(chart), replace(chart)
     forward = [first.a_vector(t) for t in ts]
     backward = [second.a_vector(t) for t in reversed(ts)][::-1]
     for u, v in zip(forward, backward):

@@ -226,7 +226,7 @@ def test_invariance_suite_linear():
 
 
 def test_invariance_suite_cubic_with_homotopy():
-    pp = registry.cubic_problem(seed=4, budget=0.1)
+    pp = registry.cubic_problem(seed=4)
     rep = invariance_suite(pp, trials=50, homotopy_shift=lambda t, x: np.array([0.05 * t]))
     assert rep.degree == 1
     assert len(rep.trial_degrees) == 50
@@ -634,7 +634,7 @@ def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):
     solve, warm, chords = degree._graph_solve, [], []
 
     def failing(chart, t, s0):
-        if not np.array_equal(s0, chart.cold_start(t)):
+        if s0 is not None:
             warm.append(t)
             s0 = np.full_like(s0, np.nan)
         return solve(chart, t, s0)
@@ -673,7 +673,8 @@ def test_a_chord_step_that_meets_a_non_finite_residual_gives_way_to_newton(monke
         return chords[-1]
 
     def spy(chart, t, s0):
-        newton_starts.append(s0.copy())
+        if s0 is not None:
+            newton_starts.append(s0.copy())
         return solve(chart, t, s0)
 
     monkeypatch.setattr(degree, "_chord", spoilt)
@@ -1379,3 +1380,37 @@ def test_boundary_degree_refines_its_grid_until_two_grids_agree(region):
 
     boundary_degree, _ = REGIONS_3D[region]
     assert boundary_degree(cube_problem(f)) == 14
+
+
+def test_a_window_without_a_dimension_is_rejected():
+    # it was accepted, and compute_degree then failed inside numpy
+    with pytest.raises(ValueError):
+        Window(lo=np.zeros(0), hi=np.zeros(0))
+
+
+# The four interval problems as they were written out, one literal each
+OLD_INTERVAL_PROBLEMS = {
+    "cubic": (lambda x: np.array([x[0] ** 3 - x[0]]), 0.1, (-1.5, 0.1, 1.5)),
+    "square-minus-one": (lambda x: np.array([x[0] ** 2 - 1.0]), 0.1, (-1.3, 1.3)),
+    "double-root": (lambda x: np.array([(x[0] - 0.5) ** 2 * (x[0] + 1.0)]), 0.1, (-1.5, 1.5)),
+    "identity": (lambda x: np.array([x[0]]), 1.0, (0.3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_INTERVAL_PROBLEMS))
+def test_interval_problems_match_their_literal_definitions(name):
+    section, budget, seeds = OLD_INTERVAL_PROBLEMS[name]
+    fiber = GradedSpace(dim=1, levels=registry.LEVELS, weights=np.array([1.0]))
+    old = PerturbationProblem(section=section, window=Window(lo=np.array([-2.0]), hi=np.array([2.0])),
+                              aux_norm=AuxiliaryNorm(fiber_space=fiber), budget=budget,
+                              seeds=tuple(np.array([x]) for x in seeds), rng_seed=5)
+    new = registry.build(name, seed=5)
+    assert np.array_equal(new.window.lo, old.window.lo) and np.array_equal(new.window.hi, old.window.hi)
+    assert len(new.seeds) == len(old.seeds) and all(np.array_equal(a, b) for a, b in zip(new.seeds, old.seeds))
+    assert (new.budget, new.rng_seed, new.quadrant_rank, new.grid_starts) == (
+        old.budget, old.rng_seed, old.quadrant_rank, old.grid_starts)
+    space = new.aux_norm.fiber_space
+    assert (space.dim, space.levels, space.quadrant_rank) == (fiber.dim, fiber.levels, fiber.quadrant_rank)
+    assert np.array_equal(space.weights, fiber.weights)
+    for x in np.linspace(-2.0, 2.0, 41):
+        assert np.array_equal(new.section(np.array([x])), old.section(np.array([x])))

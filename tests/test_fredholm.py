@@ -14,7 +14,7 @@ from germforge.fredholm import (
     linearize_relative,
     perturb_normal_form,
 )
-from germforge.germs import ContractionReport, SamplingPlan, shrink_to_contraction, verify_contraction
+from germforge.germs import MAX_BISECTIONS, ContractionReport, SamplingPlan, shrink_to_contraction, verify_contraction
 from germforge.spaces import GradedSpace
 
 
@@ -204,7 +204,8 @@ def certify_levels_oracle(bg, nf, grid=None):
     start = max(r for _, r in bg.contraction_schedule.values()) if bg.contraction_schedule else 1.0
     schedule, worst_ratio, worst_radius = {}, 0.0, start
     for m in range(nf.W.levels + 1):
-        certified, report = shrink_to_contraction(bare.inner, m=m, start_radius=start, grid=grid)
+        certified, reports = shrink_to_contraction(bare.inner, (m,), start, MAX_BISECTIONS, grid)
+        report = reports[m]
         schedule[m] = certified.contraction_schedule[m]
         worst_ratio = max(worst_ratio, report.max_ratio)
         worst_radius = min(worst_radius, report.radius)
@@ -219,7 +220,7 @@ def uncertified_normal_form(bg, s, monkeypatch):
         return replace(germ, contraction_schedule=dict.fromkeys(levels, (0.5, start_radius))), reports
 
     with monkeypatch.context() as patch:
-        patch.setattr(fredholm, "shrink_levels_to_contraction", accept)
+        patch.setattr(fredholm, "shrink_to_contraction", accept)
         nf, _ = perturb_normal_form(bg, s)
     return nf
 

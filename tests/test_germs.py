@@ -37,7 +37,7 @@ def test_zero_map_solves_to_zero():
 
 
 def test_linear_fixed_point():
-    germ = registry.linear_germ(alpha=0.5, beta=1.0)
+    germ = registry.linear_germ(alpha=0.5)
     assert solve_germ(germ, np.array([2.0]))[0] == pytest.approx(4.0, abs=1e-11)
 
 
@@ -83,7 +83,7 @@ def test_max_iter_exhaustion():
 
 
 def test_derivative_linear_case():
-    germ = registry.linear_germ(alpha=0.5, beta=1.0)
+    germ = registry.linear_germ(alpha=0.5)
     d = germ_derivative(germ, np.array([0.3]))
     assert d[0, 0] == pytest.approx(2.0, abs=1e-9)
 
@@ -162,7 +162,7 @@ def test_iterate_tangent_second_derivative():
 
 
 def test_convergence_rate_within_certificate():
-    germ = registry.linear_germ(alpha=0.5, beta=1.0)
+    germ = registry.linear_germ(alpha=0.5)
     u = np.zeros(1)
     prev = None
     ratios = []
@@ -329,7 +329,7 @@ def test_shrink_stops_once_the_ratio_stalls_above_target(B, monkeypatch):
 
     monkeypatch.setattr(germs, "_sampled_ratios", recorded)
     with pytest.raises(NonConvergence) as info:
-        shrink_to_contraction(ContractionGerm(p, s, B=B), max_bisections=40)
+        shrink_to_contraction(ContractionGerm(p, s, B=B), (0,), 1.0, 40, None)
     assert len(ratios) <= 6
     assert info.value.residual == ratios[-1] > 1.1
 
@@ -339,5 +339,16 @@ def test_shrink_keeps_going_while_a_fast_term_drives_the_ratio():
     # with the r^2 term ahead at first (8.1, 2.9, 1.48, 1.08: decay factors
     # near 1/4), yet the limit 0.89 is below target and r = 1/128 reaches it
     p, s = scalar_spaces()
-    germ, rep = shrink_to_contraction(ContractionGerm(p, s, B=lambda v, u: 0.89 * u + 0.4 * u**2 + (8 / 3) * u**3))
+    germ, reps = shrink_to_contraction(ContractionGerm(p, s, B=lambda v, u: 0.89 * u + 0.4 * u**2 + (8 / 3) * u**3),
+                                       (0,), 1.0, 40, None)
+    rep = reps[0]
     assert rep.max_ratio < 0.9 and rep.radius == 1 / 128
+
+
+def test_a_replaced_solution_germ_starts_without_the_originals_memo():
+    # replace(sol, germ=...) shared the memo, and answered for the old germ
+    sol = SolutionGerm(registry.linear_germ())
+    assert sol(np.array([0.4]))[0] == pytest.approx(0.8)
+    other = replace(sol, germ=registry.linear_germ(alpha=-0.5))
+    assert other(np.array([0.4]))[0] == pytest.approx(0.4 / 1.5)
+    assert sol(np.array([0.4]))[0] == pytest.approx(0.8)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge import registry
-from germforge._linalg import CLOSED_FORM_RANGE, _step, fd_jacobian, is_surjective, newton, svd_split
+from germforge._linalg import (CLOSED_FORM_RANGE, SV_RELATIVE_CUTOFF, _step, fd_jacobian, is_surjective, newton,
+                              rank_cutoff, svd_split)
 
 
 class Counted:
@@ -311,3 +312,14 @@ def test_the_closed_form_covers_the_1x1_steps_inside_its_range(monkeypatch):
     _step(np.eye(2), np.ones(2))
     _step(np.ones((1, 2)), np.ones(1))
     assert calls == [(1, 1)] * 4 + [(2, 2), (1, 2)]
+
+
+def test_rank_cutoff_is_the_inline_formula():
+    # the formula each rank test used to write out, on random spectra, on
+    # spectra below 1 and on an empty one
+    rng = np.random.default_rng(24)
+    spectra = [np.sort(rng.uniform(0, 10 ** rng.uniform(-3, 3), size=rng.integers(1, 6)))[::-1] for _ in range(200)]
+    spectra += [np.array([0.5, 1e-9]), np.array([0.999999]), np.array([0.0]), np.zeros(0)]
+    for sv in spectra:
+        assert rank_cutoff(sv) == SV_RELATIVE_CUTOFF * max(sv[0] if sv.size else 0.0, 1.0)
+    assert rank_cutoff(np.zeros(0)) == rank_cutoff(np.array([0.3])) == SV_RELATIVE_CUTOFF

@@ -201,3 +201,13 @@ def test_base_zero_reference_matches_explicit_transport():
     ref = OrientationReference(kind="base_zero", base_point=np.zeros(1))
     jac = lambda x: Jb if np.allclose(x, 0.0) else Jx
     assert got == sign_of_zero(jac, np.ones(1), ref) == -1
+
+
+def test_a_zero_of_a_map_of_r0_has_the_natural_orientation():
+    # the 0x0 linearization is the isomorphism R^0 -> R^0, whose natural
+    # orientation is +1 (an IndexError escaped here before)
+    def empty(x):
+        return np.zeros((0, 0))
+
+    assert sign_of_zero(empty, np.zeros(0)) == 1
+    assert sign_of_zero(empty, np.zeros(0), OrientationReference(kind="base_zero", base_point=np.zeros(0))) == 1

@@ -1,10 +1,11 @@
 import warnings
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from germforge import registry
+from germforge import registry, solution
 from germforge._linalg import (SV_RELATIVE_CUTOFF, fd_jacobian, newton, orthonormal_columns, subspace_intersection,
                                svd_split)
 from germforge.errors import NonConvergence, NoOverlap, NotSurjective, PositionNotCertified, SingularLinearization
@@ -19,6 +20,8 @@ from germforge.solution import (
     GoodParametrization,
     SolutionAtlas,
     _complement_inverse,
+    _graph_solve,
+    _graph_system,
     build_boundary_parametrization,
     build_parametrization,
     recentre,
@@ -435,7 +438,7 @@ def test_atlas_transition_consistency():
     c2 = build_parametrization(bg, np.array([0.0, 1.0]), radius=0.75)
     shared = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
     atlas = SolutionAtlas(charts=(c1, c2), overlaps=((0, 1, shared),))
-    assert atlas.verify_transitions(tol=1e-8)
+    assert atlas.verify_transitions()
 
 
 def _counted(g):
@@ -828,3 +831,59 @@ def test_a_1x1_chart_inverse_inside_the_cutoff_is_not_surjective(a):
         _complement_inverse(np.array([[a]]))
     with pytest.raises(NotSurjective):
         svd_inverse(np.array([[a]]))
+
+
+def test_a_replaced_chart_starts_without_the_originals_memo():
+    # replace(chart, section=g) shared the memo: the chart of the circle of
+    # radius 1.1 answered with the unit circle's point, at residual 0.21
+    chart = build_parametrization(registry.circle_basic_germ(), np.array([1.0, 0.0]))
+    unit = chart.gamma(np.array([0.3]))
+    wider = replace(chart, section=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.21]))
+    assert wider.residual(np.array([0.3])) <= 1e-12
+    assert np.array_equal(chart.gamma(np.array([0.3])), unit)
+
+
+def spied_newton(monkeypatch):
+    """The starts of every `newton` the chart solves make."""
+    starts, run = [], solution.newton
+
+    def spy(func, x0, *args):
+        starts.append(np.array(x0))
+        return run(func, x0, *args)
+
+    monkeypatch.setattr(solution, "newton", spy)
+    return starts
+
+
+def test_graph_solve_from_a_start_that_converges_makes_one_solve(monkeypatch):
+    chart = build_parametrization(registry.circle_basic_germ(), np.array([1.0, 0.0]))
+    t = np.array([0.3])
+    cold = _graph_solve(chart, t, None)
+    starts = spied_newton(monkeypatch)
+    s = _graph_solve(chart, t, cold + 1e-3)
+    assert len(starts) == 1 and np.array_equal(starts[0], cold + 1e-3)
+    assert abs(s[0] - cold[0]) <= 1e-12
+
+
+def test_graph_solve_falls_back_to_the_cold_start(monkeypatch):
+    # a NaN start stalls Newton at once; the cold solve then gives the bits
+    # of the solve with no start
+    chart = build_parametrization(registry.circle_basic_germ(), np.array([1.0, 0.0]))
+    t = np.array([0.3])
+    cold = _graph_solve(chart, t, None)
+    starts = spied_newton(monkeypatch)
+    s = _graph_solve(chart, t, np.full(1, np.nan))
+    assert len(starts) == 2 and np.isnan(starts[0]).all() and np.array_equal(starts[1], chart.cold_start(t))
+    assert np.array_equal(s, cold)
+
+
+def test_graph_solve_raises_the_cold_solves_residual():
+    # |x|^2 + 1 has no zero: the start and the cold start both stall
+    chart = build_parametrization(registry.circle_basic_germ(), np.array([1.0, 0.0]))
+    lifted = replace(chart, section=lambda x: np.array([x[0] ** 2 + x[1] ** 2 + 1.0]))
+    t = np.array([0.3])
+    _, res, converged = newton(_graph_system(lifted, t), lifted.cold_start(t), NEWTON_TOL, NEWTON_MAX_ITER)
+    assert not converged
+    with pytest.raises(NonConvergence) as info:
+        _graph_solve(lifted, t, np.zeros(1))
+    assert info.value.residual == res

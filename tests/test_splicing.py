@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from germforge import registry
+from germforge._linalg import orthonormal_columns
 from germforge.errors import GermforgeError, NotAZero
 from germforge.splicing import (
     Filler,
@@ -10,6 +13,7 @@ from germforge.splicing import (
     SplicingCore,
     SplicingModel,
     StrongBundleSplicing,
+    _core_tangent_basis,
     core_retraction,
     degeneracy_index,
     linearize_filled,
@@ -71,7 +75,7 @@ def test_retraction_idempotent_property():
 
 
 def test_retraction_rejects_outside_parameters():
-    model = registry.rotating_line_model(radius=1.2)
+    model = registry.rotating_line_model()
     with pytest.raises(GermforgeError):
         core_retraction(model, np.array([5.0]), np.zeros(2))
 
@@ -315,3 +319,49 @@ def test_face_count_equals_degeneracy_index():
         x = rng.normal(size=4)
         x[:3] = np.abs(x[:3]) * (rng.random(3) > 0.4)
         assert len(local_faces(x, sp)) == degeneracy_index(x, sp)
+
+
+def core_tangent_oracle(model, v, e):
+    """The core tangent basis as it was computed column by column."""
+    pdim = model.param_space.dim
+    plus = orthonormal_columns(model.projection(v))
+    cols = []
+    for j in range(pdim):
+        def moved(t, j=j):
+            vv = np.array(v, dtype=float)
+            vv[j] += t
+            return model.projection(vv) @ e
+        h = 1e-6 * (1.0 + abs(float(v[j])))
+        col = np.zeros(pdim + model.E.dim)
+        col[j] = 1.0
+        col[pdim:] = (moved(h) - moved(-h)) / (2.0 * h)
+        cols.append(col)
+    for k in range(plus.shape[1]):
+        col = np.zeros(pdim + model.E.dim)
+        col[pdim:] = plus[:, k]
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+def logged_rotating_line(log):
+    """The rotating-line model, logging every v its pi is asked for."""
+    model = registry.rotating_line_model()
+
+    def pi(v):
+        log.append(np.array(v))
+        return model.pi(v)
+
+    return replace(model, pi=pi)
+
+
+def test_core_tangent_basis_has_the_bits_of_the_column_loop():
+    # with one parameter, fd_jacobian takes the same steps in the same order
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        v, e = rng.uniform(-1.1, 1.1, size=1), rng.normal(size=2)
+        new_log, old_log = [], []
+        new = _core_tangent_basis(logged_rotating_line(new_log), v, e)
+        old = core_tangent_oracle(logged_rotating_line(old_log), v, e)
+        assert np.array_equal(new, old)
+        assert len(new_log) == len(old_log) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(new_log, old_log))
