@@ -316,15 +316,15 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
     that reduction is evaluated directly.  `continue_orientation` performs
     the equivalent discrete transport when an explicit path is of interest.
     """
-    sign = _det_sign(jacobian_at(np.asarray(x, dtype=float)), "zero")
+    sign = _linearization_sign(jacobian_at(np.asarray(x, dtype=float)), "zero")
     if reference.kind == "ambient":
         return sign
     if reference.kind != "base_zero" or reference.base_point is None:
         raise ValueError(f"unknown orientation reference {reference.kind!r}")
-    return sign * _det_sign(jacobian_at(np.asarray(reference.base_point, dtype=float)), "reference zero")
+    return sign * _linearization_sign(jacobian_at(np.asarray(reference.base_point, dtype=float)), "reference zero")
 
 
-def _det_sign(J, where: str) -> int:
+def _linearization_sign(J, where: str) -> int:
     """sign(det J) of a square J, +1 for the 0x0 one (R^0 -> R^0); Singular
     when its last singular value is at most `rank_cutoff`."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
