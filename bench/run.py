@@ -16,6 +16,9 @@ For the tree (default: this checkout) one invocation records
   their closed form: the wrong degrees, the loud failures (a germforge
   error), each map's degree and section evaluations, the median and
   largest seconds per map and their total,
+- per-layer timings (`layer_timings`): the best of LAYER_RUNS mean µs per
+  call of `_linalg`'s Newton step and FD Jacobian at n = 1, 2 and 3, and of
+  one `newton` solve of a fixed 2-D map,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -53,12 +56,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("degree-search", "atlas-integrate", "certify")
 COMMANDS = ("solve-germ", "parametrize", "cones", "degree", "selftest")
-PARTS = ("workloads", "import", "cli", "tier1", "degree3d")
+PARTS = ("workloads", "import", "cli", "tier1", "degree3d", "layers")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 IMPORT_RUNS = 5
 CLI_RUNS = 3
 DEGREE3D_MAPS = 100
 DEGREE3D_SEED = 2024
+LAYER_RUNS = 7
+LAYER_CALLS = 2000
 # perfbench pins BLAS the same way; the other measurements get the same setting
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -257,6 +262,41 @@ def degree3d(tree: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
+    """Best of `runs` mean µs per call, over `calls` calls, of
+    - `_linalg._step` on the n x n system (I + 0.5 * ones) s = -f, which the
+      closed forms take where they exist,
+    - `_linalg.fd_jacobian` of the map x -> sin(x) + x^2 from R^n to R^n,
+    for n = 1, 2, 3, and of one `_linalg.newton` solve of
+    (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls.
+    Runs in the process of the tree under test."""
+    import timeit
+
+    from germforge import _linalg
+
+    def best(fn, number):
+        return min(timeit.repeat(fn, number=number, repeat=runs)) / number * 1e6
+
+    out = {}
+    for n in (1, 2, 3):
+        J, f, x = np.eye(n) + 0.5, np.linspace(0.3, -0.4, n), np.linspace(0.2, 0.7, n)
+        out[f"step_n{n}_us"] = best(lambda: _linalg._step(J, f), calls)
+        out[f"fd_jacobian_n{n}_us"] = best(lambda: _linalg.fd_jacobian(lambda y: np.sin(y) + y ** 2, x), calls)
+    circle = lambda y: np.array([y[0] ** 2 + y[1] ** 2 - 1.0, y[0] - y[1]])
+    out["newton_2d_us"] = best(lambda: _linalg.newton(circle, np.array([1.0, 0.5])), max(calls // 10, 1))
+    return out
+
+
+def layers(tree: Path) -> dict:
+    """`layer_timings` at its defaults, run on the tree's src/."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); import run; "
+            "print(json.dumps(run.layer_timings()))")
+    proc = _run([sys.executable, "-c", code], tree)
+    if proc.returncode != 0:
+        return {"exit_code": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def _first(records, key) -> dict:
     """The value of `key` in the first of the records that has it, else {}."""
     return next((r[key] for r in records if key in r), {})
@@ -266,8 +306,9 @@ def summary(data: dict) -> list:
     """Lines comparing the "parent" and "change" records of one BENCH file:
     src/ lines and settable values, tier-1 passed and failed, whether each
     CLI command's CSV digests and the degree3d degrees and section
-    evaluations agree, and each workload's section_evals_per_op.  Each
-    value is read from the first record of its label that holds it."""
+    evaluations agree, each workload's section_evals_per_op and each layer
+    timing.  Each value is read from the first record of its label that
+    holds it."""
     records = [data["entries"].get(label, []) for label in ("parent", "change")]
 
     def pair(key):
@@ -294,6 +335,10 @@ def summary(data: dict) -> list:
         x, y = (_first([r.get("workloads", {}) for r in label], name).get("metrics", {})
                 .get("section_evals_per_op", {}).get("value") for label in records)
         lines.append(f"{name} section_evals_per_op: {x} -> {y}")
+    a, b = pair("layers")
+    for key in [k for k in {**a, **b} if k.endswith("_us")]:
+        x, y = (f"{r[key]:.2f}" if key in r else None for r in (a, b))
+        lines.append(f"layers {key}: {x} -> {y}")
     return lines
 
 
@@ -334,6 +379,8 @@ def main(argv=None) -> int:
         record["tier1"] = tier1(tree)
     if "degree3d" in parts:
         record["degree3d"] = degree3d(tree)
+    if "layers" in parts:
+        record["layers"] = layers(tree)
 
     data = json.loads(path.read_text()) if path.is_file() else {"pr": args.pr, "entries": {}}
     data["entries"].setdefault(args.label, []).append(record)

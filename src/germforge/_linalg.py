@@ -9,7 +9,9 @@ x +- h e_j, columns (f(x + h e_j) - f(x - h e_j)) / 2h, the 2-norm as
 sqrt(f . f), which is what `np.linalg.norm` computes for a real vector).
 A 1x1 step is solved in closed form, -f * (1 / J), which is what LAPACK's
 dgelsd behind `np.linalg.lstsq` returns bit for bit while it does not
-rescale J or f (see CLOSED_FORM_RANGE)."""
+rescale J or f (see CLOSED_FORM_RANGE).  A well-conditioned 2x2 step is
+Cramer's rule, within a small multiple of cond(J) eps of lstsq's solution
+(see `_step`)."""
 
 from __future__ import annotations
 
@@ -24,6 +26,12 @@ RANK_BAND_FACTOR = 10.0
 # |J| and |f| of a 1x1 step inside which `newton` skips lstsq: dgelsd solves
 # it as b * (1 / d), and rescales only beyond about 1e-290 or 1e290
 CLOSED_FORM_RANGE = (1e-250, 1e250)
+# max|J| and max|f| of a 2x2 step inside which `newton` uses Cramer's rule:
+# no product or quotient of it can overflow, and none that matters underflows
+CLOSED_FORM_RANGE_2X2 = (1e-100, 1e100)
+# |det J| / max|J|^2 below which a 2x2 step goes to lstsq; far above the
+# 2 eps sigma_max at which lstsq would drop a singular value
+DET_RELATIVE_FLOOR = 1e-12
 
 
 def as_vector(y):
@@ -94,7 +102,9 @@ def fd_jacobian(f, x):
         return np.zeros((as_vector(f(x)).size, 0))
     h = 1e-6 * (1.0 + float(np.abs(x).sum()))
     J = None
-    for j, e in enumerate(np.diag([h] * n)):    # rows h e_j, exact (no inf * 0) for any h
+    for j in range(n):
+        e = np.zeros(n)     # h e_j, exact (no inf * 0) for any h; x + 0.0 and x - 0.0 as the plain formula
+        e[j] = h
         fp = np.asarray(f(x + e), dtype=float)
         if J is None:
             J = np.empty((fp.size, n))
@@ -103,15 +113,34 @@ def fd_jacobian(f, x):
 
 
 def _norm(v) -> float:
+    """The 2-norm of a real vector, sqrt(v . v): np.linalg.norm(v)'s bits
+    without its dispatch."""
     return math.sqrt(float(v.dot(v)))
 
 
 def _step(J, fx):
-    """The lstsq solution of J step = -fx; for a 1x1 J with |J| and |f| in
-    CLOSED_FORM_RANGE, -f * (1 / J), which has the same bits."""
-    lo, hi = CLOSED_FORM_RANGE
-    if J.shape == (1, 1) and lo <= abs(J[0, 0]) <= hi and lo <= abs(fx[0]) <= hi:
-        return -fx * (1.0 / J[0, 0])
+    """The lstsq solution of J step = -fx, with two closed forms:
+    - a 1x1 J with |J| and |f| in CLOSED_FORM_RANGE: -f * (1 / J), which
+      has the same bits;
+    - a 2x2 J = [[a, b], [c, d]] with max|J| and max|f| in
+      CLOSED_FORM_RANGE_2X2 and |det| >= DET_RELATIVE_FLOOR max|J|^2, det =
+      ad - bc: Cramer's rule ((b f1 - d f0) / det, (c f0 - a f1) / det).
+      Forward stable for a 2x2, it lies within a small multiple of
+      cond(J) eps |step| of lstsq's solution.
+    Non-finite entries, a smaller det and every other shape go to lstsq."""
+    if J.shape == (1, 1):
+        lo, hi = CLOSED_FORM_RANGE
+        if lo <= abs(J[0, 0]) <= hi and lo <= abs(fx[0]) <= hi:
+            return -fx * (1.0 / J[0, 0])
+    elif J.shape == (2, 2):
+        lo, hi = CLOSED_FORM_RANGE_2X2
+        (a, b), (c, d) = J.tolist()
+        f0, f1 = fx.tolist()
+        size = max(abs(a), abs(b), abs(c), abs(d))
+        det = a * d - b * c     # NaN for a NaN anywhere in J, which fails the last test
+        if (lo <= size <= hi and abs(f0) <= hi and abs(f1) <= hi and lo <= max(abs(f0), abs(f1))
+                and abs(det) >= DET_RELATIVE_FLOOR * size * size):
+            return np.array([(b * f1 - d * f0) / det, (c * f0 - a * f1) / det])
     return np.linalg.lstsq(J, -fx, rcond=None)[0]
 
 
@@ -119,11 +148,12 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     """Damped Gauss-Newton for func(x) = 0; returns (x, max|func(x)|, converged).
 
     Steps are lstsq solutions with the FD Jacobian (square or not; a 1x1
-    one in closed form, with lstsq's bits inside CLOSED_FORM_RANGE), halved
-    down to 1e-8 until the residual 2-norm beats the best so far.  A stall, a
-    non-finite Jacobian or residual, a failed solve, or an accepted iterate
-    on which the predicate `stop` holds returns converged = False; it never
-    raises.  An empty x returns at once.
+    one in closed form, with lstsq's bits inside CLOSED_FORM_RANGE, and a
+    well-conditioned 2x2 one by Cramer's rule inside CLOSED_FORM_RANGE_2X2;
+    see `_step`), halved down to 1e-8 until the residual 2-norm beats the
+    best so far.  A stall, a non-finite Jacobian or residual, a failed
+    solve, or an accepted iterate on which the predicate `stop` holds
+    returns converged = False; it never raises.  An empty x returns at once.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import as_vector, fd_jacobian, newton, svd_split
+from ._linalg import _norm, as_vector, fd_jacobian, newton, svd_split
 from .errors import (
     AtlasIncomplete,
     BudgetExceeded,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fredholm import ScPlusSection
 from .orientation import AMBIENT_REFERENCE, OrientationReference, sign_of_zero
-from .solution import (CACHE_QUANTUM, NEWTON_TOL, SUPPORT_SCALE, SolutionAtlas, _complement_inverse, _graph_solve,
+from .solution import (NEWTON_TOL, SUPPORT_SCALE, SolutionAtlas, _complement_inverse, _graph_solve, _memo_key,
                        _tangent)
 from .spaces import GradedSpace
 
@@ -137,14 +137,14 @@ def make_bump_section(x0, h0, region_radius: float, eps: float,
 
     def section(y):
         y = np.asarray(y, dtype=float)
-        w = smooth_plateau(float(np.linalg.norm(y - x0)) / region_radius)
+        w = smooth_plateau(_norm(y - x0) / region_radius)
         val = h0
         if fiber_projection is not None:
             val = np.atleast_2d(np.asarray(fiber_projection(y), dtype=float)) @ h0
         return w * val
 
     def support(y):
-        return float(np.linalg.norm(np.asarray(y, dtype=float) - x0)) < region_radius
+        return _norm(np.asarray(y, dtype=float) - x0) < region_radius
 
     return ScPlusSection(section=section, levels=levels, support=support)
 
@@ -855,9 +855,9 @@ class _Cell:
         """Gamma(t), solved from the cell's last point when that is nearer
         t than the origin is, else from the chart's cold start s2(t)."""
         t = np.asarray(t, dtype=float)
-        if not np.isfinite(t).all():        # no key for it: solved cold, as by the chart
+        key = _memo_key(t)
+        if key is None:     # solved cold, as by the chart
             return self.chart.gamma(t)
-        key = tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
         s = self._points.get(key)
         if s is None:
             s0 = None

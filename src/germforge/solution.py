@@ -61,6 +61,15 @@ SUPPORT_SCALE = 0.95
 CLOSED_FORM_BOUND = 1e130
 
 
+def _memo_key(t):
+    """The key of chart coordinates t in a memo of chart points: t in units
+    of CACHE_QUANTUM, rounded to int64s.  None for a non-finite t, which
+    has no key and is solved uncached."""
+    if not np.isfinite(t).all():
+        return None
+    return tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
+
+
 def _graph_system(chart, t):
     """s -> f(q + K t + C s), the square system whose zero is Gamma(t)."""
     base = chart.base_point + chart.kernel_basis @ np.asarray(t, dtype=float)
@@ -170,9 +179,9 @@ class GoodParametrization:
         the underlying solvers are deterministic.
         """
         t = np.asarray(t, dtype=float)
-        if not np.isfinite(t).all():  # no key for it; a_map rejects it uncached
+        key = _memo_key(t)
+        if key is None:     # a_map rejects it uncached
             return self.a_map(t)
-        key = tuple(np.round(t / CACHE_QUANTUM).astype(np.int64))
         hit = self._cache.get(key)
         if hit is None:
             hit = self._cache[key] = self.a_map(t)

@@ -124,11 +124,16 @@ def validate_splicing(model: SplicingModel, samples: int = 200, seed: int = 0) -
                               continuity_checked=check_continuity)
 
 
-def core_retraction(model: SplicingModel, v, e):
-    """r(v, e) = (v, pi_v e); idempotent and lands in the core."""
+def _checked_param(model: SplicingModel, v):
+    """v as a float array; GermforgeError when it lies outside the parameter region."""
     if not model.contains_param(v):
         raise GermforgeError(f"parameter {np.asarray(v)} outside the splicing parameter region")
-    v = np.asarray(v, dtype=float)
+    return np.asarray(v, dtype=float)
+
+
+def core_retraction(model: SplicingModel, v, e):
+    """r(v, e) = (v, pi_v e); idempotent and lands in the core."""
+    v = _checked_param(model, v)
     e = np.asarray(e, dtype=float)
     return v, model.projection(v) @ e
 
@@ -243,14 +248,14 @@ class FilledLinearization:
     complement_basis: np.ndarray
 
 
-def _core_tangent_basis(model: SplicingModel, v, e):
-    """Columns spanning T_(v,e) of the core inside param ⊕ E.
+def _core_tangent_basis(model: SplicingModel, v, e, P):
+    """Columns spanning T_(v,e) of the core inside param ⊕ E, given P = pi_v.
 
     Directions: (dv, D_v(pi_v e) dv) for parameter moves plus (0, de) for
     de in range(pi_v).
     """
     pdim = model.param_space.dim
-    plus = orthonormal_columns(model.projection(v))         # range pi_v
+    plus = orthonormal_columns(P)                           # range pi_v
     dpi = fd_jacobian(lambda vv: model.projection(vv) @ e, v)
     return np.block([[np.eye(pdim), np.zeros((pdim, plus.shape[1]))], [dpi, plus]])
 
@@ -273,14 +278,13 @@ def linearize_filled(fs: FilledSection, q) -> FilledLinearization:
 
     J = fd_jacobian(fs.evaluate_flat, q)
 
-    P = model.projection(v)
-    tangent = _core_tangent_basis(model, v, e)
+    P = model.projection(v)     # pi_v, read once: the tangent's range and the retraction r(q) = (v, P e)
+    tangent = _core_tangent_basis(model, v, e, P)
     minus = orthonormal_columns(np.eye(model.E.dim) - P)   # ker pi_v
     comp = np.zeros((pdim + model.E.dim, minus.shape[1]))
     comp[pdim:, :] = minus
 
-    rv, re = core_retraction(model, v, e)
-    R = fs.filler.bundle.fiber_projection(rv, re)
+    R = fs.filler.bundle.fiber_projection(_checked_param(model, v), P @ e)
     f_plus = orthonormal_columns(R)                        # range rho_q
     f_minus = orthonormal_columns(np.eye(fs.filler.bundle.F.dim) - R)
 

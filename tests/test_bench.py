@@ -1,4 +1,4 @@
-"""The end-to-end recorder bench/run.py: its dirty-tree check, its size counts and its 3-D sweep."""
+"""The end-to-end recorder bench/run.py: its dirty-tree check, its size counts, its 3-D sweep and its layer timings."""
 
 import hashlib
 import importlib.util
@@ -126,6 +126,18 @@ def test_sweep_3d_records_each_maps_degree_and_section_evaluations():
     assert len(out["section_evals"]) == 2 and min(out["section_evals"]) > 0
 
 
+def test_layer_timings_time_each_layer_call_in_microseconds():
+    out = bench_run.layer_timings(runs=2, calls=10)
+    assert sorted(out) == sorted([f"{name}_n{n}_us" for name in ("step", "fd_jacobian") for n in (1, 2, 3)]
+                                 + ["newton_2d_us"])
+    assert all(isinstance(v, float) and 0.0 < v < 1e6 for v in out.values())
+
+
+def test_a_layers_record_of_the_tree_runs_in_its_own_process():
+    out = bench_run.layers(bench_run.ROOT)
+    assert "exit_code" not in out and out["newton_2d_us"] > 0.0
+
+
 def test_csv_digests_hash_each_csv_and_leave_out_the_events(tmp_path):
     (tmp_path / "b-model.csv").write_bytes(b"x,y\n1,2\n")
     (tmp_path / "a-model.csv").write_bytes(b"")
@@ -158,19 +170,20 @@ def test_a_cli_run_of_the_tree_records_its_csvs():
     assert all(name.startswith("solve-germ-") and name.endswith(".csv") for name in out["csv_sha256"])
 
 
-def synthetic_record(src_lines, passed, csv, degrees, evals, per_op):
+def synthetic_record(src_lines, passed, csv, degrees, evals, per_op, step_us):
     return {"source": {"src_lines": src_lines, "settable_values": 105}, "tier1": {"passed": passed, "failed": 0},
             "cli": {"degree": {"csv_sha256": {"degree-cubic.csv": csv}}, "cones": {"csv_sha256": {}}},
             "degree3d": {"degrees": degrees, "section_evals": evals},
-            "workloads": {"certify": {"metrics": {"section_evals_per_op": {"value": per_op}}}}}
+            "workloads": {"certify": {"metrics": {"section_evals_per_op": {"value": per_op}}}},
+            "layers": {"step_n2_us": step_us}}
 
 
 def test_summary_compares_the_parent_with_the_change(tmp_path, capsys, monkeypatch):
     data = {"pr": 99, "entries": {
-        "parent": [synthetic_record(5196, 523, "aa", [1, -1, None], [10, 20, 30], 1782.5),
+        "parent": [synthetic_record(5196, 523, "aa", [1, -1, None], [10, 20, 30], 1782.5, 10.6),
                    {"source": {"src_lines": 0}, "workloads": {"degree-search": {"metrics": {}}}}],
         "change": [{"workloads": {"certify": {"metrics": {"section_evals_per_op": {"value": 1782.5}}}}},
-                   synthetic_record(5149, 525, "bb", [1, -1, None], [10, 21, 30], 0.0)]}}
+                   synthetic_record(5149, 525, "bb", [1, -1, None], [10, 21, 30], 0.0, 1.234)]}}
     lines = bench_run.summary(data)
     assert lines == [
         "source src_lines: 5196 -> 5149",
@@ -184,6 +197,7 @@ def test_summary_compares_the_parent_with_the_change(tmp_path, capsys, monkeypat
         "degree-search section_evals_per_op: None -> None",
         "atlas-integrate section_evals_per_op: None -> None",
         "certify section_evals_per_op: 1782.5 -> 1782.5",
+        "layers step_n2_us: 10.60 -> 1.23",
     ]
     # --summary reads BENCH_<pr>.json at the root of the checkout and records nothing
     (tmp_path / "BENCH_99.json").write_text(json.dumps(data))

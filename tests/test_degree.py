@@ -24,8 +24,8 @@ from germforge.degree import SUPPORT_SCALE, _Cell, _chart_orientation_sign, _cov
 from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, RetryExhausted, WindowEscape
 from germforge.orientation import OrientationReference
 from germforge.solution import (
-    CACHE_QUANTUM,
     SolutionAtlas,
+    _memo_key,
     _tangent,
     build_boundary_parametrization,
     build_parametrization,
@@ -74,6 +74,19 @@ def test_bump_section_exact_value_and_support():
     # the plateau never exceeds 1, so the budget norm is dominated by h0's
     for x in np.linspace(-1.5, 1.5, 41):
         assert aux(np.array([x]), s(np.array([x]))) <= aux(x0, h0) + 1e-15
+
+
+def test_bump_section_has_the_bits_of_the_linalg_norm_form():
+    # the distance is sqrt(d . d), which is np.linalg.norm(d) for a real d
+    rng = np.random.default_rng(25)
+    for d in (1, 2, 3):
+        aux = AuxiliaryNorm(fiber_space=GradedSpace(dim=d, levels=3))
+        x0, h0, radius = rng.normal(size=d), 0.1 * rng.normal(size=d), 10.0 ** rng.uniform(-3, 0)
+        s = make_bump_section(x0, h0, radius, 5.0, aux, levels=3)
+        for y in [x0 + radius * rng.uniform(0.3, 1.1) * rng.normal(size=d) for _ in range(300)]:
+            u = float(np.linalg.norm(y - x0)) / radius
+            assert s(y).tobytes() == (smooth_plateau(u) * h0).tobytes()
+            assert s.support_contains(y) == (float(np.linalg.norm(y - x0)) < radius)
 
 
 def test_bump_section_budget_guard():
@@ -623,7 +636,7 @@ def test_a_rule_does_not_depend_on_what_its_charts_served_before(monkeypatch, us
     served = _quadrature_rule(used(), 1, 32)
     rule, seen = spied_rule(monkeypatch, circle_atlas(), 1, 32)
     assert same_rule(served, rule) and len(seen) == 128
-    assert not any(tuple(np.round(t / CACHE_QUANTUM).astype(np.int64)) in chart._cache for chart, t in seen)
+    assert not any(_memo_key(t) in chart._cache for chart, t in seen)
 
 
 def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):

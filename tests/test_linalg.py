@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge import registry
-from germforge._linalg import (CLOSED_FORM_RANGE, SV_RELATIVE_CUTOFF, _step, fd_jacobian, is_surjective, newton,
-                              rank_cutoff, svd_split)
+from germforge._linalg import (CLOSED_FORM_RANGE, CLOSED_FORM_RANGE_2X2, SV_RELATIVE_CUTOFF, _step, fd_jacobian,
+                              is_surjective, newton, rank_cutoff, svd_split)
 
 
 class Counted:
@@ -163,8 +165,25 @@ def fd_jacobian_oracle(f, x):
     return np.column_stack(columns)
 
 
+def cramer_oracle(J, f):
+    """-J^-1 f by Cramer's rule for a 2x2 J whose entries and f lie in
+    [1e-100, 1e100] in absolute value at their largest and whose |det J| is
+    at least 1e-12 max|J|^2, else None."""
+    if J.shape != (2, 2) or not (np.isfinite(J).all() and np.isfinite(f).all()):
+        return None
+    size, fsize = np.max(np.abs(J)), np.max(np.abs(f))
+    if not (1e-100 <= size <= 1e100 and 1e-100 <= fsize <= 1e100):
+        return None
+    with np.errstate(under="ignore"):
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        if abs(det) < 1e-12 * size ** 2:
+            return None
+        return np.array([J[0, 1] * f[1] - J[1, 1] * f[0], J[1, 0] * f[0] - J[0, 0] * f[1]]) / det
+
+
 def newton_oracle(func, x0, tol=1e-13, max_iter=80, stop=None):
-    """newton as first written, with np.linalg.norm and np.max."""
+    """newton as first written, with np.linalg.norm and np.max, and with
+    the 2x2 steps inside the closed form's range by `cramer_oracle`."""
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
         return x, 0.0, True
@@ -179,8 +198,10 @@ def newton_oracle(func, x0, tol=1e-13, max_iter=80, stop=None):
         J = fd_jacobian_oracle(func, x)
         if not np.isfinite(J).all():
             return x, res, False
+        step = cramer_oracle(J, fx)
         try:
-            step = np.linalg.lstsq(J, -fx, rcond=None)[0]
+            if step is None:
+                step = np.linalg.lstsq(J, -fx, rcond=None)[0]
         except np.linalg.LinAlgError:
             return x, res, False
         lam = 1.0
@@ -298,20 +319,79 @@ def test_a_1x1_step_at_zero_subnormal_and_edge_values_returns_the_bits_of_lstsq(
             assert_step_is_lstsqs(f, J)
 
 
-def test_the_closed_form_covers_the_1x1_steps_inside_its_range(monkeypatch):
-    # inside the range lstsq is never called; outside it, and for larger J, it is
+def test_the_closed_forms_cover_the_1x1_and_2x2_steps_inside_their_ranges(monkeypatch):
+    # inside the ranges lstsq is never called; outside them, for a 2x2 J
+    # near singular, with a non-finite entry, and for other shapes, it is
     calls = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a[0].shape) or lstsq(*a, **k))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda A, b, rcond=None: calls.append(A.shape) or (np.zeros(A.shape[1]),))
     lo, hi = CLOSED_FORM_RANGE
     for J, f in [(lo, 1.0), (-hi, 2.0), (3.0, -lo), (0.5, hi)]:
         _step(np.array([[J]]), np.array([f]))
+    lo2, hi2 = CLOSED_FORM_RANGE_2X2
+    for J, f in [(np.eye(2), [1.0, 1.0]), ([[lo2, 0.0], [0.0, -lo2]], [hi2, -lo2]),
+                 ([[hi2, 1.0], [2.0, -hi2]], [lo2, 0.0]), ([[1.0, 2.0], [3.0, 4.0]], [-0.5, 2.0]),
+                 ([[1.0, 1.0], [1.0, 1.0 + 1e-11]], [1.0, 0.0])]:
+        _step(np.array(J), np.array(f))
     assert calls == []
     for J, f in [(0.0, 1.0), (-0.0, 1.0), (np.nextafter(lo, 0.0), 1.0), (1.0, np.nextafter(hi, np.inf))]:
         _step(np.array([[J]]), np.array([f]))
-    _step(np.eye(2), np.ones(2))
+    below, above = np.nextafter(lo2, 0.0), np.nextafter(hi2, np.inf)
+    for J, f in [([[1.0, 1.0], [1.0, 1.0 + 1e-13]], [1.0, 0.0]), ([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0]),
+                 ([[below, 0.0], [0.0, below]], [1.0, 1.0]), ([[above, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+                 (np.eye(2), [below, -below]), (np.eye(2), [1.0, above]), (np.eye(2), [0.0, 0.0]),
+                 ([[1.0, 0.0], [0.0, np.nan]], [1.0, 1.0]), ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+                 (np.eye(2), [1.0, np.nan]), (np.eye(2), [np.nan, 1.0]), (np.eye(2), [-np.inf, 1.0])]:
+        _step(np.array(J), np.array(f))
+    _step(np.eye(3), np.ones(3))
     _step(np.ones((1, 2)), np.ones(1))
-    assert calls == [(1, 1)] * 4 + [(2, 2), (1, 2)]
+    assert calls == [(1, 1)] * 4 + [(2, 2)] * 12 + [(3, 3), (1, 2)]
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def scaled_norm(v) -> float:
+    """The 2-norm of v without overflow or underflow in the squares."""
+    m = float(np.max(np.abs(v)))
+    return 0.0 if m == 0.0 else m * float(np.sqrt(np.sum((v / m) ** 2)))
+
+
+def exact_step(J, f):
+    """-J^-1 f of a 2x2 J in rational arithmetic, rounded once to float64."""
+    (a, b), (c, d) = [[Fraction(v) for v in row] for row in J.tolist()]
+    f0, f1 = (Fraction(v) for v in f.tolist())
+    det = a * d - b * c
+    return np.array([float((b * f1 - d * f0) / det), float((c * f0 - a * f1) / det)])
+
+
+def test_a_2x2_step_is_within_cond_eps_of_lstsq_and_of_the_exact_step():
+    # half the J are R(t) diag(s, s / k) R(u) with k log-uniform up to 1e13,
+    # half have log-uniform entries of both signs; f is log-uniform.  Both
+    # reach past the closed form's range, where the step must be lstsq's.
+    # lstsq's own error reaches about 23 cond(J) eps |s| on these draws;
+    # Cramer's rule stays within 1.1 cond(J) eps |s| of the exact step
+    rng = np.random.default_rng(25)
+    count = 10000
+    spectral = [rng.choice([-1.0, 1.0]) * rotation(rng.uniform(0, 2 * np.pi))
+                @ np.diag([1.0, 10.0 ** -rng.uniform(0, 13)]) @ rotation(rng.uniform(0, 2 * np.pi))
+                * 10.0 ** rng.uniform(-120, 120) for _ in range(count)]
+    entrywise = log_uniform(rng, 4 * count, exponent=200).reshape(count, 2, 2)
+    Js = np.concatenate([spectral, entrywise])
+    fs = log_uniform(rng, 4 * count, exponent=120).reshape(2 * count, 2)
+    eps, closed = np.finfo(float).eps, 0
+    with np.errstate(under="ignore"):
+        conds = np.linalg.cond(Js)
+    for J, f, cond in zip(Js, fs, conds):
+        step, lstsq = _step(J, f), np.linalg.lstsq(J, -f, rcond=None)[0]
+        if cramer_oracle(J, f) is None:
+            assert same_bits(step, lstsq), (J, f)
+            continue
+        closed += 1
+        assert scaled_norm(step - lstsq) <= 64 * cond * eps * scaled_norm(lstsq), (J, f)
+        exact = exact_step(J, f)
+        assert scaled_norm(step - exact) <= 2 * cond * eps * scaled_norm(exact), (J, f)
+    assert closed >= count // 2
 
 
 def test_rank_cutoff_is_the_inline_formula():

@@ -552,6 +552,18 @@ def test_a_vector_of_a_non_finite_point_skips_the_memo():
     assert chart._cache.keys() == before.keys()
 
 
+def test_the_memo_key_is_the_quantized_coordinates_and_none_off_the_finite_points():
+    rng = np.random.default_rng(25)
+    points = [rng.normal(size=d) * 10.0 ** rng.uniform(-14, 2) for d in (1, 2, 3) for _ in range(200)]
+    points += [np.array([-0.0]), np.array([5e-13, -5e-13]), np.zeros(0)]
+    for t in points:
+        key = solution._memo_key(t)
+        assert key == tuple(np.round(t / solution.CACHE_QUANTUM).astype(np.int64))
+        assert all(type(k) is np.int64 for k in key)
+    for t in ([np.nan], [0.0, np.inf], [-np.inf, 1.0, 2.0]):
+        assert solution._memo_key(np.array(t)) is None
+
+
 # Reference: the paper's staged construction of the graph map A (fiber fixed
 # point delta, Newton on the remainder G(v) = f(v, delta(v))_N, then
 # reparametrization over the kernel), which the bordered solve replaced.  By

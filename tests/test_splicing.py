@@ -360,8 +360,25 @@ def test_core_tangent_basis_has_the_bits_of_the_column_loop():
     for _ in range(50):
         v, e = rng.uniform(-1.1, 1.1, size=1), rng.normal(size=2)
         new_log, old_log = [], []
-        new = _core_tangent_basis(logged_rotating_line(new_log), v, e)
+        model = logged_rotating_line(new_log)
+        new = _core_tangent_basis(model, v, e, model.projection(v))
         old = core_tangent_oracle(logged_rotating_line(old_log), v, e)
         assert np.array_equal(new, old)
         assert len(new_log) == len(old_log) == 3
         assert all(np.array_equal(a, b) for a, b in zip(new_log, old_log))
+
+
+def test_linearize_filled_reads_pi_at_its_base_point_once(monkeypatch):
+    # the registry's section, filler and rho close over their own model, so
+    # the log holds only the library's own reads of pi.  At the zero's v:
+    # one for the residual, one for each of the Jacobian's two fiber
+    # columns (x +- h e_j moves e only), and one for P = pi_v, which serves
+    # the core tangent's range and the retraction (v, P e)
+    fs = registry.rotating_line_filled_section()
+    log = []
+    core = replace(fs.filler.bundle.base, model=logged_rotating_line(log))
+    fs = replace(fs, filler=replace(fs.filler, bundle=replace(fs.filler.bundle, base=core)))
+    v0 = 0.3
+    rep = linearize_filled(fs, np.concatenate([[v0], rotating_zero(v0)]))
+    assert sum(np.array_equal(v, [v0]) for v in log) == 6
+    assert rep.section_surjective and rep.off_diagonal_norm < 1e-9
