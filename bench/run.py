@@ -18,7 +18,7 @@ For the tree (default: this checkout) one invocation records
   largest seconds per map and their total,
 - per-layer timings (`layer_timings`): the best of LAYER_RUNS mean µs per
   call of `_linalg`'s Newton step and FD Jacobian at n = 1, 2 and 3, and of
-  one `newton` solve of a fixed 2-D map,
+  one `newton` solve of a fixed 1-D and of a fixed 2-D map,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -267,8 +267,8 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     - `_linalg._step` on the n x n system (I + 0.5 * ones) s = -f, which the
       closed forms take where they exist,
     - `_linalg.fd_jacobian` of the map x -> sin(x) + x^2 from R^n to R^n,
-    for n = 1, 2, 3, and of one `_linalg.newton` solve of
-    (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls.
+    for n = 1, 2, 3, and of one `_linalg.newton` solve of x^3 - 2 = 0 from 1
+    and of (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls.
     Runs in the process of the tree under test."""
     import timeit
 
@@ -282,6 +282,8 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
         J, f, x = np.eye(n) + 0.5, np.linspace(0.3, -0.4, n), np.linspace(0.2, 0.7, n)
         out[f"step_n{n}_us"] = best(lambda: _linalg._step(J, f), calls)
         out[f"fd_jacobian_n{n}_us"] = best(lambda: _linalg.fd_jacobian(lambda y: np.sin(y) + y ** 2, x), calls)
+    cube = lambda y: y ** 3 - 2.0
+    out["newton_1d_us"] = best(lambda: _linalg.newton(cube, np.array([1.0])), max(calls // 10, 1))
     circle = lambda y: np.array([y[0] ** 2 + y[1] ** 2 - 1.0, y[0] - y[1]])
     out["newton_2d_us"] = best(lambda: _linalg.newton(circle, np.array([1.0, 0.5])), max(calls // 10, 1))
     return out

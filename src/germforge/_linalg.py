@@ -11,7 +11,11 @@ A 1x1 step is solved in closed form, -f * (1 / J), which is what LAPACK's
 dgelsd behind `np.linalg.lstsq` returns bit for bit while it does not
 rescale J or f (see CLOSED_FORM_RANGE).  A well-conditioned 2x2 step is
 Cramer's rule, within a small multiple of cond(J) eps of lstsq's solution
-(see `_step`)."""
+(see `_step`).  A 1-D solve (x of shape (1,) and one equation: each chart
+point of a hypersurface, each 1-D zero search) runs the same iteration on
+Python floats (`_newton_1d`), building one array per evaluation, for
+func's argument, and no other; both loops take the FD step h from
+`_fd_step` and the 1x1 step from `_step_1x1`."""
 
 from __future__ import annotations
 
@@ -92,15 +96,20 @@ def is_surjective(T) -> bool:
     return bool(s[m - 1] > rank_cutoff(s))
 
 
+def _fd_step(l1: float) -> float:
+    """The central-difference step h = 1e-6 (1 + |x|_1) at a point x of 1-norm l1."""
+    return 1e-6 * (1.0 + l1)
+
+
 def fd_jacobian(f, x):
     """Central finite-difference Jacobian of f at x, shape (len(f(x)), len(x)),
     from 2 len(x) evaluations of f (one, to size the result, for an empty x),
-    with step h = 1e-6 (1 + |x|_1)."""
+    with step h = `_fd_step`(|x|_1)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n == 0:
         return np.zeros((as_vector(f(x)).size, 0))
-    h = 1e-6 * (1.0 + float(np.abs(x).sum()))
+    h = _fd_step(float(np.abs(x).sum()))
     J = None
     for j in range(n):
         e = np.zeros(n)     # h e_j, exact (no inf * 0) for any h; x + 0.0 and x - 0.0 as the plain formula
@@ -118,10 +127,19 @@ def _norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def _step_1x1(J: float, f: float) -> float:
+    """The lstsq solution of J s = -f for floats J and f: -f * (1 / J), which
+    has its bits, when |J| and |f| lie in CLOSED_FORM_RANGE, else lstsq's."""
+    lo, hi = CLOSED_FORM_RANGE
+    if lo <= abs(J) <= hi and lo <= abs(f) <= hi:
+        return -f * (1.0 / J)
+    return float(np.linalg.lstsq(np.array([[J]]), np.array([-f]), rcond=None)[0][0])
+
+
 def _step(J, fx):
     """The lstsq solution of J step = -fx, with two closed forms:
     - a 1x1 J with |J| and |f| in CLOSED_FORM_RANGE: -f * (1 / J), which
-      has the same bits;
+      has the same bits (`_step_1x1`);
     - a 2x2 J = [[a, b], [c, d]] with max|J| and max|f| in
       CLOSED_FORM_RANGE_2X2 and |det| >= DET_RELATIVE_FLOOR max|J|^2, det =
       ad - bc: Cramer's rule ((b f1 - d f0) / det, (c f0 - a f1) / det).
@@ -129,10 +147,8 @@ def _step(J, fx):
       cond(J) eps |step| of lstsq's solution.
     Non-finite entries, a smaller det and every other shape go to lstsq."""
     if J.shape == (1, 1):
-        lo, hi = CLOSED_FORM_RANGE
-        if lo <= abs(J[0, 0]) <= hi and lo <= abs(fx[0]) <= hi:
-            return -fx * (1.0 / J[0, 0])
-    elif J.shape == (2, 2):
+        return np.array([_step_1x1(float(J[0, 0]), float(fx[0]))])
+    if J.shape == (2, 2):
         lo, hi = CLOSED_FORM_RANGE_2X2
         (a, b), (c, d) = J.tolist()
         f0, f1 = fx.tolist()
@@ -154,11 +170,20 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     best so far.  A stall, a non-finite Jacobian or residual, a failed
     solve, or an accepted iterate on which the predicate `stop` holds
     returns converged = False; it never raises.  An empty x returns at once.
+    func keeps the length of its value.  An x of shape (1,) with a one-entry
+    func(x) runs the iteration on Python floats (`_newton_1d`), with the
+    array loop's bits.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
         return x, 0.0, True
     fx = np.atleast_1d(func(x))
+    solve = _newton_1d if x.shape == fx.shape == (1,) else _newton_arrays
+    return solve(func, x, fx, tol, max_iter, stop)
+
+
+def _newton_arrays(func, x, fx, tol, max_iter, stop):
+    """`newton` from x, with fx = func(x), on numpy arrays."""
     best = _norm(fx)
     for _ in range(max_iter):
         res = float(np.abs(fx).max())
@@ -187,6 +212,59 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
         if stop is not None and stop(x):
             return x, float(np.abs(fx).max()), False
     res = float(np.abs(fx).max())
+    return x, res, res <= tol
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def _entry(r):
+    """(v, |r|) for a value r of a 1-D map: its one entry v as a float and
+    the 2-norm `_newton_arrays` takes, sqrt(v * v) for a float64 r."""
+    if type(r) is np.ndarray and r.dtype is _FLOAT64 and r.shape == (1,):
+        v = r.item()
+        return v, math.sqrt(v * v)
+    r = np.atleast_1d(r)
+    (v,) = r.tolist()
+    return float(v), _norm(r)
+
+
+def _newton_1d(func, x, fx, tol, max_iter, stop):
+    """`_newton_arrays` for an x of shape (1,) and a one-entry fx, on Python
+    floats: the same central difference (`_fd_step`), step (`_step_1x1`),
+    halving and tests, so func sees the same points in the same order, and
+    the iterates and the result have the same bits.  Each evaluation costs
+    one array for func's argument and no other numpy call."""
+    xv = x.item()
+    f, best = _entry(fx)
+    for _ in range(max_iter):
+        res = abs(f)
+        if res <= tol:
+            return x, res, True
+        if not res < math.inf:
+            return x, res, False
+        h = _fd_step(abs(xv))
+        J = (_entry(func(np.array([xv + h])))[0] - _entry(func(np.array([xv - h])))[0]) / (2.0 * h)
+        if not math.isfinite(J):
+            return x, res, False
+        try:
+            step = _step_1x1(J, f)
+        except np.linalg.LinAlgError:
+            return x, res, False
+        lam = 1.0
+        while lam > 1e-8:
+            xt = xv + lam * step
+            trial = np.array([xt])
+            ft, norm = _entry(func(trial))
+            if norm < best:
+                x, xv, f, best = trial, xt, ft, norm
+                break
+            lam *= 0.5
+        else:
+            return x, res, False
+        if stop is not None and stop(x):
+            return x, abs(f), False
+    res = abs(f)
     return x, res, res <= tol
 
 

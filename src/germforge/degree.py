@@ -697,7 +697,7 @@ def _covering_u(chart, x) -> float:
     t = chart.coordinates(x)
     if not chart.domain_contains(t) or np.max(np.abs(chart.gamma(t) - x)) > COVER_TOL:
         return np.inf
-    return float(np.linalg.norm(t)) / chart.radius
+    return _norm(t) / chart.radius
 
 
 def _chord(chart, base, s, inverse):
@@ -738,7 +738,7 @@ def _ray_points(chart, ts) -> list:
     for t in ts:
         base = q + K @ t
         s0, solved = None, None
-        if back and np.linalg.norm(t - back[-1][0]) < np.linalg.norm(t):
+        if back and _norm(t - back[-1][0]) < _norm(t):
             (t0, s_0, slope0, _), (t1, s1, slope1, inverse) = back[0], back[-1]
             gap = t1 - t0       # 0 while the ray has one node: then s0 is on its tangent line
             s0 = s1 + slope1 @ (t - t1)
@@ -861,7 +861,7 @@ class _Cell:
         s = self._points.get(key)
         if s is None:
             s0 = None
-            if self._last is not None and np.linalg.norm(t - self._last[0]) < np.linalg.norm(t):
+            if self._last is not None and _norm(t - self._last[0]) < _norm(t):
                 s0 = self._last[1]
             s = self._points[key] = _graph_solve(self.chart, t, s0)
             self._last = (t, s)
@@ -871,8 +871,8 @@ class _Cell:
         """(Gamma(t), u - u_j for every neighbour j, u_j from j's chart
         coordinates of Gamma(t))."""
         x = self.point(t)
-        u = float(np.linalg.norm(t)) / self.chart.radius
-        return x, np.array([u - np.linalg.norm(c.coordinates(x)) / c.radius for c in self.neighbours])
+        u = _norm(t) / self.chart.radius
+        return x, np.array([u - _norm(c.coordinates(x)) / c.radius for c in self.neighbours])
 
     def _crossing(self, e, claims, lo: float, guess):
         """(root, pos): where the largest u - u_j, j in claims, changes sign
@@ -958,7 +958,7 @@ class _Cell:
         """u - u_label for each label (u - rho_max / radius for None).  Past
         rho_max, u_label is taken at t scaled back to |t| = rho_max while u
         keeps growing, so that a solver stepping out is pulled back."""
-        norm = float(np.linalg.norm(t))
+        norm = _norm(t)
         past = max(norm - self.rho_max, 0.0)
         g = self.excess(t * (self.rho_max / norm) if past else t)[1] + past / self.chart.radius
         return np.array([(norm - self.rho_max) / self.chart.radius if label is None else g[label]
@@ -978,7 +978,7 @@ class _Cell:
         # a corner on a scanned ray may land a rounding error outside
         slack = np.sqrt(NEWTON_TOL)
         if converged and th1 - slack <= th <= th2 + slack:
-            return float(np.clip(th, th1, th2)), float(np.linalg.norm(t))
+            return float(np.clip(th, th1, th2)), _norm(t)
         return mid, None
 
     def pieces(self, count: int, extra=()) -> list:

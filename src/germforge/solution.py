@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from . import cones
-from ._linalg import (as_vector, fd_jacobian, is_surjective, newton, orthonormal_columns, rank_cutoff,
+from ._linalg import (_norm, as_vector, fd_jacobian, is_surjective, newton, orthonormal_columns, rank_cutoff,
                       subspace_intersection, svd_split)
 from .errors import (
     GermforgeError,
@@ -202,7 +202,7 @@ class GoodParametrization:
 
     def domain_contains(self, t, tol: float = DEFAULT_TOL) -> bool:
         t = np.asarray(t, dtype=float)
-        if np.linalg.norm(t) >= self.radius:
+        if _norm(t) >= self.radius:
             return False
         if self.structure is None:
             return True
@@ -325,13 +325,13 @@ def _chart_invariants_hold(chart: GoodParametrization, quadrant_rank: int) -> bo
     q, K, C = chart.base_point, chart.kernel_basis, chart.complement_basis
     reach = SUPPORT_SCALE * chart.radius
     try:
-        if np.linalg.norm(chart.a_vector(np.zeros(chart.dim))) > 1e-8:
+        if _norm(chart.a_vector(np.zeros(chart.dim))) > 1e-8:
             return False
         for t in chart.domain_samples(12, seed=11):
             s = _graph_solve(chart, t, None)
             _complement_inverse(fd_jacobian(_graph_system(chart, t), s))
             if quadrant_rank and any(np.any(x[:quadrant_rank] < -DEFAULT_TOL) for x in (
-                    q + K @ t + C @ s, chart.gamma(t * (reach / np.linalg.norm(t))))):
+                    q + K @ t + C @ s, chart.gamma(t * (reach / _norm(t))))):
                 return False
     except (NonConvergence, GermforgeError):
         return False
@@ -356,7 +356,7 @@ def recentre(gp: GoodParametrization, n0) -> GoodParametrization:
             raise GermforgeError(
                 "recentre target sits on a boundary stratum; recentring is an interior operation"
             )
-    remaining = (gp.radius - float(np.linalg.norm(n0))) * 0.7
+    remaining = (gp.radius - _norm(n0)) * 0.7
     return GoodParametrization(
         base_point=gp.gamma(n0), kernel_basis=orthonormal_columns(gp.kernel_transport(n0)),
         complement_basis=gp.complement_basis, radius=max(remaining, 1e-6), section=gp.section,

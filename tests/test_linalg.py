@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge import registry
-from germforge._linalg import (CLOSED_FORM_RANGE, CLOSED_FORM_RANGE_2X2, SV_RELATIVE_CUTOFF, _step, fd_jacobian,
-                              is_surjective, newton, rank_cutoff, svd_split)
+from germforge import _linalg
+from germforge._linalg import (CLOSED_FORM_RANGE, CLOSED_FORM_RANGE_2X2, SV_RELATIVE_CUTOFF, _newton_arrays, _step,
+                              fd_jacobian, is_surjective, newton, rank_cutoff, svd_split)
 
 
 class Counted:
@@ -277,6 +278,107 @@ def test_fd_jacobian_steps_keep_the_sign_of_a_negative_zero():
     f = lambda x: np.copysign(1.0, x) + x
     x = np.array([-0.0, 0.5, -0.0])
     assert same_bits(fd_jacobian(f, x), fd_jacobian_oracle(f, x))
+
+
+# ------------------------------------------- the 1-D Newton loop on floats
+
+def logged(f, log):
+    """f, appending (dtype, shape, bytes) of each point it is called at to log."""
+    def g(x):
+        log.append((x.dtype.str, x.shape, x.tobytes()))
+        return f(x)
+    return g
+
+
+def assert_1d_loop_is_the_array_loops(f, x0, tol=1e-13, max_iter=80, stop_at=None):
+    """newton and `_newton_arrays` on f from x0: the same bits of x and res,
+    the same flag, and the same points passed to f and to stop, in order."""
+    runs = []
+    for loop in ("newton", "arrays"):
+        log = []
+        g = logged(f, log)
+        stop = None if stop_at is None else logged(lambda x: bool(x[0] > stop_at), log)
+        with np.errstate(all="ignore"):
+            if loop == "newton":
+                out = newton(g, x0, tol, max_iter, stop)
+            else:
+                x = np.asarray(x0, dtype=float).copy()
+                out = _newton_arrays(g, x, np.atleast_1d(g(x)), tol, max_iter, stop)
+        runs.append((out, log))
+    ((x, res, ok), log), ((xa, resa, oka), loga) = runs
+    assert same_bits(x, xa) and same_bits(np.float64(res), np.float64(resa)) and ok == oka
+    assert type(res) is float and type(ok) is bool
+    assert log == loga
+
+
+@st.composite
+def maps_1d(draw):
+    """(f, x0, tol, max_iter, stop_at): a map R -> R, a polynomial of degree
+    <= 4 plus a sine term or not, times 10^k with k = 0 or |k| <= 320 (so
+    that |f| and |J| leave CLOSED_FORM_RANGE and lstsq steps), inf or NaN
+    off an interval or not, valued as a float64 or float32 array or as a
+    float; tol 1e-13 or 0, max_iter 1 to 80 and a stop threshold or none."""
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    poly = draw(st.lists(coeffs, min_size=1, max_size=5))
+    wave = draw(st.one_of(st.just(0.0), coeffs))
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-320, 300)))
+    interval = draw(st.one_of(st.none(), st.tuples(st.floats(-2.0, 0.5), st.floats(0.0, 2.0))))
+    bad = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    kind = draw(st.sampled_from(["float64", "float32", "float"]))
+
+    def f(x):
+        val = scale * (np.polyval(poly, x) + wave * np.sin(x))
+        if interval is not None and not interval[0] <= x[0] <= interval[1]:
+            val = np.full(1, bad)
+        return val.astype(np.float32) if kind == "float32" else float(val[0]) if kind == "float" else val
+
+    x0 = np.array([draw(coordinate)])
+    return (f, x0, draw(st.sampled_from([1e-13, 0.0])), draw(st.integers(1, 80)),
+            draw(st.one_of(st.none(), st.floats(-1.5, 1.5))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(maps_1d())
+def test_a_1d_newton_solve_has_the_bits_and_evaluations_of_the_array_loop(case):
+    assert_1d_loop_is_the_array_loops(*case)
+
+
+@pytest.mark.parametrize("f, x0, tol, max_iter, stop_at", [
+    (lambda x: x ** 3 - 2.0, 1.0, 1e-13, 80, None),                     # converges
+    (lambda x: x ** 2 + 1.0, 0.5, 1e-13, 80, None),                     # stalls at x = 0
+    (lambda x: np.ones(1), 0.3, 1e-13, 80, None),                       # J = 0: lstsq, halving to 1e-8
+    (lambda x: 1e-300 * (x - 0.3), 1.0, 0.0, 80, None),                 # |f|, |J| below the range: lstsq
+    (lambda x: 1e280 * (x - 0.3), 1.0, 1e-13, 80, None),                # above it
+    (lambda x: np.where(np.abs(x) < 1.0, x - 2.0, np.inf), 0.5, 1e-13, 80, None),   # inf off (-1, 1)
+    (lambda x: np.where(x < 1.0, x - 2.0, np.nan), 1.0 - 1e-6, 1e-13, 80, None),    # NaN in the FD stencil
+    (lambda x: x ** 3 - 2.0, 1.0, 1e-13, 2, None),                      # max_iter runs out
+    (lambda x: x ** 3 - 2.0, 0.0, 1e-13, 80, 1.1),                      # stop holds on an iterate
+    (lambda x: (x ** 3 - 2.0).astype(np.float32), 1.0, 1e-13, 80, None),    # float32 values
+    (lambda x: (1e25 * (x - 0.3)).astype(np.float32), 1.0, 1e-13, 80, None),   # their squares overflow: a stall
+    (lambda x: float(x[0] ** 3 - 2.0), -0.0, 1e-13, 80, None),          # float values from -0.0
+])
+def test_a_1d_newton_solve_has_the_bits_of_the_array_loop_on_each_branch(f, x0, tol, max_iter, stop_at, monkeypatch):
+    # neither loop hands lstsq a non-finite J, which LAPACK reports by printing
+    lstsq = np.linalg.lstsq
+
+    def finite_lstsq(A, b, rcond=None):
+        assert np.isfinite(A).all(), "lstsq called with a non-finite J"
+        return lstsq(A, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", finite_lstsq)
+    assert_1d_loop_is_the_array_loops(f, np.array([x0]), tol, max_iter, stop_at)
+
+
+def test_a_1d_newton_solve_calls_neither_fd_jacobian_nor_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("array path taken")
+
+    monkeypatch.setattr(_linalg, "fd_jacobian", refuse)
+    monkeypatch.setattr(_linalg, "_step", refuse)
+    x, res, converged = newton(lambda x: x ** 3 - 2.0, np.array([1.0]))
+    assert converged and res <= 1e-13 and x.shape == (1,) and x.dtype == np.float64
+    with pytest.raises(AssertionError, match="array path"):
+        newton(lambda x: np.array([x[0] - 1.0, x[1]]), np.zeros(2))
 
 
 # ------------------------------------------- the closed-form 1x1 Newton step
