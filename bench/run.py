@@ -17,8 +17,9 @@ For the tree (default: this checkout) one invocation records
   error), each map's degree and section evaluations, the median and
   largest seconds per map and their total,
 - per-layer timings (`layer_timings`): the best of LAYER_RUNS mean µs per
-  call of `_linalg`'s Newton step and FD Jacobian at n = 1, 2 and 3, and of
-  one `newton` solve of a fixed 1-D and of a fixed 2-D map,
+  call of `_linalg`'s Newton step and FD Jacobian at n = 1, 2 and 3, of
+  one `newton` solve of a fixed 1-D and of a fixed 2-D map, and of one
+  32-node ray walk of a unit-circle chart,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -267,12 +268,14 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     - `_linalg._step` on the n x n system (I + 0.5 * ones) s = -f, which the
       closed forms take where they exist,
     - `_linalg.fd_jacobian` of the map x -> sin(x) + x^2 from R^n to R^n,
-    for n = 1, 2, 3, and of one `_linalg.newton` solve of x^3 - 2 = 0 from 1
-    and of (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls.
-    Runs in the process of the tree under test."""
+    for n = 1, 2, 3, of one `_linalg.newton` solve of x^3 - 2 = 0 from 1
+    and of (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls,
+    and of one `degree._ray_points` walk of 32 Gauss-Legendre nodes on
+    [-0.7, 0.7] of the unit circle's chart at (1, 0), radius 0.75, over
+    calls // 100 calls.  Runs in the process of the tree under test."""
     import timeit
 
-    from germforge import _linalg
+    from germforge import _linalg, degree, registry, solution
 
     def best(fn, number):
         return min(timeit.repeat(fn, number=number, repeat=runs)) / number * 1e6
@@ -286,6 +289,9 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     out["newton_1d_us"] = best(lambda: _linalg.newton(cube, np.array([1.0])), max(calls // 10, 1))
     circle = lambda y: np.array([y[0] ** 2 + y[1] ** 2 - 1.0, y[0] - y[1]])
     out["newton_2d_us"] = best(lambda: _linalg.newton(circle, np.array([1.0, 0.5])), max(calls // 10, 1))
+    chart = solution.build_parametrization(registry.circle_basic_germ(), np.array([1.0, 0.0]), radius=0.75)
+    ts = [np.array([t]) for t in degree._gauss_legendre(-0.7, 0.7, 32)[0]]
+    out["ray_points_us"] = best(lambda: degree._ray_points(chart, ts), max(calls // 100, 1))
     return out
 
 

@@ -717,6 +717,19 @@ def _chord(chart, base, s, inverse):
     return None
 
 
+def _chord_1d(chart, base, s, inverse):
+    """`_chord` for a 1-D complement, with s, inverse and f as Python floats."""
+    c = chart.complement_basis[:, 0]
+    for _ in range(CHORD_STEPS + 1):
+        f = chart.section_value(base + c * s).item()
+        if abs(f) <= CHORD_TOL:
+            return s, f
+        if not abs(f) < math.inf:
+            return None
+        s = s - (inverse * f + 0.0)
+    return None
+
+
 def _ray_points(chart, ts) -> list:
     """(Gamma(t), DGamma(t)) at the nodes ts of one ray, walked in order.
 
@@ -732,7 +745,16 @@ def _ray_points(chart, ts) -> list:
     factorization of its J C, give its tangent K + C s', its slope
     s' = -(J C)^-1 J K for the next prediction, one polishing Newton step
     s - (J C)^-1 f(x) that takes the residual to rounding, and the next
-    node's chord steps."""
+    node's chord steps.  A chart with a 1-D kernel and a 1-D complement (a
+    curve in the plane) walks its ray on Python floats (`_ray_points_1d`),
+    with the same bits; every other chart on numpy arrays
+    (`_ray_points_arrays`)."""
+    flat = chart.kernel_basis.shape[1] == chart.complement_basis.shape[1] == 1
+    return (_ray_points_1d if flat else _ray_points_arrays)(chart, ts)
+
+
+def _ray_points_arrays(chart, ts) -> list:
+    """`_ray_points` on numpy arrays."""
     q, K, C = chart.base_point, chart.kernel_basis, chart.complement_basis
     out, back = [], []          # (t, s, s', (J C)^-1) of the ray's last two nodes
     for t in ts:
@@ -758,6 +780,39 @@ def _ray_points(chart, ts) -> list:
         s = s - inverse @ f
         back = [*back[-1:], (t, s, slope, inverse)]
         out.append((base + C @ s, K + C @ slope))
+    return out
+
+
+def _ray_points_1d(chart, ts) -> list:
+    """`_ray_points_arrays` for a 1-D kernel and complement, with t, s, s',
+    (J C)^-1 and f as Python floats and the same bits.  A product that the
+    array walk takes by a 1x1 matmul is added to 0.0, as matmul does (-0.0
+    becomes +0.0); base = q + K t has no -0.0, so base + c s is base + C s."""
+    q, K, C = chart.base_point, chart.kernel_basis, chart.complement_basis
+    c = C[:, 0]
+    out, back = [], []          # (t, s, s', (J C)^-1) of the ray's last two nodes
+    for t in ts:
+        base, tv = q + K @ t, t.item()
+        s0, solved = None, None
+        if back and math.sqrt((d := tv - back[-1][0]) * d) < math.sqrt(tv * tv):
+            (t0, s_0, slope0, _), (t1, s1, slope1, inverse) = back[0], back[-1]
+            gap = t1 - t0
+            s0 = s1 + (slope1 * (tv - t1) + 0.0)
+            if gap * gap > 0:
+                d0, d1, rise = slope0 * gap + 0.0, slope1 * gap + 0.0, s1 - s_0
+                r = ((tv - t1) * gap + 0.0) / (gap * gap)
+                s0 = s1 + r * (d1 + r * (2 * d1 + d0 - 3 * rise + r * (d1 + d0 - 2 * rise)))
+            solved = _chord_1d(chart, base, s0, inverse)
+        if solved is None:
+            s = _graph_solve(chart, t, None if s0 is None else np.array([s0])).item()
+            solved = s, chart.section_value(base + c * s).item()
+        s, f = solved
+        J = chart.jacobian(base + c * s)
+        inverse = _complement_inverse(J @ C).item()     # raises NotSurjective when J C is singular
+        slope = -(inverse * (J @ K).item() + 0.0)
+        s = s - (inverse * f + 0.0)
+        back = [*back[-1:], (tv, s, slope, inverse)]
+        out.append((base + c * s, K + (C * slope + 0.0)))
     return out
 
 
@@ -1112,7 +1167,8 @@ def integrate_form(atlas: SolutionAtlas, omega: DifferentialForm, nodes_per_axis
     nodes are solved by continuation along each ray: chord steps from a
     cubic Hermite prediction with the previous node's (J C)^-1, one
     Jacobian per node for its tangent, and a polishing Newton step
-    (`_ray_points`); its cell boundaries from the cell's last point; the
+    (`_ray_points`; a curve in the plane walks on Python floats, with the
+    array walk's bits); its cell boundaries from the cell's last point; the
     other points from the chart's cold start s2(t), the second-order term
     of the chart.  Each node is the chart's cold point Gamma(t) to the
     solver's tolerance.  When

@@ -129,13 +129,14 @@ def test_sweep_3d_records_each_maps_degree_and_section_evaluations():
 def test_layer_timings_time_each_layer_call_in_microseconds():
     out = bench_run.layer_timings(runs=2, calls=10)
     assert sorted(out) == sorted([f"{name}_n{n}_us" for name in ("step", "fd_jacobian") for n in (1, 2, 3)]
-                                 + ["newton_1d_us", "newton_2d_us"])
+                                 + ["newton_1d_us", "newton_2d_us", "ray_points_us"])
     assert all(isinstance(v, float) and 0.0 < v < 1e6 for v in out.values())
 
 
 def test_a_layers_record_of_the_tree_runs_in_its_own_process():
     out = bench_run.layers(bench_run.ROOT)
     assert "exit_code" not in out and out["newton_1d_us"] > 0.0 and out["newton_2d_us"] > 0.0
+    assert out["ray_points_us"] > 0.0
 
 
 def test_csv_digests_hash_each_csv_and_leave_out_the_events(tmp_path):

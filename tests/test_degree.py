@@ -21,9 +21,11 @@ from germforge.degree import (
     smooth_plateau,
 )
 from germforge.degree import SUPPORT_SCALE, _Cell, _chart_orientation_sign, _covering_u, _quadrature_rule
-from germforge.errors import BudgetExceeded, DimensionUnsupported, IndexMismatch, RetryExhausted, WindowEscape
+from germforge.errors import (BudgetExceeded, DimensionUnsupported, IndexMismatch, NonConvergence, NotSurjective,
+                              RetryExhausted, WindowEscape)
 from germforge.orientation import OrientationReference
 from germforge.solution import (
+    GoodParametrization,
     SolutionAtlas,
     _memo_key,
     _tangent,
@@ -657,7 +659,7 @@ def test_a_warm_start_that_fails_is_solved_again_from_zero(monkeypatch):
         return None
 
     monkeypatch.setattr(degree, "_graph_solve", failing)
-    monkeypatch.setattr(degree, "_chord", no_chord)
+    monkeypatch.setattr(degree, "_chord_1d", no_chord)
     rule = _quadrature_rule(circle_atlas(), 1, 32)
     oracle = cold_rule(circle_atlas(), 1, 32)
     # 4 intervals of 32 nodes, each solved cold at its first node and at the
@@ -672,7 +674,7 @@ def test_a_chord_step_that_meets_a_non_finite_residual_gives_way_to_newton(monke
     # node then takes the chord's start to Newton, and the rule still ends
     # on the cold chart points
     atlas = circle_atlas()
-    chords, newton_starts, chord = [], [], degree._chord
+    chords, newton_starts, chord = [], [], degree._chord_1d
     solve = degree._graph_solve
 
     def spoilt(chart, base, s, inverse):
@@ -690,7 +692,7 @@ def test_a_chord_step_that_meets_a_non_finite_residual_gives_way_to_newton(monke
             newton_starts.append(s0.copy())
         return solve(chart, t, s0)
 
-    monkeypatch.setattr(degree, "_chord", spoilt)
+    monkeypatch.setattr(degree, "_chord_1d", spoilt)
     monkeypatch.setattr(degree, "_graph_solve", spy)
     rule = _quadrature_rule(atlas, 1, 32)
     oracle = cold_rule(circle_atlas(), 1, 32)
@@ -711,6 +713,234 @@ def test_continuation_cuts_the_section_evaluations_of_the_circle_rule():
     before = section.calls
     integrate_form(atlas, ROTATION)
     assert section.calls - before == 1700
+
+
+# ------------------------------------- the ray walk of a planar curve on floats
+
+WALK_ERRORS = (NotSurjective, NonConvergence, np.linalg.LinAlgError)
+
+
+def walk_log(walk, chart, ts):
+    """One walk on a copy of the chart that logs the bytes of each point its
+    section sees: (the bytes of each node's x and tangent, or the error's
+    type and text; the log)."""
+    log = []
+
+    def section(x):
+        log.append((x.dtype.str, x.shape, x.tobytes()))
+        return chart.section(x)
+
+    try:
+        with np.errstate(all="ignore"):
+            out = [(x.dtype.str, x.shape, x.tobytes(), d.dtype.str, d.shape, d.tobytes())
+                   for x, d in walk(replace(chart, section=section), ts)]
+    except WALK_ERRORS as e:
+        out = (type(e), str(e))
+    return out, log
+
+
+def assert_float_walk_is_the_array_walk(chart, ts):
+    """`_ray_points` on a planar chart (the float walk) and `_ray_points_arrays`:
+    the same bits of every node and tangent, or the same error, and the same
+    points passed to the section, in order."""
+    flat, flat_log = walk_log(degree._ray_points, chart, ts)
+    assert (flat, flat_log) == walk_log(degree._ray_points_arrays, chart, ts)
+    return flat
+
+
+def turned(v, angle):
+    """v / |v|, turned by angle, as a 2 x 1 column."""
+    c, s = np.cos(angle), np.sin(angle)
+    v = v / np.linalg.norm(v)
+    return np.array([[c * v[0] - s * v[1]], [s * v[0] + c * v[1]]])
+
+
+@st.composite
+def planar_rays(draw):
+    """(chart, ts): a chart of a random planar curve and the nodes of one ray.
+    The curve is an ellipse with random centre, radii and base point (a
+    circle when the radii agree) or the cubic graph y = b + c1 u + c2 u^2 +
+    c3 u^3, u = x - a, based at (a, b).  Its section is scaled by 10^k, k = 0
+    or |k| <= 300, so that |f| and |J| leave CLOSED_FORM_RANGE, and is inf or
+    NaN off a disk around the base point or not.  K and C are the curve's
+    tangent and normal there, each turned by 0 or by up to 0.3; ts are 1 to
+    10 nodes in [-reach, reach], reach the smaller radius of an ellipse and
+    1.5 for a cubic, ascending, descending or unsorted."""
+    real = st.floats(-2.0, 2.0, allow_subnormal=False)
+    a, b, reach = draw(real), draw(real), 1.5
+    if draw(st.booleans()):
+        r1 = draw(st.floats(0.3, 3.0))
+        r2 = draw(st.one_of(st.just(r1), st.floats(0.3, 3.0)))
+        reach = min(r1, r2)
+        theta = draw(st.one_of(st.sampled_from([0.0, np.pi]), st.floats(-np.pi, np.pi)))
+        q = np.array([a + r1 * np.cos(theta), b + r2 * np.sin(theta)])
+        tangent, normal = np.array([-r1 * np.sin(theta), r2 * np.cos(theta)]), np.array([np.cos(theta) / r1,
+                                                                                          np.sin(theta) / r2])
+
+        def value(x):
+            return ((x[0] - a) / r1) ** 2 + ((x[1] - b) / r2) ** 2 - 1.0
+    else:
+        c1, c2, c3 = draw(real), draw(real), draw(real)
+        q, tangent, normal = np.array([a, b]), np.array([1.0, c1]), np.array([-c1, 1.0])
+
+        def value(x):
+            u = x[0] - a
+            return x[1] - b - ((c3 * u + c2) * u + c1) * u
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-300, 300)))
+    disk = draw(st.one_of(st.none(), st.floats(0.05, 2.0)))
+    bad = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+
+    def section(x):
+        if disk is not None and (x - q) @ (x - q) > disk * disk:
+            return np.array([bad])
+        return np.array([scale * value(x)])
+
+    turn = st.one_of(st.just(0.0), st.floats(-0.3, 0.3))
+    chart = GoodParametrization(base_point=q, kernel_basis=turned(tangent, draw(turn)),
+                                complement_basis=turned(normal, draw(turn)), radius=1.5, section=section)
+    ts = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=10))
+    order = draw(st.sampled_from(["ascending", "descending", "unsorted"]))
+    if order != "unsorted":
+        ts = sorted(ts, reverse=order == "descending")
+    return chart, [np.array([t]) for t in ts]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(planar_rays())
+def test_a_planar_ray_walks_on_floats_with_the_bits_of_the_array_walk(case):
+    assert_float_walk_is_the_array_walk(*case)
+
+
+def walk_branches(monkeypatch, walk, chart, ts):
+    """The walk's chord walks and Newton solves, in order: ("chord", the
+    residuals of its steps, solved or not) and ("newton", warm or not)."""
+    events = []
+
+    def spied_chord(chord):
+        def spied(chart, base, s, inverse):
+            residuals = []
+
+            def section(x):
+                y = chart.section(x)
+                residuals.append(float(np.abs(y).max()))
+                return y
+
+            solved = chord(replace(chart, section=section), base, s, inverse)
+            events.append(("chord", residuals, solved is not None))
+            return solved
+        return spied
+
+    def spied_solve(solve):
+        def spied(chart, t, s0):
+            events.append(("newton", s0 is not None))
+            return solve(chart, t, s0)
+        return spied
+
+    with monkeypatch.context() as m:
+        m.setattr(degree, "_chord", spied_chord(degree._chord))
+        m.setattr(degree, "_chord_1d", spied_chord(degree._chord_1d))
+        m.setattr(degree, "_graph_solve", spied_solve(degree._graph_solve))
+        try:
+            walk(chart, ts)
+        except NotSurjective:
+            events.append(("raised", "NotSurjective"))
+    return events
+
+
+def poisoned(chart, ts, monkeypatch, step=1, value=np.nan):
+    """The chart with a section that is `value` at the point of the given
+    step of the ray's first chord walk."""
+    points = []
+    chord = degree._chord_1d
+
+    def logged(chart, base, s, inverse):
+        def section(x):
+            points.append(x.tobytes())
+            return chart.section(x)
+        return chord(replace(chart, section=section), base, s, inverse)
+
+    with monkeypatch.context() as m:
+        m.setattr(degree, "_chord_1d", logged)
+        degree._ray_points(chart, ts)
+    spot = points[step]
+    return replace(chart, section=lambda x: np.full(1, value) if x.tobytes() == spot else chart.section(x))
+
+
+def folded_section(x):
+    """(y - x^2)(1 - x^2): 0 on the line x = 1, where J C of the chart below vanishes."""
+    return np.array([(x[1] - x[0] ** 2) * (1.0 - x[0] ** 2)])
+
+
+def folded_chart():
+    return GoodParametrization(base_point=np.zeros(2), kernel_basis=np.array([[1.0], [0.0]]),
+                               complement_basis=np.array([[0.0], [1.0]]), radius=1.5, section=folded_section)
+
+
+def finite(residuals):
+    return all(np.isfinite(residuals))
+
+
+@pytest.mark.parametrize("chart, ts, branches", [
+    (lambda m: circle_atlas().charts[0], [0.3], [("newton", False)]),
+    (lambda m: circle_atlas().charts[0], [0.5, 0.1], [("newton", False)] * 2),
+    (lambda m: circle_atlas().charts[0], [0.1, 0.2, 0.3],
+     [("newton", False), ("chord", finite, True), ("chord", finite, True)]),
+    (lambda m: circle_atlas().charts[0], [0.05, 0.6],
+     [("newton", False), ("chord", lambda r: len(r) == degree.CHORD_STEPS + 1 and finite(r), False),
+      ("newton", True)]),
+    (lambda m: poisoned(circle_atlas().charts[0], [np.array([t]) for t in (0.1, 0.2)], m), [0.1, 0.2],
+     [("newton", False), ("chord", lambda r: len(r) == 2 and np.isfinite(r[0]) and np.isnan(r[1]), False),
+      ("newton", True)]),
+    (lambda m: poisoned(circle_atlas().charts[0], [np.array([t]) for t in (0.1, 0.2)], m, 0, degree.CHORD_TOL),
+     [0.1, 0.2], [("newton", False), ("chord", lambda r: r == [degree.CHORD_TOL], True)]),
+    (lambda m: folded_chart(), [0.5, 1.0],
+     [("newton", False), ("chord", finite, True), ("raised", "NotSurjective")]),
+], ids=["cold-first-node", "nearer-the-origin", "chord-solves", "chord-out-of-steps", "chord-meets-nan",
+        "chord-stops-at-its-tolerance", "singular-jc"])
+def test_a_planar_ray_walk_takes_each_branch_as_the_array_walk(monkeypatch, chart, ts, branches):
+    chart, ts = chart(monkeypatch), [np.array([t]) for t in ts]
+    flat = walk_branches(monkeypatch, degree._ray_points, chart, ts)
+    assert repr(flat) == repr(walk_branches(monkeypatch, degree._ray_points_arrays, chart, ts))     # NaN != NaN
+    assert len(flat) == len(branches)
+    for event, branch in zip(flat, branches):
+        assert event[0] == branch[0] and event[-1] == branch[-1]
+        if event[0] == "chord":
+            assert branch[1](event[1])
+    out = assert_float_walk_is_the_array_walk(chart, ts)
+    assert out == (NotSurjective, "chart complement is not transverse to ker f'(Gamma(t))") \
+        if branches[-1][0] == "raised" else len(out) == len(ts)
+
+
+def bits_of(rule):
+    return [(np.float64(w).tobytes(), x.tobytes(), d.tobytes()) for w, x, d in rule]
+
+
+@pytest.mark.parametrize("build", [circle_atlas, parabola_corner_atlas], ids=["circle", "parabola-corner"])
+def test_a_planar_rule_has_the_bits_of_the_array_walk(monkeypatch, build):
+    rule = _quadrature_rule(build(), 1, 32)
+    monkeypatch.setattr(degree, "_ray_points_1d", degree._ray_points_arrays)
+    assert bits_of(rule) == bits_of(_quadrature_rule(build(), 1, 32))
+
+
+def test_a_planar_rule_walks_on_floats_and_the_sphere_rule_on_arrays(monkeypatch):
+    calls = {name: 0 for name in ("_ray_points_1d", "_ray_points_arrays", "_chord_1d", "_chord")}
+
+    def counted(name):
+        original = getattr(degree, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(degree, name, counted(name))
+    _quadrature_rule(circle_atlas(), 1, 32)
+    assert calls == {"_ray_points_1d": 4, "_ray_points_arrays": 0, "_chord_1d": 4 * 29, "_chord": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    _quadrature_rule(sphere_atlas(), 2, 8)
+    assert calls["_ray_points_1d"] == calls["_chord_1d"] == 0
+    assert calls["_ray_points_arrays"] > 0 and calls["_chord"] > 0
 
 
 def _counted_cubic():
