@@ -717,9 +717,6 @@ def test_continuation_cuts_the_section_evaluations_of_the_circle_rule():
 
 # ------------------------------------- the ray walk of a planar curve on floats
 
-WALK_ERRORS = (NotSurjective, NonConvergence, np.linalg.LinAlgError)
-
-
 def walk_log(walk, chart, ts):
     """One walk on a copy of the chart that logs the bytes of each point its
     section sees: (the bytes of each node's x and tangent, or the error's
@@ -734,7 +731,7 @@ def walk_log(walk, chart, ts):
         with np.errstate(all="ignore"):
             out = [(x.dtype.str, x.shape, x.tobytes(), d.dtype.str, d.shape, d.tobytes())
                    for x, d in walk(replace(chart, section=section), ts)]
-    except WALK_ERRORS as e:
+    except (NotSurjective, NonConvergence) as e:
         out = (type(e), str(e))
     return out, log
 
@@ -871,9 +868,15 @@ def folded_section(x):
     return np.array([(x[1] - x[0] ** 2) * (1.0 - x[0] ** 2)])
 
 
-def folded_chart():
+def folded_chart(monkeypatch):
+    """The chart of folded_section at the origin: K = (1, 0), C = (0, 1)."""
     return GoodParametrization(base_point=np.zeros(2), kernel_basis=np.array([[1.0], [0.0]]),
                                complement_basis=np.array([[0.0], [1.0]]), radius=1.5, section=folded_section)
+
+
+def unit_circle_chart(monkeypatch):
+    """The circle atlas's chart at (1, 0): K = (0, 1), C = (1, 0)."""
+    return circle_atlas().charts[0]
 
 
 def finite(residuals):
@@ -881,19 +884,19 @@ def finite(residuals):
 
 
 @pytest.mark.parametrize("chart, ts, branches", [
-    (lambda m: circle_atlas().charts[0], [0.3], [("newton", False)]),
-    (lambda m: circle_atlas().charts[0], [0.5, 0.1], [("newton", False)] * 2),
-    (lambda m: circle_atlas().charts[0], [0.1, 0.2, 0.3],
+    (unit_circle_chart, [0.3], [("newton", False)]),
+    (unit_circle_chart, [0.5, 0.1], [("newton", False)] * 2),
+    (unit_circle_chart, [0.1, 0.2, 0.3],
      [("newton", False), ("chord", finite, True), ("chord", finite, True)]),
-    (lambda m: circle_atlas().charts[0], [0.05, 0.6],
+    (unit_circle_chart, [0.05, 0.6],
      [("newton", False), ("chord", lambda r: len(r) == degree.CHORD_STEPS + 1 and finite(r), False),
       ("newton", True)]),
-    (lambda m: poisoned(circle_atlas().charts[0], [np.array([t]) for t in (0.1, 0.2)], m), [0.1, 0.2],
+    (lambda m: poisoned(unit_circle_chart(m), [np.array([t]) for t in (0.1, 0.2)], m), [0.1, 0.2],
      [("newton", False), ("chord", lambda r: len(r) == 2 and np.isfinite(r[0]) and np.isnan(r[1]), False),
       ("newton", True)]),
-    (lambda m: poisoned(circle_atlas().charts[0], [np.array([t]) for t in (0.1, 0.2)], m, 0, degree.CHORD_TOL),
+    (lambda m: poisoned(unit_circle_chart(m), [np.array([t]) for t in (0.1, 0.2)], m, 0, degree.CHORD_TOL),
      [0.1, 0.2], [("newton", False), ("chord", lambda r: r == [degree.CHORD_TOL], True)]),
-    (lambda m: folded_chart(), [0.5, 1.0],
+    (folded_chart, [0.5, 1.0],
      [("newton", False), ("chord", finite, True), ("raised", "NotSurjective")]),
 ], ids=["cold-first-node", "nearer-the-origin", "chord-solves", "chord-out-of-steps", "chord-meets-nan",
         "chord-stops-at-its-tolerance", "singular-jc"])
@@ -907,8 +910,10 @@ def test_a_planar_ray_walk_takes_each_branch_as_the_array_walk(monkeypatch, char
         if event[0] == "chord":
             assert branch[1](event[1])
     out = assert_float_walk_is_the_array_walk(chart, ts)
-    assert out == (NotSurjective, "chart complement is not transverse to ker f'(Gamma(t))") \
-        if branches[-1][0] == "raised" else len(out) == len(ts)
+    if branches[-1][0] == "raised":
+        assert out[0] is NotSurjective
+    else:
+        assert len(out) == len(ts)
 
 
 def bits_of(rule):
