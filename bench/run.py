@@ -265,8 +265,10 @@ def degree3d(tree: Path) -> dict:
 
 def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     """Best of `runs` mean µs per call, over `calls` calls, of
-    - `_linalg._step` on the n x n system (I + 0.5 * ones) s = -f, which the
-      closed forms take where they exist,
+    - the Newton step on the n x n system (I + 0.5 * ones) s = -f: for n = 1
+      `_linalg._step_1x1` on floats, the step of every 1-D solve
+      (`_newton_1d`), and for n = 2, 3 `_linalg._step`, whose 2x2 closed
+      form takes it,
     - `_linalg.fd_jacobian` of the map x -> sin(x) + x^2 from R^n to R^n,
     for n = 1, 2, 3, of one `_linalg.newton` solve of x^3 - 2 = 0 from 1
     and of (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls,
@@ -283,7 +285,11 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     out = {}
     for n in (1, 2, 3):
         J, f, x = np.eye(n) + 0.5, np.linspace(0.3, -0.4, n), np.linspace(0.2, 0.7, n)
-        out[f"step_n{n}_us"] = best(lambda: _linalg._step(J, f), calls)
+        if n == 1:
+            j1, f1 = float(J[0, 0]), float(f[0])
+            out["step_n1_us"] = best(lambda: _linalg._step_1x1(j1, f1), calls)
+        else:
+            out[f"step_n{n}_us"] = best(lambda: _linalg._step(J, f), calls)
         out[f"fd_jacobian_n{n}_us"] = best(lambda: _linalg.fd_jacobian(lambda y: np.sin(y) + y ** 2, x), calls)
     cube = lambda y: y ** 3 - 2.0
     out["newton_1d_us"] = best(lambda: _linalg.newton(cube, np.array([1.0])), max(calls // 10, 1))

@@ -1,21 +1,23 @@
-"""Small dense linear-algebra helpers: `rank_cutoff`, the one rule for when a
-singular value counts, SVD rank splits, FD Jacobians and `newton`, the one
-damped Gauss-Newton solver behind chart values and polished degree zeros.
+"""Small dense linear-algebra helpers: `rank_cutoff`, the one rank rule (every
+rank, surjectivity and singularity test in the library counts the singular
+values above it, through `svd_split` or directly), SVD rank splits, FD
+Jacobians and `newton`, the one damped Gauss-Newton solver behind chart
+values and polished degree zeros.
 
 The systems are tiny (1x1 to 3x3 steps), so the cost of `fd_jacobian` and
 `newton` is numpy call overhead, not arithmetic: they make as few numpy
 calls as they can while returning the bits of the plain formulas (steps
 x +- h e_j, columns (f(x + h e_j) - f(x - h e_j)) / 2h, the 2-norm as
 sqrt(f . f), which is what `np.linalg.norm` computes for a real vector).
-A 1x1 step is solved in closed form, -f * (1 / J), which is what LAPACK's
-dgelsd behind `np.linalg.lstsq` returns bit for bit while it does not
-rescale J or f (see CLOSED_FORM_RANGE).  A well-conditioned 2x2 step is
-Cramer's rule, within a small multiple of cond(J) eps of lstsq's solution
-(see `_step`).  A 1-D solve (x of shape (1,) and one equation: each chart
-point of a hypersurface, each 1-D zero search) runs the same iteration on
-Python floats (`_newton_1d`), building one array per evaluation, for
-func's argument, and no other; both loops take the FD step h from
-`_fd_step` and the 1x1 step from `_step_1x1`."""
+A 1-D solve (x of shape (1,) and one equation: each chart point of a
+hypersurface, each 1-D zero search) runs on Python floats (`_newton_1d`),
+building one array per evaluation, for func's argument, and no other; its
+step is `_step_1x1`, -f * (1 / J), what LAPACK returns bit for bit inside
+the one 1x1 range CLOSED_FORM_RANGE, which `solution._complement_inverse`
+reads too.  Every other solve runs on arrays (`_newton_arrays`), where a
+well-conditioned 2x2 step is Cramer's rule, within a small multiple of
+cond(J) eps of lstsq's solution (see `_step`).  Both loops take the FD
+step h from `_fd_step`."""
 
 from __future__ import annotations
 
@@ -27,9 +29,10 @@ from .errors import DegenerateSplitting
 
 SV_RELATIVE_CUTOFF = 1e-8
 RANK_BAND_FACTOR = 10.0
-# |J| and |f| of a 1x1 step inside which `newton` skips lstsq: dgelsd solves
-# it as b * (1 / d), and rescales only beyond about 1e-290 or 1e290
-CLOSED_FORM_RANGE = (1e-250, 1e250)
+# |J| and |f| of a 1x1 step, and |a| of a 1x1 chart inverse, inside which each
+# is a reciprocal with LAPACK's bits: dgesdd (svd) rescales above about
+# 1.68e138, dgelsd (lstsq) beyond about 1e-290 or 1e290
+CLOSED_FORM_RANGE = (1e-250, 1e130)
 # max|J| and max|f| of a 2x2 step inside which `newton` uses Cramer's rule:
 # no product or quotient of it can overflow, and none that matters underflows
 CLOSED_FORM_RANGE_2X2 = (1e-100, 1e100)
@@ -50,22 +53,22 @@ def rank_cutoff(sv) -> float:
     return SV_RELATIVE_CUTOFF * max(sv[0] if sv.size else 0.0, 1.0)
 
 
-def svd_split(T, cutoff_rel: float = SV_RELATIVE_CUTOFF):
+def svd_split(T):
     """Rank, orthonormal kernel and cokernel-complement bases of a matrix.
 
     Returns (rank, kernel, coker, sigma) where kernel is (n, n-rank) from the
     right singular vectors, coker is (m, m-rank) spanning the orthogonal
-    complement of the range, and sigma the singular values.  The cutoff is
-    cutoff_rel * max(sigma_max, 1).  A map with no rows or no columns has
-    rank 0, so its kernel is all of R^n and its cokernel all of R^m.
+    complement of the range, and sigma the singular values.  The rank counts
+    those above `rank_cutoff`; T is onto when coker has no columns.  A map
+    with no rows or no columns has rank 0, so its kernel is all of R^n and
+    its cokernel all of R^m.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     m, n = T.shape
     if n == 0 or m == 0:
         return 0, np.eye(n), np.eye(m), np.zeros(0)
     U, s, Vt = np.linalg.svd(T)
-    cut = cutoff_rel * max(s[0] if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cut))
+    rank = int(np.sum(s > rank_cutoff(s)))
     kernel = Vt[rank:].T
     coker = U[:, rank:]
     return rank, kernel, coker, s
@@ -81,19 +84,6 @@ def guard_rank_band(sigma):
             f"singular values {bad} inside ambiguity band [{cutoff:.3e}, {RANK_BAND_FACTOR * cutoff:.3e}]",
             singular_values=sigma,
         )
-
-
-def is_surjective(T) -> bool:
-    """Full row rank at `svd_split`'s cutoff: the m-th singular value exceeds
-    rank_cutoff."""
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    m, n = T.shape
-    if m == 0:
-        return True
-    if n < m:
-        return False
-    s = np.linalg.svd(T, compute_uv=False)
-    return bool(s[m - 1] > rank_cutoff(s))
 
 
 def _fd_step(l1: float) -> float:
@@ -137,17 +127,13 @@ def _step_1x1(J: float, f: float) -> float:
 
 
 def _step(J, fx):
-    """The lstsq solution of J step = -fx, with two closed forms:
-    - a 1x1 J with |J| and |f| in CLOSED_FORM_RANGE: -f * (1 / J), which
-      has the same bits (`_step_1x1`);
-    - a 2x2 J = [[a, b], [c, d]] with max|J| and max|f| in
-      CLOSED_FORM_RANGE_2X2 and |det| >= DET_RELATIVE_FLOOR max|J|^2, det =
-      ad - bc: Cramer's rule ((b f1 - d f0) / det, (c f0 - a f1) / det).
-      Forward stable for a 2x2, it lies within a small multiple of
-      cond(J) eps |step| of lstsq's solution.
-    Non-finite entries, a smaller det and every other shape go to lstsq."""
-    if J.shape == (1, 1):
-        return np.array([_step_1x1(float(J[0, 0]), float(fx[0]))])
+    """The lstsq solution of J step = -fx, with one closed form: a 2x2
+    J = [[a, b], [c, d]] with max|J| and max|f| in CLOSED_FORM_RANGE_2X2 and
+    |det| >= DET_RELATIVE_FLOOR max|J|^2, det = ad - bc, is solved by
+    Cramer's rule ((b f1 - d f0) / det, (c f0 - a f1) / det).  Forward
+    stable for a 2x2, it lies within a small multiple of cond(J) eps |step|
+    of lstsq's solution.  Non-finite entries, a smaller det and every other
+    shape go to lstsq; `newton` sends no 1x1 J here (see `_step_1x1`)."""
     if J.shape == (2, 2):
         lo, hi = CLOSED_FORM_RANGE_2X2
         (a, b), (c, d) = J.tolist()
@@ -166,13 +152,13 @@ def newton(func, x0, tol: float = 1e-13, max_iter: int = 80, stop=None):
     Steps are lstsq solutions with the FD Jacobian (square or not; a 1x1
     one in closed form, with lstsq's bits inside CLOSED_FORM_RANGE, and a
     well-conditioned 2x2 one by Cramer's rule inside CLOSED_FORM_RANGE_2X2;
-    see `_step`), halved down to 1e-8 until the residual 2-norm beats the
-    best so far.  A stall, a non-finite Jacobian or residual, a failed
-    solve, or an accepted iterate on which the predicate `stop` holds
-    returns converged = False; it never raises.  An empty x returns at once.
-    func keeps the length of its value.  An x of shape (1,) with a one-entry
-    func(x) runs the iteration on Python floats (`_newton_1d`), with the
-    array loop's bits.
+    see `_step_1x1` and `_step`), halved down to 1e-8 until the residual
+    2-norm beats the best so far.  A stall, a non-finite Jacobian or
+    residual, a failed solve, or an accepted iterate on which the predicate
+    `stop` holds returns converged = False; it never raises.  An empty x
+    returns at once.  func keeps the length of its value.  An x of shape
+    (1,) with a one-entry func(x) runs the iteration on Python floats
+    (`_newton_1d`), with the array loop's bits.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
@@ -269,24 +255,23 @@ def _newton_1d(func, x, fx, tol, max_iter, stop):
 
 
 def orthonormal_columns(A):
-    """Orthonormal basis of the column span of A (possibly empty), relative cutoff 1e-12."""
+    """Orthonormal basis of the column span of A (possibly empty), at `rank_cutoff`."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[1] == 0:
         return A.copy()
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * max(s[0] if s.size else 0.0, 1.0)))
-    return U[:, :rank]
+    return U[:, :int(np.sum(s > rank_cutoff(s)))]
 
 
 def subspace_intersection(A, B):
-    """Orthonormal basis of span(A) ∩ span(B) for column bases A, B, relative cutoff 1e-10."""
+    """Orthonormal basis of span(A) ∩ span(B) for column bases A, B, at `svd_split`'s rank."""
     A = orthonormal_columns(A)
     B = orthonormal_columns(B)
     if A.shape[1] == 0 or B.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
     # x in both spans: x = A u = B v; solve [A, -B] [u; v] = 0.
     M = np.hstack([A, -B])
-    _, kernel, _, _ = svd_split(M, cutoff_rel=1e-10)
+    _, kernel, _, _ = svd_split(M)
     if kernel.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
     return orthonormal_columns(A @ kernel[: A.shape[1], :])

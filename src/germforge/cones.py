@@ -126,7 +126,7 @@ class SubspaceInQuadrant:
             raise ValueError(f"basis rows {B.shape} do not match ambient dim {self.ambient.dim}")
         if not np.all(np.isfinite(B)):
             raise ValueError("basis vectors must be finite")
-        if B.shape[1] and np.linalg.matrix_rank(B, tol=1e-10) != B.shape[1]:
+        if svd_split(B)[0] != B.shape[1]:
             raise ValueError("basis vectors must be linearly independent")
         B = B.copy()
         B.setflags(write=False)
@@ -161,7 +161,7 @@ def is_neat(N: SubspaceInQuadrant) -> NeatnessResult:
     n = N.n
     dim = N.ambient.dim
     G = N.constraint_matrix()
-    if n and (N.dim < n or np.linalg.matrix_rank(G, tol=1e-10) < n):
+    if svd_split(G)[0] < n:
         return NeatnessResult(neat=False)
     # kernel of the projection restricted to N, pushed into W coordinates
     K_w = orthonormal_columns((N.basis @ cone_lineality(N))[n:, :])
@@ -210,7 +210,7 @@ def _coordinate_complements(N: SubspaceInQuadrant):
     out = []
     for subset in itertools.islice(itertools.combinations(range(dim), dim - d), 200):
         E = np.eye(dim)[:, list(subset)]
-        if np.linalg.matrix_rank(np.hstack([N.basis, E]), tol=1e-10) == dim:
+        if svd_split(np.hstack([N.basis, E]))[0] == dim:
             out.append(E)
             if len(out) >= 40:
                 break
@@ -298,7 +298,7 @@ def _oriented_complement(N: SubspaceInQuadrant, complement) -> np.ndarray:
         raise ValueError("complement vectors must be finite")
     if comp.shape[1] != N.ambient.dim - N.dim:
         raise ValueError(f"complement has {comp.shape[1]} columns, not dim - dim N = {N.ambient.dim - N.dim}")
-    if np.linalg.matrix_rank(np.hstack([N.basis, comp]), tol=1e-10) != N.ambient.dim:
+    if svd_split(np.hstack([N.basis, comp]))[0] != N.ambient.dim:
         raise ValueError("complement and N do not span the ambient space")
     return comp
 
@@ -452,7 +452,7 @@ def is_quadrant(N: SubspaceInQuadrant) -> QuadrantRecognition:
         return QuadrantRecognition(is_quadrant=False, rays=rays)
     R = np.column_stack(rays)
     coeff = np.linalg.lstsq(N.basis, R, rcond=None)[0]
-    if np.linalg.matrix_rank(coeff, tol=1e-8) != d:
+    if svd_split(coeff)[0] != d:
         return QuadrantRecognition(is_quadrant=False, rays=rays)
     # map x = B y -> coordinates in the ray basis
     iso = np.linalg.inv(coeff) @ np.linalg.pinv(N.basis)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import as_vector, fd_jacobian
+from ._linalg import as_vector, fd_jacobian, rank_cutoff
 from .errors import NonConvergence, SingularLinearization
 from .spaces import GradedSpace
 
@@ -140,7 +140,7 @@ def germ_derivative(germ: ContractionGerm, v, tol: float = DEFAULT_TOL):
         return np.zeros((0, germ.parameter_space.dim))
     L = np.eye(dim) - D2
     s = np.linalg.svd(L, compute_uv=False)
-    if s[-1] <= 1e-14 * max(s[0], 1.0):
+    if s[-1] <= rank_cutoff(s):
         raise SingularLinearization(
             f"I - D2B numerically singular (smallest singular value {s[-1]:.3e}); "
             "contraction certificate violated"

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from . import cones
-from ._linalg import (_norm, as_vector, fd_jacobian, is_surjective, newton, orthonormal_columns, rank_cutoff,
+from ._linalg import (CLOSED_FORM_RANGE, _norm, as_vector, fd_jacobian, newton, orthonormal_columns, rank_cutoff,
                       subspace_intersection, svd_split)
 from .errors import (
     GermforgeError,
@@ -56,9 +56,6 @@ NEWTON_MAX_ITER = 60
 SECOND_DIFFERENCE_STEP = 1e-4
 # cells are clipped at this share of their chart's radius
 SUPPORT_SCALE = 0.95
-# |a| up to which `_complement_inverse` inverts a 1x1 J C = a as 1 / a;
-# dgesdd rescales above about 1.68e138
-CLOSED_FORM_BOUND = 1e130
 
 
 def _memo_key(t):
@@ -241,14 +238,18 @@ class GoodParametrization:
 def _complement_inverse(JC):
     """(J C)^-1 from one SVD of J C, the Jacobian of the graph system
     s -> f(q + K t + C s) at a chart point.  Raises NotSurjective when J C
-    is singular at `is_surjective`'s cutoff, i.e. the complement is not
-    transverse to ker f'(Gamma(t)).  A 1x1 J C = a gives 1 / a, the bits of
-    the SVD formula while |a| <= CLOSED_FORM_BOUND."""
-    closed = JC.shape == (1, 1) and abs(JC[0, 0]) <= CLOSED_FORM_BOUND
+    is singular at `rank_cutoff`, i.e. the complement is not transverse to
+    ker f'(Gamma(t)), or not finite.  A 1x1 J C = a with |a| in
+    CLOSED_FORM_RANGE gives 1 / a, the bits of the SVD formula."""
+    lo, hi = CLOSED_FORM_RANGE
+    closed = JC.shape == (1, 1) and lo <= abs(JC[0, 0]) <= hi
     if closed:
         sv = np.abs(JC[0])
     else:
-        U, sv, Vt = np.linalg.svd(JC)
+        try:
+            U, sv, Vt = np.linalg.svd(JC)
+        except np.linalg.LinAlgError:   # the SVD of a non-finite J C does not converge
+            raise NotSurjective("chart complement meets a J C that is not finite") from None
     if not sv[-1] > rank_cutoff(sv):
         raise NotSurjective("chart complement is not transverse to ker f'(Gamma(t))")
     return 1.0 / JC if closed else (Vt.T / sv) @ U.T
@@ -267,9 +268,13 @@ def _linearization(bg: BasicGerm, q):
     if float(np.max(np.abs(fq))) > 1e-8:
         raise GermforgeError(f"base point is not a zero (|f(q)| = {np.max(np.abs(fq)):.3e})")
     J = fd_jacobian(lambda x: bg.evaluate(q + x), np.zeros(bg.domain_dim))
-    if not is_surjective(J):
+    try:
+        _, kernel, coker, _ = svd_split(J)
+    except np.linalg.LinAlgError:   # the SVD of a non-finite J does not converge
+        raise NotSurjective("linearization at the base zero is not finite") from None
+    if coker.shape[1]:
         raise NotSurjective("linearization at the base zero is not onto")
-    return J, svd_split(J)[1]
+    return J, kernel
 
 
 def _chart(bg: BasicGerm, q, kernel, complement, radius, structure, ambient_rank,
@@ -392,7 +397,7 @@ def transform(gp: GoodParametrization, phi: BundleIso) -> GoodParametrization:
     qp = np.asarray(phi.base(q), dtype=float)
     Tphi = fd_jacobian(lambda x: np.asarray(phi.base(x), dtype=float), q)
     s = np.linalg.svd(Tphi, compute_uv=False)
-    if not s[-1] > 1e-10 * max(s[0], 1.0):  # also when an infinite Tphi gives NaN
+    if not s[-1] > rank_cutoff(s):  # also when an infinite Tphi gives NaN
         raise GermforgeError("base map Jacobian is singular at the chart point")
     new_kernel = orthonormal_columns(Tphi @ gp.kernel_basis)  # Tphi is invertible: no column is lost
     complement = orthonormal_columns(np.eye(qp.size) - new_kernel @ new_kernel.T)
@@ -472,7 +477,7 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
 
     J, kernel = _linearization(bg, q)
     J_ww = J[bg.N:, n:]
-    if not is_surjective(J_ww):
+    if svd_split(J_ww)[2].shape[1]:
         raise SingularLinearization("fiber block J_ww of f'(q) is singular at the corner")
     slope = -np.linalg.solve(J_ww, J[bg.N:, :n])  # delta'(0)
 

@@ -126,11 +126,19 @@ def test_sweep_3d_records_each_maps_degree_and_section_evaluations():
     assert len(out["section_evals"]) == 2 and min(out["section_evals"]) > 0
 
 
-def test_layer_timings_time_each_layer_call_in_microseconds():
+def test_layer_timings_time_each_layer_call_in_microseconds(monkeypatch):
+    # the 1x1 step is timed on `_step_1x1`, the step of every 1-D solve;
+    # `_step` gets only the 2x2 and 3x3 systems
+    from germforge import _linalg
+
+    steps, step, step_1x1 = [], _linalg._step, _linalg._step_1x1
+    monkeypatch.setattr(_linalg, "_step", lambda J, f: steps.append(J.shape) or step(J, f))
+    monkeypatch.setattr(_linalg, "_step_1x1", lambda J, f: steps.append(type(J)) or step_1x1(J, f))
     out = bench_run.layer_timings(runs=2, calls=10)
     assert sorted(out) == sorted([f"{name}_n{n}_us" for name in ("step", "fd_jacobian") for n in (1, 2, 3)]
                                  + ["newton_1d_us", "newton_2d_us", "ray_points_us"])
     assert all(isinstance(v, float) and 0.0 < v < 1e6 for v in out.values())
+    assert set(steps) == {float, (2, 2), (3, 3)}
 
 
 def test_a_layers_record_of_the_tree_runs_in_its_own_process():

@@ -808,6 +808,20 @@ def test_a_planar_ray_walks_on_floats_with_the_bits_of_the_array_walk(case):
     assert_float_walk_is_the_array_walk(*case)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_planar_ray_walk_at_a_jacobian_that_is_not_finite_raises_not_surjective(bad):
+    # the line y = 0, not finite off the unit disk: the node t = 1 is on the
+    # disk's edge, so its central differences read off it, and the SVD of
+    # the non-finite J C raised numpy's LinAlgError in both walks
+    def section(x):
+        return np.array([bad if x @ x > 1.0 else x[1]])
+
+    chart = GoodParametrization(base_point=np.zeros(2), kernel_basis=np.array([[1.0], [0.0]]),
+                                complement_basis=np.array([[-0.0], [1.0]]), radius=1.5, section=section)
+    flat = assert_float_walk_is_the_array_walk(chart, [np.array([1.0])])
+    assert flat[0] is NotSurjective
+
+
 def walk_branches(monkeypatch, walk, chart, ts):
     """The walk's chord walks and Newton solves, in order: ("chord", the
     residuals of its steps, solved or not) and ("newton", warm or not)."""
@@ -946,6 +960,37 @@ def test_a_planar_rule_walks_on_floats_and_the_sphere_rule_on_arrays(monkeypatch
     _quadrature_rule(sphere_atlas(), 2, 8)
     assert calls["_ray_points_1d"] == calls["_chord_1d"] == 0
     assert calls["_ray_points_arrays"] > 0 and calls["_chord"] > 0
+
+
+def test_a_space_curve_integrates_on_the_array_walk(monkeypatch):
+    # the curve x^2 + y^2 = 1, z = -0.3 x y in R^3: its charts have a 1-D
+    # kernel and a 2-D complement, so each ray walks on arrays.  Oriented by
+    # det[f1'; f2'; tangent] > 0 it runs clockwise seen from above
+    from germforge.fredholm import BasicGerm
+
+    bg = BasicGerm(n=3, k=0, N=2, W=GradedSpace(dim=0, levels=3),
+                   g=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0, x[2] + 0.3 * x[0] * x[1]]))
+    bases = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    atlas = SolutionAtlas(charts=tuple(build_parametrization(bg, np.array(q), radius=0.8) for q in bases))
+    walks = {"_ray_points_1d": 0, "_ray_points_arrays": 0}
+
+    def counted(name):
+        original = getattr(degree, name)
+
+        def spy(*args):
+            walks[name] += 1
+            return original(*args)
+        return spy
+
+    for name in walks:
+        monkeypatch.setattr(degree, name, counted(name))
+    rotation = DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0], 0.0]))
+    dz = DifferentialForm(degree=1, coeff=lambda x: np.array([0.0, 0.0, 1.0]))
+    d_xy = DifferentialForm(degree=1, coeff=lambda x: np.array([x[1], x[0], 0.0]))
+    assert abs(integrate_form(atlas, rotation) + 2 * np.pi) <= 1e-9
+    assert walks == {"_ray_points_1d": 0, "_ray_points_arrays": 4}
+    assert abs(integrate_form(atlas, dz)) <= 1e-9
+    assert abs(integrate_form(atlas, d_xy)) <= 1e-9
 
 
 def _counted_cubic():
