@@ -316,13 +316,25 @@ def _first(records, key) -> dict:
     return next((r[key] for r in records if key in r), {})
 
 
+def _fastest_layers(records) -> dict:
+    """Each layer timing (a `_us` key) at its minimum over the records' `layers`."""
+    out = {}
+    for record in records:
+        for key, us in record.get("layers", {}).items():
+            if key.endswith("_us"):
+                out[key] = min(us, out.get(key, us))
+    return out
+
+
 def summary(data: dict) -> list:
     """Lines comparing the "parent" and "change" records of one BENCH file:
     src/ lines and settable values, tier-1 passed and failed, whether each
     CLI command's CSV digests and the degree3d degrees and section
     evaluations agree, each workload's section_evals_per_op and each layer
     timing.  Each value is read from the first record of its label that
-    holds it."""
+    holds it, except a layer timing: that is the minimum over every record
+    of its label, so `--parts layers` runs of the two trees in alternation
+    separate a layer's change from the machine's drift."""
     records = [data["entries"].get(label, []) for label in ("parent", "change")]
 
     def pair(key):
@@ -349,8 +361,8 @@ def summary(data: dict) -> list:
         x, y = (_first([r.get("workloads", {}) for r in label], name).get("metrics", {})
                 .get("section_evals_per_op", {}).get("value") for label in records)
         lines.append(f"{name} section_evals_per_op: {x} -> {y}")
-    a, b = pair("layers")
-    for key in [k for k in {**a, **b} if k.endswith("_us")]:
+    a, b = (_fastest_layers(r) for r in records)
+    for key in {**a, **b}:
         x, y = (f"{r[key]:.2f}" if key in r else None for r in (a, b))
         lines.append(f"layers {key}: {x} -> {y}")
     return lines

@@ -257,8 +257,6 @@ def _newton_1d(func, x, fx, tol, max_iter, stop):
 def orthonormal_columns(A):
     """Orthonormal basis of the column span of A (possibly empty), at `rank_cutoff`."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[1] == 0:
-        return A.copy()
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     return U[:, :int(np.sum(s > rank_cutoff(s)))]
 
@@ -267,11 +265,7 @@ def subspace_intersection(A, B):
     """Orthonormal basis of span(A) ∩ span(B) for column bases A, B, at `svd_split`'s rank."""
     A = orthonormal_columns(A)
     B = orthonormal_columns(B)
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
     # x in both spans: x = A u = B v; solve [A, -B] [u; v] = 0.
     M = np.hstack([A, -B])
     _, kernel, _, _ = svd_split(M)
-    if kernel.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
     return orthonormal_columns(A @ kernel[: A.shape[1], :])

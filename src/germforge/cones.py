@@ -166,12 +166,7 @@ def is_neat(N: SubspaceInQuadrant) -> NeatnessResult:
     # kernel of the projection restricted to N, pushed into W coordinates
     K_w = orthonormal_columns((N.basis @ cone_lineality(N))[n:, :])
     # complement Q of K_w inside W: orthogonal complement
-    full = np.eye(dim - n)
-    if K_w.shape[1]:
-        proj = full - K_w @ K_w.T
-        Q = orthonormal_columns(proj)
-    else:
-        Q = full
+    Q = orthonormal_columns(np.eye(dim - n) - K_w @ K_w.T)
     comp = np.zeros((dim, Q.shape[1]))
     comp[n:, :] = Q
     return NeatnessResult(neat=True, complement=comp)
@@ -358,21 +353,19 @@ def is_good_position(N: SubspaceInQuadrant, complement_candidates=(), grid: int 
 
 def cone_lineality(N: SubspaceInQuadrant):
     """Basis of the lineality space of C ∩ N inside the coefficient space."""
-    G = N.constraint_matrix()
-    if N.n == 0:
-        return np.eye(N.dim)
-    _, ker, _, _ = svd_split(G)
-    return ker
+    return svd_split(N.constraint_matrix())[1]
 
 
 def extreme_rays(N: SubspaceInQuadrant) -> list:
     """Unit generators of the extreme rays of the pointed cone C ∩ N.
 
-    Enumerates active-constraint subsets of size dim N - 1, solves the
-    induced equality systems, and filters candidates by membership and an
-    extremality test (a ray must not be a nonnegative combination of the
-    others).  Exact at desk dimensions.  Raises NotPointed with the
-    lineality basis when the cone contains a line.
+    Enumerates active-constraint subsets of size dim N - 1 (the empty one
+    for dim N = 1), solves the induced equality systems, keeps the first
+    sign of each solution y with G y >= -FEAS_TOL max(1, max |G y|), and
+    filters candidates by an extremality test (a ray must not be a
+    nonnegative combination of the others).  Exact at desk dimensions.
+    Raises NotPointed with the lineality basis when the cone contains a
+    line.
     """
     d = N.dim
     if d == 0:
@@ -383,23 +376,16 @@ def extreme_rays(N: SubspaceInQuadrant) -> list:
     G = N.constraint_matrix()
     n = G.shape[0]
     candidates = []
-    if d == 1:
+    for subset in itertools.combinations(range(n), d - 1):
+        _, ker, _, _ = svd_split(G[list(subset), :])
+        if ker.shape[1] != 1:
+            continue
+        y = ker[:, 0]
         for sgn in (1.0, -1.0):
-            y = np.array([sgn])
-            if np.all(G @ y >= -FEAS_TOL):
-                candidates.append(y)
-    else:
-        for subset in itertools.combinations(range(n), d - 1):
-            sub = G[list(subset), :]
-            _, ker, _, _ = svd_split(sub)
-            if ker.shape[1] != 1:
-                continue
-            y = ker[:, 0]
-            for sgn in (1.0, -1.0):
-                cand = sgn * y
-                if np.all(G @ cand >= -FEAS_TOL * max(1.0, float(np.max(np.abs(G @ cand))))):
-                    candidates.append(cand)
-                    break
+            cand = sgn * y
+            if np.all(G @ cand >= -FEAS_TOL * max(1.0, float(np.max(np.abs(G @ cand))))):
+                candidates.append(cand)
+                break
     # dedupe by direction
     uniq = []
     for y in candidates:
@@ -488,60 +474,38 @@ def quadrant_structure(N: SubspaceInQuadrant) -> QuadrantStructure:
     Splits N into a complement Ntilde of N ∩ W and the W-part, enumerates
     the extreme rays of the (automatically pointed) cone C ∩ Ntilde, forms
     Sigma as the union of the rays' vanishing-index sets, and builds the
-    bijection Ntilde -> R^Sigma (first case) or the single-ray model
-    (second case, Sigma empty).  The caller certifies good position (see
-    `is_good_position`); it is not checked here.
+    bijection Ntilde -> R^Sigma (first case; N ⊂ W is the case Ntilde = 0)
+    or the single-ray model (second case, Sigma empty).  The caller
+    certifies good position (see `is_good_position`); it is not checked
+    here.
     """
     n = N.n
     dim = N.ambient.dim
-    d = N.dim
     # split N into (N ∩ W) and a complement Ntilde
     NW_coeff = cone_lineality(N)                      # coefficients spanning N ∩ W
-    if NW_coeff.shape[1]:
-        proj = np.eye(d) - NW_coeff @ NW_coeff.T
-        Nt_coeff = orthonormal_columns(proj)
-    else:
-        Nt_coeff = np.eye(d)
+    Nt_coeff = orthonormal_columns(np.eye(N.dim) - NW_coeff @ NW_coeff.T)
     ntilde = N.basis @ Nt_coeff
     nw = N.basis @ NW_coeff
-
-    if Nt_coeff.shape[1]:
-        Nt = SubspaceInQuadrant(ambient=N.ambient, basis=ntilde)
-        rays = extreme_rays(Nt)
-    else:
-        rays = []
-    sigma = frozenset().union(*(sigma_set(r, n, tol=1e-8) for r in rays)) if rays else frozenset()
-    sig_sorted = sorted(sigma)
+    rays = extreme_rays(SubspaceInQuadrant(ambient=N.ambient, basis=ntilde))
+    sigma = frozenset().union(*(sigma_set(r, n, tol=1e-8) for r in rays))
     dt = ntilde.shape[1]
-
-    if dt == 0:
-        # N ⊂ W: no constraints at all
-        to_std = np.linalg.pinv(nw) if nw.shape[1] else np.zeros((0, dim))
-        from_std = nw
-        return QuadrantStructure(sigma=sigma, ntilde_basis=ntilde, quadrant_count=0,
-                                 to_standard=to_std, from_standard=from_std, rays=rays)
 
     if len(sigma) == dt:
         # first case: p: Ntilde -> R^Sigma is a bijection
         P_sigma = np.zeros((dt, dim))
-        for row, i in enumerate(sig_sorted):
+        for row, i in enumerate(sorted(sigma)):
             P_sigma[row, i] = 1.0
         M = P_sigma @ ntilde                          # dt x dt, invertible
-        M_inv = np.linalg.inv(M)
-        from_std = np.hstack([ntilde @ M_inv, nw]) if nw.shape[1] else ntilde @ M_inv
-        if nw.shape[1]:
-            # W-part coefficients extracted through the combined basis
-            combined_pinv = np.linalg.pinv(np.hstack([ntilde, nw]))
-            to_std = np.vstack([P_sigma, combined_pinv[dt:, :]])
-        else:
-            to_std = P_sigma
+        from_std = np.hstack([ntilde @ np.linalg.inv(M), nw])
+        # W-part coefficients extracted through the combined basis
+        to_std = np.vstack([P_sigma, np.linalg.pinv(np.hstack([ntilde, nw]))[dt:, :]])
         return QuadrantStructure(sigma=sigma, ntilde_basis=ntilde, quadrant_count=dt,
                                  to_standard=to_std, from_standard=from_std, rays=rays)
 
     if dt == 1 and len(rays) == 1:
         # second case: Ntilde = R·a with a interior to the constraints
         a = rays[0].reshape(-1, 1)
-        from_std = np.hstack([a, nw]) if nw.shape[1] else a
+        from_std = np.hstack([a, nw])
         to_std = np.linalg.pinv(from_std)
         return QuadrantStructure(sigma=sigma, ntilde_basis=ntilde, quadrant_count=1,
                                  to_standard=to_std, from_standard=from_std, rays=rays)

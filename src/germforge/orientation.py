@@ -58,10 +58,7 @@ def determinant_line(T) -> DeterminantLine:
 
 
 def _sign_det(M) -> int:
-    M = np.atleast_2d(M)
-    if M.shape[0] == 0:
-        return 1
-    d = np.linalg.det(M)
+    d = np.linalg.det(np.atleast_2d(M))     # 1.0 for a 0x0 M
     if d == 0:
         raise Singular("degenerate basis-change determinant")
     return 1 if d > 0 else -1
@@ -100,7 +97,6 @@ def stabilize(dl: DeterminantLine, P) -> StabilizationResult:
     ker_T = dl.kernel_basis
     cok_T = dl.cokernel_basis
     k = ker_T.shape[1]
-    kp = ker_PT.shape[1]
 
     # complement V of ker T inside ker PT (lift of the middle image)
     coords = ker_PT.T @ ker_T                          # (kp, k)
@@ -109,18 +105,11 @@ def stabilize(dl: DeterminantLine, P) -> StabilizationResult:
         V = ker_PT @ Uc[:, k:]
     else:
         V = ker_PT
-    M1 = ker_PT.T @ np.hstack([ker_T, V]) if kp else np.zeros((0, 0))
-    sign1 = _sign_det(M1)
+    sign1 = _sign_det(ker_PT.T @ np.hstack([ker_T, V]))
 
     # lift S of the cokernel basis into (I-P)F: coker-projection of S is cok_T
-    c = cok_T.shape[1]
-    if c:
-        A = cok_T.T @ G
-        S = G @ np.linalg.pinv(A)
-    else:
-        S = np.zeros((F_dim, 0))
-    M2 = G.T @ np.hstack([T @ V, S]) if G.shape[1] else np.zeros((0, 0))
-    sign2 = _sign_det(M2)
+    S = G @ np.linalg.pinv(cok_T.T @ G)
+    sign2 = _sign_det(G.T @ np.hstack([T @ V, S]))
 
     return StabilizationResult(sign=dl.sign * sign1 * sign2, kernel_basis=ker_PT, complement_basis=G)
 
@@ -201,10 +190,8 @@ def common_projection(operators):
     pieces = []
     for T, (U, s, _) in zip(ops, svds):
         low = U[:, [i for i in range(min(T.shape)) if s[i] <= SUSPECT_SV_REL * scale]]
-        tail = U[:, min(T.shape):]
-        if low.size or tail.size:
-            pieces.append(np.hstack([low, tail]) if tail.size else low)
-    C = orthonormal_columns(np.hstack(pieces)) if pieces else np.zeros((F_dim, 0))
+        pieces.append(np.hstack([low, U[:, min(T.shape):]]))
+    C = orthonormal_columns(np.hstack(pieces))
     P = np.eye(F_dim) - C @ C.T
     worst, _ = admissible(P)
     if worst is None:
@@ -241,21 +228,16 @@ def _transport_frames(transport: OrientationTransport):
             raise GridTooCoarse(
                 f"kernel dimension jumped from {frames.shape[1]} to {ker.shape[1]}; refine the grid"
             )
-        coords = ker.T @ frames
-        if frames.shape[1]:
-            Q, R = np.linalg.qr(coords)
-            flip = np.sign(np.diag(R))
-            flip[flip == 0] = 1.0
-            Q = Q * flip
-            new_frame = ker @ Q
-            jump = np.linalg.norm(new_frame - frames)
-            if jump > FRAME_JUMP_BOUND:
-                raise GridTooCoarse(
-                    f"frame jump {jump:.3f} exceeds {FRAME_JUMP_BOUND}; refine the grid"
-                )
-            frames = new_frame
-        else:
-            frames = ker
+        Q, R = np.linalg.qr(ker.T @ frames)
+        flip = np.sign(np.diag(R))
+        flip[flip == 0] = 1.0
+        new_frame = ker @ (Q * flip)
+        jump = np.linalg.norm(new_frame - frames)
+        if jump > FRAME_JUMP_BOUND:
+            raise GridTooCoarse(
+                f"frame jump {jump:.3f} exceeds {FRAME_JUMP_BOUND}; refine the grid"
+            )
+        frames = new_frame
     return frames
 
 
@@ -273,12 +255,7 @@ def continue_orientation(transport: OrientationTransport, start_sign: int = 1) -
     stab0 = stabilize(dl0, P)
     stab1 = stabilize(dl1, P)
 
-    final_frame = _transport_frames(transport)
-    if final_frame.shape[1]:
-        M = stab1.kernel_basis.T @ final_frame
-        transport_sign = _sign_det(M)
-    else:
-        transport_sign = 1
+    transport_sign = _sign_det(stab1.kernel_basis.T @ _transport_frames(transport))
     return int(np.sign(start_sign)) * stab0.sign * transport_sign * stab1.sign
 
 

@@ -18,8 +18,6 @@ DEFAULT_TOL = 1e-9
 
 def default_weights(dim: int) -> np.ndarray:
     """Per-coordinate weights 2**(i/dim), spread so levels differ without overflow."""
-    if dim == 0:
-        return np.zeros(0)
     return 2.0 ** (np.arange(dim) / dim)
 
 
@@ -49,7 +47,7 @@ class GradedSpace:
         w = default_weights(self.dim) if self.weights is None else np.asarray(self.weights, dtype=float)
         if w.shape != (self.dim,):
             raise ValueError(f"weights must have length {self.dim}")
-        if self.dim and np.any(w < 1.0):
+        if np.any(w < 1.0):
             raise ValueError("all weights must be >= 1")
         w = w.copy()
         w.setflags(write=False)

@@ -319,10 +319,7 @@ def degeneracy_index(x, space: GradedSpace | None = None) -> int:
     """d(x) = number of constrained coordinates of x with |x_i| <= DEFAULT_TOL."""
     coords = np.asarray(getattr(x, "coords", x), dtype=float)
     sp = space if space is not None else x.space
-    n = sp.quadrant_rank
-    if n == 0:
-        return 0
-    return int(np.sum(np.abs(coords[:n]) <= DEFAULT_TOL))
+    return int(np.sum(np.abs(coords[:sp.quadrant_rank]) <= DEFAULT_TOL))
 
 
 @dataclass(frozen=True)

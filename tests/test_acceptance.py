@@ -32,3 +32,33 @@ def test_selftest_budget(battery):
     results, elapsed = battery
     assert all(r.passed for r in results.values())
     assert elapsed < 120.0
+
+
+def test_run_all_sets_each_criterions_wall_time(monkeypatch):
+    def slow():
+        time.sleep(0.05)
+        return selftest.CriterionResult("slow", True, {"x": 1})
+
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", (slow, lambda: selftest.CriterionResult("fast", False)))
+    lines = []
+    slow_result, fast_result = selftest.run_all(echo=lines.append)
+    assert slow_result.wall_time >= 0.05 > fast_result.wall_time
+    assert lines == ["PASS slow: x=1", "FAIL fast: "]
+
+
+def test_criterion_7_raises_what_stabilize_raises_outside_the_library_errors(monkeypatch):
+    # a projection that does not work raises a GermforgeError and is drawn
+    # again; any other error is a fault and must not be retried forever
+    real = selftest.stabilize
+    loop_calls = []
+
+    def broken_once(dl, P):
+        if P.shape == (4, 4):
+            loop_calls.append(P)
+            if len(loop_calls) == 1:
+                raise TypeError("stabilize is broken")
+        return real(dl, P)
+
+    monkeypatch.setattr(selftest, "stabilize", broken_once)
+    with pytest.raises(TypeError, match="stabilize is broken"):
+        selftest.criterion_7_orientation()

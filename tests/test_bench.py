@@ -214,3 +214,18 @@ def test_summary_compares_the_parent_with_the_change(tmp_path, capsys, monkeypat
     assert bench_run.main(["--pr", "99", "--summary"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
     assert json.loads((tmp_path / "BENCH_99.json").read_text()) == data
+
+
+def test_summary_takes_each_layer_timing_at_its_minimum_over_the_labels_records():
+    # alternating `--parts layers` runs append one record per run to each label
+    data = {"entries": {
+        "parent": [{"layers": {"step_n2_us": 10.6, "newton_1d_us": 40.0}}, {"source": {"src_lines": 1}},
+                   {"layers": {"step_n2_us": 9.75, "newton_1d_us": 41.0, "ray_points_us": 300.0}}],
+        "change": [{"layers": {"step_n2_us": 1.5, "newton_1d_us": 39.0}},
+                   {"layers": {"exit_code": 1, "stderr": "boom"}},
+                   {"layers": {"step_n2_us": 1.234, "newton_1d_us": 39.5}}]}}
+    assert [line for line in bench_run.summary(data) if line.startswith("layers")] == [
+        "layers step_n2_us: 9.75 -> 1.23",
+        "layers newton_1d_us: 40.00 -> 39.00",
+        "layers ray_points_us: 300.00 -> None",
+    ]
