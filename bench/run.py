@@ -18,8 +18,9 @@ For the tree (default: this checkout) one invocation records
   largest seconds per map and their total,
 - per-layer timings (`layer_timings`): the best of LAYER_RUNS mean µs per
   call of `_linalg`'s Newton step and FD Jacobian at n = 1, 2 and 3, of
-  one `newton` solve of a fixed 1-D and of a fixed 2-D map, and of one
-  32-node ray walk of a unit-circle chart,
+  one `newton` solve of a fixed 1-D and of a fixed 2-D map, of one
+  32-node ray walk of a unit-circle chart and of one `cones.extreme_rays`
+  call on a 6-facet polygon cone,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -272,12 +273,16 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     - `_linalg.fd_jacobian` of the map x -> sin(x) + x^2 from R^n to R^n,
     for n = 1, 2, 3, of one `_linalg.newton` solve of x^3 - 2 = 0 from 1
     and of (x^2 + y^2 - 1, x - y) = 0 from (1, 0.5), over calls // 10 calls,
-    and of one `degree._ray_points` walk of 32 Gauss-Legendre nodes on
+    of one `degree._ray_points` walk of 32 Gauss-Legendre nodes on
     [-0.7, 0.7] of the unit circle's chart at (1, 0), radius 0.75, over
-    calls // 100 calls.  Runs in the process of the tree under test."""
+    calls // 100 calls, and of one `cones.extreme_rays` call on the 6-facet
+    polygon cone of `certify`'s shape (rows (-cos a, -sin a, 1) at the angles
+    a = 2 pi j / 6), over calls // 10 calls.  Runs in the process of the tree
+    under test."""
     import timeit
 
-    from germforge import _linalg, degree, registry, solution
+    from germforge import _linalg, cones, degree, registry, solution
+    from germforge.spaces import GradedSpace
 
     def best(fn, number):
         return min(timeit.repeat(fn, number=number, repeat=runs)) / number * 1e6
@@ -298,6 +303,10 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     chart = solution.build_parametrization(registry.circle_basic_germ(), np.array([1.0, 0.0]), radius=0.75)
     ts = [np.array([t]) for t in degree._gauss_legendre(-0.7, 0.7, 32)[0]]
     out["ray_points_us"] = best(lambda: degree._ray_points(chart, ts), max(calls // 100, 1))
+    angles = 2.0 * np.pi * np.arange(6) / 6
+    poly = cones.SubspaceInQuadrant(ambient=GradedSpace(dim=6, levels=3, weights=np.ones(6), quadrant_rank=6),
+                                    basis=np.column_stack([-np.cos(angles), -np.sin(angles), np.ones(6)]))
+    out["extreme_rays_us"] = best(lambda: cones.extreme_rays(poly), max(calls // 10, 1))
     return out
 
 

@@ -1,6 +1,7 @@
 """Small dense linear-algebra helpers: `rank_cutoff`, the one rank rule (every
 rank, surjectivity and singularity test in the library counts the singular
-values above it, through `svd_split` or directly), SVD rank splits, FD
+values above it with `sv_rank`, through `rank`, `svd_split` or directly),
+`det_sign`, the one rule for the sign of a determinant, SVD rank splits, FD
 Jacobians and `newton`, the one damped Gauss-Newton solver behind chart
 values and polished degree zeros.
 
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSplitting
+from .errors import DegenerateSplitting, Singular
 
 SV_RELATIVE_CUTOFF = 1e-8
 RANK_BAND_FACTOR = 10.0
@@ -53,6 +54,26 @@ def rank_cutoff(sv) -> float:
     return SV_RELATIVE_CUTOFF * max(sv[0] if sv.size else 0.0, 1.0)
 
 
+def sv_rank(sv) -> int:
+    """The number of descending singular values sv above `rank_cutoff`."""
+    return int(np.sum(sv > rank_cutoff(sv)))
+
+
+def rank(T) -> int:
+    """The rank of a matrix T, `sv_rank` of its singular values (no U or V^T is computed)."""
+    return sv_rank(np.linalg.svd(T, compute_uv=False))
+
+
+def det_sign(M) -> int:
+    """sign(det M) of a square M, +1 for the 0x0 one (R^0 -> R^0); raises
+    Singular when `rank`(M) is below M's size."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    r = rank(M)
+    if r < M.shape[0]:
+        raise Singular(f"a {M.shape[0]}x{M.shape[1]} matrix of rank {r} has no determinant sign")
+    return 1 if np.linalg.det(M) > 0 else -1
+
+
 def svd_split(T):
     """Rank, orthonormal kernel and cokernel-complement bases of a matrix.
 
@@ -68,10 +89,8 @@ def svd_split(T):
     if n == 0 or m == 0:
         return 0, np.eye(n), np.eye(m), np.zeros(0)
     U, s, Vt = np.linalg.svd(T)
-    rank = int(np.sum(s > rank_cutoff(s)))
-    kernel = Vt[rank:].T
-    coker = U[:, rank:]
-    return rank, kernel, coker, s
+    r = sv_rank(s)
+    return r, Vt[r:].T, U[:, r:], s
 
 
 def guard_rank_band(sigma):
@@ -258,7 +277,7 @@ def orthonormal_columns(A):
     """Orthonormal basis of the column span of A (possibly empty), at `rank_cutoff`."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return U[:, :int(np.sum(s > rank_cutoff(s)))]
+    return U[:, :sv_rank(s)]
 
 
 def subspace_intersection(A, B):

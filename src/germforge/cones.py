@@ -7,13 +7,13 @@ c make membership of n + m in C equivalent to membership of n whenever
 ||m|| <= c ||n||.  For good-position subspaces C ∩ N is again a partial
 quadrant; `quadrant_structure` produces the explicit isomorphism.
 
-Feasibility questions (membership in a ray cone, extremality) are resolved
-by nonnegative least squares (`nnls`, Lawson-Hanson); interior questions by
-one least-distance problem solved through the same NNLS (`linprog`).  Both
-are deterministic numpy code.  Good position itself is only sampled: test
-pairs are drawn from a seeded Philox stream in chunks of SAMPLE_CHUNK
-trials, each trial making the same draws whatever its data, so a seed and
-SAMPLE_CHUNK fix every pair (`_pair_chunks`).
+Membership in a ray cone is resolved by nonnegative least squares (`nnls`,
+Lawson-Hanson); interior questions by one least-distance problem solved
+through the same NNLS (`linprog`).  Both are deterministic numpy code.
+Extreme rays are enumerated by rank (`extreme_rays`).  Good position itself
+is only sampled: test pairs are drawn from a seeded Philox stream in chunks
+of SAMPLE_CHUNK trials, each trial making the same draws whatever its data,
+so a seed and SAMPLE_CHUNK fix every pair (`_pair_chunks`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import orthonormal_columns, svd_split
+from ._linalg import orthonormal_columns, rank, svd_split
 from .errors import Inconclusive, NotPointed
 from .spaces import DEFAULT_TOL, GradedSpace
 
@@ -126,7 +126,7 @@ class SubspaceInQuadrant:
             raise ValueError(f"basis rows {B.shape} do not match ambient dim {self.ambient.dim}")
         if not np.all(np.isfinite(B)):
             raise ValueError("basis vectors must be finite")
-        if svd_split(B)[0] != B.shape[1]:
+        if rank(B) != B.shape[1]:
             raise ValueError("basis vectors must be linearly independent")
         B = B.copy()
         B.setflags(write=False)
@@ -161,7 +161,7 @@ def is_neat(N: SubspaceInQuadrant) -> NeatnessResult:
     n = N.n
     dim = N.ambient.dim
     G = N.constraint_matrix()
-    if svd_split(G)[0] < n:
+    if rank(G) < n:
         return NeatnessResult(neat=False)
     # kernel of the projection restricted to N, pushed into W coordinates
     K_w = orthonormal_columns((N.basis @ cone_lineality(N))[n:, :])
@@ -205,7 +205,7 @@ def _coordinate_complements(N: SubspaceInQuadrant):
     out = []
     for subset in itertools.islice(itertools.combinations(range(dim), dim - d), 200):
         E = np.eye(dim)[:, list(subset)]
-        if svd_split(np.hstack([N.basis, E]))[0] == dim:
+        if rank(np.hstack([N.basis, E])) == dim:
             out.append(E)
             if len(out) >= 40:
                 break
@@ -293,7 +293,7 @@ def _oriented_complement(N: SubspaceInQuadrant, complement) -> np.ndarray:
         raise ValueError("complement vectors must be finite")
     if comp.shape[1] != N.ambient.dim - N.dim:
         raise ValueError(f"complement has {comp.shape[1]} columns, not dim - dim N = {N.ambient.dim - N.dim}")
-    if svd_split(np.hstack([N.basis, comp]))[0] != N.ambient.dim:
+    if rank(np.hstack([N.basis, comp])) != N.ambient.dim:
         raise ValueError("complement and N do not span the ambient space")
     return comp
 
@@ -360,12 +360,13 @@ def extreme_rays(N: SubspaceInQuadrant) -> list:
     """Unit generators of the extreme rays of the pointed cone C ∩ N.
 
     Enumerates active-constraint subsets of size dim N - 1 (the empty one
-    for dim N = 1), solves the induced equality systems, keeps the first
-    sign of each solution y with G y >= -FEAS_TOL max(1, max |G y|), and
-    filters candidates by an extremality test (a ray must not be a
-    nonnegative combination of the others).  Exact at desk dimensions.
-    Raises NotPointed with the lineality basis when the cone contains a
-    line.
+    for dim N = 1) whose rows have rank dim N - 1, and keeps the first sign
+    of each one-dimensional kernel y with G y >= -FEAS_TOL max(1, max |G y|),
+    once per direction.  A feasible y whose active rows have rank dim N - 1
+    spans an extreme ray of a pointed cone (Schrijver, *Theory of Linear and
+    Integer Programming*, 8.8), so no candidate is tested again.  Exact at
+    desk dimensions.  Raises NotPointed with the lineality basis when the
+    cone contains a line.
     """
     d = N.dim
     if d == 0:
@@ -375,32 +376,18 @@ def extreme_rays(N: SubspaceInQuadrant) -> list:
         raise NotPointed("cone contains a line", lineality_basis=N.basis @ lin)
     G = N.constraint_matrix()
     n = G.shape[0]
-    candidates = []
+    rays = []
     for subset in itertools.combinations(range(n), d - 1):
         _, ker, _, _ = svd_split(G[list(subset), :])
         if ker.shape[1] != 1:
             continue
-        y = ker[:, 0]
         for sgn in (1.0, -1.0):
-            cand = sgn * y
+            cand = sgn * ker[:, 0]
             if np.all(G @ cand >= -FEAS_TOL * max(1.0, float(np.max(np.abs(G @ cand))))):
-                candidates.append(cand)
+                cand = cand / np.linalg.norm(cand)
+                if not any(np.linalg.norm(cand - u) < 1e-8 for u in rays):    # one per direction
+                    rays.append(cand)
                 break
-    # dedupe by direction
-    uniq = []
-    for y in candidates:
-        y = y / np.linalg.norm(y)
-        if not any(np.linalg.norm(y - u) < 1e-8 for u in uniq):
-            uniq.append(y)
-    # extremality: y is extreme iff it is not a nonneg combination of the others
-    rays = []
-    for i, y in enumerate(uniq):
-        others = [u for j, u in enumerate(uniq) if j != i]
-        if others:
-            A = np.column_stack(others)
-            if nnls(A, y)[1] <= FEAS_TOL:
-                continue
-        rays.append(y)
     ambient_rays = []
     for y in rays:
         r = N.basis @ y
@@ -438,7 +425,7 @@ def is_quadrant(N: SubspaceInQuadrant) -> QuadrantRecognition:
         return QuadrantRecognition(is_quadrant=False, rays=rays)
     R = np.column_stack(rays)
     coeff = np.linalg.lstsq(N.basis, R, rcond=None)[0]
-    if svd_split(coeff)[0] != d:
+    if rank(coeff) != d:
         return QuadrantRecognition(is_quadrant=False, rays=rays)
     # map x = B y -> coordinates in the ray basis
     iso = np.linalg.inv(coeff) @ np.linalg.pinv(N.basis)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import _norm, as_vector, fd_jacobian, newton, svd_split
+from ._linalg import _norm, as_vector, det_sign, fd_jacobian, newton, svd_split
 from .errors import (
     AtlasIncomplete,
     BudgetExceeded,
@@ -404,10 +404,6 @@ def _window_degree(pp: PerturbationProblem):
     return _boundary_degree(pp, lo.size, lambda v: lo + 0.5 * (v + 1.0) * (hi - lo))
 
 
-def _sign(zero: ZeroReport) -> int:
-    return 1 if np.linalg.det(zero.jacobian) > 0 else -1
-
-
 def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
     """The zeros of f + s inside a stop ball, from BALL_STARTS Halton starts
     of the ball (of its disc in 2-D, else of the cube around it), with
@@ -431,11 +427,11 @@ def _ball_zeros(pp: PerturbationProblem, s, ball, degree: int | None) -> list:
             if math.dist(z.point, centre) < radius and all(
                     np.linalg.norm(z.point - y.point) >= DEDUPE_SEPARATION for y, _ in found):
                 found.append((z, ok))
-        if not all(ok for _, ok in found) or degree is None or sum(_sign(z) for z, _ in found) == degree:
+        if not all(ok for _, ok in found) or degree is None or sum(det_sign(z.jacobian) for z, _ in found) == degree:
             return found
         done, count = count, 2 * count
     raise Inconclusive(f"the ball of radius {radius:.3e} at {centre} has degree {degree} on its boundary, but "
-                       f"{done} starts found zeros of signed count {sum(_sign(z) for z, _ in found)}")
+                       f"{done} starts found zeros of signed count {sum(det_sign(z.jacobian) for z, _ in found)}")
 
 
 @dataclass(frozen=True)
@@ -538,7 +534,8 @@ def generic_perturbation(pp: PerturbationProblem) -> PerturbationOutcome:
                 settled[i:i + 1] = [_settled_ball(pp, ball, balls[:i], counted)]
                 balls[i] = settled[i][0]
         carried = [p for p in found if all(math.dist(p[0].point, c) >= r for c, r in balls)]
-        if window is None or (signed := sum(_sign(z) for z, _ in carried) + sum(deg for _, deg in settled)) == window:
+        if window is None or (signed := sum(det_sign(z.jacobian) for z, _ in carried)
+                              + sum(deg for _, deg in settled)) == window:
             break
         if doubling == BALL_DOUBLINGS:
             raise RetryExhausted(f"{made} starts found zeros and stop balls of signed count {signed}, "
@@ -676,14 +673,13 @@ class DifferentialForm:
 
 
 def _chart_orientation_sign(chart, t) -> int:
-    """Co-orientation sign: det of [Df(Gamma(t)); tangent^T] (square), the
-    tangent taken from the same Jacobian."""
+    """Co-orientation sign: `det_sign` of [Df(Gamma(t)); tangent^T] (square),
+    the tangent taken from the same Jacobian."""
     J = chart.jacobian(chart.gamma(t))
     M = np.vstack([J, _tangent(chart, J).T])
     if M.shape[0] != M.shape[1]:
         raise IndexMismatch(f"chart/section dimensions {M.shape} do not stack square")
-    d = np.linalg.det(M)
-    return 1 if d > 0 else -1
+    return det_sign(M)
 
 
 # a chart covers x when its graph passes within this distance of x
@@ -840,8 +836,6 @@ def _gauss_legendre(a: float, b: float, count: int):
 def _spread(count: int, widths) -> list:
     """`count` nodes over pieces in proportion to their widths, at least one each."""
     widths = np.asarray(widths, dtype=float)
-    if not widths.size:
-        return []
     share = widths / widths.sum() * max(count - widths.size, 0)
     counts = 1 + np.floor(share).astype(int)
     for j in np.argsort(np.floor(share) - share, kind="stable")[: max(count - int(counts.sum()), 0)]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import as_vector, fd_jacobian, guard_rank_band, rank_cutoff, svd_split
+from ._linalg import as_vector, fd_jacobian, guard_rank_band, sv_rank
 from .errors import MismatchAtPoint
 from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, shrink_to_contraction
 from .spaces import GradedSpace
@@ -95,10 +95,10 @@ def fredholm_index(bg: BasicGerm) -> int:
 
 
 def index_from_linearization(J) -> int:
-    """dim ker - dim coker of a dense matrix, for cross-checks."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    rank, kernel, coker, _ = svd_split(J)
-    return kernel.shape[1] - coker.shape[1]
+    """dim ker - dim coker of a dense m x n matrix, for cross-checks: n - m,
+    since (n - r) - (m - r) does not depend on the rank r."""
+    m, n = np.atleast_2d(np.asarray(J, dtype=float)).shape
+    return n - m
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
 
     U, sv, Vt = np.linalg.svd(one_plus_A)
     guard_rank_band(sv)
-    rank = int(np.sum(sv > rank_cutoff(sv)))
+    rank = sv_rank(sv)
     X_basis = Vt[:rank].T                   # complement of the kernel in W
     C_basis = Vt[rank:].T                   # kernel of 1 + A
     R_basis = U[:, :rank]                   # range

@@ -18,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import orthonormal_columns, rank_cutoff, svd_split
-from .errors import (
-    GridTooCoarse,
-    NotSurjectiveAfterProjection,
-    Singular,
-)
+from ._linalg import det_sign, orthonormal_columns, sv_rank, svd_split
+from .errors import GridTooCoarse, NotSurjectiveAfterProjection
 
 FRAME_JUMP_BOUND = 0.5
 
@@ -57,13 +53,6 @@ def determinant_line(T) -> DeterminantLine:
     return DeterminantLine(operator=T, kernel_basis=kernel, cokernel_basis=coker)
 
 
-def _sign_det(M) -> int:
-    d = np.linalg.det(np.atleast_2d(M))     # 1.0 for a 0x0 M
-    if d == 0:
-        raise Singular("degenerate basis-change determinant")
-    return 1 if d > 0 else -1
-
-
 @dataclass(frozen=True)
 class StabilizationResult:
     sign: int
@@ -76,7 +65,9 @@ def stabilize(dl: DeterminantLine, P) -> StabilizationResult:
 
     The input bases are dl's kernel/cokernel pair; the stabilized line uses
     SVD bases of ker(PT) and of (I-P)F.  Raises
-    NotSurjectiveAfterProjection if PT misses part of range(P).
+    NotSurjectiveAfterProjection if PT misses part of range(P), or if ker T
+    does not fit in ker(PT) (rank PT above rank T at `rank_cutoff`), and
+    Singular (`det_sign`) if a basis change is singular.
 
     Convention, pinned by the worked T = diag(1,0), P = diag(1,0) example
     (which yields +1): lifting the cokernel through (I-P)F and completing
@@ -88,10 +79,14 @@ def stabilize(dl: DeterminantLine, P) -> StabilizationResult:
     F_dim = T.shape[0]
     PT = P @ T
     rank_P = int(np.round(np.trace(P)))
-    rank_PT, ker_PT, _, sv = svd_split(PT)
+    rank_PT, ker_PT, _, _ = svd_split(PT)
     if rank_PT != rank_P:
         raise NotSurjectiveAfterProjection(
             f"PT has rank {rank_PT}, expected the projection rank {rank_P}"
+        )
+    if ker_PT.shape[1] < dl.kernel_dim:
+        raise NotSurjectiveAfterProjection(
+            f"ker T of dimension {dl.kernel_dim} does not fit in ker PT of dimension {ker_PT.shape[1]}"
         )
     G = orthonormal_columns(np.eye(F_dim) - P)        # (I-P)F
     ker_T = dl.kernel_basis
@@ -105,11 +100,11 @@ def stabilize(dl: DeterminantLine, P) -> StabilizationResult:
         V = ker_PT @ Uc[:, k:]
     else:
         V = ker_PT
-    sign1 = _sign_det(ker_PT.T @ np.hstack([ker_T, V]))
+    sign1 = det_sign(ker_PT.T @ np.hstack([ker_T, V]))
 
     # lift S of the cokernel basis into (I-P)F: coker-projection of S is cok_T
     S = G @ np.linalg.pinv(cok_T.T @ G)
-    sign2 = _sign_det(G.T @ np.hstack([T @ V, S]))
+    sign2 = det_sign(G.T @ np.hstack([T @ V, S]))
 
     return StabilizationResult(sign=dl.sign * sign1 * sign2, kernel_basis=ker_PT, complement_basis=G)
 
@@ -127,7 +122,7 @@ def bordered_sign(T, kernel_basis, cokernel_basis) -> int:
         [T, cokernel_basis],
         [kernel_basis.T, np.zeros((k, cokernel_basis.shape[1]))],
     ])
-    return _sign_det(Bd)
+    return det_sign(Bd)
 
 
 @dataclass(frozen=True)
@@ -170,14 +165,14 @@ def common_projection(operators):
         pt_svs = [np.linalg.svd(P @ T, compute_uv=False) for T in ops]
         worst = np.inf
         for s in pt_svs:
-            if s.size < rank_P or (rank_P and s[rank_P - 1] <= rank_cutoff(s)):
+            if sv_rank(s) < rank_P:
                 return None, pt_svs
             if rank_P:
                 worst = min(worst, s[rank_P - 1])
         return (worst if np.isfinite(worst) else 1.0), pt_svs
 
     U0, s0, _ = svds[0]
-    rank0 = int(np.sum(s0 > rank_cutoff(s0)))
+    rank0 = sv_rank(s0)
     P0 = np.eye(F_dim) - U0[:, rank0:] @ U0[:, rank0:].T
     rank_P0 = int(np.round(np.trace(P0)))
     worst, pt_svs = admissible(P0)
@@ -255,7 +250,7 @@ def continue_orientation(transport: OrientationTransport, start_sign: int = 1) -
     stab0 = stabilize(dl0, P)
     stab1 = stabilize(dl1, P)
 
-    transport_sign = _sign_det(stab1.kernel_basis.T @ _transport_frames(transport))
+    transport_sign = det_sign(stab1.kernel_basis.T @ _transport_frames(transport))
     return int(np.sign(start_sign)) * stab0.sign * transport_sign * stab1.sign
 
 
@@ -293,23 +288,10 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
     that reduction is evaluated directly.  `continue_orientation` performs
     the equivalent discrete transport when an explicit path is of interest.
     """
-    sign = _linearization_sign(jacobian_at(np.asarray(x, dtype=float)), "zero")
+    sign = det_sign(jacobian_at(np.asarray(x, dtype=float)))
     if reference.kind == "ambient":
         return sign
     if reference.kind != "base_zero" or reference.base_point is None:
         raise ValueError(f"unknown orientation reference {reference.kind!r}")
-    return sign * _linearization_sign(jacobian_at(np.asarray(reference.base_point, dtype=float)), "reference zero")
-
-
-def _linearization_sign(J, where: str) -> int:
-    """sign(det J) of a square J, +1 for the 0x0 one (R^0 -> R^0); Singular
-    when its last singular value is at most `rank_cutoff`."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    if J.shape == (0, 0):
-        return 1
-    det = np.linalg.det(J)
-    s = np.linalg.svd(J, compute_uv=False)
-    if s[-1] <= rank_cutoff(s):
-        raise Singular(f"linearization at the {where} is not invertible")
-    return 1 if det > 0 else -1
+    return sign * det_sign(jacobian_at(np.asarray(reference.base_point, dtype=float)))
 

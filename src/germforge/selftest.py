@@ -406,7 +406,7 @@ def criterion_8_degree() -> CriterionResult:
     try:
         rep = invariance_suite(cubic, trials=50, homotopy_shift=cubic_homotopy_shift)
         trials_deg = rep.degree
-    except Exception:
+    except GermforgeError:
         violations = 1
         trials_deg = None
     metrics = {"deg_cubic": deg_cubic, "deg_square": deg_sq,

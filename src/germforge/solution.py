@@ -35,8 +35,8 @@ from itertools import combinations
 import numpy as np
 
 from . import cones
-from ._linalg import (CLOSED_FORM_RANGE, _norm, as_vector, fd_jacobian, newton, orthonormal_columns, rank_cutoff,
-                      subspace_intersection, svd_split)
+from ._linalg import (CLOSED_FORM_RANGE, _norm, as_vector, fd_jacobian, newton, orthonormal_columns, rank,
+                      rank_cutoff, subspace_intersection, svd_split)
 from .errors import (
     GermforgeError,
     NoOverlap,
@@ -396,8 +396,7 @@ def transform(gp: GoodParametrization, phi: BundleIso) -> GoodParametrization:
     q = gp.base_point
     qp = np.asarray(phi.base(q), dtype=float)
     Tphi = fd_jacobian(lambda x: np.asarray(phi.base(x), dtype=float), q)
-    s = np.linalg.svd(Tphi, compute_uv=False)
-    if not s[-1] > rank_cutoff(s):  # also when an infinite Tphi gives NaN
+    if rank(Tphi) < qp.size:  # also when an infinite Tphi gives NaN
         raise GermforgeError("base map Jacobian is singular at the chart point")
     new_kernel = orthonormal_columns(Tphi @ gp.kernel_basis)  # Tphi is invertible: no column is lost
     complement = orthonormal_columns(np.eye(qp.size) - new_kernel @ new_kernel.T)
@@ -477,7 +476,7 @@ def build_boundary_parametrization(bg: BasicGerm, q, position_certificate=None,
 
     J, kernel = _linearization(bg, q)
     J_ww = J[bg.N:, n:]
-    if svd_split(J_ww)[2].shape[1]:
+    if rank(J_ww) < J_ww.shape[0]:
         raise SingularLinearization("fiber block J_ww of f'(q) is singular at the corner")
     slope = -np.linalg.solve(J_ww, J[bg.N:, :n])  # delta'(0)
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._linalg import as_vector, fd_jacobian, orthonormal_columns, svd_split
+from ._linalg import as_vector, fd_jacobian, orthonormal_columns, rank, svd_split
 from .errors import GermforgeError, NotAZero
 from .spaces import DEFAULT_TOL, GradedSpace
 
@@ -297,7 +297,6 @@ def linearize_filled(fs: FilledSection, q) -> FilledLinearization:
         off = max(off, float(np.max(np.abs(f_plus.T @ J @ comp))))
 
     _, kernel_full, coker_full, _ = svd_split(J)
-    rank_sec, _, _, _ = svd_split(sec_block)
     sec_index = tangent.shape[1] - f_plus.shape[1]
     filled_index = (pdim + model.E.dim) - fs.filler.bundle.F.dim
     return FilledLinearization(
@@ -306,7 +305,7 @@ def linearize_filled(fs: FilledSection, q) -> FilledLinearization:
         filler_block=fil_block,
         off_diagonal_norm=off,
         kernel_basis=kernel_full,
-        section_surjective=bool(rank_sec == f_plus.shape[1]),
+        section_surjective=rank(sec_block) == f_plus.shape[1],
         filled_surjective=bool(coker_full.shape[1] == 0),
         section_index=sec_index,
         filled_index=filled_index,

@@ -46,6 +46,16 @@ def test_run_all_sets_each_criterions_wall_time(monkeypatch):
     assert lines == ["PASS slow: x=1", "FAIL fast: "]
 
 
+def test_criterion_8_raises_what_invariance_suite_raises_outside_the_library_errors(monkeypatch):
+    # a degree that fails to hold is a violation; any other error is a fault
+    def broken(*args, **kwargs):
+        raise TypeError("invariance_suite is broken")
+
+    monkeypatch.setattr(selftest, "invariance_suite", broken)
+    with pytest.raises(TypeError, match="invariance_suite is broken"):
+        selftest.criterion_8_degree()
+
+
 def test_criterion_7_raises_what_stabilize_raises_outside_the_library_errors(monkeypatch):
     # a projection that does not work raises a GermforgeError and is drawn
     # again; any other error is a fault and must not be retried forever

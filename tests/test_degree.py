@@ -21,8 +21,8 @@ from germforge.degree import (
     smooth_plateau,
 )
 from germforge.degree import SUPPORT_SCALE, _Cell, _chart_orientation_sign, _covering_u, _quadrature_rule
-from germforge.errors import (BudgetExceeded, DimensionUnsupported, IndexMismatch, NonConvergence, NotSurjective,
-                              RetryExhausted, WindowEscape)
+from germforge.errors import (AtlasIncomplete, BudgetExceeded, DimensionUnsupported, IndexMismatch,
+                              InvarianceViolation, NonConvergence, NotSurjective, RetryExhausted, WindowEscape)
 from germforge.orientation import OrientationReference
 from germforge.solution import (
     GoodParametrization,
@@ -247,6 +247,38 @@ def test_invariance_suite_cubic_with_homotopy():
     assert len(rep.trial_degrees) == 50
     assert all(d == 1 for d in rep.trial_degrees)
     assert rep.homotopy_degrees and all(d == 1 for _, d in rep.homotopy_degrees)
+
+
+def test_invariance_suite_names_the_trial_whose_degree_differs(monkeypatch):
+    pp = problem(lambda x: x, [-1.0], [1.0], seed=3)
+    second = int(np.random.SeedSequence((3, 1)).generate_state(1)[0])     # trial 1's stream
+    monkeypatch.setattr(degree, "compute_degree", lambda p: 2 if p.rng_seed == second else 1)
+    with pytest.raises(InvarianceViolation, match="trial 1 gave degree 2 != 1") as exc:
+        invariance_suite(pp, trials=3)
+    assert exc.value.details == {"trial": 1, "seed": second}
+
+
+def test_invariance_suite_names_the_homotopy_point_whose_degree_differs(monkeypatch):
+    pp = problem(lambda x: x, [-1.0], [1.0], seed=3)
+    monkeypatch.setattr(degree, "compute_degree", lambda p: 0 if p.rng_seed == 3 + 1000 + 2 else 1)
+    t = float(np.linspace(0.0, 1.0, degree.HOMOTOPY_GRID)[2])
+    with pytest.raises(InvarianceViolation, match=f"homotopy t={t:.3f} gave degree 0 != 1") as exc:
+        invariance_suite(pp, trials=2, homotopy_shift=lambda t, x: np.zeros(1))
+    assert exc.value.details == {"t": t}
+
+
+def test_a_stop_ball_with_no_degree_on_it_nor_on_half_of_it_is_exhausted():
+    # f vanishes exactly at x = +-1/2 and x = +-1/4, the ends of the ball of
+    # radius 1/2 around 0 and of its half, so no end sign is sampled
+    pp = problem(lambda x: (x ** 2 - 0.25) * (x ** 2 - 0.0625), [-2.0], [2.0])
+    with pytest.raises(RetryExhausted, match="nor on half of it") as exc:
+        degree._settled_ball(pp, (np.array([0.0]), 0.5), [], True)
+    assert exc.value.failing_zero.tolist() == [0.0]
+
+
+def test_integrate_form_refuses_an_empty_atlas():
+    with pytest.raises(AtlasIncomplete, match="empty atlas"):
+        integrate_form(SolutionAtlas(charts=()), DifferentialForm(degree=1, coeff=lambda x: np.array([-x[1], x[0]])))
 
 
 def test_invariance_suite_raises_where_a_homotopy_point_has_no_generic_perturbation():

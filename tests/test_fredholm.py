@@ -364,3 +364,12 @@ def test_the_folded_normal_form_map_matches_the_branchy_one():
                 v, w = y[:germ.n], y[germ.n:]
                 inner = w - germ.project_W(germ.evaluate(y) - germ.value_at_zero())
                 assert np.array_equal(germ.inner.evaluate(v, w), inner)
+
+
+def test_index_from_linearization_does_not_depend_on_the_rank():
+    # (n - r) - (m - r) = n - m for every rank r, the zero matrix included
+    rng = np.random.default_rng(30)
+    for m, n in ((2, 5), (4, 1), (3, 3), (0, 2), (2, 0)):
+        for r in range(min(m, n) + 1):
+            J = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            assert index_from_linearization(J) == n - m

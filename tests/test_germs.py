@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from germforge import registry
-from germforge.errors import NonConvergence
+from germforge.errors import NonConvergence, SingularLinearization
 from germforge.germs import (
     SOLUTION_CACHE_SIZE,
     ContractionGerm,
@@ -352,3 +352,13 @@ def test_a_replaced_solution_germ_starts_without_the_originals_memo():
     other = replace(sol, germ=registry.linear_germ(alpha=-0.5))
     assert other(np.array([0.4]))[0] == pytest.approx(0.4 / 1.5)
     assert sol(np.array([0.4]))[0] == pytest.approx(0.8)
+
+
+def test_derivative_raises_where_i_minus_d2b_is_singular():
+    # B(v, u) = u - u^3 has the fixed point u = 0 at v = 0, where
+    # D2B = 1 - 3 u^2 = 1, so I - D2B has rank 0 at rank_cutoff
+    p, s = scalar_spaces()
+    germ = ContractionGerm(p, s, B=lambda v, u: u - u ** 3)
+    assert solve_germ(germ, np.array([0.0])) == pytest.approx(0.0)
+    with pytest.raises(SingularLinearization, match="I - D2B"):
+        germ_derivative(germ, np.array([0.0]))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from germforge import registry
 from germforge import _linalg
 from germforge._linalg import (CLOSED_FORM_RANGE, CLOSED_FORM_RANGE_2X2, SV_RELATIVE_CUTOFF, _newton_arrays, _step,
-                              _step_1x1, fd_jacobian, newton, rank_cutoff, svd_split)
+                              _step_1x1, det_sign, fd_jacobian, newton, rank, rank_cutoff, svd_split)
+from germforge.errors import Singular
 
 
 class Counted:
@@ -496,3 +497,49 @@ def test_rank_cutoff_is_the_inline_formula():
     for sv in spectra:
         assert rank_cutoff(sv) == SV_RELATIVE_CUTOFF * max(sv[0] if sv.size else 0.0, 1.0)
     assert rank_cutoff(np.zeros(0)) == rank_cutoff(np.array([0.3])) == SV_RELATIVE_CUTOFF
+
+
+def test_rank_is_svd_splits_rank_without_the_singular_vectors():
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        m, n, r = (int(v) for v in rng.integers(0, 5, size=3))
+        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) * 10.0 ** rng.uniform(-3, 3)
+        assert rank(A) == svd_split(A)[0]
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert rank(np.zeros(shape)) == 0
+
+
+def test_rank_counts_only_the_singular_values_above_rank_cutoff():
+    # the cutoff is 1e-8 max(sigma_1, 1): a singular value at it does not count
+    assert rank(np.diag([1.0, 1e-8])) == 1
+    assert rank(np.diag([1.0, 1.1e-8])) == 2
+    assert rank(np.diag([1e3, 1e-5])) == 1
+    assert rank(np.diag([0.5, 1e-8])) == 1
+
+
+def test_det_sign_is_the_sign_of_det_on_well_conditioned_matrices():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        n = int(rng.integers(1, 6))
+        U, V = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+        M = U @ np.diag(rng.uniform(0.1, 10.0, size=n)) @ V      # condition number at most 100
+        M *= 10.0 ** rng.uniform(-3, 3)
+        assert det_sign(M) == np.sign(np.linalg.det(M))
+
+
+@pytest.mark.parametrize("M", [
+    np.zeros((1, 1)),
+    np.diag([1.0, 1e-8]),               # det 1e-8 > 0, but rank 1 at the cutoff 1e-8
+    np.diag([1e3, -1e-5]),              # the cutoff is 1e-8 * 1e3
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.diag([0.0, 1.0, 1.0]),
+], ids=["zero", "at-cutoff", "at-scaled-cutoff", "dependent-rows", "zero-pivot"])
+def test_det_sign_raises_singular_at_rank_cutoff(M):
+    with pytest.raises(Singular):
+        det_sign(M)
+
+
+def test_det_sign_just_above_the_cutoff_and_on_r0():
+    assert det_sign(np.diag([1.0, 1.1e-8])) == 1
+    assert det_sign(np.diag([1e3, -1.1e-5])) == -1
+    assert det_sign(np.zeros((0, 0))) == 1

@@ -65,6 +65,18 @@ def test_stabilize_rejects_bad_projection():
         stabilize(dl, np.diag([1.0, 0.0]))
 
 
+def test_stabilize_rejects_a_kernel_of_t_that_does_not_fit_in_ker_pt():
+    # T has rank 1 at rank_cutoff (sigma = 10, 5e-8; cutoff 1e-7), so ker T
+    # = span(e2), but P T has sigma about (0.5, 5e-8) and rank 2 = rank P at
+    # its own cutoff 1e-8, so ker PT = 0 and the exact sequence cannot close
+    T = np.array([[10.0, 0.0], [0.0, 5e-8], [0.0, 0.0]])
+    Q, _ = np.linalg.qr(np.array([[0.0, 0.05], [1.0, 0.0], [0.0, 1.0]]))
+    dl = determinant_line(T)
+    assert dl.kernel_dim == 1
+    with pytest.raises(NotSurjectiveAfterProjection, match="does not fit"):
+        stabilize(dl, Q @ Q.T)
+
+
 def test_projection_independence_triangle():
     rng = np.random.default_rng(1)
     for _ in range(20):

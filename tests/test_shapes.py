@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from germforge import registry
+from germforge.degree import _spread
 from germforge._linalg import orthonormal_columns, subspace_intersection, svd_split
 from germforge.cones import (
     FEAS_TOL,
@@ -379,3 +380,20 @@ def test_default_weights_of_no_coordinates_is_empty_and_silent():
         warnings.simplefilter("error")
         w = default_weights(0)
     assert same_bits(w, np.zeros(0))
+
+
+# --- degree ----------------------------------------------------------------
+
+def special_spread(count, widths):
+    widths = np.asarray(widths, dtype=float)
+    if not widths.size:
+        return []
+    return _spread(count, widths)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_spread_over_no_pieces_is_empty_and_silent(count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _spread(count, [])
+    assert got == special_spread(count, []) == []

@@ -905,3 +905,11 @@ def test_graph_solve_raises_the_cold_solves_residual():
     with pytest.raises(NonConvergence) as info:
         _graph_solve(lifted, t, np.zeros(1))
     assert info.value.residual == res
+
+
+def test_transform_refuses_a_base_map_with_a_singular_jacobian():
+    from germforge.errors import GermforgeError
+
+    flatten = BundleIso(base=lambda x: np.array([x[0], 0.0]), base_inv=lambda y: y)
+    with pytest.raises(GermforgeError, match="singular"):
+        transform(circle_chart(), flatten)
