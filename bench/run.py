@@ -19,8 +19,9 @@ For the tree (default: this checkout) one invocation records
 - per-layer timings (`layer_timings`): the best of LAYER_RUNS mean µs per
   call of `_linalg`'s Newton step and FD Jacobian at n = 1, 2 and 3, of
   one `newton` solve of a fixed 1-D and of a fixed 2-D map, of one
-  32-node ray walk of a unit-circle chart and of one `cones.extreme_rays`
-  call on a 6-facet polygon cone,
+  32-node ray walk of a unit-circle chart, of one `cones.extreme_rays`
+  call on a 6-facet polygon cone and of one `fredholm.perturb_normal_form`
+  of a linear basic germ with a quadratic section,
 - the tree's git revision (and whether it had uncommitted changes outside
   the BENCH_*.json records), the Python, numpy and scipy versions (None
   without scipy) and nproc,
@@ -277,11 +278,15 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     [-0.7, 0.7] of the unit circle's chart at (1, 0), radius 0.75, over
     calls // 100 calls, and of one `cones.extreme_rays` call on the 6-facet
     polygon cone of `certify`'s shape (rows (-cos a, -sin a, 1) at the angles
-    a = 2 pi j / 6), over calls // 10 calls.  Runs in the process of the tree
-    under test."""
+    a = 2 pi j / 6), over calls // 10 calls, and of one
+    `fredholm.perturb_normal_form` in `certify`'s shape (n = 3, k = 1, N = 1,
+    dim W = 2: g = M x with M = 0.08 G + (0, I) on the W block, s = A x +
+    Q (x * x) with A = 0.2 G', Q = 0.05 G'', G, G', G'' standard normal
+    draws of `default_rng(31)`), over calls // 100 calls.  Runs in the
+    process of the tree under test."""
     import timeit
 
-    from germforge import _linalg, cones, degree, registry, solution
+    from germforge import _linalg, cones, degree, fredholm, registry, solution
     from germforge.spaces import GradedSpace
 
     def best(fn, number):
@@ -307,6 +312,14 @@ def layer_timings(runs: int = LAYER_RUNS, calls: int = LAYER_CALLS) -> dict:
     poly = cones.SubspaceInQuadrant(ambient=GradedSpace(dim=6, levels=3, weights=np.ones(6), quadrant_rank=6),
                                     basis=np.column_stack([-np.cos(angles), -np.sin(angles), np.ones(6)]))
     out["extreme_rays_us"] = best(lambda: cones.extreme_rays(poly), max(calls // 10, 1))
+    rng = np.random.default_rng(31)
+    M = 0.08 * rng.normal(size=(3, 5))
+    M[1:, 3:] += np.eye(2)
+    A, Q = 0.2 * rng.normal(size=(3, 5)), 0.05 * rng.normal(size=(3, 5))
+    bg = fredholm.BasicGerm(n=3, k=1, N=1, W=GradedSpace(dim=2, levels=2, weights=np.ones(2)), g=lambda x: M @ x,
+                            contraction_schedule={m: (0.6, 1.0) for m in range(3)})
+    s = fredholm.ScPlusSection(section=lambda x: A @ x + Q @ (x * x), levels=2)
+    out["normal_form_us"] = best(lambda: fredholm.perturb_normal_form(bg, s), max(calls // 100, 1))
     return out
 
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSplitting, Singular
+from .errors import DegenerateSplitting, IndexMismatch, Singular
 
 SV_RELATIVE_CUTOFF = 1e-8
 RANK_BAND_FACTOR = 10.0
@@ -66,8 +66,11 @@ def rank(T) -> int:
 
 def det_sign(M) -> int:
     """sign(det M) of a square M, +1 for the 0x0 one (R^0 -> R^0); raises
-    Singular when `rank`(M) is below M's size."""
+    IndexMismatch when M is not square, and Singular when `rank`(M) is below
+    M's size."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[0] != M.shape[1]:
+        raise IndexMismatch(f"a {M.shape[0]}x{M.shape[1]} matrix is not square and has no determinant sign")
     r = rank(M)
     if r < M.shape[0]:
         raise Singular(f"a {M.shape[0]}x{M.shape[1]} matrix of rank {r} has no determinant sign")

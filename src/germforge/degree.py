@@ -673,13 +673,11 @@ class DifferentialForm:
 
 
 def _chart_orientation_sign(chart, t) -> int:
-    """Co-orientation sign: `det_sign` of [Df(Gamma(t)); tangent^T] (square),
-    the tangent taken from the same Jacobian."""
+    """Co-orientation sign: `det_sign` of [Df(Gamma(t)); tangent^T], the
+    tangent taken from the same Jacobian (IndexMismatch when the chart and
+    section dimensions do not stack square)."""
     J = chart.jacobian(chart.gamma(t))
-    M = np.vstack([J, _tangent(chart, J).T])
-    if M.shape[0] != M.shape[1]:
-        raise IndexMismatch(f"chart/section dimensions {M.shape} do not stack square")
-    return det_sign(M)
+    return det_sign(np.vstack([J, _tangent(chart, J).T]))
 
 
 # a chart covers x when its graph passes within this distance of x

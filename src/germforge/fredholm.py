@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import as_vector, fd_jacobian, guard_rank_band, sv_rank
 from .errors import MismatchAtPoint
-from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, shrink_to_contraction
+from .germs import MAX_BISECTIONS, ContractionGerm, SamplingPlan, _Stacked, shrink_to_contraction
 from .spaces import GradedSpace
 
 # |s(q) - f(q)| up to which linearize_relative takes s(q) = f(q)
@@ -63,6 +63,13 @@ class BasicGerm:
             raise ValueError(f"g must return {self.target_dim} components, got {out.shape}")
         return out
 
+    def _evaluate_rows(self, X):
+        """g at each row of X, as the rows of one array: a stacked g
+        (`_Stacked`) in one call, any other g row by row through `evaluate`."""
+        if isinstance(self.g, _Stacked):
+            return self.g.rows(X)
+        return np.array([self.evaluate(x) for x in X])
+
     def project_W(self, y):
         """P: R^N ⊕ W -> W, dropping the first N components."""
         return np.asarray(y, dtype=float)[self.N:]
@@ -72,16 +79,21 @@ class BasicGerm:
 
     @property
     def inner(self) -> ContractionGerm:
-        """Contraction germ B(v, w) = w - P(g(v, w) - g(0))."""
+        """Contraction germ B(v, w) = w - P(g(v, w) - g(0)); its B also
+        takes a stack of rows w at one v (`_Stacked`)."""
         g0 = self.value_at_zero()[self.N:]
 
         def B(v, w):
             return w - (self.evaluate(np.concatenate([v, w]))[self.N:] - g0)
 
+        def rows(v, ws):
+            points = np.hstack([np.broadcast_to(v, (len(ws), v.size)), ws])
+            return ws - (self._evaluate_rows(points)[:, self.N:] - g0)
+
         return ContractionGerm(
             parameter_space=self.parameter_space,
             solution_space=self.W,
-            B=B,
+            B=_Stacked(B, rows),
             contraction_schedule=dict(self.contraction_schedule),
         )
 
@@ -139,6 +151,18 @@ def linearize_relative(f, s: ScPlusSection, q):
     if gap > MATCH_TOL:
         raise MismatchAtPoint(f"s(q) differs from f(q) by {gap:.3e} > {MATCH_TOL:.1e}")
     return fd_jacobian(lambda x: as_vector(f(x)) - s(x), q)
+
+
+def _section_rows(s: ScPlusSection, X, dim: int):
+    """s at each row of X, one call per row, as the rows of a (len(X), dim)
+    array; ValueError for a value that does not have `dim` components."""
+    out = np.empty((len(X), dim))
+    for i, x in enumerate(X):
+        y = s(x)
+        if y.shape != (dim,):
+            raise ValueError(f"s must return {dim} components, got {y.shape}")
+        out[i] = y
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,13 +227,19 @@ def perturb_normal_form(bg: BasicGerm, s: ScPlusSection, grid: SamplingPlan | No
         x = into @ y
         return out_of @ (bg.evaluate(x) + s(x) - fs0)
 
+    def new_g_rows(ys):
+        """new_g of each row of ys, by one product with each matrix (the
+        sums run in another order than new_g's: see README)."""
+        xs = ys @ into.T
+        return (bg._evaluate_rows(xs) + _section_rows(s, xs, bg.target_dim) - fs0) @ out_of.T
+
     X_space = GradedSpace(
         dim=rank,
         levels=bg.W.levels,
         weights=np.maximum(np.abs(X_basis).T @ bg.W.weights, 1.0),
         quadrant_rank=0,
     )
-    out = BasicGerm(n=n + d, k=k, N=N + d, W=X_space, g=new_g)
+    out = BasicGerm(n=n + d, k=k, N=N + d, W=X_space, g=_Stacked(new_g, new_g_rows))
 
     # certify B_hat at every level from one set of samples per radius
     start = max(r for _, r in bg.contraction_schedule.values()) if bg.contraction_schedule else 1.0

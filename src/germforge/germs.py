@@ -38,6 +38,21 @@ MAX_BISECTIONS = 40
 SOLUTION_CACHE_SIZE = 1024
 
 
+class _Stacked:
+    """A map that the library builds itself: called like a user's map on one
+    point, and with `rows`, which evaluates a stack of points in one call,
+    rows(v, U) -> the B(v, u) of the rows u of U, rows(X) -> the g(x) of the
+    rows x of X.  The user's own maps inside it still get one point per call."""
+
+    __slots__ = ("point", "rows")
+
+    def __init__(self, point, rows):
+        self.point, self.rows = point, rows
+
+    def __call__(self, *args):
+        return self.point(*args)
+
+
 @dataclass(frozen=True)
 class ContractionGerm:
     """The map B(v, u) with per-level contraction certificates.
@@ -66,6 +81,14 @@ class ContractionGerm:
         if out.shape != (self.solution_space.dim,):
             raise ValueError(f"B returned shape {out.shape}, expected ({self.solution_space.dim},)")
         return out
+
+    def _rows(self, v, U):
+        """B(v, u) of each row u of U, as the rows of one array: a stacked
+        map (`_Stacked`) in one call, any other map row by row through
+        `evaluate`."""
+        if isinstance(self.B, _Stacked):
+            return self.B.rows(v, U)
+        return np.array([self.evaluate(v, u) for u in U])
 
     def d1B(self, v, u):
         """Jacobian of B in the parameter slot, shape (solution_dim, parameter_dim)."""
@@ -252,10 +275,12 @@ def _sampled_ratios(germ: ContractionGerm, levels, radius: float, grid: Sampling
     Each parameter sample v and its pairs (u, u') come from one uniform draw
     of pdim + 2 * pair_samples * sdim values, which the Generator fills one
     double at a time, so they equal v, u, u', u, u', ... drawn one by one.
-    B is called, one pair at a time, only for the pairs with
-    ||u - u'||_top >= 1e-14 at the top level of `levels`; the level norms
-    are nested, so these are all the pairs any level keeps.  Numerators
-    and denominators are stacked level norms.
+    B is called only at the pairs with ||u - u'||_top >= 1e-14 at the top
+    level of `levels`; the level norms are nested, so these are all the
+    pairs any level keeps.  The kept points u, u', u, u', ... of one
+    parameter sample go to B in one `ContractionGerm._rows` call, so a map
+    that the library built takes them as one stack.  Numerators and
+    denominators are stacked level norms.
     """
     rng = np.random.Generator(np.random.Philox(key=grid.seed))
     r = (radius if np.isfinite(radius) else 1.0) * grid.radius_scale
@@ -274,7 +299,8 @@ def _sampled_ratios(germ: ContractionGerm, levels, radius: float, grid: Sampling
         kept = np.flatnonzero(~(space.level_norm(steps, top) < 1e-14))
         if not kept.size:
             continue
-        diffs = np.array([germ.evaluate(v, pairs[j, 0]) - germ.evaluate(v, pairs[j, 1]) for j in kept])
+        vals = germ._rows(v, pairs[kept].reshape(-1, sdim))
+        diffs = vals[0::2] - vals[1::2]
         for m in levels:
             dens = space.level_norm(steps[kept], m)
             sel = ~(dens < 1e-14)

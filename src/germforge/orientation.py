@@ -278,8 +278,8 @@ def sign_of_zero(jacobian_at, x, reference: OrientationReference = AMBIENT_REFER
     """Sign of a transversal zero x relative to a reference orientation.
 
     jacobian_at(point) must return the (square) linearization matrix; a
-    0x0 one, on R^0, has the natural orientation +1.  Raises Singular when
-    f'(x) is not invertible.
+    0x0 one, on R^0, has the natural orientation +1.  Raises IndexMismatch
+    when f'(x) is not square, and Singular when it is not invertible.
 
     For the ambient reference the answer is sign(det f'(x)).  For a
     base-zero reference, continuation along any operator path connecting

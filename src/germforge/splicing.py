@@ -276,9 +276,19 @@ def linearize_filled(fs: FilledSection, q) -> FilledLinearization:
     if residual > ZERO_TOL:
         raise NotAZero(f"|f_bar(q)| = {residual:.3e} exceeds tolerance")
 
-    J = fd_jacobian(fs.evaluate_flat, q)
+    # pi_v, read once: the tangent's range, the retraction r(q) = (v, P e)
+    # and the Jacobian's fiber columns, whose points keep v's bytes
+    P = model.projection(v)
+    v_bytes = v.tobytes()
 
-    P = model.projection(v)     # pi_v, read once: the tangent's range and the retraction r(q) = (v, P e)
+    def f_bar(x):
+        """fs.evaluate_flat, with its bits, reading pi only off v."""
+        xv, xe = x[:pdim], x[pdim:]
+        if xv.tobytes() != v_bytes:
+            return fs.evaluate(xv, xe)
+        return fs.section_value(xv, P @ xe) + fs.filler.evaluate(xv, xe)
+
+    J = fd_jacobian(f_bar, q)
     tangent = _core_tangent_basis(model, v, e, P)
     minus = orthonormal_columns(np.eye(model.E.dim) - P)   # ker pi_v
     comp = np.zeros((pdim + model.E.dim, minus.shape[1]))

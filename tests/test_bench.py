@@ -136,7 +136,8 @@ def test_layer_timings_time_each_layer_call_in_microseconds(monkeypatch):
     monkeypatch.setattr(_linalg, "_step_1x1", lambda J, f: steps.append(type(J)) or step_1x1(J, f))
     out = bench_run.layer_timings(runs=2, calls=10)
     assert sorted(out) == sorted([f"{name}_n{n}_us" for name in ("step", "fd_jacobian") for n in (1, 2, 3)]
-                                 + ["newton_1d_us", "newton_2d_us", "ray_points_us", "extreme_rays_us"])
+                                 + ["newton_1d_us", "newton_2d_us", "ray_points_us", "extreme_rays_us",
+                                    "normal_form_us"])
     assert all(isinstance(v, float) and 0.0 < v < 1e6 for v in out.values())
     assert set(steps) == {float, (2, 2), (3, 3)}
 

@@ -9,7 +9,7 @@ from germforge import registry
 from germforge import _linalg
 from germforge._linalg import (CLOSED_FORM_RANGE, CLOSED_FORM_RANGE_2X2, SV_RELATIVE_CUTOFF, _newton_arrays, _step,
                               _step_1x1, det_sign, fd_jacobian, newton, rank, rank_cutoff, svd_split)
-from germforge.errors import Singular
+from germforge.errors import IndexMismatch, Singular
 
 
 class Counted:
@@ -536,6 +536,14 @@ def test_det_sign_is_the_sign_of_det_on_well_conditioned_matrices():
 ], ids=["zero", "at-cutoff", "at-scaled-cutoff", "dependent-rows", "zero-pivot"])
 def test_det_sign_raises_singular_at_rank_cutoff(M):
     with pytest.raises(Singular):
+        det_sign(M)
+
+
+@pytest.mark.parametrize("M", [np.eye(2, 3), np.eye(3, 2), np.zeros((0, 2)), np.ones((1, 4))],
+                         ids=["wide", "tall", "no-rows", "row"])
+def test_det_sign_of_a_non_square_matrix_is_an_index_mismatch(M):
+    # a wide M of full row rank reached numpy's det, a tall one read as Singular
+    with pytest.raises(IndexMismatch, match="not square"):
         det_sign(M)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from germforge.errors import GridTooCoarse, NotSurjectiveAfterProjection, Singular
+from germforge.errors import GridTooCoarse, IndexMismatch, NotSurjectiveAfterProjection, Singular
 from germforge.orientation import (
     AMBIENT_REFERENCE,
     OrientationReference,
@@ -199,6 +199,17 @@ def test_sign_of_zero_singular_raises():
     jac = lambda x: np.array([[0.0]])
     with pytest.raises(Singular):
         sign_of_zero(jac, np.zeros(1))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_sign_of_zero_with_a_non_square_linearization_is_an_index_mismatch(shape):
+    # the caller's matrix goes straight to det_sign, which checks its shape
+    jac = lambda x: np.eye(*shape)
+    with pytest.raises(IndexMismatch):
+        sign_of_zero(jac, np.zeros(shape[1]))
+    base = OrientationReference(kind="base_zero", base_point=np.zeros(shape[1]))
+    with pytest.raises(IndexMismatch):
+        sign_of_zero(jac, np.zeros(shape[1]), base)
 
 
 def test_base_zero_reference_matches_explicit_transport():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from germforge import registry
-from germforge._linalg import orthonormal_columns
+from germforge._linalg import fd_jacobian, orthonormal_columns
 from germforge.errors import GermforgeError, NotAZero
 from germforge.splicing import (
     Filler,
@@ -371,14 +371,31 @@ def test_core_tangent_basis_has_the_bits_of_the_column_loop():
 def test_linearize_filled_reads_pi_at_its_base_point_once(monkeypatch):
     # the registry's section, filler and rho close over their own model, so
     # the log holds only the library's own reads of pi.  At the zero's v:
-    # one for the residual, one for each of the Jacobian's two fiber
-    # columns (x +- h e_j moves e only), and one for P = pi_v, which serves
-    # the core tangent's range and the retraction (v, P e)
+    # one for the residual and one for P = pi_v, which serves the core
+    # tangent's range, the retraction (v, P e) and the Jacobian's two fiber
+    # columns (x +- h e_j moves e only, so v keeps its bytes)
     fs = registry.rotating_line_filled_section()
     log = []
     core = replace(fs.filler.bundle.base, model=logged_rotating_line(log))
     fs = replace(fs, filler=replace(fs.filler, bundle=replace(fs.filler.bundle, base=core)))
     v0 = 0.3
     rep = linearize_filled(fs, np.concatenate([[v0], rotating_zero(v0)]))
-    assert sum(np.array_equal(v, [v0]) for v in log) == 6
+    assert sum(np.array_equal(v, [v0]) for v in log) == 2
     assert rep.section_surjective and rep.off_diagonal_norm < 1e-9
+
+
+def test_linearize_filled_keeps_the_bits_of_the_plain_jacobian():
+    # pi = P on the fiber columns gives f_bar's own bits; at v = -0.0 the
+    # point x + h e_j has v = +0.0, other bytes, and reads pi itself.  The
+    # registry's section reads e through pi_v, and P dP P = 0 for a
+    # projection, so at a zero its parameter column would not show a stale
+    # P; M (e - e0) + (v - v0) w, zero at (v0, e0), does
+    fs = registry.rotating_line_filled_section()
+    M, w = np.array([[1.0, 0.4], [-0.3, 0.8]]), np.array([0.2, -0.5])
+    for v0 in (0.3, -0.7, 1.1, -0.0):
+        e0 = rotating_zero(v0)
+        generic = replace(fs, section=lambda v, e, v0=v0, e0=e0: M @ (e - e0) + (v[0] - v0) * w)
+        for f in (fs, generic):
+            q = np.concatenate([[v0], e0])
+            rep = linearize_filled(f, q)
+            assert np.array_equal(rep.full_jacobian, fd_jacobian(f.evaluate_flat, q))
